@@ -19,7 +19,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use axiombase_core::journal::io::StdIo;
 use axiombase_core::{
@@ -132,6 +132,16 @@ fn fixture_ops(base: &Schema) -> Vec<RecordedOp> {
     ops
 }
 
+/// Under `AXB_REGEN_GOLDEN=1`, rebuild the fixture once per process. The
+/// tests run in parallel and share the fixture directory, so whichever
+/// gets here first builds it and the others wait for it.
+fn ensure_fixture() {
+    static BUILT: OnceLock<()> = OnceLock::new();
+    if regen() {
+        BUILT.get_or_init(|| build_fixture(&fixture_dir()));
+    }
+}
+
 /// (Re)build the fixture journal on real files, deterministically.
 fn build_fixture(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
@@ -198,9 +208,7 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn golden_stats_and_recover_outputs() {
-    if regen() {
-        build_fixture(&fixture_dir());
-    }
+    ensure_fixture();
 
     let cases: &[(&str, &[&str])] = &[
         ("golden_stats.txt", &["stats"]),
@@ -226,9 +234,7 @@ fn golden_stats_and_recover_outputs() {
 /// axioms hold and whose shape matches the recorded story.
 #[test]
 fn fixture_journal_replays_clean() {
-    if regen() {
-        build_fixture(&fixture_dir());
-    }
+    ensure_fixture();
     let dir = scratch_copy("replay");
     let (js, report) = JournaledSchema::open(
         &dir,

@@ -244,7 +244,8 @@ impl History {
     }
 
     /// Materialise the schema as of version `v` (0 = the initial snapshot,
-    /// `len()` = the current state) by replaying the log prefix.
+    /// `len()` = the current state) by replaying the log prefix as one
+    /// batch ([`Schema::apply_trace`]: one derivation for the whole prefix).
     pub fn as_of(&self, v: usize) -> std::result::Result<Schema, HistoryError> {
         if v > self.ops.len() {
             return Err(HistoryError::NoSuchVersion {
@@ -253,9 +254,9 @@ impl History {
             });
         }
         let mut schema = Schema::from_snapshot(&self.initial)?;
-        for op in &self.ops[..v] {
-            op.apply(&mut schema).map_err(HistoryError::ReplayFailed)?;
-        }
+        schema
+            .apply_trace(&self.ops[..v])
+            .map_err(HistoryError::ReplayFailed)?;
         Ok(schema)
     }
 

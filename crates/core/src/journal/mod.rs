@@ -13,7 +13,8 @@
 //!   `*.tmp`, fsync file, rename, fsync directory) so the previous good
 //!   checkpoint is never damaged by a crash mid-checkpoint;
 //! - a **recovery routine** ([`Journal::open`]) that loads the newest valid
-//!   checkpoint, replays the valid log prefix, and truncates a torn tail;
+//!   checkpoint, replays the valid log prefix as one batch (one derivation
+//!   for the whole suffix), and truncates a torn tail;
 //!   [`RecoveryMode::Salvage`] additionally drops a *corrupt* suffix and
 //!   reports exactly which bytes were dropped, mirroring
 //!   [`crate::History::apply_trace`]'s applied-prefix semantics.
@@ -454,6 +455,221 @@ fn quarantine_segment(
     })
 }
 
+/// What the recovery scan replayed and repaired (see [`replay_wals`]).
+struct WalReplay {
+    /// Sequence number of the last replayed record.
+    seq: u64,
+    /// Records replayed on top of the checkpoint.
+    replayed: usize,
+    /// The invalid suffix dropped where the scan stopped, if any.
+    dropped_tail: Option<DroppedTail>,
+    /// Segments renamed to `*.quar`.
+    quarantined: Vec<QuarantinedSegment>,
+    /// Every segment the scan kept, with its length as the scan left it.
+    kept: Vec<(String, u64)>,
+}
+
+/// How the recovery scan left one WAL segment.
+enum SegmentEnd {
+    /// Kept at this many bytes; the scan goes on with the next segment.
+    Kept(u64),
+    /// An invalid suffix was dropped, leaving this many bytes; the scan
+    /// stops here.
+    Dropped(DroppedTail, u64),
+    /// Renamed to `*.quar`; the scan goes on with the next segment.
+    Quarantined(QuarantinedSegment),
+}
+
+/// The recovery scan: replay the chained frames of `wals` on top of the
+/// checkpoint at `checkpoint_seq`, and repair what `mode` allows. It only
+/// edits inputs; [`Journal::open`] runs it inside one
+/// [`Schema::evolve_batch`], so derivation runs once when it returns.
+fn replay_wals(
+    schema: &mut Schema,
+    io: &Arc<dyn JournalIo>,
+    dir: &Path,
+    wals: &[(u64, String)],
+    checkpoint_seq: u64,
+    mode: RecoveryMode,
+    obs: Option<&EvolveObs>,
+) -> Result<WalReplay, JournalError> {
+    let mut r = WalReplay {
+        seq: checkpoint_seq,
+        replayed: 0,
+        dropped_tail: None,
+        quarantined: Vec::new(),
+        kept: Vec::new(),
+    };
+    for (i, (_base, name)) in wals.iter().enumerate() {
+        let path = dir.join(name);
+        let data = io.read(&path)?;
+        let is_last = i + 1 == wals.len();
+
+        // A truncate-to-offset that also records what was dropped.
+        let drop_suffix =
+            |offset: usize, kind: DropKind, detail: String| -> Result<SegmentEnd, JournalError> {
+                io.truncate(&path, offset as u64)?;
+                io.fsync(&path)?;
+                let tail = DroppedTail {
+                    file: name.clone(),
+                    offset,
+                    bytes: data.len() - offset,
+                    kind,
+                    detail,
+                };
+                Ok(SegmentEnd::Dropped(tail, offset as u64))
+            };
+        // What `mode` does with an invalid suffix at `offset`: strict
+        // refuses, salvage drops it, quarantine renames the segment.
+        let invalid = |offset: usize,
+                       kind: DropKind,
+                       detail: String|
+         -> Result<SegmentEnd, JournalError> {
+            match mode {
+                RecoveryMode::Strict => Err(JournalError::Corrupt {
+                    file: name.clone(),
+                    offset,
+                    detail,
+                }),
+                RecoveryMode::Salvage => drop_suffix(offset, kind, detail),
+                RecoveryMode::Quarantine => quarantine_segment(io, dir, name, data.len(), detail)
+                    .map(SegmentEnd::Quarantined),
+            }
+        };
+
+        let end = if !data.starts_with(WAL_MAGIC) {
+            if WAL_MAGIC.starts_with(&data[..]) {
+                // Torn WAL creation: the file was never acknowledged
+                // with any record. Rewrite the magic and use it.
+                io.write(&path, WAL_MAGIC)?;
+                io.fsync(&path)?;
+                SegmentEnd::Kept(WAL_MAGIC.len() as u64)
+            } else if mode == RecoveryMode::Salvage {
+                // Reset the file to an empty WAL; everything in it is
+                // unreadable.
+                io.write(&path, WAL_MAGIC)?;
+                io.fsync(&path)?;
+                let tail = DroppedTail {
+                    file: name.clone(),
+                    offset: 0,
+                    bytes: data.len(),
+                    kind: DropKind::Corrupt,
+                    detail: "bad wal magic".into(),
+                };
+                SegmentEnd::Dropped(tail, WAL_MAGIC.len() as u64)
+            } else {
+                invalid(0, DropKind::Corrupt, "bad wal magic".into())?
+            }
+        } else {
+            let mut off = WAL_MAGIC.len();
+            loop {
+                match read_frame(&data, off) {
+                    FrameResult::End => break SegmentEnd::Kept(data.len() as u64),
+                    FrameResult::Record(frame) => {
+                        if frame.seq <= r.seq {
+                            // Already covered by the checkpoint (or an
+                            // earlier WAL file); skip.
+                            off = frame.next;
+                            continue;
+                        }
+                        if frame.seq != r.seq + 1 {
+                            let detail =
+                                format!("sequence gap: expected {} found {}", r.seq + 1, frame.seq);
+                            break invalid(off, DropKind::SequenceGap, detail)?;
+                        }
+                        if let Some(o) = obs {
+                            o.on_op(frame.seq, &frame.op);
+                        }
+                        if let Err(e) = frame.op.apply(schema) {
+                            if mode == RecoveryMode::Strict {
+                                return Err(JournalError::Replay {
+                                    seq: frame.seq,
+                                    source: e,
+                                });
+                            }
+                            let detail = format!("op {} rejected: {e}", frame.seq);
+                            break invalid(off, DropKind::ReplayRejected, detail)?;
+                        }
+                        r.seq = frame.seq;
+                        r.replayed += 1;
+                        off = frame.next;
+                    }
+                    FrameResult::TornTail { offset, bytes } => {
+                        // Torn tails are unacknowledged by construction and
+                        // truncated in every mode — but only the *last* WAL
+                        // file can legitimately have one.
+                        if is_last {
+                            let detail = format!("incomplete frame of {bytes} byte(s)");
+                            break drop_suffix(offset, DropKind::TornTail, detail)?;
+                        }
+                        let detail =
+                            format!("incomplete frame of {bytes} byte(s) in non-final wal");
+                        break invalid(offset, DropKind::Corrupt, detail)?;
+                    }
+                    FrameResult::Corrupt { offset, detail } => {
+                        break invalid(offset, DropKind::Corrupt, detail)?
+                    }
+                }
+            }
+        };
+        match end {
+            SegmentEnd::Kept(len) => r.kept.push((name.clone(), len)),
+            SegmentEnd::Dropped(tail, len) => {
+                r.kept.push((name.clone(), len));
+                r.dropped_tail = Some(tail);
+                break;
+            }
+            SegmentEnd::Quarantined(q) => r.quarantined.push(q),
+        }
+    }
+    Ok(r)
+}
+
+/// The time-travel scan: apply every chained frame up to `upto`, and
+/// count the chain past it to find the durable maximum — the longest
+/// chained prefix on top of the checkpoint, exactly as `diagnose` computes
+/// it; gapped records and torn/corrupt tails are not durable history.
+/// Returns `(max, applied)`. Like [`replay_wals`] it only edits inputs;
+/// [`Journal::replay_at`] runs it inside one [`Schema::evolve_batch`].
+fn replay_chain(
+    schema: &mut Schema,
+    io: &dyn JournalIo,
+    dir: &Path,
+    wals: &[(u64, String)],
+    checkpoint_seq: u64,
+    upto: u64,
+) -> Result<(u64, u64), JournalError> {
+    let mut max = checkpoint_seq;
+    let mut applied = 0u64;
+    'files: for (_base, name) in wals {
+        let data = io.read(&dir.join(name))?;
+        if !data.starts_with(WAL_MAGIC) {
+            break 'files;
+        }
+        let mut off = WAL_MAGIC.len();
+        loop {
+            match read_frame(&data, off) {
+                FrameResult::End => break,
+                FrameResult::Record(f) => {
+                    if f.seq == max + 1 {
+                        max = f.seq;
+                        if f.seq <= upto {
+                            f.op.apply(schema).map_err(|err| JournalError::Replay {
+                                seq: f.seq,
+                                source: err,
+                            })?;
+                            applied += 1;
+                        }
+                    }
+                    off = f.next;
+                }
+                FrameResult::TornTail { .. } | FrameResult::Corrupt { .. } => break 'files,
+            }
+        }
+    }
+    Ok((max, applied))
+}
+
 fn wal_name(seq: u64) -> String {
     format!("wal-{seq:016x}.log")
 }
@@ -839,10 +1055,10 @@ impl Journal {
     }
 
     /// Like [`Journal::open`], but observed: `io` is wrapped so fsyncs are
-    /// counted, the recovered schema has `obs` attached (replay recomputes
-    /// are counted), each replayed record bumps its `ops.*` counter, and
-    /// the final [`RecoveryReport`] is folded into the `recovery.*`
-    /// counters.
+    /// counted, the recovered schema has `obs` attached (the one recompute
+    /// that ends the replay is counted), each replayed record bumps its
+    /// `ops.*` counter, and the final [`RecoveryReport`] is folded into
+    /// the `recovery.*` counters.
     pub fn open_observed(
         dir: &Path,
         io: Arc<dyn JournalIo>,
@@ -911,8 +1127,8 @@ impl Journal {
         let (checkpoint_seq, checkpoint_file, mut schema) =
             start.ok_or(JournalError::NoCheckpoint)?;
         if let Some(o) = &obs {
-            // Attached before replay, so the recomputation each replayed
-            // op triggers is counted exactly like a live application.
+            // Attached before replay, so the one recomputation that ends
+            // the replay batch (and the copies the edits make) is counted.
             schema.attach_obs(Arc::clone(o));
         }
 
@@ -923,205 +1139,20 @@ impl Journal {
             .filter_map(|n| parse_name(n, "wal-", ".log").map(|s| (s, n.clone())))
             .collect();
         wals.sort();
-        let mut seq = checkpoint_seq;
-        let mut replayed = 0usize;
-        let mut dropped_tail: Option<DroppedTail> = None;
-        let mut quarantined: Vec<QuarantinedSegment> = Vec::new();
-
-        'wal_files: for (i, (_base, name)) in wals.iter().enumerate() {
-            let path = dir.join(name);
-            let data = io.read(&path)?;
-            let is_last = i + 1 == wals.len();
-
-            // A truncate-to-offset that also records what was dropped.
-            let drop_suffix = |offset: usize,
-                               kind: DropKind,
-                               detail: String|
-             -> Result<DroppedTail, JournalError> {
-                io.truncate(&path, offset as u64)?;
-                io.fsync(&path)?;
-                Ok(DroppedTail {
-                    file: name.clone(),
-                    offset,
-                    bytes: data.len() - offset,
-                    kind,
-                    detail,
-                })
-            };
-
-            if !data.starts_with(WAL_MAGIC) {
-                if WAL_MAGIC.starts_with(&data[..]) {
-                    // Torn WAL creation: the file was never acknowledged
-                    // with any record. Rewrite the magic and use it.
-                    io.write(&path, WAL_MAGIC)?;
-                    io.fsync(&path)?;
-                    continue;
-                }
-                let detail = "bad wal magic".to_string();
-                match mode {
-                    RecoveryMode::Strict => {
-                        return Err(JournalError::Corrupt {
-                            file: name.clone(),
-                            offset: 0,
-                            detail,
-                        })
-                    }
-                    RecoveryMode::Salvage => {
-                        // Reset the file to an empty WAL; everything in it
-                        // is unreadable.
-                        io.write(&path, WAL_MAGIC)?;
-                        io.fsync(&path)?;
-                        dropped_tail = Some(DroppedTail {
-                            file: name.clone(),
-                            offset: 0,
-                            bytes: data.len(),
-                            kind: DropKind::Corrupt,
-                            detail,
-                        });
-                        break 'wal_files;
-                    }
-                    RecoveryMode::Quarantine => {
-                        quarantined.push(quarantine_segment(&io, dir, name, data.len(), detail)?);
-                        continue 'wal_files;
-                    }
-                }
-            }
-
-            let mut off = WAL_MAGIC.len();
-            loop {
-                match read_frame(&data, off) {
-                    FrameResult::End => break,
-                    FrameResult::Record(frame) => {
-                        if frame.seq <= seq {
-                            // Already covered by the checkpoint (or an
-                            // earlier WAL file); skip.
-                            off = frame.next;
-                            continue;
-                        }
-                        if frame.seq != seq + 1 {
-                            let detail =
-                                format!("sequence gap: expected {} found {}", seq + 1, frame.seq);
-                            match mode {
-                                RecoveryMode::Strict => {
-                                    return Err(JournalError::Corrupt {
-                                        file: name.clone(),
-                                        offset: off,
-                                        detail,
-                                    })
-                                }
-                                RecoveryMode::Salvage => {
-                                    dropped_tail =
-                                        Some(drop_suffix(off, DropKind::SequenceGap, detail)?);
-                                    break 'wal_files;
-                                }
-                                RecoveryMode::Quarantine => {
-                                    quarantined.push(quarantine_segment(
-                                        &io,
-                                        dir,
-                                        name,
-                                        data.len(),
-                                        detail,
-                                    )?);
-                                    continue 'wal_files;
-                                }
-                            }
-                        }
-                        if let Some(o) = &obs {
-                            o.on_op(frame.seq, &frame.op);
-                        }
-                        if let Err(e) = frame.op.apply(&mut schema) {
-                            match mode {
-                                RecoveryMode::Strict => {
-                                    return Err(JournalError::Replay {
-                                        seq: frame.seq,
-                                        source: e,
-                                    })
-                                }
-                                RecoveryMode::Salvage => {
-                                    let detail = format!("op {} rejected: {e}", frame.seq);
-                                    dropped_tail =
-                                        Some(drop_suffix(off, DropKind::ReplayRejected, detail)?);
-                                    break 'wal_files;
-                                }
-                                RecoveryMode::Quarantine => {
-                                    let detail = format!("op {} rejected: {e}", frame.seq);
-                                    quarantined.push(quarantine_segment(
-                                        &io,
-                                        dir,
-                                        name,
-                                        data.len(),
-                                        detail,
-                                    )?);
-                                    continue 'wal_files;
-                                }
-                            }
-                        }
-                        seq = frame.seq;
-                        replayed += 1;
-                        off = frame.next;
-                    }
-                    FrameResult::TornTail { offset, bytes } => {
-                        // Torn tails are unacknowledged by construction and
-                        // truncated in both modes — but only the *last* WAL
-                        // file can legitimately have one.
-                        if is_last {
-                            let detail = format!("incomplete frame of {bytes} byte(s)");
-                            dropped_tail = Some(drop_suffix(offset, DropKind::TornTail, detail)?);
-                            break 'wal_files;
-                        }
-                        let detail =
-                            format!("incomplete frame of {bytes} byte(s) in non-final wal");
-                        match mode {
-                            RecoveryMode::Strict => {
-                                return Err(JournalError::Corrupt {
-                                    file: name.clone(),
-                                    offset,
-                                    detail,
-                                })
-                            }
-                            RecoveryMode::Salvage => {
-                                dropped_tail =
-                                    Some(drop_suffix(offset, DropKind::Corrupt, detail)?);
-                                break 'wal_files;
-                            }
-                            RecoveryMode::Quarantine => {
-                                quarantined.push(quarantine_segment(
-                                    &io,
-                                    dir,
-                                    name,
-                                    data.len(),
-                                    detail,
-                                )?);
-                                continue 'wal_files;
-                            }
-                        }
-                    }
-                    FrameResult::Corrupt { offset, detail } => match mode {
-                        RecoveryMode::Strict => {
-                            return Err(JournalError::Corrupt {
-                                file: name.clone(),
-                                offset,
-                                detail,
-                            })
-                        }
-                        RecoveryMode::Salvage => {
-                            dropped_tail = Some(drop_suffix(offset, DropKind::Corrupt, detail)?);
-                            break 'wal_files;
-                        }
-                        RecoveryMode::Quarantine => {
-                            quarantined.push(quarantine_segment(
-                                &io,
-                                dir,
-                                name,
-                                data.len(),
-                                detail,
-                            )?);
-                            continue 'wal_files;
-                        }
-                    },
-                }
-            }
-        }
+        // The whole suffix is one batch. Whether a frame's op is accepted
+        // depends only on the inputs `P_e`/`N_e`, so deferring derivation
+        // changes no decision; a rejected frame leaves the applied prefix,
+        // which the batch recomputes before the scan's outcome is used.
+        let WalReplay {
+            seq,
+            replayed,
+            dropped_tail,
+            quarantined,
+            kept,
+        } = schema.evolve_batch(|s| {
+            let obs = obs.as_deref();
+            Ok(replay_wals(s, &io, dir, &wals, checkpoint_seq, mode, obs))
+        })??;
 
         // Ensure an active WAL file exists to append to (the crash window
         // between checkpoint rename and WAL creation leaves none for the
@@ -1141,15 +1172,24 @@ impl Journal {
         } else {
             wal_base
         };
-        let wal_path = dir.join(wal_name(wal_base));
-        let wal_len = match io.read(&wal_path) {
-            Ok(d) => d.len() as u64,
-            Err(_) => {
-                io.write(&wal_path, WAL_MAGIC)?;
-                io.fsync(&wal_path)?;
-                io.fsync_dir(dir)?;
-                WAL_MAGIC.len() as u64
-            }
+        // The scan knows the length of every segment it kept; only a
+        // segment it never reached is read here. Only a missing file is
+        // created: any other read error is returned, because overwriting
+        // the file would drop acknowledged records.
+        let active = wal_name(wal_base);
+        let wal_path = dir.join(&active);
+        let wal_len = match kept.iter().find(|(name, _)| *name == active) {
+            Some(&(_, len)) => len,
+            None => match io.read(&wal_path) {
+                Ok(d) => d.len() as u64,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    io.write(&wal_path, WAL_MAGIC)?;
+                    io.fsync(&wal_path)?;
+                    io.fsync_dir(dir)?;
+                    WAL_MAGIC.len() as u64
+                }
+                Err(e) => return Err(e.into()),
+            },
         };
 
         let mut journal = Journal {
@@ -1295,11 +1335,8 @@ impl Journal {
         // Single-pass scan, cost-matched to recovery: the newest valid
         // checkpoint is parsed exactly once (the validation parse IS the
         // starting schema), and each WAL frame is decoded exactly once —
-        // applied on the fly while wanted, merely chain-counted past
-        // `seq` to establish the durable maximum. The durable maximum is
-        // the longest chained prefix on top of the checkpoint, exactly as
-        // `diagnose` computes it; gapped records and torn/corrupt tails
-        // are not durable history.
+        // applied while wanted, merely chain-counted past `seq` to
+        // establish the durable maximum (see `replay_chain`).
         let names = io.list(dir)?;
         let mut checkpoints: Vec<(u64, String)> = names
             .iter()
@@ -1329,35 +1366,10 @@ impl Journal {
             .filter_map(|n| parse_name(n, "wal-", ".log").map(|s| (s, n.clone())))
             .collect();
         wals.sort();
-        let mut max = checkpoint_seq;
-        let mut replayed = 0u64;
-        'files: for (_base, name) in &wals {
-            let data = io.read(&dir.join(name))?;
-            if !data.starts_with(WAL_MAGIC) {
-                break 'files;
-            }
-            let mut off = WAL_MAGIC.len();
-            loop {
-                match read_frame(&data, off) {
-                    FrameResult::End => break,
-                    FrameResult::Record(f) => {
-                        if f.seq == max + 1 {
-                            max = f.seq;
-                            if f.seq <= seq {
-                                f.op.apply(&mut schema)
-                                    .map_err(|err| JournalError::Replay {
-                                        seq: f.seq,
-                                        source: err,
-                                    })?;
-                                replayed += 1;
-                            }
-                        }
-                        off = f.next;
-                    }
-                    FrameResult::TornTail { .. } | FrameResult::Corrupt { .. } => break 'files,
-                }
-            }
-        }
+        // The wanted frames are one batch, exactly as in recovery: one
+        // derivation when the scan ends, however many frames it applied.
+        let (max, replayed) =
+            schema.evolve_batch(|s| Ok(replay_chain(s, io, dir, &wals, checkpoint_seq, seq)))??;
         if seq > max {
             return Err(JournalError::SeqOutOfRange {
                 requested: seq,
@@ -2631,6 +2643,258 @@ mod tests {
         );
         // The surviving prefix is still addressable, read-only.
         assert!(Journal::replay_at(&dir(), io.as_ref(), 1).is_ok());
+    }
+
+    /// A journal whose WAL holds `A` (seq 1), `B` (seq 2), a CRC-valid
+    /// frame whose op the schema rejects (seq 3: a second type named `A`)
+    /// and a valid `D` (seq 4). Returns the I/O, the rejected frame's
+    /// offset, and the accepted prefix `[A, B]`.
+    fn rejected_frame_journal() -> (Arc<MemIo>, usize, Vec<RecordedOp>) {
+        let io = Arc::new(MemIo::new());
+        let js =
+            JournaledSchema::create(&dir(), io.clone(), base_schema(), JournalOptions::default())
+                .unwrap();
+        let root = js.snapshot().root().unwrap();
+        let prefix = vec![add("A", vec![root]), add("B", vec![root])];
+        for op in &prefix {
+            js.apply(op).unwrap();
+        }
+        drop(js);
+        let wal = dir().join(wal_name(0));
+        let offset = io.len(&wal).unwrap();
+        let mut frames = Vec::new();
+        encode_frame(&mut frames, 3, &add("A", vec![root]));
+        encode_frame(&mut frames, 4, &add("D", vec![root]));
+        io.append(&wal, &frames).unwrap();
+        (io, offset, prefix)
+    }
+
+    /// Fingerprint of the base schema plus `ops`, applied one at a time.
+    fn op_by_op(ops: &[RecordedOp]) -> u64 {
+        let mut s = base_schema();
+        for op in ops {
+            op.apply(&mut s).unwrap();
+        }
+        s.fingerprint()
+    }
+
+    #[test]
+    fn replay_at_rejected_frame_strict_recovery_refuses_with_its_seq() {
+        let (io, _, _) = rejected_frame_journal();
+        let wal = dir().join(wal_name(0));
+        let before = io.read(&wal).unwrap();
+        assert!(matches!(
+            Journal::open(&dir(), io.clone(), RecoveryMode::Strict),
+            Err(JournalError::Replay { seq: 3, .. })
+        ));
+        assert_eq!(io.read(&wal).unwrap(), before, "strict modifies nothing");
+    }
+
+    #[test]
+    fn replay_at_rejected_frame_salvage_truncates_at_it() {
+        let (io, offset, prefix) = rejected_frame_journal();
+        let wal = dir().join(wal_name(0));
+        let total = io.len(&wal).unwrap();
+        let (journal, schema, report) =
+            Journal::open(&dir(), io.clone(), RecoveryMode::Salvage).unwrap();
+        let tail = report.dropped_tail.expect("salvage reports the drop");
+        assert_eq!(tail.kind, DropKind::ReplayRejected);
+        assert_eq!(tail.offset, offset);
+        assert_eq!(tail.bytes, total - offset);
+        assert!(tail.detail.starts_with("op 3 rejected"), "{}", tail.detail);
+        assert_eq!(io.len(&wal).unwrap(), offset);
+        assert_eq!((journal.seq(), report.replayed), (2, 2));
+        assert_eq!(schema.fingerprint(), op_by_op(&prefix));
+        assert!(schema.verify().is_empty());
+    }
+
+    #[test]
+    fn replay_at_rejected_frame_quarantine_isolates_the_segment() {
+        let (io, _, prefix) = rejected_frame_journal();
+        let (journal, schema, report) =
+            Journal::open(&dir(), io.clone(), RecoveryMode::Quarantine).unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].file, wal_name(0));
+        assert!(report.quarantined[0].detail.starts_with("op 3 rejected"));
+        assert_eq!((journal.seq(), report.replayed), (2, 2));
+        assert_eq!(schema.fingerprint(), op_by_op(&prefix));
+        assert!(schema.verify().is_empty());
+        // The segment is kept under `*.quar` and the accepted prefix is
+        // re-checkpointed, so a strict reopen starts from it.
+        let names = io.list(&dir()).unwrap();
+        assert!(
+            names.contains(&format!("{}.quar", wal_name(0))),
+            "{names:?}"
+        );
+        assert!(names.contains(&checkpoint_name(2)), "{names:?}");
+        let (_, again, report) = Journal::open(&dir(), io, RecoveryMode::Strict).unwrap();
+        assert_eq!((report.checkpoint_seq, report.seq), (2, 2));
+        assert_eq!(again.fingerprint(), op_by_op(&prefix));
+    }
+
+    #[test]
+    fn replay_at_rejected_frame_is_refused_at_and_past_it() {
+        let (io, _, prefix) = rejected_frame_journal();
+        for seq in 0..=2 {
+            let schema = Journal::replay_at(&dir(), io.as_ref(), seq).unwrap();
+            assert_eq!(schema.fingerprint(), op_by_op(&prefix[..seq as usize]));
+            assert!(schema.verify().is_empty());
+        }
+        for seq in [3, 4] {
+            assert!(matches!(
+                Journal::replay_at(&dir(), io.as_ref(), seq),
+                Err(JournalError::Replay { seq: 3, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn recovery_derives_once_for_the_whole_suffix() {
+        use crate::obs::{names, MetricsRegistry};
+        let io = Arc::new(MemIo::new());
+        let js =
+            JournaledSchema::create(&dir(), io.clone(), base_schema(), JournalOptions::default())
+                .unwrap();
+        let root = js.snapshot().root().unwrap();
+        let id = |name: &str| js.snapshot().type_by_name(name).unwrap();
+        // Twelve frames of eight op kinds.
+        js.apply(&add("A", vec![root])).unwrap();
+        js.apply(&add("B", vec![id("A")])).unwrap();
+        js.apply(&add("C", vec![root])).unwrap();
+        js.apply(&RecordedOp::AddProperty { name: "x".into() })
+            .unwrap();
+        let x = js.snapshot().props_by_name("x").next().unwrap();
+        let (a, b, c) = (id("A"), id("B"), id("C"));
+        js.apply(&RecordedOp::AddEssentialProperty { t: a, p: x })
+            .unwrap();
+        js.apply(&RecordedOp::AddEssentialSupertype { t: b, s: c })
+            .unwrap();
+        let rename = RecordedOp::RenameType {
+            t: c,
+            name: "C2".into(),
+        };
+        js.apply(&rename).unwrap();
+        js.apply(&add("D", vec![b])).unwrap();
+        js.apply(&RecordedOp::DropEssentialProperty { t: a, p: x })
+            .unwrap();
+        js.apply(&RecordedOp::DropEssentialSupertype { t: b, s: c })
+            .unwrap();
+        js.apply(&RecordedOp::DropType { t: id("D") }).unwrap();
+        js.apply(&add("E", vec![root])).unwrap();
+        let want = js.snapshot().fingerprint();
+        let k = js.seq();
+        assert_eq!(k, 12);
+        drop(js);
+
+        let reg = Arc::new(MetricsRegistry::new());
+        let obs = Arc::new(EvolveObs::new(Arc::clone(&reg)));
+        let (_, schema, report) =
+            Journal::open_observed(&dir(), io, RecoveryMode::Strict, obs).unwrap();
+        assert_eq!(schema.fingerprint(), want);
+        assert!(schema.verify().is_empty());
+        let recomputes: u64 = [names::ENGINE_FULL, names::ENGINE_SCOPED, names::ENGINE_NOOP]
+            .iter()
+            .map(|n| reg.get(n))
+            .sum();
+        assert_eq!(recomputes, 1, "one derivation for {k} replayed frames");
+        assert_eq!(report.replayed as u64, k);
+        assert_eq!(reg.get(names::RECOVERY_REPLAYED), k);
+        let ops: u64 = reg
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(names::OPS_PREFIX))
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(ops, k);
+    }
+
+    /// Delegates to a [`MemIo`], but every read of a WAL segment after the
+    /// first fails with `Interrupted`.
+    #[derive(Debug)]
+    struct FlakyWalReads {
+        inner: Arc<MemIo>,
+        wal_reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl JournalIo for FlakyWalReads {
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            let is_wal = path.extension().is_some_and(|e| e == "log");
+            if is_wal
+                && self
+                    .wal_reads
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+                    > 0
+            {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.inner.write(path, data)
+        }
+        fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.inner.append(path, data)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn fsync(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.fsync(path)
+        }
+        fn fsync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.fsync_dir(dir)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+    }
+
+    #[test]
+    fn recovery_reads_each_wal_once_and_never_blanks_it() {
+        let mem = Arc::new(MemIo::new());
+        let js = JournaledSchema::create(
+            &dir(),
+            mem.clone(),
+            base_schema(),
+            JournalOptions::default(),
+        )
+        .unwrap();
+        let root = js.snapshot().root().unwrap();
+        js.apply(&add("A", vec![root])).unwrap();
+        js.apply(&add("B", vec![root])).unwrap();
+        let want = js.snapshot().fingerprint();
+        drop(js);
+        let wal = dir().join(wal_name(0));
+        let before = mem.read(&wal).unwrap();
+
+        let flaky = Arc::new(FlakyWalReads {
+            inner: mem.clone(),
+            wal_reads: 0.into(),
+        });
+        let recovered = Journal::open(&dir(), flaky.clone(), RecoveryMode::Strict);
+        assert_eq!(
+            mem.read(&wal).unwrap(),
+            before,
+            "a failed re-read must not blank acknowledged records"
+        );
+        let (_, schema, _) = recovered.expect("each WAL is read once");
+        assert_eq!(schema.fingerprint(), want);
+        assert_eq!(flaky.wal_reads.load(std::sync::atomic::Ordering::SeqCst), 1);
+
+        mem.crash(CrashKeep::Synced);
+        let (_, schema, report) = Journal::open(&dir(), mem, RecoveryMode::Strict).unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(schema.fingerprint(), want);
     }
 
     #[test]
