@@ -1,19 +1,19 @@
 //! The `axiombase apply` subcommand: execute a recorded trace against
-//! its initial schema — batched, or through a certified parallel plan.
+//! its initial schema — batched, or through a certified plan.
 //!
 //! ```text
-//! axiombase apply [--json] [--parallel[=N]] [TRACE|DIR]
+//! axiombase apply [--json] [--plan] [TRACE|DIR]
 //! ```
 //!
 //! `TRACE` is a command script or journal directory, loaded exactly like
 //! `axiombase analyze` (see [`crate::analyze`]). Plain `apply` replays
-//! the trace as one batch ([`Schema::apply_trace`]). `--parallel`
-//! statically analyses the trace, compiles it into a certified
-//! [`EvolutionPlan`](axiombase_core::EvolutionPlan), re-verifies the
-//! certificate with the independent checker, and executes it with
-//! [`Schema::apply_plan`] — over at most `N` scoped worker threads
-//! (default: the machine's available parallelism). A certificate the
-//! checker refuses exits 1 without touching the schema.
+//! the trace as one batch ([`Schema::apply_trace`]). `--plan` statically
+//! analyses the trace, compiles it into a certified
+//! [`EvolutionPlan`](axiombase_core::EvolutionPlan), and executes it with
+//! [`Schema::apply_plan`], which re-verifies the certificate with the
+//! independent checker and then runs the classes in certified stage
+//! order as one batch. A certificate the checker refuses exits 1 without
+//! touching the schema.
 
 use axiombase_core::analysis;
 use axiombase_core::Schema;
@@ -21,34 +21,23 @@ use axiombase_core::Schema;
 /// Parsed `apply` invocation.
 struct Options {
     json: bool,
-    parallel: bool,
-    threads: Option<usize>,
+    plan: bool,
     input: String,
 }
 
 fn usage() -> i32 {
-    eprintln!("usage: axiombase apply [--json] [--parallel[=N]] [TRACE|DIR]");
+    eprintln!("usage: axiombase apply [--json] [--plan] [TRACE|DIR]");
     2
 }
 
 fn parse_args(args: &[&str]) -> Result<Options, String> {
     let mut json = false;
-    let mut parallel = false;
-    let mut threads = None;
+    let mut plan = false;
     let mut input = None;
     for &arg in args {
         match arg {
             "--json" => json = true,
-            "--parallel" => parallel = true,
-            _ if arg.starts_with("--parallel=") => {
-                parallel = true;
-                let n = &arg["--parallel=".len()..];
-                let n: usize = n.parse().map_err(|_| format!("bad --parallel={n:?}"))?;
-                if n == 0 {
-                    return Err("--parallel=0 makes no sense; use --parallel=1".into());
-                }
-                threads = Some(n);
-            }
+            "--plan" => plan = true,
             _ if arg.starts_with("--") => return Err(format!("unknown flag `{arg}`")),
             _ if input.is_none() => input = Some(arg.to_owned()),
             _ => return Err(format!("unexpected extra argument `{arg}`")),
@@ -56,8 +45,7 @@ fn parse_args(args: &[&str]) -> Result<Options, String> {
     }
     Ok(Options {
         json,
-        parallel,
-        threads,
+        plan,
         input: input.ok_or("missing TRACE/DIR argument")?,
     })
 }
@@ -79,7 +67,7 @@ pub fn run(args: &[&str]) -> i32 {
         }
     };
 
-    if !opts.parallel {
+    if !opts.plan {
         match schema.apply_trace(&ops) {
             Ok(applied) => {
                 report_ok(&opts, &schema, applied, None);
@@ -93,7 +81,7 @@ pub fn run(args: &[&str]) -> i32 {
     } else {
         let analysis = analysis::analyze_trace(&schema, &ops);
         let plan = analysis::plan::build_plan(&analysis);
-        match schema.apply_plan(&ops, &plan, opts.threads) {
+        match schema.apply_plan(&ops, &plan) {
             Ok(done) => {
                 report_ok(&opts, &schema, done.applied, Some(&done));
                 0
@@ -116,8 +104,8 @@ fn report_ok(
     if opts.json {
         let plan_json = match plan {
             Some(p) => format!(
-                "{{\"stages\":{},\"classes\":{},\"max_parallelism\":{},\"threads\":{}}}",
-                p.stages, p.classes, p.max_parallelism, p.threads
+                "{{\"stages\":{},\"classes\":{},\"max_parallelism\":{}}}",
+                p.stages, p.classes, p.max_parallelism
             ),
             None => "null".to_owned(),
         };
@@ -130,11 +118,10 @@ fn report_ok(
         match plan {
             Some(p) => println!(
                 "applied {applied} op(s) via certified plan: {} stage(s), {} class(es), \
-                 max parallelism {}, {} worker(s); version {}, fingerprint {fp:016x}",
+                 max parallelism {}; version {}, fingerprint {fp:016x}",
                 p.stages,
                 p.classes,
                 p.max_parallelism,
-                p.threads,
                 schema.version()
             ),
             None => println!(
@@ -151,17 +138,17 @@ mod tests {
 
     #[test]
     fn parses_flags() {
-        let o = parse_args(&["--json", "--parallel", "t.axs"]).unwrap();
-        assert!(o.json && o.parallel);
-        assert_eq!(o.threads, None);
+        let o = parse_args(&["--json", "--plan", "t.axs"]).unwrap();
+        assert!(o.json && o.plan);
         assert_eq!(o.input, "t.axs");
-        let o = parse_args(&["--parallel=3", "t"]).unwrap();
-        assert_eq!(o.threads, Some(3));
-        assert!(parse_args(&["--parallel=0", "t"]).is_err());
-        assert!(parse_args(&["--parallel=x", "t"]).is_err());
-        assert!(parse_args(&["t"]).is_ok());
+        let o = parse_args(&["t"]).unwrap();
+        assert!(!o.json && !o.plan);
         assert!(parse_args(&[]).is_err());
         assert!(parse_args(&["--bogus", "t"]).is_err());
         assert!(parse_args(&["a", "b"]).is_err());
+        // `--parallel[=N]` is not a flag: a usage error.
+        assert!(parse_args(&["--parallel", "t"]).is_err());
+        assert!(parse_args(&["--parallel=2", "t"]).is_err());
+        assert_eq!(run(&["--parallel", "t"]), 2);
     }
 }

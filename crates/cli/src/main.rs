@@ -9,7 +9,7 @@
 //! axiombase check SNAPSHOT # load a snapshot, run the nine axiom checks
 //! axiombase lint FILE...   # static analysis (L1-L11) of snapshots/scripts
 //! axiombase analyze [TRACE|DIR] [--plan] [--impact] [--mc-bound N]  # trace certification + model check
-//! axiombase apply [TRACE|DIR] [--parallel[=N]]  # execute a trace (batched or planned)
+//! axiombase apply [TRACE|DIR] [--plan]  # execute a trace (batched or planned)
 //! axiombase journal-init DIR [SNAPSHOT|SCRIPT]  # create a crash-safe journal
 //! axiombase recover DIR [--salvage|--quarantine] [--json] [--trace-spans]  # replay + repair
 //! axiombase checkpoint DIR [--json]      # recover, then force a checkpoint
@@ -66,7 +66,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: axiombase [run SCRIPT | check SNAPSHOT | lint FILE... | \
-                 analyze TRACE|DIR | apply TRACE|DIR [--parallel[=N]] | \
+                 analyze TRACE|DIR | apply TRACE|DIR [--plan] | \
                  journal-init DIR [SNAPSHOT|SCRIPT] | recover DIR | \
                  checkpoint DIR | log DIR | stats DIR | doctor DIR | \
                  at DIR --seq N | branch DIR NEW_DIR [--at-seq N] | \

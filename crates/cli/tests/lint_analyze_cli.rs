@@ -236,19 +236,17 @@ fn apply_parallel_plan_matches_batched_apply() {
 
     // The full §5 script starts from an empty schema, so allocation
     // order chains every op into one class: the certificate is trivially
-    // sequential and the executor's in-place fast path runs it on one
-    // thread no matter how many were offered.
-    let (code, planned, stderr) = run_cli(&["apply", "--json", "--parallel=2", p]);
+    // sequential.
+    let (code, planned, stderr) = run_cli(&["apply", "--json", "--plan", p]);
     assert_eq!(code, 0, "{planned}\n{stderr}");
     assert!(planned.contains("\"plan\":{"), "{planned}");
-    assert!(planned.contains("\"threads\":1"), "{planned}");
     assert!(planned.contains("\"max_parallelism\":1"), "{planned}");
 
     // Certified (degenerate) planned execution still equals the batch.
     assert_eq!(fingerprint_of(&batched), fingerprint_of(&planned));
 
     // Text mode narrates the plan shape.
-    let (code, stdout, _) = run_cli(&["apply", "--parallel", p]);
+    let (code, stdout, _) = run_cli(&["apply", "--plan", p]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("via certified plan"), "{stdout}");
 }
@@ -286,21 +284,20 @@ fn wide_journal(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn apply_parallel_runs_wide_stages_on_real_workers() {
+fn apply_plan_runs_a_wide_certified_stage_like_the_batch() {
     let dir = wide_journal("widepar");
     let p = dir.to_str().unwrap();
 
     let (code, batched, stderr) = run_cli(&["apply", "--json", p]);
     assert_eq!(code, 0, "{batched}\n{stderr}");
 
-    let (code, planned, stderr) = run_cli(&["apply", "--json", "--parallel=2", p]);
+    let (code, planned, stderr) = run_cli(&["apply", "--json", "--plan", p]);
     assert_eq!(code, 0, "{planned}\n{stderr}");
     assert!(planned.contains("\"stages\":1"), "{planned}");
     assert!(planned.contains("\"classes\":4"), "{planned}");
     assert!(planned.contains("\"max_parallelism\":4"), "{planned}");
-    assert!(planned.contains("\"threads\":2"), "{planned}");
 
-    // Certified parallel execution is observationally equal to the batch.
+    // Certified planned execution is observationally equal to the batch.
     assert_eq!(fingerprint_of(&batched), fingerprint_of(&planned));
 }
 

@@ -733,9 +733,8 @@ pub struct PlanCheck {
 /// Cheap structural verdict for a **trivially sequential** certificate:
 /// exactly one class, stage 0, no order edges, covering the whole trace
 /// in trace order. Such a plan reorders nothing — executing it *is* the
-/// recorded serialization — and the executor's in-place sequential path
-/// never consults the claimed footprints (no clone, no slot merge), so
-/// the only obligation the certificate still carries is the
+/// recorded serialization — and the executor never consults the claimed
+/// footprints, so the only obligation the certificate still carries is the
 /// partition/order one, discharged here in O(n). Re-deriving footprints
 /// for it would be verification effort spent on parallelism the plan
 /// does not claim: checking cost stays proportional to claimed
@@ -901,9 +900,11 @@ pub fn check(
     // Obligation 4: every interfering pair — slot-level (a shared slot
     // with a write) or derivation-level (coupled scoped derivations: one
     // op touches a row in the other's derivation-input frontier) — keeps
-    // trace order. The derivation half is what licenses the executor to
-    // run each class's derivation pass on a private pre-stage copy: no
-    // stage-mate may move a row whose derived value that pass re-reads.
+    // trace order. The derivation half would license running each class's
+    // derivation pass on a private pre-stage copy (no stage-mate may move
+    // a row whose derived value that pass re-reads). `Schema::apply_plan`
+    // derives once after the whole batch, so this half guards no executor
+    // step; it stays so the certificates stay unchanged.
     let facts = DerivationFacts::compute(&fps, &op_writes, &uparents);
     let mut interfering = 0usize;
     for i in 0..n {

@@ -185,18 +185,22 @@ impl SharedSchema {
         self.evolve(|s| s.apply_trace(ops))
     }
 
-    /// Execute a certified parallel plan (see [`Schema::apply_plan`]) on
+    /// Execute a certified evolution plan (see [`Schema::apply_plan`]) on
     /// a private clone and publish the result atomically. On `Err` —
     /// including a certificate the independent checker refuses — nothing
     /// is published at all, upgrading the plain schema's applied-prefix
     /// semantics to all-or-nothing.
+    ///
+    /// `_threads` is ignored: the plan runs as one batch. It stays in the
+    /// signature only because the end-to-end benchmark (`perfbench/`)
+    /// still passes a worker count.
     pub fn apply_plan(
         &self,
         ops: &[RecordedOp],
         plan: &crate::analysis::plan::EvolutionPlan,
-        threads: Option<usize>,
-    ) -> Result<crate::parallel::PlanApply> {
-        self.evolve(|s| s.apply_plan(ops, plan, threads))
+        _threads: Option<usize>,
+    ) -> Result<crate::ops::PlanApply> {
+        self.evolve(|s| s.apply_plan(ops, plan))
     }
 
     /// Consume the handle, returning the final schema (clones if snapshots

@@ -1539,15 +1539,19 @@ impl Journal {
         let path = self.dir.join(wal_name(self.wal_base));
         let data = match self.io.read(&path) {
             Ok(d) => d,
-            Err(_) => {
-                // The active WAL is unreadable (e.g. it was never created
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // The active WAL is missing (e.g. it was never created
                 // after a failed checkpoint switch) — recreate it empty.
+                // Any other read error is returned for the durability
+                // machine to classify: overwriting the file would drop
+                // acknowledged records.
                 self.io.write(&path, WAL_MAGIC)?;
                 self.io.fsync(&path)?;
                 self.io.fsync_dir(&self.dir)?;
                 self.wal_len = WAL_MAGIC.len() as u64;
                 return Ok(());
             }
+            Err(e) => return Err(e.into()),
         };
         if !data.starts_with(WAL_MAGIC) {
             if WAL_MAGIC.starts_with(&data[..]) {
@@ -2892,6 +2896,44 @@ mod tests {
         assert_eq!(flaky.wal_reads.load(std::sync::atomic::Ordering::SeqCst), 1);
 
         mem.crash(CrashKeep::Synced);
+        let (_, schema, report) = Journal::open(&dir(), mem, RecoveryMode::Strict).unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(schema.fingerprint(), want);
+    }
+
+    #[test]
+    fn repair_tail_returns_read_errors_and_never_blanks_the_wal() {
+        let mem = Arc::new(MemIo::new());
+        let js = JournaledSchema::create(
+            &dir(),
+            mem.clone(),
+            base_schema(),
+            JournalOptions::default(),
+        )
+        .unwrap();
+        let root = js.snapshot().root().unwrap();
+        js.apply(&add("A", vec![root])).unwrap();
+        js.apply(&add("B", vec![root])).unwrap();
+        let want = js.snapshot().fingerprint();
+        drop(js);
+        let wal = dir().join(wal_name(0));
+        let before = mem.read(&wal).unwrap();
+
+        // Recovery reads the WAL once; the repair's re-read is the one
+        // that fails.
+        let flaky = Arc::new(FlakyWalReads {
+            inner: mem.clone(),
+            wal_reads: 0.into(),
+        });
+        let (mut journal, _, _) = Journal::open(&dir(), flaky, RecoveryMode::Strict).unwrap();
+        let err = journal.repair_tail().unwrap_err();
+        assert_eq!(err.class(), Some(heal::ErrorClass::Transient), "{err}");
+        assert_eq!(
+            mem.read(&wal).unwrap(),
+            before,
+            "a failed re-read must not blank acknowledged records"
+        );
+
         let (_, schema, report) = Journal::open(&dir(), mem, RecoveryMode::Strict).unwrap();
         assert_eq!(report.replayed, 2);
         assert_eq!(schema.fingerprint(), want);

@@ -47,7 +47,7 @@
 //! | [`bits`] | the dense word-parallel set kernel behind Table 1's terms |
 //! | [`applyall`] | the apply-all operation `α_x(f, T')` |
 //! | [`axioms`] | Table 2 (the nine axioms, as executable checks) |
-//! | [`ops`] | §2/§3.3 (schema-evolution operations) |
+//! | [`ops`] | §2/§3.3 (schema-evolution operations; batched, partitioned and certified-plan execution) |
 //! | [`engine`] | §2 "optimizations" + §6 future work (naive vs incremental) |
 //! | [`oracle`] | Theorems 2.1/2.2 (soundness & completeness reference) |
 //! | [`config`] | Axioms 3/4 relaxation (rooted/forest, pointed/open) |
@@ -56,7 +56,6 @@
 //! | [`journal`] | crash-safe durability: WAL + atomic checkpoints + recovery |
 //! | [`lint`] | §5 (minimality & order-independence as static-analysis rules) |
 //! | [`analysis`] | §5 semantics: effect footprints, commutativity certificates, bounded model checking, certified parallel plans |
-//! | [`parallel`] | §5 payoff: the plan-driven parallel executor |
 //! | [`obs`] | observability: metrics registry + structured evolution tracing |
 
 #![warn(missing_docs)]
@@ -81,7 +80,6 @@ pub mod model;
 pub mod obs;
 pub mod ops;
 pub mod oracle;
-pub mod parallel;
 pub mod project;
 pub mod snapshot;
 
@@ -113,5 +111,4 @@ pub use model::{DerivedType, Schema};
 pub use obs::{
     EvolveObs, EvolveTracer, MetricsRegistry, MetricsSnapshot, RecomputeScope, SpanData, SpanEvent,
 };
-pub use ops::PartitionedApply;
-pub use parallel::PlanApply;
+pub use ops::{PartitionedApply, PlanApply};

@@ -133,10 +133,10 @@ impl Lint for RedundantDropOrdering {
 ///
 /// Builds the trace's [`analysis::plan::EvolutionPlan`] and fires when it
 /// degenerates to a single chain of one-op stages: every operation
-/// interferes with its successors, so the planned executor's clone/merge
-/// machinery is pure overhead over a plain batched replay. Advisory with
-/// a fix-it: run the trace through [`Schema::apply_trace`] instead of
-/// `Schema::apply_plan`.
+/// interferes with its successors, so the plan reorders nothing and its
+/// certificate check is pure overhead over a plain batched replay.
+/// Advisory with a fix-it: run the trace through [`Schema::apply_trace`]
+/// instead of `Schema::apply_plan`.
 pub struct UnprofitableParallelism;
 
 impl Lint for UnprofitableParallelism {

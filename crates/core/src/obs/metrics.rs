@@ -250,8 +250,8 @@ impl MetricsRegistry {
 
     /// Fold a successful [`PlanCheck`](crate::analysis::plan::PlanCheck)
     /// into the `plan.*` counters. All inputs are plan *structure* — the
-    /// counters are independent of thread counts and execution order, so
-    /// parallel runs of one plan produce identical snapshots.
+    /// counters are independent of execution order, so every run of one
+    /// plan produces identical snapshots.
     pub fn fold_plan_check(&self, verdict: &crate::analysis::plan::PlanCheck) {
         self.add(names::PLAN_CHECKS, 1);
         self.add(names::PLAN_STAGES, verdict.stages as u64);

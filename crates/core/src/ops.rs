@@ -27,12 +27,14 @@
 
 use std::sync::Arc;
 
+use crate::analysis::plan::{self, EvolutionPlan};
 use crate::bits::{ensure_arena_index, ArenaKind, PropSet, TypeSet};
 use crate::engine::{BatchState, ChangeKind};
 use crate::error::{Result, SchemaError};
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
 use crate::model::{cow, PropRecord, Schema, TypeSlot};
+use crate::obs::names;
 
 impl Schema {
     // ------------------------------------------------------------------
@@ -544,20 +546,82 @@ impl Schema {
         if let Some(obs) = &self.obs {
             obs.registry().fold_trace_analysis(analysis);
         }
-        let mut applied = 0usize;
+        let classes = analysis.classes.iter().map(|c| c.ops.as_slice());
+        Ok(PartitionedApply {
+            applied: self.apply_classes(ops, classes)?,
+            classes: analysis.classes.len(),
+            certified: analysis.certified,
+        })
+    }
+
+    /// Execute a certified evolution plan over `ops`.
+    ///
+    /// The certificate is re-verified before anything executes, and a
+    /// plan that fails returns [`SchemaError::PlanRejected`] with the
+    /// schema untouched. A trivially sequential certificate (one class,
+    /// whole trace, trace order) reorders nothing, so it is admitted on
+    /// the O(n) structural obligation alone ([`plan::check_sequential`]);
+    /// anything claiming structure goes through the independent
+    /// [`plan::check`].
+    ///
+    /// The admitted plan runs as one [`Schema::evolve_batch`], joining an
+    /// outer batch if there is one: classes in certified stage order, each
+    /// class's ops in trace order, and one scoped derivation at the end.
+    /// That is exact. Every rejection rule reads inputs (`P_e`/`N_e`) only,
+    /// the certificate proves every interfering pair keeps trace order,
+    /// and the derived lattice is a function of the final inputs. So the
+    /// fingerprint, version and metrics (apart from the `plan.*` counters)
+    /// are those of [`Schema::apply_trace`] on the same trace.
+    ///
+    /// On a rejected op the applied prefix, in stage order, stays applied
+    /// and recomputed (as in [`Schema::apply_trace_partitioned`]); wrap in
+    /// [`SharedSchema::apply_plan`](crate::SharedSchema::apply_plan) for
+    /// all-or-nothing publication.
+    pub fn apply_plan(&mut self, ops: &[RecordedOp], plan: &EvolutionPlan) -> Result<PlanApply> {
+        let cert = &plan.certificate;
+        let verdict = match plan::check_sequential(ops.len(), cert) {
+            Some(v) => v,
+            None => plan::check(self, ops, cert).map_err(|why| {
+                if let Some(obs) = &self.obs {
+                    obs.registry().add(names::PLAN_CHECKS_FAILED, 1);
+                }
+                SchemaError::PlanRejected(why)
+            })?,
+        };
+        if let Some(obs) = &self.obs {
+            obs.registry().fold_plan_check(&verdict);
+        }
+        let classes = cert.stage_table().into_iter().flatten();
+        let applied = self.apply_classes(ops, classes.map(|ci| cert.classes[ci].ops.as_slice()))?;
+        if let Some(obs) = &self.obs {
+            obs.registry().add(names::PLAN_APPLIES, 1);
+            obs.registry().add(names::PLAN_OPS, applied as u64);
+        }
+        Ok(PlanApply {
+            applied,
+            stages: verdict.stages,
+            classes: verdict.classes,
+            max_parallelism: verdict.max_parallelism,
+        })
+    }
+
+    /// Apply `ops` class by class, each class's members in the order
+    /// given, inside one [`Schema::evolve_batch`]. Returns the number of
+    /// operations applied.
+    fn apply_classes<'a>(
+        &mut self,
+        ops: &[RecordedOp],
+        classes: impl IntoIterator<Item = &'a [usize]>,
+    ) -> Result<usize> {
         self.evolve_batch(|s| {
-            for class in &analysis.classes {
-                for &i in &class.ops {
+            let mut applied = 0usize;
+            for class in classes {
+                for &i in class {
                     ops[i].apply(s)?;
                     applied += 1;
                 }
             }
-            Ok(())
-        })?;
-        Ok(PartitionedApply {
-            applied,
-            classes: analysis.classes.len(),
-            certified: analysis.certified,
+            Ok(applied)
         })
     }
 }
@@ -571,6 +635,19 @@ pub struct PartitionedApply {
     pub classes: usize,
     /// Was the whole trace certified order-independent?
     pub certified: bool,
+}
+
+/// Outcome of [`Schema::apply_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanApply {
+    /// Operations successfully applied.
+    pub applied: usize,
+    /// Stages in the certified plan.
+    pub stages: usize,
+    /// Classes in the certified plan.
+    pub classes: usize,
+    /// Widest stage of the plan.
+    pub max_parallelism: usize,
 }
 
 #[cfg(test)]
@@ -995,5 +1072,246 @@ mod tests {
         assert_eq!(registry.get(names::ANALYSIS_OPS), 1);
         assert_eq!(registry.get(names::ANALYSIS_CERTIFIED), 1);
         assert_eq!(registry.get(names::ANALYSIS_CLASSES), 1);
+    }
+
+    /// A lattice with four disjoint diamonds, each contributing one
+    /// redundant-edge drop: four slot- and reach-disjoint classes in one
+    /// stage.
+    fn four_diamonds() -> (Schema, Vec<RecordedOp>) {
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        let mut ops = Vec::new();
+        for d in 0..4 {
+            let p1 = s.add_type(format!("p1_{d}"), [], []).unwrap();
+            let p2 = s.add_type(format!("p2_{d}"), [], []).unwrap();
+            let c = s.add_type(format!("c_{d}"), [p1, p2], []).unwrap();
+            ops.push(RecordedOp::DropEssentialSupertype { t: c, s: p1 });
+        }
+        (s, ops)
+    }
+
+    fn plan_for(s: &Schema, ops: &[RecordedOp]) -> EvolutionPlan {
+        plan::build_plan(&crate::analysis::analyze_trace(s, ops))
+    }
+
+    #[test]
+    fn plan_apply_matches_sequential() {
+        let (mut s, ops) = four_diamonds();
+        let mut sequential = s.clone();
+        sequential.apply_trace(&ops).unwrap();
+        let plan = plan_for(&s, &ops);
+        assert_eq!(plan.stage_count(), 1, "{}", plan.to_text());
+        assert_eq!(plan.max_parallelism(), 4);
+        let done = s.apply_plan(&ops, &plan).unwrap();
+        assert_eq!(done.applied, 4);
+        assert_eq!(done.classes, 4);
+        assert_eq!(
+            s.canonical_fingerprint(),
+            sequential.canonical_fingerprint()
+        );
+        assert_eq!(s.version(), sequential.version());
+        assert!(s.verify().is_empty());
+    }
+
+    #[test]
+    fn sequential_plan_fast_path_matches_batched_apply() {
+        // Every pair of toggles on one edge conflicts → the planner
+        // emits a single whole-trace class, which the executor admits on
+        // the structural obligation alone.
+        let (s, _) = four_diamonds();
+        let t = s.type_by_name("c_0").unwrap();
+        let p2 = s.type_by_name("p2_0").unwrap();
+        let ops: Vec<RecordedOp> = (0..6)
+            .map(|k| {
+                if k % 2 == 0 {
+                    RecordedOp::DropEssentialSupertype { t, s: p2 }
+                } else {
+                    RecordedOp::AddEssentialSupertype { t, s: p2 }
+                }
+            })
+            .collect();
+        let mut sequential = s.clone();
+        sequential.apply_trace(&ops).unwrap();
+        let plan = plan_for(&s, &ops);
+        assert_eq!(plan.class_count(), 1, "{}", plan.to_text());
+        assert!(
+            plan::check_sequential(ops.len(), &plan.certificate).is_some(),
+            "whole-trace single class must qualify for the fast path"
+        );
+        let mut fast = s.clone();
+        let done = fast.apply_plan(&ops, &plan).unwrap();
+        assert_eq!(done.applied, ops.len());
+        assert_eq!((done.stages, done.classes), (1, 1));
+        assert_eq!(
+            fast.canonical_fingerprint(),
+            sequential.canonical_fingerprint()
+        );
+        assert_eq!(fast.version(), sequential.version());
+        assert!(fast.verify().is_empty());
+
+        // A structurally broken "sequential" certificate does not
+        // qualify and is refused by the full checker, schema untouched.
+        let mut bad = plan.clone();
+        bad.certificate.classes[0].ops.swap(0, 1);
+        assert!(plan::check_sequential(ops.len(), &bad.certificate).is_none());
+        let mut s2 = s.clone();
+        let before = (s2.canonical_fingerprint(), s2.version());
+        let err = s2.apply_plan(&ops, &bad).unwrap_err();
+        assert!(matches!(err, SchemaError::PlanRejected(_)), "{err}");
+        assert_eq!((s2.canonical_fingerprint(), s2.version()), before);
+    }
+
+    #[test]
+    fn plan_apply_handles_interference_and_allocation() {
+        // Mixed trace: allocation, property churn and same-row edits —
+        // multiple stages, arena growth inside the one batch.
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        let a = s.add_type("a", [], []).unwrap();
+        let b = s.add_type("b", [], []).unwrap();
+        let c = s.add_type("c", [a, b], []).unwrap();
+        let p = s.add_property("x");
+        let ops = vec![
+            RecordedOp::AddProperty { name: "y".into() },
+            RecordedOp::AddType {
+                name: "t_new".into(),
+                supers: vec![a],
+                props: vec![],
+            },
+            RecordedOp::AddEssentialProperty { t: c, p },
+            RecordedOp::DropEssentialProperty { t: c, p },
+            RecordedOp::RenameType {
+                t: b,
+                name: "b2".into(),
+            },
+        ];
+        let mut sequential = s.clone();
+        sequential.apply_trace(&ops).unwrap();
+        let plan = plan_for(&s, &ops);
+        let done = s.apply_plan(&ops, &plan).unwrap();
+        assert_eq!(done.applied, ops.len());
+        assert_eq!(
+            s.canonical_fingerprint(),
+            sequential.canonical_fingerprint(),
+            "{}",
+            plan.to_text()
+        );
+        assert_eq!(s.version(), sequential.version());
+        assert!(s.verify().is_empty());
+    }
+
+    #[test]
+    fn tampered_certificate_is_refused_untouched() {
+        let (mut s, ops) = four_diamonds();
+        let plan = plan_for(&s, &ops);
+        let before_fp = s.canonical_fingerprint();
+        let before_v = s.version();
+        // Tamper: claim op 0 twice.
+        let mut bad = EvolutionPlan {
+            certificate: plan::PlanCertificate {
+                ops_len: plan.certificate.ops_len,
+                classes: plan.certificate.classes.clone(),
+                edges: vec![],
+            },
+            type_labels: plan.type_labels.clone(),
+            prop_labels: plan.prop_labels.clone(),
+        };
+        bad.certificate.classes[1].ops = vec![0];
+        let err = s.apply_plan(&ops, &bad).unwrap_err();
+        assert!(matches!(err, SchemaError::PlanRejected(_)), "{err}");
+        assert_eq!(s.canonical_fingerprint(), before_fp);
+        assert_eq!(s.version(), before_v);
+    }
+
+    #[test]
+    fn plan_metrics_equal_batched_apply() {
+        let run = |planned: bool| {
+            let registry = Arc::new(crate::obs::MetricsRegistry::new());
+            let (mut s, ops) = four_diamonds();
+            let plan = plan_for(&s, &ops);
+            s.attach_obs(Arc::new(crate::obs::EvolveObs::new(registry.clone())));
+            if planned {
+                s.apply_plan(&ops, &plan).unwrap();
+            } else {
+                s.apply_trace(&ops).unwrap();
+            }
+            registry.snapshot()
+        };
+        let mut planned = run(true);
+        assert_eq!(planned.counters.get(names::PLAN_CHECKS), Some(&1));
+        assert_eq!(planned.counters.get(names::PLAN_APPLIES), Some(&1));
+        assert_eq!(planned.counters.get(names::PLAN_OPS), Some(&4));
+        let mut batched = run(false);
+        for snap in [&mut planned, &mut batched] {
+            snap.counters
+                .retain(|name, _| name != names::ENGINE_COW_COPIES && !name.starts_with("plan."));
+        }
+        assert_eq!(planned, batched);
+        assert_eq!(planned.counters.get(names::ENGINE_SCOPED), Some(&1));
+    }
+
+    #[test]
+    fn mid_batch_plan_joins_outer_batch() {
+        let (mut s, ops) = four_diamonds();
+        let mut sequential = s.clone();
+        sequential.apply_trace(&ops).unwrap();
+        let plan = plan_for(&s, &ops);
+        s.evolve_batch(|inner| {
+            let done = inner.apply_plan(&ops, &plan)?;
+            assert_eq!(done.applied, 4);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            s.canonical_fingerprint(),
+            sequential.canonical_fingerprint()
+        );
+        assert!(s.verify().is_empty());
+    }
+
+    #[test]
+    fn mutated_trace_is_refused_untouched() {
+        let (mut s, mut ops) = four_diamonds();
+        let plan = plan_for(&s, &ops);
+        let before_fp = s.canonical_fingerprint();
+        // Point one drop at an edge that does not exist: c_2's partner is
+        // replaced by another type on purpose.
+        if let RecordedOp::DropEssentialSupertype { t, .. } = &mut ops[2] {
+            *t = TypeId::from_index(1);
+        }
+        // The certificate no longer matches the mutated trace, so the
+        // checker itself must refuse — the schema stays untouched.
+        let err = s.apply_plan(&ops, &plan).unwrap_err();
+        assert!(matches!(err, SchemaError::PlanRejected(_)), "{err}");
+        assert_eq!(s.canonical_fingerprint(), before_fp);
+    }
+
+    #[test]
+    fn rejected_op_keeps_the_applied_prefix() {
+        // The checker reasons over inputs only, so it certifies a plan
+        // whose last op (a duplicate type name) is refused at execution.
+        let (base, mut ops) = four_diamonds();
+        ops.push(RecordedOp::AddType {
+            name: "c_0".into(),
+            supers: vec![],
+            props: vec![],
+        });
+        let plan = plan_for(&base, &ops);
+        let mut prefix = base.clone();
+        prefix.apply_trace(&ops[..4]).unwrap();
+
+        let mut s = base.clone();
+        let err = s.apply_plan(&ops, &plan).unwrap_err();
+        assert!(matches!(err, SchemaError::DuplicateTypeName(_)), "{err}");
+        assert_eq!(s.canonical_fingerprint(), prefix.canonical_fingerprint());
+        assert!(s.verify().is_empty(), "the applied prefix is recomputed");
+
+        let shared = crate::SharedSchema::new(base.clone());
+        assert!(shared.apply_plan(&ops, &plan, None).is_err());
+        assert_eq!(shared.version(), base.version(), "nothing is published");
+        assert_eq!(
+            shared.snapshot().canonical_fingerprint(),
+            base.canonical_fingerprint()
+        );
     }
 }
