@@ -34,10 +34,18 @@
 //! per-type deltas per op, so some constant factor over a bare apply is
 //! the price of the evidence.
 //!
+//! The `migration` block prices the static analysis a 200-op migration
+//! pays before it commits: `analyze_trace`, `plan::check` of the plan
+//! built from it, `impact::analyze` and `impact::check`, each against one
+//! batched apply of the same trace (perfbench's size-neutral mix on the
+//! 1,000-type base), as a paired median of ratios. `analyze_trace` and
+//! `plan::check` carry a hard ceiling of [`MIGRATION_CEILING`]x; the two
+//! impact ratios are recorded without a bound.
+//!
 //! Run: `cargo run --release -p axiombase-bench --bin bench_ops_json`
 
 use axiombase_bench::expect;
-use axiombase_core::analysis::impact;
+use axiombase_core::analysis::{impact, plan};
 use axiombase_core::journal::io::MemIo;
 use axiombase_core::obs::names;
 use axiombase_core::{
@@ -68,6 +76,25 @@ const IMPACT_OPS: usize = 1000;
 /// and 32x is the regression tripwire (the pre-rewrite analyzer sat at
 /// ~1000x).
 const IMPACT_HARD_CEILING: f64 = 32.0;
+/// Ops per migration in the `migration` cell (perfbench's migration size).
+const MIGRATION_OPS: usize = 200;
+
+/// perfbench's size-neutral migration mix: type and edge adds balance
+/// their drops, so the base keeps its size across migrations.
+const MIGRATION_MIX: OpMix = OpMix {
+    add_type: 2,
+    drop_type: 2,
+    add_edge: 2,
+    drop_edge: 2,
+    add_prop: 3,
+    drop_prop: 3,
+};
+
+/// Hard ceiling for `analyze_trace` and `plan::check` against batched
+/// apply on the 200-op migration. Each pass captures the schema once
+/// and tests the union graph for cycles in O(initial + written edges);
+/// the quadratic rescan it replaced read ~18x here.
+const MIGRATION_CEILING: f64 = 8.0;
 const TRACE_SEED: u64 = 0xBA7C;
 const ITERATIONS: usize = 5;
 
@@ -539,19 +566,29 @@ fn measure_impact(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, usize,
     }
     let obligations = warm.certificate.obligations.len();
     let guarded = warm.certificate.guarded_obligations();
+    let (impact_ns, batch_ns, ratio) = paired_vs_batched(base, ops, || {
+        let ia = impact::analyze(base, ops);
+        assert_eq!(ia.certificate.ops.len(), ops.len());
+    });
+    (impact_ns, batch_ns, ratio, obligations, guarded)
+}
 
-    let (mut impact_ns, mut batch_ns) = (u128::MAX, u128::MAX);
+/// Paired cost of `f` against one batched apply of `ops`: per-op
+/// best-of-N cells for both, and the median of per-iteration ratios
+/// (legs alternate order; same rationale as `measure_analysis`).
+/// Returns `(f_ns_per_op, batch_ns_per_op, median ratio)`.
+fn paired_vs_batched(base: &Schema, ops: &[RecordedOp], mut f: impl FnMut()) -> (u128, u128, f64) {
+    let (mut f_ns, mut batch_ns) = (u128::MAX, u128::MAX);
     let mut ratios = Vec::new();
     for i in 0..ITERATIONS * 3 {
-        let impact_first = i % 2 == 0;
-        let (mut impact_i, mut batch_i) = (0u128, 0u128);
+        let f_first = i % 2 == 0;
+        let (mut f_i, mut batch_i) = (0u128, 0u128);
         for leg in 0..2 {
-            if (leg == 0) == impact_first {
+            if (leg == 0) == f_first {
                 let start = Instant::now();
-                let ia = impact::analyze(base, ops);
-                impact_i = start.elapsed().as_nanos() / ops.len() as u128;
-                impact_ns = impact_ns.min(impact_i);
-                assert_eq!(ia.certificate.ops.len(), ops.len());
+                f();
+                f_i = start.elapsed().as_nanos() / ops.len() as u128;
+                f_ns = f_ns.min(f_i);
             } else {
                 let mut s = base.clone();
                 let start = Instant::now();
@@ -561,15 +598,65 @@ fn measure_impact(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, usize,
                 batch_ns = batch_ns.min(batch_i);
             }
         }
-        ratios.push(impact_i as f64 / batch_i.max(1) as f64);
+        ratios.push(f_i as f64 / batch_i.max(1) as f64);
     }
-    (
-        impact_ns,
-        batch_ns,
-        median(&mut ratios),
-        obligations,
-        guarded,
-    )
+    (f_ns, batch_ns, median(&mut ratios))
+}
+
+/// One `migration` row: the analysis step's per-op cost and its paired
+/// ratio to batched apply.
+struct MigrationRow {
+    name: &'static str,
+    ns: u128,
+    batch_ns: u128,
+    ratio: f64,
+}
+
+/// The `migration` cell: the four static analyses of a 200-op
+/// size-neutral migration on `base`, each paired against batched apply.
+/// The certificates are verified once, untimed, before anything is
+/// timed.
+fn measure_migration(base: &Schema) -> (usize, Vec<MigrationRow>) {
+    let mut attempts = MIGRATION_OPS * 3 / 2;
+    let ops = loop {
+        let (ops, _) = generate_trace(base, attempts, MIGRATION_MIX, TRACE_SEED ^ 0x316);
+        if ops.len() >= MIGRATION_OPS {
+            break ops[..MIGRATION_OPS].to_vec();
+        }
+        attempts *= 2;
+    };
+    let evo_plan = build_plan(&analyze_trace(base, &ops));
+    plan::check(base, &ops, &evo_plan.certificate).expect("the migration plan re-verifies");
+    let ia = impact::analyze(base, &ops);
+    impact::check(base, &ops, &ia.certificate).expect("the impact certificate re-verifies");
+    {
+        let mut s = base.clone();
+        s.evolve_batch(|s| s.apply_trace(&ops))
+            .expect("warmup batched replay");
+    }
+    let mut rows = Vec::new();
+    let mut row = |name: &'static str, f: &mut dyn FnMut()| {
+        let (ns, batch_ns, ratio) = paired_vs_batched(base, &ops, f);
+        rows.push(MigrationRow {
+            name,
+            ns,
+            batch_ns,
+            ratio,
+        });
+    };
+    row("analyze_trace", &mut || {
+        assert_eq!(analyze_trace(base, &ops).len(), ops.len());
+    });
+    row("plan_check", &mut || {
+        assert!(plan::check(base, &ops, &evo_plan.certificate).is_ok());
+    });
+    row("impact_analyze", &mut || {
+        assert_eq!(impact::analyze(base, &ops).certificate.ops.len(), ops.len());
+    });
+    row("impact_check", &mut || {
+        assert!(impact::check(base, &ops, &ia.certificate).is_ok());
+    });
+    (ops.len(), rows)
 }
 
 fn main() {
@@ -855,6 +942,27 @@ fn main() {
         "static impact analysis stays under the hard ceiling vs batched apply (regression tripwire under the 1.5x soft gate)",
     );
 
+    // Static analysis of one migration: the two analyzers a certified
+    // commit runs are hard-gated against the batch they certify; the
+    // impact pair is recorded.
+    let (migration_ops, migration) = measure_migration(&jbase);
+    for r in &migration {
+        println!("{:>11} / {:<14} {:>12} ns/op", "migration", r.name, r.ns);
+        println!(
+            "migration {} vs batched apply ({} ns/op): {:.2}x",
+            r.name, r.batch_ns, r.ratio
+        );
+    }
+    for r in migration.iter().filter(|r| !r.name.starts_with("impact")) {
+        expect(
+            r.ratio <= MIGRATION_CEILING,
+            &format!(
+                "migration {} stays within {MIGRATION_CEILING}x of batched apply (hard ceiling)",
+                r.name
+            ),
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"benchmark\": \"ops_single_vs_batched\",");
@@ -946,6 +1054,19 @@ fn main() {
     let _ = writeln!(json, "    \"analyze_ns_per_op\": {impact_ns},");
     let _ = writeln!(json, "    \"batched_apply_ns_per_op\": {impact_batch_ns},");
     let _ = writeln!(json, "    \"ratio_vs_batched\": {impact_ratio:.2}");
+    json.push_str("  },\n");
+    json.push_str("  \"migration\": {\n");
+    let _ = writeln!(json, "    \"ops\": {migration_ops},");
+    let _ = writeln!(json, "    \"ceiling\": {MIGRATION_CEILING:.1},");
+    for (i, r) in migration.iter().enumerate() {
+        let comma = if i + 1 < migration.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    \"{}\": {{\"ns_per_op\": {}, \"batched_apply_ns_per_op\": {}, \
+             \"ratio_vs_batched\": {:.2}}}{comma}",
+            r.name, r.ns, r.batch_ns, r.ratio
+        );
+    }
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"metrics\": {}", metrics.to_json());
     json.push_str("}\n");

@@ -12,7 +12,10 @@
 //! its operation trace; the *analysis* itself never executes an op) or a
 //! journal directory (read via the read-only `Journal::inspect` — the
 //! checkpoint supplies the initial schema and the uncovered WAL suffix
-//! supplies the trace). Snapshot files carry no trace and are rejected.
+//! supplies the trace). The analyzers assume a recorded, known-successful
+//! trace, so a journal suffix that does not replay on its checkpoint is
+//! refused with the rejected op's sequence number, exactly as `recover`
+//! refuses it. Snapshot files carry no trace and are rejected.
 //!
 //! `--tail N` analyses only the last `N` recorded operations; the prefix
 //! is replayed first to build the initial schema (a migration script
@@ -45,7 +48,7 @@ use std::path::Path;
 
 use axiombase_core::analysis::{self, mc};
 use axiombase_core::journal::io::StdIo;
-use axiombase_core::journal::Journal;
+use axiombase_core::journal::{replay_entries, Journal, LogEntry};
 use axiombase_core::{RecordedOp, Schema, TypeId};
 
 use crate::exec::Session;
@@ -131,13 +134,15 @@ pub(crate) fn load_trace(path: &str) -> Result<(Schema, Vec<RecordedOp>), String
             .map(|(_, b)| b)
             .ok_or("empty checkpoint file")?;
         let initial = Schema::from_snapshot(body).map_err(|e| format!("bad checkpoint: {e}"))?;
-        let ops: Vec<RecordedOp> = ins
+        let suffix: Vec<LogEntry> = ins
             .entries
             .into_iter()
             .filter(|e| e.seq > ins.checkpoint_seq)
-            .map(|e| e.op)
             .collect();
-        return Ok((initial, ops));
+        // The analyzers take a recorded, known-successful trace: refuse a
+        // suffix that does not replay on its checkpoint, as recovery does.
+        replay_entries(&mut initial.clone(), &suffix).map_err(|e| e.to_string())?;
+        return Ok((initial, suffix.into_iter().map(|e| e.op).collect()));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if text

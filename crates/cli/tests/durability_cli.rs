@@ -1,6 +1,7 @@
 //! End-to-end durability CLI coverage on real files: the quarantine
 //! recovery round-trip (`recover --quarantine`), `doctor`'s serviceability
-//! exit code, and the `stats` degraded fallback on a corrupt journal.
+//! exit code, the `stats` degraded fallback on a corrupt journal, and a
+//! checksummed frame whose op does not replay.
 //!
 //! The quarantine assertion is inode-pinned: the corrupt segment must be
 //! *renamed* to `*.quar` (same inode, bytes preserved for forensics), not
@@ -12,8 +13,8 @@ use std::process::Command;
 use std::sync::Arc;
 
 use axiombase_core::journal::io::StdIo;
-use axiombase_core::journal::wire::WAL_MAGIC;
-use axiombase_core::{JournalOptions, JournaledSchema, LatticeConfig, RecordedOp, Schema};
+use axiombase_core::journal::wire::{encode_frame, WAL_MAGIC};
+use axiombase_core::{JournalOptions, JournaledSchema, LatticeConfig, RecordedOp, Schema, TypeId};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("axb-durability-{tag}-{}", std::process::id()));
@@ -169,6 +170,61 @@ fn stats_degrades_to_a_health_report_on_a_corrupt_journal() {
     let (code, stdout, _) = run(&["doctor", d]);
     assert_eq!(code, 1, "corrupt journal is not serviceable");
     assert!(stdout.contains("status: corrupt"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn doctor_reports_a_frame_that_does_not_replay_as_corrupt() {
+    let dir = scratch("unreplayable");
+    build_journal(&dir, 1);
+    // A CRC-valid frame for seq 2 whose op no replay can apply.
+    let wal = wal_path(&dir);
+    let mut frame = Vec::new();
+    let t = TypeId::from_index(999_999);
+    encode_frame(&mut frame, 2, &RecordedOp::DropType { t });
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&frame);
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let d = dir.to_str().unwrap();
+    let (code, _, stderr) = run(&["recover", d]);
+    assert_eq!(code, 1, "strict recovery refuses the frame");
+    assert!(
+        stderr.contains("replay of op 2 rejected: unknown or dropped type t999999"),
+        "{stderr}"
+    );
+
+    let (code, stdout, _) = run(&["doctor", d]);
+    assert_eq!(
+        code, 1,
+        "a journal recovery refuses is not serviceable: {stdout}"
+    );
+    assert!(stdout.contains("status: corrupt"), "{stdout}");
+    assert!(stdout.contains("durable seq: 1"), "{stdout}");
+    assert!(stdout.contains("replay of op 2 rejected"), "{stdout}");
+    assert!(stdout.contains("recover --salvage"), "{stdout}");
+    assert!(stdout.contains("recover --quarantine"), "{stdout}");
+
+    let (code, stdout, _) = run(&["doctor", d, "--json"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("\"status\":\"corrupt\""), "{stdout}");
+    assert!(stdout.contains("\"durable_seq\":1"), "{stdout}");
+
+    let (code, stdout, _) = run(&["stats", d]);
+    assert_eq!(code, 0, "stats never hard-fails: {stdout}");
+    assert!(
+        stdout.contains("stats unavailable: replay of op 2 rejected"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("status: corrupt"), "{stdout}");
+
+    // The advice holds: salvage drops the frame and doctor is satisfied.
+    let (code, stdout, _) = run(&["recover", d, "--salvage"]);
+    assert_eq!(code, 0, "{stdout}");
+    let (code, stdout, _) = run(&["doctor", d]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("status: healthy"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

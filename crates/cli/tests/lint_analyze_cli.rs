@@ -301,6 +301,71 @@ fn apply_plan_runs_a_wide_certified_stage_like_the_batch() {
     assert_eq!(fingerprint_of(&batched), fingerprint_of(&planned));
 }
 
+/// Append one CRC-valid frame at `seq` to the journal's only WAL
+/// segment: `dt 999999`, an op no schema in these tests can replay.
+/// Returns the segment's path.
+fn append_unreplayable_frame(dir: &Path, seq: u64) -> PathBuf {
+    use axiombase_core::journal::wire::encode_frame;
+    use axiombase_core::{RecordedOp, TypeId};
+    use std::io::Write as _;
+
+    let wal = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let n = p.file_name().unwrap().to_str().unwrap();
+            n.starts_with("wal-") && n.ends_with(".log")
+        })
+        .expect("journal has a WAL segment");
+    let mut frame = Vec::new();
+    let t = TypeId::from_index(999_999);
+    encode_frame(&mut frame, seq, &RecordedOp::DropType { t });
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&wal)
+        .unwrap()
+        .write_all(&frame)
+        .unwrap();
+    wal
+}
+
+/// Run `args`, expect a clean refusal naming the rejected op, and check
+/// the WAL segment is the same file (inode) with the same bytes.
+fn refuses_unreplayable_journal(args: &[&str], wal: &Path) {
+    use std::os::unix::fs::MetadataExt;
+
+    let (inode, bytes) = (wal.metadata().unwrap().ino(), std::fs::read(wal).unwrap());
+    let (code, stdout, stderr) = run_cli(args);
+    assert_eq!(code, 2, "{args:?}: {stdout}\n{stderr}");
+    assert!(
+        stderr.contains("replay of op 5 rejected: unknown or dropped type t999999"),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!(wal.metadata().unwrap().ino(), inode, "{args:?}");
+    assert_eq!(std::fs::read(wal).unwrap(), bytes, "{args:?}");
+}
+
+#[test]
+fn analyze_refuses_a_journal_frame_that_does_not_replay() {
+    let dir = wide_journal("unreplayable-analyze");
+    let wal = append_unreplayable_frame(&dir, 5);
+    let p = dir.to_str().unwrap();
+    for flags in [&[][..], &["--plan"], &["--impact"], &["--json", "--plan"]] {
+        let mut args = vec!["analyze"];
+        args.extend_from_slice(flags);
+        args.push(p);
+        refuses_unreplayable_journal(&args, &wal);
+    }
+}
+
+#[test]
+fn apply_plan_refuses_a_journal_frame_that_does_not_replay() {
+    let dir = wide_journal("unreplayable-apply");
+    let wal = append_unreplayable_frame(&dir, 5);
+    refuses_unreplayable_journal(&["apply", "--plan", dir.to_str().unwrap()], &wal);
+}
+
 #[test]
 fn analyze_minimize_reports_rewrites() {
     let dir = scratch("minimize");

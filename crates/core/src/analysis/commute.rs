@@ -13,7 +13,12 @@
 //!    *union* edge graph (initial edges ∪ every added edge ∪ all possible
 //!    relink edges to ⊤) is cyclic; when that union is acyclic, every
 //!    graph any permutation can produce is a subgraph of an acyclic graph,
-//!    and the guard is vacuous in every order.
+//!    and the guard is vacuous in every order. The union is collected
+//!    inside the analysis's own forward pass ([`TracePass`]): the live
+//!    edges once at capture, then after each step only the rows that op
+//!    can have given an edge. Footprints are inferred without the guard
+//!    cell, and once the verdict is known it is added to the five op kinds
+//!    that carry it (AT, ABT, DT, MT-ASR, MT-DSR).
 //! 2. **Row-local permutation check**: all writers of one `P_e(t)` row
 //!    that are row-local edge ops (MT-ASR/MT-DSR on `t`) form a group; the
 //!    row's evolution under any interleaving is the composition of the
@@ -33,11 +38,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::axioms::Axiom;
+use crate::bits::IdxSet;
 use crate::history::RecordedOp;
 use crate::lint::Reference;
 use crate::model::Schema;
 
-use super::footprint::{footprint, Cell, Footprint, SymbolicState};
+use super::footprint::{Cell, Footprint, SymbolicState, TracePass};
 
 /// Largest row/cell writer group checked exhaustively (`k! ≤ 720`).
 const GROUP_CAP: usize = 6;
@@ -164,6 +170,10 @@ pub struct PairAnalysis {
     /// Was the union edge graph acyclic (cycle guards vacuous in every
     /// order)?
     pub union_acyclic: bool,
+    /// The trace's union parent graph (see [`TracePass::union_parents`]).
+    pub union_parents: Vec<IdxSet>,
+    /// The shadow after the last op (final labels for rendering).
+    pub last: SymbolicState,
 }
 
 /// A `P_e`-row step, symbolically.
@@ -286,70 +296,6 @@ fn prop_cell(op: &RecordedOp) -> Option<((usize, usize), bool)> {
     }
 }
 
-/// Does the union edge graph (every edge any permutation can materialise)
-/// contain a cycle? Nodes are type arena indexes, including ones the
-/// trace allocates.
-pub(crate) fn union_graph_cyclic(initial: &SymbolicState, ops: &[RecordedOp]) -> bool {
-    let mut sim = initial.clone();
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let collect = |state: &SymbolicState, edges: &mut BTreeSet<(usize, usize)>| {
-        for (t, slot) in state.types.iter().enumerate() {
-            if slot.live {
-                for &s in &slot.pe {
-                    edges.insert((t, s));
-                }
-            }
-        }
-    };
-    collect(&sim, &mut edges);
-    for op in ops {
-        sim.step(op);
-        collect(&sim, &mut edges);
-    }
-    // Any row a drop empties relinks to ⊤; cover every such edge.
-    if let Some(root) = sim.root {
-        for t in 0..sim.types.len() {
-            if t != root {
-                edges.insert((t, root));
-            }
-        }
-    }
-    let n = sim.types.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(t, s) in &edges {
-        if t < n && s < n {
-            adj[t].push(s);
-        }
-    }
-    // Iterative three-colour DFS.
-    let mut colour = vec![0u8; n];
-    for start in 0..n {
-        if colour[start] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        colour[start] = 1;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let child = adj[node][*next];
-                *next += 1;
-                match colour[child] {
-                    0 => {
-                        colour[child] = 1;
-                        stack.push((child, 0));
-                    }
-                    1 => return true,
-                    _ => {}
-                }
-            } else {
-                colour[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    false
-}
-
 /// Check one writer group exhaustively.
 fn check_group<F>(members: &[usize], eval: F) -> Group
 where
@@ -418,21 +364,16 @@ fn hash_row(row: Option<BTreeSet<usize>>) -> Option<u64> {
     })
 }
 
-/// Run the full pairwise analysis.
+/// Run the full pairwise analysis: one [`TracePass`] (one capture of
+/// `initial`), then the writer-group checks and every pair's verdict.
 pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
-    let start = SymbolicState::capture(initial);
-    let cyclic = union_graph_cyclic(&start, ops);
-
     // Forward pass: footprints against pre-states, plus the base value of
     // every row/cell a writer group touches.
-    let mut sim = start.clone();
-    let mut footprints = Vec::with_capacity(ops.len());
     let mut row_groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut row_base: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     let mut cell_groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     let mut cell_base: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        footprints.push(footprint(op, &sim, cyclic));
+    let pass = TracePass::run(initial, ops, |i, op, sim| {
         if let Some((t, _)) = edge_row(op) {
             row_base
                 .entry(t)
@@ -447,10 +388,11 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
             });
             cell_groups.entry(cell).or_default().push(i);
         }
-        sim.step(op);
-    }
-    let rooted = start.rooted;
-    let root = sim.root; // stable across the trace unless AddRootType ran
+    });
+    let footprints = pass.footprints;
+    let cyclic = !pass.union_acyclic;
+    let rooted = pass.last.rooted;
+    let root = pass.last.root; // stable across the trace unless AddRootType ran
 
     // Check each row group (unless contaminated by a non-row-local
     // writer, over cap, or cycle-guard-hazardous).
@@ -537,7 +479,9 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
     PairAnalysis {
         footprints,
         pairs,
-        union_acyclic: !cyclic,
+        union_acyclic: pass.union_acyclic,
+        union_parents: pass.union_parents,
+        last: pass.last,
     }
 }
 

@@ -5,9 +5,18 @@
 //!
 //! The symbolic state mirrors exactly the input-level edits the paper's
 //! primitives perform (including the canonical relink-to-⊤ of MT-DSR and
-//! DT), and maintains the reverse-subtype index *structurally* so each
-//! op's derived-lattice reach (the down-set a derivation pass would visit)
-//! is available without consulting the engine.
+//! DT), and maintains two reverse indexes *structurally*: subtypes per
+//! type, so each op's derived-lattice reach (the down-set a derivation
+//! pass would visit) is available without consulting the engine, and
+//! live holders per property, so a property drop walks its holder row
+//! instead of the whole arena.
+//!
+//! [`TracePass`] is the one forward pass every analyzer runs: one
+//! capture, then per op a footprint against the pre-state and a step.
+//! The same pass collects the trace's union parent graph — after each
+//! step it re-reads only the `P_e` rows the op writes — and decides the
+//! MT-ASR cycle-guard question from it once the trace is done, so the
+//! cycle test costs O(initial edges + edges the trace writes).
 
 use std::collections::BTreeSet;
 
@@ -44,6 +53,8 @@ pub enum Cell {
     /// MT-ASR. Only materialised when the trace's *union* edge graph is
     /// cyclic; when it is acyclic the guard is vacuous in every order
     /// (a subgraph of an acyclic graph is acyclic) and no op reads this.
+    /// [`footprint`] never emits it: [`TracePass`] adds it to the ops
+    /// that carry it once the trace's verdict is known.
     CycleGuard,
     /// The type-arena allocation cursor (every type-creating op).
     TypeArena,
@@ -126,18 +137,26 @@ pub struct SymbolicState {
     /// incrementally exactly like the engine's index, but from inputs
     /// alone.
     pub rev: Vec<IdxSet>,
-    /// Frozen copy of the *captured* type arena (never stepped). Ops
-    /// whose effect enumerates current structure (`DropType` detaching
-    /// subtypes, `DropProperty` clearing `N_e` cells, `AddBaseType`
-    /// reading all liveness) must claim the union of the current and the
-    /// captured enumeration: a trace-earlier op that removed structure
-    /// may be *reordered after* this one by a plan that found the two
-    /// disjoint, and then the removed rows are touched for real. The
-    /// union keeps every footprint an over-approximation under any
-    /// interference-preserving reordering (see [`footprint`]).
-    pub types0: Vec<SymType>,
-    /// Frozen copy of the captured reverse-subtype index (see [`Self::types0`]).
+    /// Live holders index: `holders[p]` = live types with `p ∈ N_e`,
+    /// maintained by [`Self::step`]. A property drop clears exactly
+    /// these cells.
+    pub holders: Vec<IdxSet>,
+    /// The *captured* state an op's enumeration must also cover (never
+    /// stepped). Ops whose effect enumerates current structure
+    /// (`DropType` detaching subtypes, `DropProperty` clearing `N_e`
+    /// cells, `AddBaseType` reading all liveness) must claim the union of
+    /// the current and the captured enumeration: a trace-earlier op that
+    /// removed structure may be *reordered after* this one by a plan that
+    /// found the two disjoint, and then the removed rows are touched for
+    /// real. The union keeps every footprint an over-approximation under
+    /// any interference-preserving reordering (see [`footprint`]). Only
+    /// what those three enumerations read is kept: liveness, and the
+    /// [`Self::rev0`] and [`Self::holders0`] rows.
+    pub live0: IdxSet,
+    /// The captured reverse-subtype index (see [`Self::live0`]).
     pub rev0: Vec<IdxSet>,
+    /// The captured live holders index (see [`Self::live0`]).
+    pub holders0: Vec<IdxSet>,
 }
 
 impl SymbolicState {
@@ -154,7 +173,7 @@ impl SymbolicState {
                 ne: t.ne.iter().map(super::super::ids::PropId::index).collect(),
             })
             .collect();
-        let props = schema
+        let props: Vec<SymProp> = schema
             .props
             .iter()
             .map(|p| SymProp {
@@ -162,33 +181,34 @@ impl SymbolicState {
                 name: p.name.clone(),
             })
             .collect();
-        let mut state = SymbolicState {
+        let mut rev = vec![IdxSet::new(); types.len()];
+        let mut holders = vec![IdxSet::new(); props.len()];
+        let mut live0 = IdxSet::new();
+        for (t, slot) in types.iter().enumerate().filter(|(_, s)| s.live) {
+            live0.insert(t);
+            for &s in &slot.pe {
+                if let Some(set) = rev.get_mut(s) {
+                    set.insert(t);
+                }
+            }
+            for &p in &slot.ne {
+                if let Some(set) = holders.get_mut(p) {
+                    set.insert(t);
+                }
+            }
+        }
+        SymbolicState {
             rooted: schema.config().is_rooted(),
             pointed: schema.config().is_pointed(),
             root: schema.root().map(crate::ids::TypeId::index),
             base: schema.base().map(crate::ids::TypeId::index),
             types,
             props,
-            rev: Vec::new(),
-            types0: Vec::new(),
-            rev0: Vec::new(),
-        };
-        state.rebuild_rev();
-        state.types0 = state.types.clone();
-        state.rev0 = state.rev.clone();
-        state
-    }
-
-    fn rebuild_rev(&mut self) {
-        self.rev = vec![IdxSet::new(); self.types.len()];
-        for (t, slot) in self.types.iter().enumerate() {
-            if slot.live {
-                for &s in &slot.pe {
-                    if let Some(set) = self.rev.get_mut(s) {
-                        set.insert(t);
-                    }
-                }
-            }
+            rev0: rev.clone(),
+            rev,
+            holders0: holders.clone(),
+            holders,
+            live0,
         }
     }
 
@@ -196,6 +216,11 @@ impl SymbolicState {
         let id = self.types.len();
         for &s in &pe {
             if let Some(set) = self.rev.get_mut(s) {
+                set.insert(id);
+            }
+        }
+        for &p in &ne {
+            if let Some(set) = self.holders.get_mut(p) {
                 set.insert(id);
             }
         }
@@ -228,48 +253,6 @@ impl SymbolicState {
         out
     }
 
-    /// Fold the current `P_e` rows into `acc`, growing it to the current
-    /// arena size. Accumulating this once after capture and again after
-    /// every step yields the trace's **union parent graph**: every
-    /// essential edge present in *any* intermediate state — initial
-    /// edges, op-introduced edges, and canonical ⊤-relinks alike. A
-    /// scoped derivation pass recomputing a set of rows re-reads exactly
-    /// the derived rows of those rows' `P_e`-parents (deeper ancestors
-    /// are already folded into the parents' derived rows), so this union
-    /// over-approximates that input frontier at every point of every
-    /// order a plan certificate admits: an edge present at some certified
-    /// execution point is present in some trace-order intermediate state,
-    /// because every `P_e`-row writer pair is order-preserved.
-    pub fn accumulate_union_parents(&self, acc: &mut Vec<IdxSet>) {
-        while acc.len() < self.types.len() {
-            acc.push(IdxSet::new());
-        }
-        for (t, slot) in self.types.iter().enumerate() {
-            acc[t].extend(slot.pe.iter().copied());
-        }
-    }
-
-    /// Targeted form of [`Self::accumulate_union_parents`]: fold only the
-    /// given rows' current `P_e` into `acc`. After a step, only rows
-    /// whose `P_e` the op writes (its `Cell::PeRow` write cells — which
-    /// include canonical ⊤-relinks and freshly allocated rows) can have
-    /// changed, so folding those alone keeps the union exact while
-    /// costing O(touched) instead of O(arena) per step.
-    pub fn accumulate_union_parents_of(
-        &self,
-        rows: impl IntoIterator<Item = usize>,
-        acc: &mut Vec<IdxSet>,
-    ) {
-        while acc.len() < self.types.len() {
-            acc.push(IdxSet::new());
-        }
-        for t in rows {
-            if let Some(slot) = self.types.get(t) {
-                acc[t].extend(slot.pe.iter().copied());
-            }
-        }
-    }
-
     /// Row-local canonical drop: remove `s` from `P_e(t)` and relink an
     /// emptied row to ⊤ (the axiomatic MT-DSR edit).
     fn drop_edge(&mut self, t: usize, s: usize) {
@@ -294,14 +277,15 @@ impl SymbolicState {
                     live: true,
                     name: name.clone(),
                 });
+                self.holders.push(IdxSet::new());
             }
             RecordedOp::RenameProperty { p, name } => {
                 self.props[p.index()].name.clone_from(name);
             }
             RecordedOp::DropProperty { p } => {
                 let pi = p.index();
-                for t in &mut self.types {
-                    t.ne.remove(&pi);
+                for t in std::mem::take(&mut self.holders[pi]).iter() {
+                    self.types[t].ne.remove(&pi);
                 }
                 self.props[pi].live = false;
             }
@@ -346,14 +330,19 @@ impl SymbolicState {
                 for c in subs {
                     self.drop_edge(c, ti);
                 }
-                let pe: Vec<usize> = self.types[ti].pe.iter().copied().collect();
-                for s in pe {
+                let slot = &mut self.types[ti];
+                for s in std::mem::take(&mut slot.pe) {
                     if let Some(set) = self.rev.get_mut(s) {
                         set.remove(ti);
                     }
                 }
-                self.types[ti].pe.clear();
-                self.types[ti].live = false;
+                // Like the engine, a dead slot keeps no `N_e` row.
+                for p in std::mem::take(&mut slot.ne) {
+                    if let Some(set) = self.holders.get_mut(p) {
+                        set.remove(ti);
+                    }
+                }
+                slot.live = false;
             }
             RecordedOp::RenameType { t, name } => {
                 self.types[t.index()].name.clone_from(name);
@@ -370,9 +359,11 @@ impl SymbolicState {
             }
             RecordedOp::AddEssentialProperty { t, p } => {
                 self.types[t.index()].ne.insert(p.index());
+                self.holders[p.index()].insert(t.index());
             }
             RecordedOp::DropEssentialProperty { t, p } => {
                 self.types[t.index()].ne.remove(&p.index());
+                self.holders[p.index()].remove(t.index());
             }
         }
     }
@@ -383,17 +374,16 @@ impl SymbolicState {
     }
 
     /// Essential subtypes of `s` in the *captured* state — the reordering
-    /// guard half of a drop's subtype enumeration (see [`Self::types0`]).
+    /// guard half of a drop's subtype enumeration (see [`Self::live0`]).
     pub fn initial_subtypes_of(&self, s: usize) -> IdxSet {
         self.rev0.get(s).cloned().unwrap_or_default()
     }
 }
 
 /// Infer the footprint of `op` against the pre-state `state` (the
-/// symbolic shadow *before* the op runs). `cyclic_union` is the
-/// trace-global fact "the union edge graph is cyclic": when set, every
-/// MT-ASR reads (and every `P_e`-writing op writes) the [`Cell::CycleGuard`],
-/// conservatively serialising cycle-guard-sensitive pairs.
+/// symbolic shadow *before* the op runs), without [`Cell::CycleGuard`]:
+/// whether an op carries that cell depends on the whole trace, so
+/// [`TracePass`] adds it afterwards.
 ///
 /// **Order robustness.** The footprint must over-approximate the op's
 /// effect not just at its recorded position but under *any* reordering
@@ -402,9 +392,9 @@ impl SymbolicState {
 /// structure can only have *grown* at such a reordered position through
 /// ops that interfere here anyway (adding a subtype/holder reads this
 /// row), so taking the union of the current and the captured enumeration
-/// (see [`SymbolicState::types0`]) restores the over-approximation where
+/// (see [`SymbolicState::live0`]) restores the over-approximation where
 /// a trace-earlier removal would otherwise have shrunk it.
-pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> Footprint {
+pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
     let mut f = Footprint::default();
     let mut seeds = IdxSet::new();
     match op {
@@ -428,15 +418,13 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
             f.writes.insert(Cell::PropNameCell(pi));
             // Current ∪ captured holders: a trace-earlier cell clear that a
             // plan reorders after this drop makes the captured cell real.
-            for (t, slot) in state.types.iter().enumerate() {
-                let held0 = state
-                    .types0
-                    .get(t)
-                    .is_some_and(|s0| s0.live && s0.ne.contains(&pi));
-                if (slot.live && slot.ne.contains(&pi)) || held0 {
-                    f.writes.insert(Cell::NeCell(t, pi));
-                    seeds.insert(t);
+            for rows in [&state.holders, &state.holders0] {
+                if let Some(held) = rows.get(pi) {
+                    seeds.union_with(held);
                 }
+            }
+            for t in seeds.iter() {
+                f.writes.insert(Cell::NeCell(t, pi));
             }
         }
         RecordedOp::AddRootType { name } => {
@@ -468,14 +456,11 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
             // Current ∪ captured liveness — a trace-earlier type drop that a
             // plan reorders after this op leaves the captured row readable.
             for (t, slot) in state.types.iter().enumerate() {
-                if slot.live || state.types0.get(t).is_some_and(|s0| s0.live) {
+                if slot.live || state.live0.contains(t) {
                     f.reads.insert(Cell::TypeLive(t));
                 }
             }
             seeds.insert(id);
-            if cyclic_union {
-                f.writes.insert(Cell::CycleGuard);
-            }
         }
         RecordedOp::AddType {
             name,
@@ -511,9 +496,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
             }
             // The freshly allocated row gains a derived row of its own.
             seeds.insert(id);
-            if cyclic_union {
-                f.writes.insert(Cell::CycleGuard);
-            }
         }
         RecordedOp::DropType { t } => {
             let ti = t.index();
@@ -537,9 +519,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
                 f.reads.insert(Cell::PeRow(c));
                 f.writes.insert(Cell::PeRow(c));
                 seeds.insert(c);
-            }
-            if cyclic_union {
-                f.writes.insert(Cell::CycleGuard);
             }
         }
         RecordedOp::RenameType { t, name } => {
@@ -568,10 +547,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
             f.reads.insert(Cell::BaseCell);
             f.reads.insert(Cell::PeRow(ti));
             f.writes.insert(Cell::PeRow(ti));
-            if cyclic_union {
-                f.reads.insert(Cell::CycleGuard);
-                f.writes.insert(Cell::CycleGuard);
-            }
             seeds.insert(ti);
         }
         RecordedOp::DropEssentialSupertype { t, s } => {
@@ -583,9 +558,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
             f.reads.insert(Cell::BaseCell);
             f.reads.insert(Cell::PeRow(ti));
             f.writes.insert(Cell::PeRow(ti));
-            if cyclic_union {
-                f.writes.insert(Cell::CycleGuard);
-            }
             seeds.insert(ti);
         }
         RecordedOp::AddEssentialProperty { t, p } => {
@@ -603,6 +575,151 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState, cyclic_union: bool) -> 
     }
     f.reach = state.down_set(&seeds);
     f
+}
+
+/// Add the [`Cell::CycleGuard`] cells `op` carries when the trace's union
+/// edge graph is cyclic: MT-ASR reads and writes the guard, and the other
+/// ops that can give a `P_e` row an edge — AT, ABT, DT (its ⊤-relinks)
+/// and MT-DSR (its ⊤-relink) — write it, conservatively serialising every
+/// cycle-guard-sensitive pair.
+fn guard_cycle(op: &RecordedOp, f: &mut Footprint) {
+    match op {
+        RecordedOp::AddEssentialSupertype { .. } => {
+            f.reads.insert(Cell::CycleGuard);
+            f.writes.insert(Cell::CycleGuard);
+        }
+        RecordedOp::AddType { .. }
+        | RecordedOp::AddBaseType { .. }
+        | RecordedOp::DropType { .. }
+        | RecordedOp::DropEssentialSupertype { .. } => {
+            f.writes.insert(Cell::CycleGuard);
+        }
+        _ => {}
+    }
+}
+
+/// What one forward pass over a recorded trace derives from a single
+/// capture of its initial schema: everything the commutativity engine
+/// and the plan checker read, so each captures exactly once.
+#[derive(Debug)]
+pub struct TracePass {
+    /// Per-op footprints against their pre-states, with their
+    /// [`Cell::CycleGuard`] cells when the union edge graph is cyclic.
+    pub footprints: Vec<Footprint>,
+    /// The trace's **union parent graph** over the final type arena:
+    /// every essential edge present in *any* intermediate state —
+    /// initial edges, op-introduced edges, and canonical ⊤-relinks alike.
+    /// A scoped derivation pass recomputing a set of rows re-reads
+    /// exactly the derived rows of those rows' `P_e`-parents (deeper
+    /// ancestors are already folded into the parents' derived rows), so
+    /// this union over-approximates that input frontier at every point of
+    /// every order a plan certificate admits: an edge present at some
+    /// certified execution point is present in some trace-order
+    /// intermediate state, because every `P_e`-row writer pair is
+    /// order-preserved.
+    pub union_parents: Vec<IdxSet>,
+    /// Was the union edge graph acyclic (MT-ASR cycle guards vacuous in
+    /// every order)?
+    pub union_acyclic: bool,
+    /// The shadow after the last op (final labels and designations).
+    pub last: SymbolicState,
+}
+
+impl TracePass {
+    /// Capture `initial` once and walk `ops` (a recorded, known-successful
+    /// trace): `pre` sees each op with its pre-state, then the op's
+    /// footprint is inferred and the shadow stepped.
+    ///
+    /// The union parent graph starts as the captured rows and, after each
+    /// step, re-reads only the rows the op writes a `P_e` cell of: a
+    /// newborn row, the row of an MT-ASR/MT-DSR, the subtypes a DT
+    /// relinks, and ⊥ when a pointed lattice links it to a new type. No
+    /// other row can gain an edge, so the union is exact at
+    /// O(initial edges + edges the trace writes).
+    pub fn run(
+        initial: &Schema,
+        ops: &[RecordedOp],
+        mut pre: impl FnMut(usize, &RecordedOp, &SymbolicState),
+    ) -> TracePass {
+        let mut sim = SymbolicState::capture(initial);
+        let captured = sim.types.len();
+        let mut union_parents: Vec<IdxSet> = sim
+            .types
+            .iter()
+            .map(|slot| slot.pe.iter().copied().collect())
+            .collect();
+        let mut footprints = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            pre(i, op, &sim);
+            let fp = footprint(op, &sim);
+            sim.step(op);
+            union_parents.resize(sim.types.len(), IdxSet::new());
+            for cell in &fp.writes {
+                if let Cell::PeRow(t) = *cell {
+                    union_parents[t].extend(sim.types[t].pe.iter().copied());
+                }
+            }
+            footprints.push(fp);
+        }
+        let union_acyclic = !union_graph_cyclic(&sim, captured, &union_parents);
+        if !union_acyclic {
+            for (op, fp) in ops.iter().zip(&mut footprints) {
+                guard_cycle(op, fp);
+            }
+        }
+        TracePass {
+            footprints,
+            union_parents,
+            union_acyclic,
+            last: sim,
+        }
+    }
+}
+
+/// Does the union edge graph — every edge any permutation of the trace
+/// can materialise — contain a cycle? Its edges are the union parent
+/// graph's, except the rows of slots already dead at capture (the first
+/// `captured` slots not in [`SymbolicState::live0`]), which hold no live
+/// edge and which no op re-reads; plus an edge from every slot but ⊤
+/// itself to the final ⊤, covering the relink any drop can make in any
+/// order.
+fn union_graph_cyclic(last: &SymbolicState, captured: usize, union_parents: &[IdxSet]) -> bool {
+    let none = IdxSet::new();
+    let successors = |t: usize| {
+        let row = if t < captured && !last.live0.contains(t) {
+            &none
+        } else {
+            &union_parents[t]
+        };
+        row.iter().chain(last.root.filter(|&r| r != t))
+    };
+    // Iterative three-colour DFS.
+    let n = union_parents.len();
+    let mut colour = vec![0u8; n];
+    for start in 0..n {
+        if colour[start] != 0 {
+            continue;
+        }
+        colour[start] = 1;
+        let mut stack = vec![(start, successors(start))];
+        while let Some((node, next)) = stack.last_mut() {
+            match next.next() {
+                Some(child) => match colour[child] {
+                    0 => {
+                        colour[child] = 1;
+                        stack.push((child, successors(child)));
+                    }
+                    1 => return true,
+                    _ => {}
+                },
+                None => {
+                    colour[*node] = 2;
+                    stack.pop();
+                }
+            }
+        }
+    }
+    false
 }
 
 /// Render a cell for humans, resolving arena indexes to names where the

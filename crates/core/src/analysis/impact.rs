@@ -478,13 +478,13 @@ impl IfaceRows {
 /// Types whose interface this op *could* change, read off the pre-state:
 /// the down-set of the edited rows (interfaces are inherited along `H`,
 /// so an input edit at `t` reaches exactly `↓t`). Ops that only allocate,
-/// rename, or freeze touch no existing interface. `holders[p]` is the
-/// maintained reverse index "live types with `p ∈ N_e`".
-fn candidate_seeds(holders: &[IdxSet], op: &RecordedOp) -> IdxSet {
+/// rename, or freeze touch no existing interface. A dropped property's
+/// seeds are its live holders ([`SymbolicState::holders`]).
+fn candidate_seeds(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
     let mut seeds = IdxSet::new();
     match op {
         RecordedOp::DropProperty { p } => {
-            if let Some(h) = holders.get(p.index()) {
+            if let Some(h) = sim.holders.get(p.index()) {
                 seeds = h.clone();
             }
         }
@@ -555,16 +555,6 @@ fn classify(added: &[usize], rekeyed: &[(usize, usize)], lost: &[usize]) -> Impa
 fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     let mut sim = SymbolicState::capture(initial);
     let mut iface = IfaceRows::capture(&sim);
-    // Reverse index "live types holding p in N_e", kept in step with the
-    // shadow so DropProperty seeds are one row clone, not an arena scan.
-    let mut holders: Vec<IdxSet> = vec![IdxSet::new(); sim.props.len()];
-    for (t, slot) in sim.types.iter().enumerate() {
-        if slot.live {
-            for &p in &slot.ne {
-                holders[p].insert(t);
-            }
-        }
-    }
     // Interface each type's instances are born under: capture-time for
     // initial types, post-creation for trace-minted ones. `None` for the
     // base (⊥ has no storable extent) and for dead slots.
@@ -576,7 +566,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
 
     let mut op_impacts = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
-        let seeds = candidate_seeds(&holders, op);
+        let seeds = candidate_seeds(&sim, op);
         let candidates: Vec<usize> = sim
             .down_set(&seeds)
             .iter()
@@ -602,36 +592,10 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         // A type-creating op grew the arena: extend the side tables and
         // record the newborn's birth interface (base excluded).
         iface.grow(&sim);
-        while holders.len() < sim.props.len() {
-            holders.push(IdxSet::new());
-        }
         while born.len() < sim.types.len() {
             let t = born.len();
-            for &p in &sim.types[t].ne {
-                holders[p].insert(t);
-            }
             born.push((sim.types[t].live && Some(t) != sim.base).then(|| iface.rows[t].clone()));
             fold.push(None);
-        }
-        // Keep the holder index in step with the op's `N_e` edits.
-        match op {
-            RecordedOp::DropType { t } => {
-                for &p in &sim.types[t.index()].ne {
-                    holders[p].remove(t.index());
-                }
-            }
-            RecordedOp::AddEssentialProperty { t, p } => {
-                holders[p.index()].insert(t.index());
-            }
-            RecordedOp::DropEssentialProperty { t, p } => {
-                holders[p.index()].remove(t.index());
-            }
-            RecordedOp::DropProperty { p } => {
-                if let Some(h) = holders.get_mut(p.index()) {
-                    *h = IdxSet::new();
-                }
-            }
-            _ => {}
         }
 
         let mut affected = IdxSet::new();

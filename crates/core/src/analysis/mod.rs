@@ -87,7 +87,7 @@ pub struct TraceAnalysis {
     pub union_acyclic: bool,
     /// The trace's union parent graph over the final type arena: every
     /// `P_e` edge present in any intermediate state (see
-    /// [`SymbolicState::accumulate_union_parents`]). The planner reads
+    /// [`footprint::TracePass::union_parents`]). The planner reads
     /// derivation-input frontiers off this; the checker re-derives its
     /// own copy and trusts nothing here.
     pub union_parents: Vec<IdxSet>,
@@ -125,26 +125,13 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
         footprints,
         pairs,
         union_acyclic,
+        union_parents,
+        last,
     } = commute::analyze_pairs(initial, ops);
 
-    // Final-state labels for rendering (dead slots keep their names), and
-    // the union parent graph for derivation-input frontiers.
-    let mut sim = SymbolicState::capture(initial);
-    let mut union_parents: Vec<IdxSet> = Vec::new();
-    sim.accumulate_union_parents(&mut union_parents);
-    for (i, op) in ops.iter().enumerate() {
-        sim.step(op);
-        // Only rows whose `P_e` the op writes can have changed.
-        sim.accumulate_union_parents_of(
-            footprints[i].writes.iter().filter_map(|c| match c {
-                Cell::PeRow(t) => Some(*t),
-                _ => None,
-            }),
-            &mut union_parents,
-        );
-    }
-    let type_labels: Vec<String> = sim.types.iter().map(|t| t.name.clone()).collect();
-    let prop_labels: Vec<String> = sim.props.iter().map(|p| p.name.clone()).collect();
+    // Final-state labels for rendering (dead slots keep their names).
+    let type_labels: Vec<String> = last.types.into_iter().map(|t| t.name).collect();
+    let prop_labels: Vec<String> = last.props.into_iter().map(|p| p.name).collect();
 
     // Union-find over non-commuting pairs.
     let n = ops.len();

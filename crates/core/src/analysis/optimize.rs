@@ -106,7 +106,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
     let mut fps = Vec::with_capacity(ops.len());
     let mut states = Vec::with_capacity(ops.len());
     for op in ops {
-        fps.push(footprint(op, &sim, false));
+        fps.push(footprint(op, &sim));
         states.push(sim.clone());
         sim.step(op);
     }

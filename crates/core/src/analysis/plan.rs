@@ -6,8 +6,10 @@
 //! disjoint `P_e`/`N_e` slot footprints (Bernstein's condition lifted
 //! from cells to arena slots) plus reverse-index reach separation — and
 //! whose inter-stage [`OrderEdge`]s carry witnessed order constraints.
-//! Classes in one stage can run concurrently on private copy-on-write
-//! shards and be merged slot-by-slot; stages run in order.
+//! Classes in one stage are pairwise independent, so they may run in any
+//! order; stages run in order. `Schema::apply_plan` admits a certificate
+//! through [`check`] and then runs the classes in stage order as one
+//! batch, with one derivation at the end.
 //!
 //! The module follows the repo's planner/checker discipline (like the
 //! bounded model checker `mc` and the optimizer's differential replay):
@@ -16,7 +18,8 @@
 //! trace and the initial schema alone, using only the footprint kernel.
 //! The checker proves conflict-serializability with order preservation:
 //!
-//! 1. the classes partition the trace, each keeping trace order;
+//! 1. the classes partition the trace, each keeping trace order, and no
+//!    class claims a stage at or past the class count;
 //! 2. every op's real slot/reach footprint is covered by its class's
 //!    claimed footprint;
 //! 3. classes sharing a stage have pairwise disjoint claimed footprints
@@ -30,9 +33,13 @@
 //!    union-parent-graph `P_e` parents, whose derived rows a scoped
 //!    derivation pass re-reads).
 //!
-//! Together these imply that any stage-ordered, intra-stage-concurrent
-//! execution is equivalent to the original trace — with **no** appeal to
-//! the planner's grouping logic or the commutativity engine's verdicts.
+//! Together these imply that any stage-ordered execution, with stage-mates
+//! in any order, is equivalent to the original trace — with **no** appeal
+//! to the planner's grouping logic or the commutativity engine's verdicts.
+//! The checker captures the initial schema once: one
+//! [`footprint::TracePass`] yields the footprints, the union parent graph
+//! and the cycle-guard verdict.
+//!
 //! No operation is ever executed here and no derivation is ever run;
 //! a CI grep-gate keeps this module (and the whole analysis layer) free
 //! of execution, threading, and filesystem calls.
@@ -44,8 +51,7 @@ use crate::bits::IdxSet;
 use crate::history::RecordedOp;
 use crate::model::Schema;
 
-use super::commute;
-use super::footprint::{self, Cell, Footprint, SymbolicState};
+use super::footprint::{self, Cell, Footprint};
 use super::TraceAnalysis;
 
 /// One mergeable unit of schema state: the granularity at which a
@@ -786,11 +792,23 @@ pub fn check(
         ));
     }
 
-    // Obligation 1: the classes partition 0..n, each in trace order.
+    // Obligation 1: the classes partition 0..n, each in trace order, and
+    // each sits in a stage a levelled DAG of these classes can have (k
+    // classes have fewer than k stages) — checked before anything sizes
+    // a stage table.
     let mut owner = vec![usize::MAX; n];
     for (ci, class) in cert.classes.iter().enumerate() {
         if class.ops.is_empty() {
             return Err(format!("class {} is empty", ci + 1));
+        }
+        if class.stage >= cert.classes.len() {
+            return Err(format!(
+                "class {} claims stage {} but a plan of {} class(es) has at most {} stage(s)",
+                ci + 1,
+                class.stage.saturating_add(1),
+                cert.classes.len(),
+                cert.classes.len()
+            ));
         }
         let mut prev: Option<usize> = None;
         for &i in &class.ops {
@@ -817,24 +835,11 @@ pub fn check(
 
     // Re-derive the real footprints and the union parent graph from the
     // shared, trusted kernel — nothing the planner computed is reused.
-    let mut sim = SymbolicState::capture(initial);
-    let cyclic = commute::union_graph_cyclic(&sim, ops);
-    let mut fps: Vec<Footprint> = Vec::with_capacity(n);
-    let mut uparents: Vec<IdxSet> = Vec::new();
-    sim.accumulate_union_parents(&mut uparents);
-    for op in ops {
-        let fp = footprint::footprint(op, &sim, cyclic);
-        sim.step(op);
-        // Only rows whose `P_e` the op writes can have changed.
-        sim.accumulate_union_parents_of(
-            fp.writes.iter().filter_map(|c| match c {
-                Cell::PeRow(t) => Some(*t),
-                _ => None,
-            }),
-            &mut uparents,
-        );
-        fps.push(fp);
-    }
+    let footprint::TracePass {
+        footprints: fps,
+        union_parents: uparents,
+        ..
+    } = footprint::TracePass::run(initial, ops, |_, _, _| {});
     let op_reads: Vec<BTreeSet<Slot>> = fps
         .iter()
         .map(|f| f.reads.iter().map(slot_of).collect())
@@ -1041,6 +1046,22 @@ mod tests {
         let mut cert = plan.certificate.clone();
         cert.ops_len = 7;
         assert!(check(&s, &ops, &cert).is_err());
+    }
+
+    #[test]
+    fn checker_refuses_a_stage_past_the_class_count() {
+        let (s, ops) = disjoint_drops();
+        let ops = &ops[..1];
+        let plan = build_plan(&analyze_trace(&s, ops));
+        assert_eq!(plan.certificate.classes.len(), 1);
+        // A levelled DAG of k classes has fewer than k stages; these would
+        // size a stage table of 2^40 entries or overflow its length.
+        for stage in [1usize << 40, usize::MAX] {
+            let mut cert = plan.certificate.clone();
+            cert.classes[0].stage = stage;
+            let err = check(&s, ops, &cert).unwrap_err();
+            assert!(err.contains("claims stage"), "{err}");
+        }
     }
 
     #[test]

@@ -839,6 +839,26 @@ pub struct LogEntry {
     pub offset: usize,
 }
 
+/// Replay decoded `entries` on `schema` in order, as one batch (one
+/// derivation at the end, as in recovery). The first op the schema
+/// rejects is returned as [`JournalError::Replay`] with its sequence
+/// number; the ops before it stay applied.
+pub fn replay_entries<'a>(
+    schema: &mut Schema,
+    entries: impl IntoIterator<Item = &'a LogEntry>,
+) -> Result<(), JournalError> {
+    let mut seq = 0;
+    schema
+        .evolve_batch(|s| {
+            for e in entries {
+                seq = e.seq;
+                e.op.apply(s)?;
+            }
+            Ok(())
+        })
+        .map_err(|source| JournalError::Replay { seq, source })
+}
+
 /// A read-only scan of a journal directory (see [`Journal::inspect`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inspection {
@@ -1226,21 +1246,31 @@ impl Journal {
     /// every decodable WAL entry, and any invalid tail — without modifying
     /// anything (no truncation, no WAL creation).
     pub fn inspect(dir: &Path, io: &dyn JournalIo) -> Result<Inspection, JournalError> {
+        Self::scan(dir, io).map(|(inspection, _)| inspection)
+    }
+
+    /// [`Journal::inspect`] plus the schema the newest readable
+    /// checkpoint parses to.
+    fn scan(dir: &Path, io: &dyn JournalIo) -> Result<(Inspection, Schema), JournalError> {
         let names = io.list(dir)?;
         let mut checkpoints: Vec<(u64, String)> = names
             .iter()
             .filter_map(|n| parse_name(n, "checkpoint-", ".axb").map(|s| (s, n.clone())))
             .collect();
         checkpoints.sort();
-        let mut found: Option<(u64, String)> = None;
+        let mut found: Option<(u64, String, Schema)> = None;
         for (seq, name) in checkpoints.iter().rev() {
             let data = io.read(&dir.join(name))?;
-            if matches!(parse_checkpoint(name, &data), Ok((s, _)) if s == *seq) {
-                found = Some((*seq, name.clone()));
-                break;
+            match parse_checkpoint(name, &data) {
+                Ok((s, schema)) if s == *seq => {
+                    found = Some((*seq, name.clone(), schema));
+                    break;
+                }
+                _ => {}
             }
         }
-        let (checkpoint_seq, checkpoint_file) = found.ok_or(JournalError::NoCheckpoint)?;
+        let (checkpoint_seq, checkpoint_file, checkpoint) =
+            found.ok_or(JournalError::NoCheckpoint)?;
 
         let mut wals: Vec<(u64, String)> = names
             .iter()
@@ -1301,12 +1331,15 @@ impl Journal {
                 }
             }
         }
-        Ok(Inspection {
-            checkpoint_seq,
-            checkpoint_file,
-            entries,
-            tail,
-        })
+        Ok((
+            Inspection {
+                checkpoint_seq,
+                checkpoint_file,
+                entries,
+                tail,
+            },
+            checkpoint,
+        ))
     }
 
     /// Time-travel read: reconstruct the schema exactly *as of* sequence
@@ -1382,7 +1415,9 @@ impl Journal {
     /// Read-only health diagnosis of `dir`: what state the journal is in
     /// and what to do about it, without modifying anything. Unlike
     /// [`Journal::open`], this never errors on a corrupt or wedged
-    /// journal — that *is* the diagnosis.
+    /// journal — that *is* the diagnosis. The chained WAL suffix is
+    /// replayed in memory on the checkpoint, so a journal is reported
+    /// serviceable only when a strict recovery open would replay it.
     pub fn diagnose(dir: &Path, io: &dyn JournalIo) -> Health {
         let names = match io.list(dir) {
             Ok(n) => n,
@@ -1407,34 +1442,50 @@ impl Journal {
         let has_checkpoint_files = names
             .iter()
             .any(|n| parse_name(n, "checkpoint-", ".axb").is_some());
-        match Self::inspect(dir, io) {
-            Ok(insp) => {
+        match Self::scan(dir, io) {
+            Ok((insp, mut checkpoint)) => {
                 // Longest chained prefix on top of the checkpoint — gapped
                 // records decode but do not replay, so they do not count.
                 let mut durable_seq = insp.checkpoint_seq;
+                let mut chain = Vec::new();
                 for e in &insp.entries {
                     if e.seq == durable_seq + 1 {
                         durable_seq += 1;
+                        chain.push(e);
                     }
+                }
+                // Replay the chain in memory: a checksummed frame whose op
+                // the schema rejects fails a strict open just like a
+                // corrupt one.
+                let rejected = replay_entries(&mut checkpoint, chain).err();
+                if let Some(JournalError::Replay { seq, .. }) = &rejected {
+                    durable_seq = seq - 1;
                 }
                 // A torn tail (crash mid-append) is repaired by any
                 // recovery open; a checksummed-but-wrong record is refused
                 // by strict mode and needs an explicit salvage or
                 // quarantine decision.
-                let (status, advice) = match &insp.tail {
-                    Some(t) if t.kind == DropKind::Corrupt => (
+                let (status, advice) = match (&rejected, &insp.tail) {
+                    (Some(_), _) => (
+                        "corrupt",
+                        "a logged op does not replay on its checkpoint; `recover --salvage` \
+                         truncates the log before it, `recover --quarantine` isolates the \
+                         segment and keeps its bytes"
+                            .to_string(),
+                    ),
+                    (None, Some(t)) if t.kind == DropKind::Corrupt => (
                         "corrupt",
                         "corrupt record found; `recover --salvage` truncates it, `recover \
                          --quarantine` isolates the segment and keeps its bytes"
                             .to_string(),
                     ),
-                    Some(_) => (
+                    (None, Some(_)) => (
                         "repairable",
                         "torn tail found (crash mid-append); `recover` truncates it and the \
                          journal continues"
                             .to_string(),
                     ),
-                    None => (
+                    (None, None) => (
                         "healthy",
                         "checkpoint and log are clean; no action needed".to_string(),
                     ),
@@ -1446,7 +1497,7 @@ impl Journal {
                     wal_files,
                     quarantined_files,
                     tail: insp.tail,
-                    error: None,
+                    error: rejected.map(|e| e.to_string()),
                     advice,
                 }
             }

@@ -1224,6 +1224,27 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_stage_is_refused_untouched() {
+        let (mut s, ops) = four_diamonds();
+        let one_op = &ops[..1];
+        let plan = plan_for(&s, one_op);
+        assert_eq!(plan.certificate.classes.len(), 1);
+        let before_fp = s.canonical_fingerprint();
+        let before_v = s.version();
+        for stage in [1usize << 40, usize::MAX] {
+            let mut bad = plan.clone();
+            bad.certificate.classes[0].stage = stage;
+            let err = s.apply_plan(one_op, &bad).unwrap_err();
+            assert!(
+                matches!(&err, SchemaError::PlanRejected(why) if why.contains("claims stage")),
+                "{err}"
+            );
+            assert_eq!(s.canonical_fingerprint(), before_fp);
+            assert_eq!(s.version(), before_v);
+        }
+    }
+
+    #[test]
     fn plan_metrics_equal_batched_apply() {
         let run = |planned: bool| {
             let registry = Arc::new(crate::obs::MetricsRegistry::new());

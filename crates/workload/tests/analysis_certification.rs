@@ -24,12 +24,26 @@
 //!
 //! Vacuousness guards assert both tiers were actually exercised across
 //! the sweep (hundreds of certified traces, hundreds of witnesses).
+//!
+//! A second sweep pins the MT-ASR cycle-guard verdict, which the analyzers
+//! decide from edges collected inside their own forward pass, against a
+//! full rescan written here: every live `P_e` edge of every intermediate
+//! state, plus an edge from every slot to the final ⊤. Both
+//! `TraceAnalysis::union_acyclic` and the plan checker (which re-derives
+//! the verdict and must accept the planner's certificate, and must
+//! refuse it once its cycle-guard claims are stripped from a cyclic
+//! trace) must agree with the rescan. Lattice churn on small lattices and
+//! 200-op migration mixes on a 1,000-type base produce both verdicts, with
+//! floors on each.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use axiombase_core::analysis::{plan, Slot, SymbolicState};
 use axiombase_core::obs::{names, EvolveObs, MetricsRegistry};
 use axiombase_core::{
-    analyze_trace, EngineKind, LatticeConfig, MetricsSnapshot, PairVerdict, RecordedOp, Schema,
+    analyze_trace, build_plan, EngineKind, LatticeConfig, MetricsSnapshot, PairVerdict, RecordedOp,
+    Schema,
 };
 use axiombase_workload::{generate_trace, LatticeGen, OpMix};
 
@@ -270,4 +284,160 @@ fn certificates_are_sound_naive_engine() {
 #[test]
 fn certificates_are_sound_incremental_engine() {
     sweep(EngineKind::Incremental);
+}
+
+/// The union edge graph's cycle verdict by full rescan: the live `P_e`
+/// edges of the captured state and of the state after every step, plus
+/// an edge from every slot to the final ⊤ (any drop may relink there).
+fn rescan_union_cyclic(base: &Schema, ops: &[RecordedOp]) -> bool {
+    fn collect(state: &SymbolicState, edges: &mut BTreeSet<(usize, usize)>) {
+        for (t, slot) in state.types.iter().enumerate() {
+            if slot.live {
+                edges.extend(slot.pe.iter().map(|&s| (t, s)));
+            }
+        }
+    }
+    let mut sim = SymbolicState::capture(base);
+    let mut edges = BTreeSet::new();
+    collect(&sim, &mut edges);
+    for op in ops {
+        sim.step(op);
+        collect(&sim, &mut edges);
+    }
+    let n = sim.types.len();
+    if let Some(root) = sim.root {
+        edges.extend((0..n).filter(|&t| t != root).map(|t| (t, root)));
+    }
+    let mut adj = vec![Vec::new(); n];
+    for (t, s) in edges {
+        adj[t].push(s);
+    }
+    // Kahn's algorithm: a cycle leaves nodes with positive in-degree.
+    let mut indeg = vec![0usize; n];
+    for &s in adj.iter().flatten() {
+        indeg[s] += 1;
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
+    let mut seen = 0;
+    while let Some(t) = ready.pop() {
+        seen += 1;
+        for &s in &adj[t] {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    seen < n
+}
+
+/// Check one trace's cycle verdict three ways; returns the rescan's.
+fn check_cycle_verdict(base: &Schema, ops: &[RecordedOp], tag: &str) -> bool {
+    let cyclic = rescan_union_cyclic(base, ops);
+    let analysis = analyze_trace(base, ops);
+    assert_eq!(
+        analysis.union_acyclic, !cyclic,
+        "{tag}: analyzer's union-graph verdict differs from the rescan"
+    );
+    let evo = build_plan(&analysis);
+    let claims_guard = evo
+        .certificate
+        .classes
+        .iter()
+        .any(|c| c.writes.contains(&Slot::CycleGuard));
+    assert_eq!(claims_guard, cyclic, "{tag}: plan's cycle-guard claims");
+    plan::check(base, ops, &evo.certificate)
+        .unwrap_or_else(|e| panic!("{tag}: checker refused the planner's certificate: {e}"));
+    if cyclic {
+        // The checker re-derives the verdict itself: claims without the
+        // guard no longer cover its footprints.
+        let mut cert = evo.certificate.clone();
+        for class in &mut cert.classes {
+            class.reads.remove(&Slot::CycleGuard);
+            class.writes.remove(&Slot::CycleGuard);
+        }
+        assert!(
+            plan::check(base, ops, &cert).is_err(),
+            "{tag}: checker accepted a cyclic trace's certificate without cycle-guard claims"
+        );
+    }
+    cyclic
+}
+
+/// perfbench's size-neutral migration mix.
+const MIGRATION_MIX: OpMix = OpMix {
+    add_type: 2,
+    drop_type: 2,
+    add_edge: 2,
+    drop_edge: 2,
+    add_prop: 3,
+    drop_prop: 3,
+};
+
+#[test]
+fn union_cycle_verdict_matches_a_full_rescan() {
+    let (mut cyclic, mut acyclic) = (0usize, 0usize);
+    let mut count = |c: bool| {
+        if c {
+            cyclic += 1;
+        } else {
+            acyclic += 1;
+        }
+    };
+    // Lattice churn on small lattices, under every lattice configuration
+    // (a pointed one links ⊥ to each new type; a forest has no ⊤).
+    for seed in 0..SEEDS {
+        for config in [
+            LatticeConfig::ORION,
+            LatticeConfig::TIGUKAT,
+            LatticeConfig::RELAXED,
+        ] {
+            let gen = LatticeGen {
+                types: 6,
+                max_parents: 2,
+                props_per_type: 0.5,
+                redeclare_prob: 0.0,
+                seed,
+            };
+            let base = gen.generate(config, EngineKind::Incremental).schema;
+            let (ops, _) = generate_trace(&base, 24, OpMix::LATTICE_CHURN, seed ^ 0xc7c1e);
+            count(check_cycle_verdict(
+                &base,
+                &ops,
+                &format!("churn seed {seed} {config:?}"),
+            ));
+        }
+    }
+    // Chained 200-op migration mixes: each migration is generated on the
+    // schema the previous ones left, as perfbench's `migrate` does.
+    for types in [1000, 100] {
+        let mut base = LatticeGen {
+            types,
+            max_parents: 3,
+            props_per_type: 1.5,
+            redeclare_prob: 0.1,
+            seed: 7,
+        }
+        .generate(LatticeConfig::ORION, EngineKind::Incremental)
+        .schema;
+        for seed in 0..12 {
+            let (mut ops, _) = generate_trace(&base, 300, MIGRATION_MIX, seed);
+            ops.truncate(200);
+            count(check_cycle_verdict(
+                &base,
+                &ops,
+                &format!("migration {types} seed {seed}"),
+            ));
+            base.apply_trace(&ops).expect("recorded migration replays");
+        }
+    }
+    println!("union-graph verdicts: {cyclic} cyclic, {acyclic} acyclic");
+    assert!(
+        cyclic >= 100,
+        "only {cyclic} cyclic verdicts — cyclic side under-exercised"
+    );
+    assert!(
+        acyclic >= 100,
+        "only {acyclic} acyclic verdicts — acyclic side under-exercised"
+    );
 }
