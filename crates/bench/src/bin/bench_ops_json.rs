@@ -8,22 +8,20 @@
 //! not hold: batched replay on the incremental engine must be at least 5x
 //! faster than op-by-op replay on the naive engine.
 //!
-//! The `analysis` block prices the static certification path: a
-//! drop-only trace applied via `apply_trace_partitioned` (analyze +
-//! certify + one shared `evolve_batch` over the partition) versus one
-//! uncertified `evolve_batch`, with a fingerprint cross-check — on the
-//! 64-class drop trace *and* on a worst-case single-class toggle trace,
-//! where the partitioned path must stay within 10% of plain batched
-//! (the certificate may cost analysis, not execution).
+//! The `analysis` block records what the static analyzer certifies on a
+//! 64-op drop-only trace (order-independent, one independence class per
+//! drop) and on a worst-case 256-op toggle trace (one class).
 //!
-//! The `plan` block prices certified plans: `build_plan` once
-//! (compile-time, outside the timer — a certificate is compiled once and
-//! executed on many replicas), then `Schema::apply_plan`, which re-checks
-//! the certificate on every run and executes the classes in stage order
-//! as one batch. Gate: planned apply stays within 10% of batched on the
-//! single-class trace (hard). The wide reach-disjoint diamond trace is
-//! recorded with its planned-vs-batched ratio and no bound: its gap is
-//! the independent `plan::check`, which a sequential certificate skips.
+//! The `plan` block prices certified plans, the one certified execution
+//! path: `build_plan` once (compile-time, outside the timer — a
+//! certificate is compiled once and executed on many replicas), then
+//! `Schema::apply_plan`, which re-checks the certificate on every run and
+//! executes the classes in stage order as one batch. Gate: planned apply
+//! stays within 10% of batched on the single-class toggle trace (hard;
+//! the certificate may cost analysis, not execution). The wide diamond
+//! trace (one slot-disjoint class per drop) is recorded with its
+//! planned-vs-batched ratio and no bound: its gap is the independent
+//! `plan::check`, which a sequential certificate skips.
 //!
 //! The `impact` block prices the *static* instance-impact analysis
 //! (`analysis::impact`): classifying a 1000-op migration versus just
@@ -277,9 +275,9 @@ fn harvest_drops(base: &Schema, max: usize) -> Vec<RecordedOp> {
 
 /// A worst-case single-class trace: `len` alternating drop/re-add
 /// toggles of one essential edge. Every pair conflicts, so the analyzer
-/// folds the whole trace into one independence class — the partitioned
-/// and planned paths get zero structure to exploit and must not pay for
-/// the structure they did not find.
+/// folds the whole trace into one independence class — the planned path
+/// gets zero structure to exploit and must not pay for the structure it
+/// did not find.
 fn harvest_toggles(base: &Schema, len: usize) -> Vec<RecordedOp> {
     for t in base.iter_types() {
         let Ok(pe) = base.essential_supertypes(t) else {
@@ -305,11 +303,10 @@ fn harvest_toggles(base: &Schema, len: usize) -> Vec<RecordedOp> {
 /// carrying a `depth`-deep chain of subtypes under c_d and `props`
 /// essential properties on c_d, plus one essential property *per chain
 /// row* — so the row at depth `k` inherits `props + k` properties and
-/// re-deriving a whole chain costs Θ(depth²) set work. Rows, derivation
-/// reaches, *and* derivation-input frontiers are pairwise disjoint
-/// across diamonds (the shared root is an ancestor of every diamond but
-/// inside no drop's reach), so the planner packs every drop into one
-/// wide stage and the certificate has to be checked in full.
+/// re-deriving a whole chain costs Θ(depth²) set work. The drops' slot
+/// footprints are pairwise disjoint across diamonds, so the planner packs
+/// every drop into one wide stage and the certificate has to be checked
+/// in full.
 fn diamond_trace(diamonds: usize, depth: usize, props: usize) -> (Schema, Vec<RecordedOp>) {
     let mut s = Schema::with_engine(LatticeConfig::default(), EngineKind::Incremental);
     s.add_root_type("obj").expect("root");
@@ -345,81 +342,11 @@ struct PlanCells {
     report: PlanApply,
 }
 
-/// Best-of-N per-op latency of the certified-partitioned schedule and of
-/// one uncertified whole-trace `evolve_batch`, over the same drops.
-///
-/// The static analysis is compiled **once outside the timer** — the same
-/// amortization contract as [`measure_plan`]: an analysis (like a plan
-/// certificate) is compiled once and executed on many replicas, so the
-/// in-timer cost is what every replay pays — the class-ordered batched
-/// apply plus one shared scoped recomputation.
-fn measure_analysis(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, usize, bool, u64, u64) {
-    let analysis = analyze_trace(base, ops);
-    // Untimed warmup down each path (same rationale as
-    // `measure_journal_overhead`): the first replay after a clone pays
-    // first-touch costs that would otherwise bias whichever cell runs
-    // first.
-    {
-        let mut s = base.clone();
-        s.apply_trace_partitioned_with(ops, &analysis)
-            .expect("warmup partitioned replay");
-        let mut s = base.clone();
-        s.evolve_batch(|s| s.apply_trace(ops))
-            .expect("warmup batched replay");
-    }
-    let mut part_ns = u128::MAX;
-    let mut batch_ns = u128::MAX;
-    let mut ratios = Vec::new();
-    let mut classes = 0;
-    let mut certified = false;
-    let mut part_fp = 0;
-    let mut batch_fp = 0;
-    // The per-replay cost here is a few milliseconds, so a deeper
-    // best-of-N is nearly free. The reported cells are best-of-N, but the
-    // *ratio* gate uses the median of per-iteration pairings: minima of
-    // two same-cost paths flip on lucky tails, and run-long drift biases
-    // a mean — the two legs of one iteration are adjacent in time, so
-    // their ratio sees neither.
-    for i in 0..ITERATIONS * 3 {
-        // Alternate which path runs first so ordering effects cancel.
-        let part_first = i % 2 == 0;
-        let (mut part_i, mut batch_i) = (0u128, 0u128);
-        for leg in 0..2 {
-            if (leg == 0) == part_first {
-                let mut s = base.clone();
-                let start = Instant::now();
-                let report = s
-                    .apply_trace_partitioned_with(ops, &analysis)
-                    .expect("certified drop trace replays");
-                part_i = start.elapsed().as_nanos() / ops.len() as u128;
-                part_ns = part_ns.min(part_i);
-                classes = report.classes;
-                certified = report.certified;
-                part_fp = s.fingerprint();
-            } else {
-                let mut s = base.clone();
-                let start = Instant::now();
-                s.evolve_batch(|s| s.apply_trace(ops))
-                    .expect("batched drop trace replays");
-                batch_i = start.elapsed().as_nanos() / ops.len() as u128;
-                batch_ns = batch_ns.min(batch_i);
-                batch_fp = s.fingerprint();
-            }
-        }
-        ratios.push(batch_i as f64 / part_i.max(1) as f64);
-    }
-    (
-        part_ns,
-        batch_ns,
-        median(&mut ratios),
-        classes,
-        certified,
-        part_fp,
-        batch_fp,
-    )
-}
-
-/// Median of paired per-iteration ratios (see `measure_analysis`).
+/// Median of paired per-iteration ratios. The reported cells are
+/// best-of-N, but the ratio gates use the median of per-iteration
+/// pairings: minima of two same-cost paths flip on lucky tails, and
+/// run-long drift biases a mean — the two legs of one iteration are
+/// adjacent in time, so their ratio sees neither.
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
     xs[xs.len() / 2]
@@ -431,8 +358,8 @@ fn median(xs: &mut [f64]) -> f64 {
 /// read-only reconstruction `at --seq` and `branch --at-seq` pay —
 /// against `Journal::open`, the recovery path that replays the same
 /// checkpoint-plus-suffix but also re-arms the journal for writing.
-/// Interleaved legs with alternating order; the gate uses the median of
-/// per-iteration ratios (same rationale as `measure_analysis`).
+/// Interleaved legs with alternating order; the gate uses the [`median`]
+/// of per-iteration ratios.
 ///
 /// Returns `(open_at_ns_per_op, recover_ns_per_op, ratio, wal_ops)`.
 fn measure_timetravel(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, usize) {
@@ -787,56 +714,28 @@ fn main() {
         "affected-set histogram observed once per recomputation",
     );
 
-    // Static certification path: a row-disjoint drop trace the analyzer
-    // certifies order-independent, applied via the partitioned scheduler
-    // (pays the analysis) versus one uncertified whole-trace batch.
+    // Static certification: a row-disjoint drop trace the analyzer
+    // certifies order-independent, and a worst-case single-class toggle
+    // trace (every pair conflicts) that the `plan` block prices below.
     let drops = harvest_drops(&jbase, 64);
     expect(drops.len() >= 16, "lattice yields a non-trivial drop trace");
-    let (part_ns, batch_ns, _, classes, certified, part_fp, batch_fp) =
-        measure_analysis(&jbase, &drops);
-    println!("{:>11} / {:<7} {part_ns:>12} ns/op", "analysis", "partit.");
-    println!("{:>11} / {:<7} {batch_ns:>12} ns/op", "analysis", "batch");
+    let drop_analysis = analyze_trace(&jbase, &drops);
+    let (certified, classes) = (drop_analysis.certified, drop_analysis.classes.len());
     println!(
         "certified drop trace: {} ops, {classes} independence class(es)",
         drops.len()
     );
     expect(certified, "the drop trace is certified order-independent");
-    expect(
-        part_fp == batch_fp,
-        "partitioned and batched replay produce identical schemas",
-    );
-
-    // Worst case for the certificate machinery: a single-class toggle
-    // trace. The partitioned path must stay within 10% of plain batched
-    // — the PR that shared one scoped recomputation across the whole
-    // partition is gated here.
     let toggles = harvest_toggles(&jbase, 256);
     expect(toggles.len() == 256, "lattice yields a toggle trace");
-    let (tog_part_ns, tog_batch_ns, tog_ratio, tog_classes, _, tog_part_fp, tog_batch_fp) =
-        measure_analysis(&jbase, &toggles);
-    println!(
-        "{:>11} / {:<7} {tog_part_ns:>12} ns/op",
-        "1-class", "partit."
-    );
-    println!(
-        "{:>11} / {:<7} {tog_batch_ns:>12} ns/op",
-        "1-class", "batch"
-    );
-    println!("single-class partitioned vs batched: {tog_ratio:.2}x");
+    let tog_analysis = analyze_trace(&jbase, &toggles);
+    let tog_classes = tog_analysis.classes.len();
     expect(tog_classes == 1, "the toggle trace folds into one class");
-    expect(
-        tog_part_fp == tog_batch_fp,
-        "single-class partitioned replay matches batched",
-    );
-    expect(
-        tog_ratio >= 0.9,
-        "partitioned apply stays within 10% of batched on a 1-class trace",
-    );
 
     // Certified plans. Compile once per trace; every timed run pays the
     // certificate re-check plus execution.
     let threads_available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let tog_plan = build_plan(&analyze_trace(&jbase, &toggles));
+    let tog_plan = build_plan(&tog_analysis);
     let tog_cells = measure_plan(&jbase, &toggles, &tog_plan);
     let tog_plan_ns = tog_cells.plan_ns;
     let (tog_plan_ratio, tog_done) = (tog_cells.mean_ratio, tog_cells.report);
@@ -847,7 +746,7 @@ fn main() {
         "the single-class plan is one stage of one class",
     );
     expect(
-        tog_cells.plan_fp == tog_batch_fp && tog_cells.batch_fp == tog_batch_fp,
+        tog_cells.plan_fp == tog_cells.batch_fp,
         "single-class planned replay matches batched",
     );
     expect(
@@ -855,12 +754,9 @@ fn main() {
         "planned apply stays within 10% of batched on a 1-class trace",
     );
 
-    // Wide-plan cells need reach-disjoint classes: in the single-rooted
-    // jbase lattice every drop's derivation reach overlaps through the
-    // shared ancestry, so its plan is narrow by construction. The diamond
-    // schema keeps every class's rows *and* reach disjoint, so its
-    // certificate claims a wide stage and is checked in full. No bound on
-    // the ratio: it prices `plan::check`.
+    // The diamond schema keeps every drop's slots disjoint, so its
+    // certificate claims one wide stage and is checked in full. No bound
+    // on the ratio: it prices `plan::check`.
     let (dbase, dops) = diamond_trace(8, 210, 8);
     expect(dops.len() >= 4, "diamond schema yields a wide trace");
     let drop_plan = build_plan(&analyze_trace(&dbase, &dops));
@@ -1008,14 +904,9 @@ fn main() {
     let _ = writeln!(json, "    \"drop_ops\": {},", drops.len());
     let _ = writeln!(json, "    \"certified\": {certified},");
     let _ = writeln!(json, "    \"independence_classes\": {classes},");
-    let _ = writeln!(json, "    \"partitioned_ns_per_op\": {part_ns},");
-    let _ = writeln!(json, "    \"batched_ns_per_op\": {batch_ns},");
     json.push_str("    \"single_class\": {\n");
     let _ = writeln!(json, "      \"ops\": {},", toggles.len());
-    let _ = writeln!(json, "      \"independence_classes\": {tog_classes},");
-    let _ = writeln!(json, "      \"partitioned_ns_per_op\": {tog_part_ns},");
-    let _ = writeln!(json, "      \"batched_ns_per_op\": {tog_batch_ns},");
-    let _ = writeln!(json, "      \"ratio_vs_batched\": {tog_ratio:.2}");
+    let _ = writeln!(json, "      \"independence_classes\": {tog_classes}");
     json.push_str("    }\n");
     json.push_str("  },\n");
     json.push_str("  \"plan\": {\n");

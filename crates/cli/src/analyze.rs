@@ -30,7 +30,7 @@
 //! re-checked by replay ([`axiombase_core::traces_equivalent`]).
 //! `--mc-bound N` runs the bounded model checker (with no trace argument
 //! it runs alone); a failed check exits 1. `--plan` compiles the analysis
-//! into a certified parallel evolution plan (stages of slot-disjoint
+//! into a certified reordering plan (stages of slot-disjoint
 //! classes) and re-verifies its certificate with the independent checker
 //! `plan::check`; a certificate the checker refuses also exits 1.
 //! `--impact` classifies every op by its effect on stored instances
@@ -49,7 +49,7 @@ use std::path::Path;
 use axiombase_core::analysis::{self, mc};
 use axiombase_core::journal::io::StdIo;
 use axiombase_core::journal::{replay_entries, Journal, LogEntry};
-use axiombase_core::{RecordedOp, Schema, TypeId};
+use axiombase_core::{json_escape, RecordedOp, Schema, TypeId};
 
 use crate::exec::Session;
 
@@ -321,7 +321,7 @@ pub fn run(args: &[&str]) -> i32 {
                             "\"plan\":{{\"certificate\":{},\"check\":{{\"ok\":false,\
                              \"error\":\"{}\"}}}}",
                             plan.to_json(),
-                            why.replace('\\', "\\\\").replace('"', "\\\"")
+                            json_escape(&why)
                         ));
                     } else {
                         print!("{}", plan.to_text());
@@ -362,7 +362,7 @@ pub fn run(args: &[&str]) -> i32 {
                             "\"impact\":{{\"report\":{},\"check\":{{\"ok\":false,\
                              \"error\":\"{}\"}}}}",
                             ia.to_json(),
-                            why.replace('\\', "\\\\").replace('"', "\\\"")
+                            json_escape(&why)
                         ));
                     } else {
                         print!("{}", ia.to_text());

@@ -27,7 +27,7 @@ use axiombase_core::journal::io::StdIo;
 use axiombase_core::journal::wire::encode_op;
 use axiombase_core::journal::Journal;
 use axiombase_core::{
-    EvolveObs, EvolveTracer, LatticeConfig, MetricsRegistry, RecoveryMode, Schema,
+    json_escape, EvolveObs, EvolveTracer, LatticeConfig, MetricsRegistry, RecoveryMode, Schema,
 };
 
 /// Parse `DIR [flags...]` where only the listed flags are accepted.
@@ -56,22 +56,6 @@ fn parse_args<'a>(
         Some(d) => Ok((d, flags)),
         None => Err(format!("usage: {usage}")),
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `axiombase journal-init DIR [SNAPSHOT|SCRIPT]` — create a fresh

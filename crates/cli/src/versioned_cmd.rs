@@ -25,9 +25,7 @@ use std::sync::Arc;
 use axiombase_core::analysis::{ConflictVerdict, Footprint};
 use axiombase_core::journal::io::StdIo;
 use axiombase_core::journal::Journal;
-use axiombase_core::{Branch, JournalOptions, MergeError, RecoveryMode};
-
-use crate::journal_cmd::json_escape;
+use axiombase_core::{json_escape, Branch, JournalOptions, MergeError, RecoveryMode};
 
 /// Parsed arguments: `(positionals, boolean flags, valued flags)`.
 type ParsedArgs<'a> = (Vec<&'a str>, Vec<&'a str>, Vec<(&'a str, &'a str)>);
@@ -252,14 +250,13 @@ pub fn merge(rest: &[&str]) -> i32 {
             if json {
                 println!(
                     "{{\"merged\": true, \"fork_seq\": {}, \"ours\": {}, \"theirs\": {}, \
-                     \"cross_pairs\": {}, \"checked\": {}, \"classes\": {}, \
+                     \"cross_pairs\": {}, \"checked\": {}, \
                      \"merged_seq\": {}, \"canonical_fingerprint\": \"{:016x}\"}}",
                     report.fork_seq,
                     report.ours,
                     report.theirs,
                     report.certificate.cross_pairs(),
                     report.check.cross_pairs,
-                    report.classes,
                     report.merged_seq,
                     report.canonical_fingerprint
                 );

@@ -214,7 +214,6 @@ fn analyze_plan_renders_certificate_and_check_in_both_formats() {
     ]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("\"plan\":{\"certificate\":"), "{stdout}");
-    assert!(stdout.contains("\"serial_chain\":"), "{stdout}");
     assert!(stdout.contains("\"check\":{\"ok\":true"), "{stdout}");
 }
 
@@ -382,5 +381,32 @@ fn analyze_minimize_reports_rewrites() {
         "{stdout}"
     );
     assert!(stdout.contains("rewrite"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_json_escapes_control_characters_in_names() {
+    // Script names are whitespace-split, so a raw 0x01 byte lands in the
+    // type name and from there in every label the reports render.
+    let dir = scratch("control-chars");
+    let path = dir.join("ctl.axb");
+    std::fs::write(
+        &path,
+        "type add P\ntype add X\u{1}Y under P\nprop add x on X\u{1}Y\n",
+    )
+    .unwrap();
+    let p = path.to_str().unwrap();
+    for mode in [&[][..], &["--plan"], &["--impact"]] {
+        let mut args = vec!["analyze", "--json"];
+        args.extend_from_slice(mode);
+        args.push(p);
+        let (code, stdout, stderr) = run_cli(&args);
+        assert_eq!(code, 0, "{args:?}: {stdout}\n{stderr}");
+        assert!(stdout.contains("X\\u0001Y"), "{args:?}: {stdout}");
+        assert!(
+            stdout.trim_end_matches('\n').bytes().all(|b| b >= 0x20),
+            "{args:?}: raw control byte in the JSON output: {stdout:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -38,7 +38,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::axioms::Axiom;
-use crate::bits::IdxSet;
 use crate::history::RecordedOp;
 use crate::lint::Reference;
 use crate::model::Schema;
@@ -170,8 +169,6 @@ pub struct PairAnalysis {
     /// Was the union edge graph acyclic (cycle guards vacuous in every
     /// order)?
     pub union_acyclic: bool,
-    /// The trace's union parent graph (see [`TracePass::union_parents`]).
-    pub union_parents: Vec<IdxSet>,
     /// The shadow after the last op (final labels for rendering).
     pub last: SymbolicState,
 }
@@ -480,7 +477,6 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
         footprints,
         pairs,
         union_acyclic: pass.union_acyclic,
-        union_parents: pass.union_parents,
         last: pass.last,
     }
 }

@@ -6,10 +6,9 @@
 //! The symbolic state mirrors exactly the input-level edits the paper's
 //! primitives perform (including the canonical relink-to-⊤ of MT-DSR and
 //! DT), and maintains two reverse indexes *structurally*: subtypes per
-//! type, so each op's derived-lattice reach (the down-set a derivation
-//! pass would visit) is available without consulting the engine, and
-//! live holders per property, so a property drop walks its holder row
-//! instead of the whole arena.
+//! type, so a type drop enumerates the rows it relinks without consulting
+//! the engine, and live holders per property, so a property drop walks
+//! its holder row instead of the whole arena.
 //!
 //! [`TracePass`] is the one forward pass every analyzer runs: one
 //! capture, then per op a footprint against the pre-state and a step.
@@ -69,12 +68,6 @@ pub struct Footprint {
     pub reads: BTreeSet<Cell>,
     /// Cells the op mutates.
     pub writes: BTreeSet<Cell>,
-    /// Type indexes whose derived rows (`P`, `PL`, `N`, `H`, `I`) a
-    /// derivation pass seeded by this op would re-derive: the down-set of the
-    /// written rows in the pre-state, walked over the structural
-    /// reverse-subtype index. Dense (`IdxSet`) so the planner's coupling
-    /// probes are word ops.
-    pub reach: IdxSet,
     /// Does this op allocate a fresh arena slot (and therefore bind a
     /// raw id that later ops may reference)?
     pub allocates: bool,
@@ -235,24 +228,6 @@ impl SymbolicState {
         id
     }
 
-    /// The down-set of `seeds` (seeds plus everything essentially below
-    /// them), walked over the structural reverse index — the set of types
-    /// whose derived rows a derivation pass seeded by these rows would visit.
-    pub fn down_set(&self, seeds: &IdxSet) -> IdxSet {
-        let mut out = seeds.clone();
-        let mut work: Vec<usize> = seeds.iter().collect();
-        while let Some(t) = work.pop() {
-            if let Some(subs) = self.rev.get(t) {
-                for c in subs.iter() {
-                    if out.insert(c) {
-                        work.push(c);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Row-local canonical drop: remove `s` from `P_e(t)` and relink an
     /// emptied row to ⊤ (the axiomatic MT-DSR edit).
     fn drop_edge(&mut self, t: usize, s: usize) {
@@ -388,7 +363,7 @@ impl SymbolicState {
 /// **Order robustness.** The footprint must over-approximate the op's
 /// effect not just at its recorded position but under *any* reordering
 /// that preserves the trace order of footprint-interfering pairs (that is
-/// what a parallel plan executes). Effects that enumerate current
+/// what a certified plan executes). Effects that enumerate current
 /// structure can only have *grown* at such a reordered position through
 /// ops that interfere here anyway (adding a subtype/holder reads this
 /// row), so taking the union of the current and the captured enumeration
@@ -396,7 +371,6 @@ impl SymbolicState {
 /// a trace-earlier removal would otherwise have shrunk it.
 pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
     let mut f = Footprint::default();
-    let mut seeds = IdxSet::new();
     match op {
         RecordedOp::AddProperty { .. } => {
             f.allocates = true;
@@ -419,12 +393,9 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             // Current ∪ captured holders: a trace-earlier cell clear that a
             // plan reorders after this drop makes the captured cell real.
             for rows in [&state.holders, &state.holders0] {
-                if let Some(held) = rows.get(pi) {
-                    seeds.union_with(held);
+                for t in rows.get(pi).into_iter().flat_map(IdxSet::iter) {
+                    f.writes.insert(Cell::NeCell(t, pi));
                 }
-            }
-            for t in seeds.iter() {
-                f.writes.insert(Cell::NeCell(t, pi));
             }
         }
         RecordedOp::AddRootType { name } => {
@@ -438,7 +409,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             f.writes.insert(Cell::TypeNameCell(id));
             f.writes.insert(Cell::Name(name.clone()));
             f.writes.insert(Cell::RootCell);
-            seeds.insert(id);
         }
         RecordedOp::AddBaseType { name } => {
             f.allocates = true;
@@ -460,7 +430,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
                     f.reads.insert(Cell::TypeLive(t));
                 }
             }
-            seeds.insert(id);
         }
         RecordedOp::AddType {
             name,
@@ -491,11 +460,8 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
                 f.reads.insert(Cell::BaseCell);
                 if let Some(base) = state.base {
                     f.writes.insert(Cell::PeRow(base));
-                    seeds.insert(base);
                 }
             }
-            // The freshly allocated row gains a derived row of its own.
-            seeds.insert(id);
         }
         RecordedOp::DropType { t } => {
             let ti = t.index();
@@ -518,7 +484,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             for c in subs.iter() {
                 f.reads.insert(Cell::PeRow(c));
                 f.writes.insert(Cell::PeRow(c));
-                seeds.insert(c);
             }
         }
         RecordedOp::RenameType { t, name } => {
@@ -547,7 +512,6 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             f.reads.insert(Cell::BaseCell);
             f.reads.insert(Cell::PeRow(ti));
             f.writes.insert(Cell::PeRow(ti));
-            seeds.insert(ti);
         }
         RecordedOp::DropEssentialSupertype { t, s } => {
             let (ti, si) = (t.index(), s.index());
@@ -558,22 +522,18 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             f.reads.insert(Cell::BaseCell);
             f.reads.insert(Cell::PeRow(ti));
             f.writes.insert(Cell::PeRow(ti));
-            seeds.insert(ti);
         }
         RecordedOp::AddEssentialProperty { t, p } => {
             f.reads.insert(Cell::TypeLive(t.index()));
             f.reads.insert(Cell::PropLive(p.index()));
             f.writes.insert(Cell::NeCell(t.index(), p.index()));
-            seeds.insert(t.index());
         }
         RecordedOp::DropEssentialProperty { t, p } => {
             f.reads.insert(Cell::TypeLive(t.index()));
             f.reads.insert(Cell::PropLive(p.index()));
             f.writes.insert(Cell::NeCell(t.index(), p.index()));
-            seeds.insert(t.index());
         }
     }
-    f.reach = state.down_set(&seeds);
     f
 }
 
@@ -609,14 +569,8 @@ pub struct TracePass {
     /// The trace's **union parent graph** over the final type arena:
     /// every essential edge present in *any* intermediate state —
     /// initial edges, op-introduced edges, and canonical ⊤-relinks alike.
-    /// A scoped derivation pass recomputing a set of rows re-reads
-    /// exactly the derived rows of those rows' `P_e`-parents (deeper
-    /// ancestors are already folded into the parents' derived rows), so
-    /// this union over-approximates that input frontier at every point of
-    /// every order a plan certificate admits: an edge present at some
-    /// certified execution point is present in some trace-order
-    /// intermediate state, because every `P_e`-row writer pair is
-    /// order-preserved.
+    /// The MT-ASR cycle test searches it (plus an edge from every slot to
+    /// the final ⊤) to decide [`Self::union_acyclic`].
     pub union_parents: Vec<IdxSet>,
     /// Was the union edge graph acyclic (MT-ASR cycle guards vacuous in
     /// every order)?

@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 
 use crate::bits::IdxSet;
 use crate::history::RecordedOp;
+use crate::json_escape;
 use crate::model::Schema;
 
 use super::footprint::SymbolicState;
@@ -477,10 +478,11 @@ impl IfaceRows {
 
 /// Types whose interface this op *could* change, read off the pre-state:
 /// the down-set of the edited rows (interfaces are inherited along `H`,
-/// so an input edit at `t` reaches exactly `↓t`). Ops that only allocate,
-/// rename, or freeze touch no existing interface. A dropped property's
-/// seeds are its live holders ([`SymbolicState::holders`]).
-fn candidate_seeds(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
+/// so an input edit at `t` reaches exactly `↓t`), walked over the
+/// structural reverse-subtype index. Ops that only allocate, rename, or
+/// freeze touch no existing interface. A dropped property's seeds are
+/// its live holders ([`SymbolicState::holders`]).
+fn interface_candidates(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
     let mut seeds = IdxSet::new();
     match op {
         RecordedOp::DropProperty { p } => {
@@ -505,6 +507,14 @@ fn candidate_seeds(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
         | RecordedOp::AddType { .. }
         | RecordedOp::RenameType { .. }
         | RecordedOp::FreezeType { .. } => {}
+    }
+    let mut work: Vec<usize> = seeds.iter().collect();
+    while let Some(t) = work.pop() {
+        for c in sim.rev.get(t).into_iter().flat_map(IdxSet::iter) {
+            if seeds.insert(c) {
+                work.push(c);
+            }
+        }
     }
     seeds
 }
@@ -566,9 +576,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
 
     let mut op_impacts = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
-        let seeds = candidate_seeds(&sim, op);
-        let candidates: Vec<usize> = sim
-            .down_set(&seeds)
+        let candidates: Vec<usize> = interface_candidates(&sim, op)
             .iter()
             .filter(|&t| sim.types[t].live && Some(t) != sim.base)
             .collect();
@@ -1014,14 +1022,11 @@ impl ImpactAnalysis {
 
     /// JSON report (one object; the CLI embeds it under `"impact"`).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let cert = &self.certificate;
         let prop_list = |props: &[usize]| {
             props
                 .iter()
-                .map(|&p| format!("\"{}\"", esc(&label(&cert.prop_labels, p))))
+                .map(|&p| format!("\"{}\"", json_escape(&label(&cert.prop_labels, p))))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -1031,7 +1036,7 @@ impl ImpactAnalysis {
                 .map(|&(p, q)| {
                     format!(
                         "{{\"from\":{p},\"to\":{q},\"name\":\"{}\"}}",
-                        esc(&label(&cert.prop_labels, q))
+                        json_escape(&label(&cert.prop_labels, q))
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1045,7 +1050,7 @@ impl ImpactAnalysis {
                 let affected: Vec<String> = op
                     .affected
                     .iter()
-                    .map(|t| format!("\"{}\"", esc(&label(&cert.type_labels, t))))
+                    .map(|t| format!("\"{}\"", json_escape(&label(&cert.type_labels, t))))
                     .collect();
                 format!(
                     "{{\"index\":{},\"kind\":\"{}\",\"level\":\"{}\",\"affected\":[{}]}}",
@@ -1072,7 +1077,7 @@ impl ImpactAnalysis {
                      \"trace_level\":\"{}\",\"first_op\":{},\
                      \"added\":[{}],\"rekeyed\":[{}],\"lost\":[{}],\"extent_lost\":{},\
                      \"strategies\":[{}],\"guard_required\":{}}}",
-                    esc(&label(&cert.type_labels, o.type_index)),
+                    json_escape(&label(&cert.type_labels, o.type_index)),
                     o.type_index,
                     o.level.tag(),
                     o.trace_level.tag(),
@@ -1094,7 +1099,7 @@ impl ImpactAnalysis {
                 format!(
                     "{{\"type\":\"{}\",\"strategy\":\"{}\",\"guarded\":{},\"add\":[{}],\
                      \"rekey\":[{}],\"drop\":[{}],\"drop_extent\":{}}}",
-                    esc(&label(&cert.type_labels, s.type_index)),
+                    json_escape(&label(&cert.type_labels, s.type_index)),
                     s.strategy.tag(),
                     s.guarded,
                     prop_list(&s.add_slots),

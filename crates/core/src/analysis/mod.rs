@@ -5,8 +5,8 @@
 //! no operation is ever executed and no derivation is ever run. The
 //! submodules:
 //!
-//! - [`footprint`] — per-op read/write sets over input cells, plus the
-//!   derived-lattice reach walked over a structural reverse-subtype index;
+//! - [`footprint`] — per-op read/write sets over input cells, inferred in
+//!   one forward pass over a symbolic shadow of the designer inputs;
 //! - [`commute`] — the commutativity/conflict engine: pair verdicts with
 //!   axiom-referenced justifications, witness permutations for certified
 //!   conflicts, and honest order constraints for everything else;
@@ -16,19 +16,20 @@
 //!   resident: it enumerates every small essential-input schema and
 //!   machine-checks the nine axioms, engine agreement, and drop-edge
 //!   permutation invariance);
-//! - [`plan`] — certified parallel planning: compiles the independence
+//! - [`plan`] — certified reordering plans: compiles the independence
 //!   partition into a DAG of stages whose intra-stage classes carry
 //!   slot-disjointness certificates, re-verified by an independent
-//!   checker ([`plan::check`]) that trusts nothing from the planner.
+//!   checker ([`plan::check`]) that trusts nothing from the planner;
+//! - [`merge`] and [`impact`] — the merge certifier for two branch
+//!   suffixes and the instance-impact analyzer, each with its own
+//!   independent checker.
 //!
 //! The headline consumer is order-independence certification
 //! ([`TraceAnalysis::certified`]): when every unordered pair of a trace
 //! commutes, **all `n!` permutations** of the trace produce the identical
 //! final schema — one certificate covers them all, statically. The
-//! [`IndependenceClass`]es partition a trace for the batch scheduler:
-//! ops in different classes commute, so each class can be applied as its
-//! own batch with one derivation pass per class
-//! (`Schema` partitioned trace application).
+//! [`IndependenceClass`]es partition a trace: ops in different classes
+//! commute, and the planner seeds its classes from them.
 
 pub mod commute;
 pub mod footprint;
@@ -41,8 +42,8 @@ pub mod plan;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::bits::IdxSet;
 use crate::history::RecordedOp;
+use crate::json_escape;
 use crate::model::Schema;
 
 pub use commute::{CommuteReason, ConflictKind, PairReport, PairVerdict, Witness};
@@ -54,21 +55,15 @@ pub use impact::{
 pub use mc::{check_bounded, McAxiomRow, McCertificate};
 pub use merge::{ConflictVerdict, CrossPairProof, MergeCertificate, MergeCheck, MergeConflict};
 pub use optimize::{optimize_trace, OptimizedTrace, RewriteKind, TraceRewrite};
-pub use plan::{
-    build_plan, EvolutionPlan, OrderEdge, OrderReason, PlanCertificate, PlanCheck, PlanClass, Slot,
-};
+pub use plan::{build_plan, EvolutionPlan, OrderEdge, PlanCertificate, PlanCheck, PlanClass, Slot};
 
 /// A set of trace positions that must stay together: every pair that is
 /// not certified commuting lands in the same class, so ops in *different*
-/// classes are certified order-independent and can be scheduled as
-/// separate batches in any class order.
+/// classes are certified order-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndependenceClass {
     /// Member trace positions, ascending.
     pub ops: Vec<usize>,
-    /// Union of the members' derived-lattice reach (type arena indexes a
-    /// scoped derivation pass for this class would visit).
-    pub reach: IdxSet,
 }
 
 /// The complete static analysis of one trace.
@@ -85,12 +80,6 @@ pub struct TraceAnalysis {
     /// Was the union edge graph acyclic (MT-ASR cycle guards vacuous in
     /// every permutation)?
     pub union_acyclic: bool,
-    /// The trace's union parent graph over the final type arena: every
-    /// `P_e` edge present in any intermediate state (see
-    /// [`footprint::TracePass::union_parents`]). The planner reads
-    /// derivation-input frontiers off this; the checker re-derives its
-    /// own copy and trusts nothing here.
-    pub union_parents: Vec<IdxSet>,
     /// Whole-trace certificate: every pair commutes.
     pub certified: bool,
     /// Pairs certified commuting.
@@ -125,7 +114,6 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
         footprints,
         pairs,
         union_acyclic,
-        union_parents,
         last,
     } = commute::analyze_pairs(initial, ops);
 
@@ -168,17 +156,15 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
             }
         }
     }
-    let mut by_root: BTreeMap<usize, IndependenceClass> = BTreeMap::new();
-    for (i, fp) in footprints.iter().enumerate().take(n) {
+    let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for i in 0..n {
         let r = find(&mut parent, i);
-        let class = by_root.entry(r).or_insert_with(|| IndependenceClass {
-            ops: Vec::new(),
-            reach: IdxSet::new(),
-        });
-        class.ops.push(i);
-        class.reach.union_with(&fp.reach);
+        by_root.entry(r).or_default().push(i);
     }
-    let classes: Vec<IndependenceClass> = by_root.into_values().collect();
+    let classes: Vec<IndependenceClass> = by_root
+        .into_values()
+        .map(|ops| IndependenceClass { ops })
+        .collect();
     let certified = n > 0 && conflicting == 0 && constrained == 0;
 
     let kinds = ops.iter().map(RecordedOp::kind_name).collect();
@@ -188,7 +174,6 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
         pairs,
         classes,
         union_acyclic,
-        union_parents,
         certified,
         commuting,
         conflicting,
@@ -251,12 +236,11 @@ impl TraceAnalysis {
             };
             let _ = writeln!(
                 out,
-                "  op {:>3} {:<28} reads {{{}}} writes {{{}}} reach {}",
+                "  op {:>3} {:<28} reads {{{}}} writes {{{}}}",
                 i + 1,
                 kind,
                 cells(&fp.reads),
-                cells(&fp.writes),
-                fp.reach.len()
+                cells(&fp.writes)
             );
         }
         let _ = writeln!(
@@ -282,13 +266,7 @@ impl TraceAnalysis {
         let _ = writeln!(out, "independence classes: {}", self.classes.len());
         for (i, class) in self.classes.iter().enumerate() {
             let ops: Vec<String> = class.ops.iter().map(|&x| (x + 1).to_string()).collect();
-            let _ = writeln!(
-                out,
-                "  class {}: ops [{}] reach {}",
-                i + 1,
-                ops.join(" "),
-                class.reach.len()
-            );
+            let _ = writeln!(out, "  class {}: ops [{}]", i + 1, ops.join(" "));
         }
         if self.certified {
             let _ = writeln!(out, "certificate: ORDER-INDEPENDENT");
@@ -331,9 +309,6 @@ impl TraceAnalysis {
     /// JSON report. Pair details are emitted only for non-commuting pairs
     /// (the commuting ones are summarised by the histogram).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let ops: Vec<String> = self
             .kinds
             .iter()
@@ -345,7 +320,7 @@ impl TraceAnalysis {
                         .map(|c| {
                             format!(
                                 "\"{}\"",
-                                esc(&footprint::cell_label(
+                                json_escape(&footprint::cell_label(
                                     c,
                                     &self.type_labels,
                                     &self.prop_labels
@@ -356,12 +331,10 @@ impl TraceAnalysis {
                         .join(",")
                 };
                 format!(
-                    "{{\"index\":{},\"kind\":\"{kind}\",\"reads\":[{}],\"writes\":[{}],\
-                     \"reach\":{}}}",
+                    "{{\"index\":{},\"kind\":\"{kind}\",\"reads\":[{}],\"writes\":[{}]}}",
                     i + 1,
                     cells(&fp.reads),
-                    cells(&fp.writes),
-                    fp.reach.len()
+                    cells(&fp.writes)
                 )
             })
             .collect();
@@ -380,13 +353,14 @@ impl TraceAnalysis {
                                 ",\"witness\":{{\"order\":[{}],\"prefix\":{},\"note\":\"{}\"}}",
                                 order.join(","),
                                 witness.prefix,
-                                esc(&witness.note)
+                                json_escape(&witness.note)
                             ),
                         )
                     }
-                    PairVerdict::OrderConstraint { note } => {
-                        ("order-constraint", format!(",\"note\":\"{}\"", esc(note)))
-                    }
+                    PairVerdict::OrderConstraint { note } => (
+                        "order-constraint",
+                        format!(",\"note\":\"{}\"", json_escape(note)),
+                    ),
                     PairVerdict::Commutes { .. } => unreachable!("filtered"),
                 };
                 format!(
@@ -406,12 +380,7 @@ impl TraceAnalysis {
             .iter()
             .map(|c| {
                 let ops: Vec<String> = c.ops.iter().map(|&x| (x + 1).to_string()).collect();
-                format!(
-                    "{{\"ops\":[{}],\"size\":{},\"reach\":{}}}",
-                    ops.join(","),
-                    c.ops.len(),
-                    c.reach.len()
-                )
+                format!("{{\"ops\":[{}],\"size\":{}}}", ops.join(","), c.ops.len())
             })
             .collect();
         let witnessed = self
@@ -447,7 +416,6 @@ impl TraceAnalysis {
 mod tests {
     use super::*;
     use crate::config::LatticeConfig;
-    use crate::ids::{PropId, TypeId};
 
     /// The §5 diamond: five redundant edges, each child keeping another
     /// parent — certified order-independent.
@@ -476,8 +444,6 @@ mod tests {
         assert!(a.union_acyclic);
         assert_eq!(a.classes.len(), 3);
         assert_eq!(a.permutations_covered(), "6");
-        // Reach includes the dropped row's down-set.
-        assert!(a.footprints.iter().all(|f| !f.reach.is_empty()));
     }
 
     #[test]
@@ -630,21 +596,5 @@ mod tests {
         let json = analysis.to_json();
         assert!(json.contains("\"certified\":true"), "{json}");
         assert!(json.contains("\"permutations\":\"6\""));
-    }
-
-    #[test]
-    fn reach_uses_structural_reverse_index() {
-        // g sits below c; dropping an edge of c must reach g.
-        let mut s = Schema::new(LatticeConfig::default());
-        s.add_root_type("obj").unwrap();
-        let a = s.add_type("a", [], []).unwrap();
-        let b = s.add_type("b", [], []).unwrap();
-        let c = s.add_type("c", [a, b], []).unwrap();
-        let g = s.add_type("g", [c], []).unwrap();
-        let ops = vec![RecordedOp::DropEssentialSupertype { t: c, s: a }];
-        let analysis = analyze_trace(&s, &ops);
-        assert!(analysis.footprints[0].reach.contains(c.index()));
-        assert!(analysis.footprints[0].reach.contains(g.index()));
-        let _ = (TypeId::from_index(0), PropId::from_index(0));
     }
 }

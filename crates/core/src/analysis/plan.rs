@@ -1,15 +1,15 @@
-//! `analysis::plan` — certified parallel evolution planning.
+//! `analysis::plan` — certified reordering plans.
 //!
 //! A purely static pass that compiles a [`TraceAnalysis`] into an
 //! [`EvolutionPlan`]: a DAG of *stages* whose intra-stage
 //! [`PlanClass`]es carry non-interference certificates — pairwise
 //! disjoint `P_e`/`N_e` slot footprints (Bernstein's condition lifted
-//! from cells to arena slots) plus reverse-index reach separation — and
-//! whose inter-stage [`OrderEdge`]s carry witnessed order constraints.
-//! Classes in one stage are pairwise independent, so they may run in any
-//! order; stages run in order. `Schema::apply_plan` admits a certificate
-//! through [`check`] and then runs the classes in stage order as one
-//! batch, with one derivation at the end.
+//! from cells to arena slots) — and whose inter-stage [`OrderEdge`]s
+//! carry witnessed order constraints. Classes in one stage are pairwise
+//! independent, so they may run in any order; stages run in order. A plan
+//! is a reordering of the trace and nothing more: `Schema::apply_plan`
+//! admits a certificate through [`check`] and then runs the classes in
+//! stage order as one batch, with one derivation at the end.
 //!
 //! The module follows the repo's planner/checker discipline (like the
 //! bounded model checker `mc` and the optimizer's differential replay):
@@ -20,25 +20,22 @@
 //!
 //! 1. the classes partition the trace, each keeping trace order, and no
 //!    class claims a stage at or past the class count;
-//! 2. every op's real slot/reach footprint is covered by its class's
-//!    claimed footprint;
+//! 2. every op's real slot footprint is covered by its class's claimed
+//!    footprint;
 //! 3. classes sharing a stage have pairwise disjoint claimed footprints
-//!    (writes vs reads∪writes) and disjoint derivation reach (the rows
-//!    each class's private derivation pass merges back);
-//! 4. every interfering op pair executes in trace order — same class,
-//!    or strictly increasing stage. Interference is slot-level (a
-//!    shared slot with at least one write) *or* derivation-level: one
-//!    op touches — re-derives or essentially rewrites — a row in the
-//!    other's derivation-input frontier (its reach rows plus their
-//!    union-parent-graph `P_e` parents, whose derived rows a scoped
-//!    derivation pass re-reads).
+//!    (writes vs reads∪writes);
+//! 4. every slot-interfering op pair (a shared slot with at least one
+//!    write) executes in trace order — same class, or strictly
+//!    increasing stage.
 //!
 //! Together these imply that any stage-ordered execution, with stage-mates
-//! in any order, is equivalent to the original trace — with **no** appeal
-//! to the planner's grouping logic or the commutativity engine's verdicts.
+//! in any order, leaves the designer inputs exactly as the original trace
+//! does — with **no** appeal to the planner's grouping logic or the
+//! commutativity engine's verdicts. The derived lattice is a function of
+//! the final inputs, so one derivation after the batch finishes the job.
 //! The checker captures the initial schema once: one
-//! [`footprint::TracePass`] yields the footprints, the union parent graph
-//! and the cycle-guard verdict.
+//! [`footprint::TracePass`] yields the footprints and the cycle-guard
+//! verdict.
 //!
 //! No operation is ever executed here and no derivation is ever run;
 //! a CI grep-gate keeps this module (and the whole analysis layer) free
@@ -47,18 +44,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::bits::IdxSet;
 use crate::history::RecordedOp;
+use crate::json_escape;
 use crate::model::Schema;
 
-use super::footprint::{self, Cell, Footprint};
+use super::footprint::{self, Cell};
 use super::TraceAnalysis;
 
-/// One mergeable unit of schema state: the granularity at which a
-/// parallel executor can copy a class's effects back into the master
-/// schema. Coarser than [`Cell`] — e.g. every `N_e(t, p)` bit of one
-/// type lands in that type's slot — because slot copies are what the
-/// merge can actually perform.
+/// One unit of designer-input state as a plan certificate counts it.
+/// Coarser than [`Cell`] — e.g. every `N_e(t, p)` bit of one type lands
+/// in that type's slot — which keeps certificates small; a coarser unit
+/// can only make more pairs interfere, never fewer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Slot {
     /// One type-arena slot: liveness, name label, frozen flag, the whole
@@ -126,12 +122,12 @@ pub fn slot_label(slot: &Slot, type_labels: &[String], prop_labels: &[String]) -
     }
 }
 
-/// One parallel execution unit: trace positions run sequentially (in
-/// trace order) on one worker, with the class's *claimed* slot and reach
-/// footprint. The claims are what the certificate is about — the checker
-/// verifies they cover the real footprints and are pairwise disjoint
-/// within a stage. Over-claiming only serialises more; it can never make
-/// a certified plan unsafe.
+/// One unit of the reordering: trace positions that run together, in
+/// trace order, with the class's *claimed* slot footprint. The claims are
+/// what the certificate is about — the checker verifies they cover the
+/// real footprints and are pairwise disjoint within a stage.
+/// Over-claiming only serialises more; it can never make a certified plan
+/// unsafe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanClass {
     /// Member trace positions, strictly ascending.
@@ -142,10 +138,6 @@ pub struct PlanClass {
     pub reads: BTreeSet<Slot>,
     /// Claimed union of the members' written slots.
     pub writes: BTreeSet<Slot>,
-    /// Claimed union of the members' derivation reach (type arena
-    /// indexes a scoped derivation pass seeded by this class would
-    /// visit). Dense, so the checker's overlap probes are word ops.
-    pub reach: IdxSet,
 }
 
 impl PlanClass {
@@ -163,42 +155,23 @@ impl PlanClass {
     }
 }
 
-/// Why one class must run in an earlier stage than another.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OrderReason {
-    /// A concrete slot-interfering op pair (the witness): `earlier_op`
-    /// precedes `later_op` in the trace and they share `slot` with at
-    /// least one side writing, so their trace order must be preserved.
-    Interference {
-        /// Trace position of the earlier op.
-        earlier_op: usize,
-        /// Trace position of the later op.
-        later_op: usize,
-        /// A shared slot with at least one write.
-        slot: Slot,
-    },
-    /// The classes' scoped derivations are coupled at this type index:
-    /// one class touches (re-derives or essentially rewrites) a row in
-    /// the other's derivation-input frontier, so their private
-    /// derivation passes must not run concurrently and must keep trace
-    /// order.
-    ReachOverlap {
-        /// A witnessing type arena index: touched by one class, inside
-        /// the other's reach or input frontier.
-        type_index: usize,
-    },
-}
-
 /// A witnessed inter-stage order constraint between two classes
-/// (indexes into [`PlanCertificate::classes`]).
+/// (indexes into [`PlanCertificate::classes`]). The witness is a concrete
+/// slot-interfering op pair: `earlier_op` precedes `later_op` in the
+/// trace and they share `slot` with at least one side writing, so their
+/// trace order must be preserved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderEdge {
     /// The class that runs in the earlier stage.
     pub from_class: usize,
     /// The class that runs in the later stage.
     pub to_class: usize,
-    /// The witness justifying the constraint.
-    pub reason: OrderReason,
+    /// Trace position of the earlier op.
+    pub earlier_op: usize,
+    /// Trace position of the later op.
+    pub later_op: usize,
+    /// A shared slot with at least one write.
+    pub slot: Slot,
 }
 
 /// The self-contained certificate of an [`EvolutionPlan`]: everything
@@ -230,13 +203,14 @@ impl PlanCertificate {
         table
     }
 
-    /// The widest stage — the parallelism a plan-driven executor can use.
+    /// The widest stage: the most classes the certificate proves mutually
+    /// reorderable at one point of the trace.
     pub fn max_parallelism(&self) -> usize {
         self.stage_table().iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
-/// A certified parallel plan for one trace: the certificate plus final
+/// A certified reordering plan for one trace: the certificate plus final
 /// arena labels for rendering.
 #[derive(Debug, Clone)]
 pub struct EvolutionPlan {
@@ -264,16 +238,6 @@ impl EvolutionPlan {
         self.certificate.max_parallelism()
     }
 
-    /// Is the plan a pure serial chain of single-op stages? Such a plan
-    /// offers zero parallelism — executing it buys nothing over one plain
-    /// batch, while still paying for certification (lint rule L9).
-    pub fn is_serial_chain(&self) -> bool {
-        self.certificate.ops_len >= 2
-            && self.certificate.classes.len() == self.certificate.ops_len
-            && self.certificate.classes.iter().all(|c| c.ops.len() == 1)
-            && self.stage_count() == self.certificate.ops_len
-    }
-
     /// Human-readable plan + certificate.
     pub fn to_text(&self) -> String {
         let cert = &self.certificate;
@@ -299,70 +263,45 @@ impl EvolutionPlan {
                 let ops: Vec<String> = class.ops.iter().map(|&x| (x + 1).to_string()).collect();
                 let _ = writeln!(
                     out,
-                    "    class {}: ops [{}] writes {{{}}} reads {{{}}} reach {}",
+                    "    class {}: ops [{}] writes {{{}}} reads {{{}}}",
                     ci + 1,
                     ops.join(" "),
                     slots(&class.writes),
-                    slots(&class.reads),
-                    class.reach.len()
+                    slots(&class.reads)
                 );
             }
         }
         if !cert.edges.is_empty() {
             let _ = writeln!(out, "order constraints ({} witnessed):", cert.edges.len());
             for edge in &cert.edges {
-                match &edge.reason {
-                    OrderReason::Interference {
-                        earlier_op,
-                        later_op,
-                        slot,
-                    } => {
-                        let _ = writeln!(
-                            out,
-                            "  class {} -> class {}: ops {} < {} share {} (trace order kept)",
-                            edge.from_class + 1,
-                            edge.to_class + 1,
-                            earlier_op + 1,
-                            later_op + 1,
-                            slot_label(slot, &self.type_labels, &self.prop_labels)
-                        );
-                    }
-                    OrderReason::ReachOverlap { type_index } => {
-                        let _ = writeln!(
-                            out,
-                            "  class {} -> class {}: derivations couple at {} \
-                             (trace order kept)",
-                            edge.from_class + 1,
-                            edge.to_class + 1,
-                            self.type_labels
-                                .get(*type_index)
-                                .cloned()
-                                .unwrap_or_else(|| format!("#{type_index}"))
-                        );
-                    }
-                }
+                let _ = writeln!(
+                    out,
+                    "  class {} -> class {}: ops {} < {} share {} (trace order kept)",
+                    edge.from_class + 1,
+                    edge.to_class + 1,
+                    edge.earlier_op + 1,
+                    edge.later_op + 1,
+                    slot_label(&edge.slot, &self.type_labels, &self.prop_labels)
+                );
             }
         }
         let _ = writeln!(
             out,
-            "certificate: intra-stage classes are pairwise slot-disjoint (Bernstein) with \
-             disjoint, input-separated derivations; every interfering pair keeps trace order"
+            "certificate: intra-stage classes are pairwise slot-disjoint (Bernstein); \
+             every interfering pair keeps trace order"
         );
         out
     }
 
     /// JSON plan + certificate.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let cert = &self.certificate;
         let slots = |set: &BTreeSet<Slot>| {
             set.iter()
                 .map(|s| {
                     format!(
                         "\"{}\"",
-                        esc(&slot_label(s, &self.type_labels, &self.prop_labels))
+                        json_escape(&slot_label(s, &self.type_labels, &self.prop_labels))
                     )
                 })
                 .collect::<Vec<_>>()
@@ -374,131 +313,38 @@ impl EvolutionPlan {
             .map(|c| {
                 let ops: Vec<String> = c.ops.iter().map(|&x| (x + 1).to_string()).collect();
                 format!(
-                    "{{\"stage\":{},\"ops\":[{}],\"writes\":[{}],\"reads\":[{}],\"reach\":{}}}",
+                    "{{\"stage\":{},\"ops\":[{}],\"writes\":[{}],\"reads\":[{}]}}",
                     c.stage + 1,
                     ops.join(","),
                     slots(&c.writes),
-                    slots(&c.reads),
-                    c.reach.len()
+                    slots(&c.reads)
                 )
             })
             .collect();
         let edges: Vec<String> = cert
             .edges
             .iter()
-            .map(|e| match &e.reason {
-                OrderReason::Interference {
-                    earlier_op,
-                    later_op,
-                    slot,
-                } => format!(
+            .map(|e| {
+                format!(
                     "{{\"from\":{},\"to\":{},\"kind\":\"interference\",\"earlier\":{},\
                      \"later\":{},\"slot\":\"{}\"}}",
                     e.from_class + 1,
                     e.to_class + 1,
-                    earlier_op + 1,
-                    later_op + 1,
-                    esc(&slot_label(slot, &self.type_labels, &self.prop_labels))
-                ),
-                OrderReason::ReachOverlap { type_index } => format!(
-                    "{{\"from\":{},\"to\":{},\"kind\":\"reach-overlap\",\"type\":\"{}\"}}",
-                    e.from_class + 1,
-                    e.to_class + 1,
-                    esc(&self
-                        .type_labels
-                        .get(*type_index)
-                        .cloned()
-                        .unwrap_or_else(|| format!("#{type_index}")))
-                ),
+                    e.earlier_op + 1,
+                    e.later_op + 1,
+                    json_escape(&slot_label(&e.slot, &self.type_labels, &self.prop_labels))
+                )
             })
             .collect();
         format!(
             "{{\"ops\":{},\"classes\":[{}],\"stages\":{},\"max_parallelism\":{},\
-             \"edges\":[{}],\"serial_chain\":{}}}",
+             \"edges\":[{}]}}",
             cert.ops_len,
             classes.join(","),
             cert.stage_count(),
             cert.max_parallelism(),
-            edges.join(","),
-            self.is_serial_chain()
+            edges.join(",")
         )
-    }
-}
-
-/// Per-op derivation-coupling facts, computed identically by the planner
-/// (from the analysis) and the checker (from its own re-derivation) —
-/// the data behind the derivation half of the interference relation.
-///
-/// A parallel executor runs each class's scoped derivation on a private
-/// copy of the pre-stage schema. That pass re-derives the rows in the
-/// op's *reach* and re-reads the derived rows of those rows' `P_e`
-/// parents (the input frontier; deeper ancestors are already folded into
-/// the parents' derived rows) plus the essential state of the reach rows
-/// themselves. Two ops can therefore only run in one stage if neither
-/// *touches* — re-derives or essentially rewrites — a row in the other's
-/// input frontier. The frontier is taken over the trace's union parent
-/// graph, which over-approximates the parents at every certified
-/// execution point.
-struct DerivationFacts {
-    /// Rows the op touches: its derivation reach plus every type row its
-    /// slot writes land on (a renamed/frozen/killed row may re-derive
-    /// nothing, but stage-mates must still not read it mid-flight).
-    touched: Vec<IdxSet>,
-    /// Derivation-input frontier: the reach rows plus their union-graph
-    /// parents. Redesignating ⊤/⊥ rewires the whole lattice, so a
-    /// `Root`/`Base` slot write widens the frontier to every row.
-    din: Vec<IdxSet>,
-}
-
-impl DerivationFacts {
-    fn compute(
-        fps: &[Footprint],
-        op_writes: &[BTreeSet<Slot>],
-        uparents: &[IdxSet],
-    ) -> DerivationFacts {
-        let nrows = uparents.len();
-        let mut touched = Vec::with_capacity(fps.len());
-        let mut din = Vec::with_capacity(fps.len());
-        for (i, fp) in fps.iter().enumerate() {
-            let mut t = fp.reach.clone();
-            let mut universal = false;
-            for s in &op_writes[i] {
-                match s {
-                    Slot::Type(r) => {
-                        t.insert(*r);
-                    }
-                    Slot::Root | Slot::Base => universal = true,
-                    _ => {}
-                }
-            }
-            let d = if universal {
-                IdxSet::full(nrows)
-            } else {
-                let mut d = fp.reach.clone();
-                for r in fp.reach.iter() {
-                    if let Some(ps) = uparents.get(r) {
-                        d.union_with(ps);
-                    }
-                }
-                d
-            };
-            touched.push(t);
-            din.push(d);
-        }
-        DerivationFacts { touched, din }
-    }
-
-    /// A row witnessing that ops `i` and `j` are derivation-coupled —
-    /// one touches a row in the other's input frontier — or `None` when
-    /// their scoped derivations are independent in either order.
-    fn couples(&self, i: usize, j: usize) -> Option<usize> {
-        if let Some(w) = self.touched[i].first_common(&self.din[j]) {
-            return Some(w);
-        }
-        if let Some(w) = self.touched[j].first_common(&self.din[i]) {
-            return Some(w);
-        }
-        None
     }
 }
 
@@ -523,21 +369,19 @@ fn interferes(
     None
 }
 
-/// Compile a [`TraceAnalysis`] into a certified parallel plan.
+/// Compile a [`TraceAnalysis`] into a certified reordering plan.
 ///
 /// The planner seeds its classes from the analysis's independence
-/// partition, then works purely at slot and row level:
+/// partition, then works purely at slot level:
 ///
-/// 1. every interfering class pair — slot-interfering (a shared slot
-///    with a write) or derivation-coupled (one op touches a row in the
-///    other's derivation-input frontier) — gets a directed order edge in
-///    trace order of its first interfering op pair;
+/// 1. every slot-interfering class pair (a shared slot with a write) gets
+///    a directed order edge in trace order of its first interfering op
+///    pair;
 /// 2. if those edges form a cycle among some classes, the cyclic residue
 ///    is conservatively merged into one sequential class (trace order is
 ///    then trivially preserved inside it);
 /// 3. classes are staged along the resulting DAG (longest-path
-///    levelling) — intra-stage classes end up slot-disjoint *and*
-///    derivation-separated, so each can derive on a private copy.
+///    levelling), so intra-stage classes end up slot-disjoint.
 ///
 /// The output certificate is exactly what [`check`] re-verifies; the
 /// planner holds no authority of its own.
@@ -554,8 +398,6 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         .map(|f| f.writes.iter().map(slot_of).collect())
         .collect();
 
-    let facts = DerivationFacts::compute(&analysis.footprints, &op_writes, &analysis.union_parents);
-
     // Seed groups from the independence partition; merge any cyclic
     // residue of the interference order graph.
     let mut groups: Vec<Vec<usize>> = analysis.classes.iter().map(|c| c.ops.clone()).collect();
@@ -564,24 +406,16 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         // Directed interference edges between groups, keyed (earlier,
         // later) by the trace order of the first interfering pair found;
         // a pair of groups may contribute edges in *both* directions.
-        let mut fwd: BTreeMap<(usize, usize), OrderReason> = BTreeMap::new();
+        let mut fwd: BTreeMap<(usize, usize), (usize, usize, Slot)> = BTreeMap::new();
         for a in 0..m {
             for b in (a + 1)..m {
                 for &i in &groups[a] {
                     for &j in &groups[b] {
-                        let reason = if let Some(slot) = interferes(&op_reads, &op_writes, i, j) {
-                            OrderReason::Interference {
-                                earlier_op: i.min(j),
-                                later_op: i.max(j),
-                                slot,
-                            }
-                        } else if let Some(type_index) = facts.couples(i, j) {
-                            OrderReason::ReachOverlap { type_index }
-                        } else {
+                        let Some(slot) = interferes(&op_reads, &op_writes, i, j) else {
                             continue;
                         };
                         let (ga, gb) = if i < j { (a, b) } else { (b, a) };
-                        fwd.entry((ga, gb)).or_insert(reason);
+                        fwd.entry((ga, gb)).or_insert((i.min(j), i.max(j), slot));
                     }
                 }
             }
@@ -630,21 +464,11 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
     };
 
     // Stage assignment: longest-path level over the DAG. Every pair of
-    // classes that must not run concurrently already carries an order
-    // edge (slot or derivation witness), so levelling alone yields
-    // stages whose classes are pairwise independent.
+    // classes that must keep their order already carries an order edge
+    // (a slot witness), so levelling alone yields stages whose classes
+    // are pairwise independent.
     let m = groups.len();
     let group_first: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-    let group_reach: Vec<IdxSet> = groups
-        .iter()
-        .map(|g| {
-            let mut reach = IdxSet::new();
-            for &i in g {
-                reach.union_with(&analysis.footprints[i].reach);
-            }
-            reach
-        })
-        .collect();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut indeg = vec![0usize; m];
     for &(a, b) in fwd.keys() {
@@ -669,10 +493,6 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
             }
         }
     }
-    let raw_edges: Vec<(usize, usize, OrderReason)> = fwd
-        .into_iter()
-        .map(|((a, b), reason)| (a, b, reason))
-        .collect();
 
     // Assemble classes sorted by (stage, first op) and remap edges.
     let mut order: Vec<usize> = (0..m).collect();
@@ -695,16 +515,17 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
                 stage: stage[g],
                 reads,
                 writes,
-                reach: group_reach[g].clone(),
             }
         })
         .collect();
-    let mut edges: Vec<OrderEdge> = raw_edges
+    let mut edges: Vec<OrderEdge> = fwd
         .into_iter()
-        .map(|(a, b, reason)| OrderEdge {
+        .map(|((a, b), (earlier_op, later_op, slot))| OrderEdge {
             from_class: pos[a],
             to_class: pos[b],
-            reason,
+            earlier_op,
+            later_op,
+            slot,
         })
         .collect();
     edges.sort_by_key(|e| (e.from_class, e.to_class));
@@ -731,8 +552,8 @@ pub struct PlanCheck {
     pub stages: usize,
     /// Widest stage.
     pub max_parallelism: usize,
-    /// Interfering op pairs (slot-level or derivation-level) whose trace
-    /// order the plan was proven to preserve.
+    /// Slot-interfering op pairs whose trace order the plan was proven to
+    /// preserve.
     pub interfering_pairs: usize,
 }
 
@@ -742,9 +563,9 @@ pub struct PlanCheck {
 /// recorded serialization — and the executor never consults the claimed
 /// footprints, so the only obligation the certificate still carries is the
 /// partition/order one, discharged here in O(n). Re-deriving footprints
-/// for it would be verification effort spent on parallelism the plan
-/// does not claim: checking cost stays proportional to claimed
-/// parallelism.
+/// for it would be verification effort spent on a reordering the plan
+/// does not claim: checking cost stays proportional to the claimed
+/// reordering.
 ///
 /// Returns `None` for any certificate that claims structure (several
 /// classes, a later stage, order edges) or fails the structural
@@ -833,13 +654,9 @@ pub fn check(
         return Err(format!("op {} is not covered by any class", i + 1));
     }
 
-    // Re-derive the real footprints and the union parent graph from the
-    // shared, trusted kernel — nothing the planner computed is reused.
-    let footprint::TracePass {
-        footprints: fps,
-        union_parents: uparents,
-        ..
-    } = footprint::TracePass::run(initial, ops, |_, _, _| {});
+    // Re-derive the real footprints from the shared, trusted kernel —
+    // nothing the planner computed is reused.
+    let fps = footprint::TracePass::run(initial, ops, |_, _, _| {}).footprints;
     let op_reads: Vec<BTreeSet<Slot>> = fps
         .iter()
         .map(|f| f.reads.iter().map(slot_of).collect())
@@ -868,12 +685,6 @@ pub fn check(
                 ));
             }
         }
-        if !fps[i].reach.is_subset(&class.reach) {
-            return Err(format!(
-                "op {}'s derivation reach exceeds its class's claim",
-                i + 1
-            ));
-        }
     }
 
     // Obligation 3: intra-stage non-interference on the claims.
@@ -891,30 +702,15 @@ pub fn check(
                     ca.stage + 1
                 ));
             }
-            if !ca.reach.is_disjoint(&cb.reach) {
-                return Err(format!(
-                    "classes {} and {} share stage {} but their derivation reaches overlap",
-                    a + 1,
-                    b + 1,
-                    ca.stage + 1
-                ));
-            }
         }
     }
 
-    // Obligation 4: every interfering pair — slot-level (a shared slot
-    // with a write) or derivation-level (coupled scoped derivations: one
-    // op touches a row in the other's derivation-input frontier) — keeps
-    // trace order. The derivation half would license running each class's
-    // derivation pass on a private pre-stage copy (no stage-mate may move
-    // a row whose derived value that pass re-reads). `Schema::apply_plan`
-    // derives once after the whole batch, so this half guards no executor
-    // step; it stays so the certificates stay unchanged.
-    let facts = DerivationFacts::compute(&fps, &op_writes, &uparents);
+    // Obligation 4: every slot-interfering pair (a shared slot with a
+    // write) keeps trace order.
     let mut interfering = 0usize;
     for i in 0..n {
         for j in (i + 1)..n {
-            if interferes(&op_reads, &op_writes, i, j).is_none() && facts.couples(i, j).is_none() {
+            if interferes(&op_reads, &op_writes, i, j).is_none() {
                 continue;
             }
             interfering += 1;
@@ -944,7 +740,7 @@ mod tests {
     use crate::analysis::analyze_trace;
     use crate::config::LatticeConfig;
 
-    /// Two row-disjoint drops on separate diamonds: one stage, parallel.
+    /// Two row-disjoint drops on separate diamonds: one wide stage.
     fn disjoint_drops() -> (Schema, Vec<RecordedOp>) {
         let mut s = Schema::new(LatticeConfig::default());
         s.add_root_type("obj").unwrap();
@@ -1015,7 +811,6 @@ mod tests {
                 stage: 0,
                 reads: class.reads.clone(),
                 writes: class.writes.clone(),
-                reach: class.reach.clone(),
             });
         }
         let err = check(&s, &ops, &cert).unwrap_err();
@@ -1065,41 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn reach_overlapping_classes_never_share_a_stage() {
-        // Two drops on different rows sharing a descendant: commuting
-        // (separate classes) but their derivation reaches overlap, so the
-        // plan must separate the stages.
-        let mut s = Schema::new(LatticeConfig::default());
-        s.add_root_type("obj").unwrap();
-        let p1 = s.add_type("p1", [], []).unwrap();
-        let p2 = s.add_type("p2", [], []).unwrap();
-        let a = s.add_type("a", [p1, p2], []).unwrap();
-        let b = s.add_type("b", [p1, p2], []).unwrap();
-        s.add_type("shared", [a, b], []).unwrap();
-        let ops = vec![
-            RecordedOp::DropEssentialSupertype { t: a, s: p1 },
-            RecordedOp::DropEssentialSupertype { t: b, s: p2 },
-        ];
-        let analysis = analyze_trace(&s, &ops);
-        let plan = build_plan(&analysis);
-        let cert = &plan.certificate;
-        if cert.classes.len() == 2 {
-            assert_ne!(
-                cert.classes[0].stage,
-                cert.classes[1].stage,
-                "overlapping reach must be stage-separated: {}",
-                plan.to_text()
-            );
-            assert!(cert
-                .edges
-                .iter()
-                .any(|e| matches!(e.reason, OrderReason::ReachOverlap { .. })));
-        }
-        check(&s, &ops, cert).expect("certificate must re-verify");
-    }
-
-    #[test]
-    fn serial_chain_detection_and_renderings() {
+    fn renderings_report_stages_and_width() {
         let mut s = Schema::new(LatticeConfig::default());
         s.add_root_type("obj").unwrap();
         let p1 = s.add_type("p1", [], []).unwrap();
@@ -1112,17 +873,13 @@ mod tests {
         ];
         let analysis = analyze_trace(&s, &ops);
         let plan = build_plan(&analysis);
-        // One class of three ops is NOT a serial chain of 1-op stages.
-        assert!(!plan.is_serial_chain());
         let text = plan.to_text();
         assert!(text.contains("stage 1"), "{text}");
         let json = plan.to_json();
         assert!(json.contains("\"max_parallelism\":1"), "{json}");
-        assert!(json.contains("\"serial_chain\":false"), "{json}");
 
         let (s2, ops2) = disjoint_drops();
         let plan2 = build_plan(&analyze_trace(&s2, &ops2));
-        assert!(!plan2.is_serial_chain());
         assert!(plan2.to_json().contains("\"max_parallelism\":2"));
     }
 

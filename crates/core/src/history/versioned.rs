@@ -14,8 +14,8 @@
 //!   durable [`ForkMeta`] record naming the parent and carrying the
 //!   fork-point snapshot;
 //! - **merge** — [`Branch::merge`] certifies the two post-fork suffixes
-//!   cross-pair by cross-pair. Every pair commuting → the merged trace
-//!   is applied through the partitioned executor and a re-verified
+//!   cross-pair by cross-pair. Every pair commuting → the certificate is
+//!   re-verified, the merged trace is replayed as one batch, and the
 //!   [`MergeCertificate`] is returned; the first non-commuting pair →
 //!   a structured [`MergeError::Conflict`] carrying both ops' footprints
 //!   and (when certified order-dependent) a concrete witness
@@ -69,10 +69,10 @@ pub enum MergeError {
     /// re-derivation (should be impossible; refusing is the only sound
     /// response).
     CertificateRejected(String),
-    /// The journaled merge result disagreed with the partitioned replay
-    /// of the merged trace (defensive cross-check).
+    /// The journaled merge result disagreed with the replay of the
+    /// merged trace on the fork-point schema (defensive cross-check).
     Divergence {
-        /// Canonical fingerprint of the partitioned replay.
+        /// Canonical fingerprint of the merged-trace replay.
         expected: u64,
         /// Canonical fingerprint the journal ended up with.
         got: u64,
@@ -119,7 +119,7 @@ impl std::fmt::Display for MergeError {
             }
             MergeError::Divergence { expected, got } => write!(
                 f,
-                "merged journal diverged from the partitioned replay \
+                "merged journal diverged from the merged-trace replay \
                  (expected {expected:#018x}, got {got:#018x})"
             ),
         }
@@ -145,9 +145,6 @@ pub struct MergeReport {
     pub merged_seq: u64,
     /// Canonical fingerprint of the merged schema.
     pub canonical_fingerprint: u64,
-    /// Independence classes the partitioned executor split the merged
-    /// trace into.
-    pub classes: usize,
 }
 
 /// A journaled schema addressed as one branch of a versioned history.
@@ -239,8 +236,8 @@ impl Branch {
     /// from us, we forked from `other`, or both are siblings of one
     /// parent at the same sequence). Both suffixes are read from the
     /// journals, certified cross-pair by cross-pair, the certificate is
-    /// independently re-verified, the merged trace is replayed through
-    /// the partitioned executor, and only then is the other suffix
+    /// independently re-verified, the merged trace is replayed as one
+    /// batch on the fork-point schema, and only then is the other suffix
     /// appended to this branch's journal. Any refusal — conflict,
     /// pruned suffix, unrelated histories — happens **before** the
     /// first append, so a failed merge modifies nothing.
@@ -262,12 +259,11 @@ impl Branch {
         // Trust-nothing re-derivation before anything is applied.
         let check = merge::check(&base, &ours, &theirs, &certificate)
             .map_err(MergeError::CertificateRejected)?;
-        // The certified execution path: the merged trace through the
-        // partitioned executor on the fork-point schema.
-        let merged_ops = merge::merged_trace(&ours, &theirs);
-        let mut replayed = base.clone();
-        let part = replayed
-            .apply_trace_partitioned(&merged_ops)
+        // The reference the journaled result must reach: the merged trace
+        // replayed as one batch on the fork-point schema.
+        let mut replayed = base;
+        replayed
+            .apply_trace(&merge::merged_trace(&ours, &theirs))
             .map_err(|e| MergeError::Journal(JournalError::from(e)))?;
         // Adopt the other branch's suffix; our own suffix is already in
         // the journal, so the journal now holds exactly `ours ++ theirs`.
@@ -290,7 +286,6 @@ impl Branch {
             theirs: theirs.len(),
             merged_seq: self.journaled.seq(),
             canonical_fingerprint: got,
-            classes: part.classes,
         })
     }
 

@@ -47,7 +47,7 @@
 //! | [`bits`] | the dense word-parallel set kernel behind Table 1's terms |
 //! | [`applyall`] | the apply-all operation `α_x(f, T')` |
 //! | [`axioms`] | Table 2 (the nine axioms, as executable checks) |
-//! | [`ops`] | §2/§3.3 (schema-evolution operations; batched, partitioned and certified-plan execution) |
+//! | [`ops`] | §2/§3.3 (schema-evolution operations; batched and certified-plan execution) |
 //! | [`engine`] | §2 "optimizations" + §6 future work (naive vs incremental) |
 //! | [`oracle`] | Theorems 2.1/2.2 (soundness & completeness reference) |
 //! | [`config`] | Axioms 3/4 relaxation (rooted/forest, pointed/open) |
@@ -55,7 +55,7 @@
 //! | [`snapshot`] | persistence of the designer inputs |
 //! | [`journal`] | crash-safe durability: WAL + atomic checkpoints + recovery |
 //! | [`lint`] | §5 (minimality & order-independence as static-analysis rules) |
-//! | [`analysis`] | §5 semantics: effect footprints, commutativity certificates, bounded model checking, certified parallel plans |
+//! | [`analysis`] | §5 semantics: effect footprints, commutativity certificates, bounded model checking, certified reordering plans |
 //! | [`obs`] | observability: metrics registry + structured evolution tracing |
 
 #![warn(missing_docs)]
@@ -111,4 +111,37 @@ pub use model::{DerivedType, Schema};
 pub use obs::{
     EvolveObs, EvolveTracer, MetricsRegistry, MetricsSnapshot, RecomputeScope, SpanData, SpanEvent,
 };
-pub use ops::{PartitionedApply, PlanApply};
+pub use ops::PlanApply;
+
+/// Escape `s` for use inside a JSON string literal: `"` and `\`, and
+/// every character below U+0020 (`\n`, `\r` and `\t` by name, the rest
+/// as `\u00XX`). Type, property, snapshot and checkpoint names may carry
+/// any of them; the analysis reports and the CLI's JSON output all escape
+/// through this one function.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escaping_is_sound() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("§5 ⊤⊥"), "§5 ⊤⊥");
+        assert_eq!(json_escape("X\u{1}Y\t"), "X\\u0001Y\\t");
+    }
+}

@@ -36,7 +36,6 @@
 //! | L6 | churn / no-op operations in a trace | §5 |
 //! | L7 | dead ops the trace optimizer proves removable | §5 |
 //! | L8 | redundant ordering constraints between certified-commuting drops | §5 |
-//! | L9 | unprofitable parallelism (plan is a serial chain of 1-op stages) | §5 |
 //! | L10 | destructive op with no preceding snapshot/branch guard | §3.3 |
 //! | L11 | destruction a trace rewrite downgrades to a convertible re-key | §5 |
 
@@ -78,10 +77,6 @@ pub enum RuleId {
     /// L8 — edge drops whose mutual ordering the commutativity engine
     /// certifies as irrelevant: any sequencing constraint is redundant.
     RedundantDropOrdering,
-    /// L9 — the trace's certified parallel plan is a single chain of
-    /// one-op stages: planning pays full certification cost for zero
-    /// parallelism; plain batched apply does the same work cheaper.
-    UnprofitableParallelism,
     /// L10 — an op the impact analyzer classifies destructive (slot or
     /// extent lost) runs with no snapshot/branch point anywhere before it
     /// in the trace: the lost data is unrecoverable.
@@ -94,8 +89,9 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    /// All eleven built-in rules, in code order.
-    pub const ALL: [RuleId; 11] = [
+    /// All ten built-in rules, in code order (L9 is retired; L10 and L11
+    /// keep their codes).
+    pub const ALL: [RuleId; 10] = [
         RuleId::RedundantEssentialSupertype,
         RuleId::ShadowedEssentialProperty,
         RuleId::NameConflictHazard,
@@ -104,7 +100,6 @@ impl RuleId {
         RuleId::ChurnNoOp,
         RuleId::DeadOp,
         RuleId::RedundantDropOrdering,
-        RuleId::UnprofitableParallelism,
         RuleId::DestructiveOpUnguarded,
         RuleId::ConvertibleAsExtending,
     ];
@@ -120,7 +115,6 @@ impl RuleId {
             RuleId::ChurnNoOp => "L6",
             RuleId::DeadOp => "L7",
             RuleId::RedundantDropOrdering => "L8",
-            RuleId::UnprofitableParallelism => "L9",
             RuleId::DestructiveOpUnguarded => "L10",
             RuleId::ConvertibleAsExtending => "L11",
         }
@@ -137,7 +131,6 @@ impl RuleId {
             RuleId::ChurnNoOp => "churn-or-no-op",
             RuleId::DeadOp => "dead-op",
             RuleId::RedundantDropOrdering => "redundant-drop-ordering",
-            RuleId::UnprofitableParallelism => "unprofitable-parallelism",
             RuleId::DestructiveOpUnguarded => "destructive-op-unguarded",
             RuleId::ConvertibleAsExtending => "convertible-as-extending",
         }
@@ -151,7 +144,6 @@ impl RuleId {
                 | RuleId::ChurnNoOp
                 | RuleId::DeadOp
                 | RuleId::RedundantDropOrdering
-                | RuleId::UnprofitableParallelism
                 | RuleId::DestructiveOpUnguarded
                 | RuleId::ConvertibleAsExtending
         )
@@ -386,7 +378,7 @@ impl Registry {
         Registry { rules: Vec::new() }
     }
 
-    /// The eleven built-in rules L1–L11.
+    /// The ten built-in rules L1–L8, L10 and L11.
     pub fn builtin() -> Self {
         let mut r = Self::empty();
         r.register(Box::new(rules::RedundantEssentialSupertype));
@@ -397,7 +389,6 @@ impl Registry {
         r.register(Box::new(trace::ChurnNoOp));
         r.register(Box::new(semantic::DeadOp));
         r.register(Box::new(semantic::RedundantDropOrdering));
-        r.register(Box::new(semantic::UnprofitableParallelism));
         r.register(Box::new(semantic::DestructiveOpUnguarded));
         r.register(Box::new(semantic::ConvertibleAsExtending));
         r
@@ -534,6 +525,7 @@ mod tests {
             assert_eq!(RuleId::parse(&r.code().to_lowercase()), Some(r));
             assert_eq!(RuleId::parse(r.name()), Some(r));
         }
+        assert_eq!(RuleId::parse("L9"), None);
         assert_eq!(RuleId::parse("L12"), None);
         assert_eq!(RuleId::parse("nope"), None);
     }
@@ -552,7 +544,7 @@ mod tests {
     #[test]
     fn registry_retain_filters_rules() {
         let mut r = Registry::builtin();
-        assert_eq!(r.ids().len(), 11);
+        assert_eq!(r.ids().len(), 10);
         r.retain(|id| !id.is_trace_rule());
         assert_eq!(r.ids().len(), 4);
         assert!(r.ids().iter().all(|id| !id.is_trace_rule()));

@@ -1,11 +1,10 @@
-//! The built-in semantic trace rules L7–L11.
+//! The built-in semantic trace rules L7, L8, L10 and L11.
 //!
 //! Unlike L5/L6 (which replay the trace), these rules consume facts from
 //! `core::analysis`: the trace optimizer's semantics-preserving rewrites
-//! (L7), the commutativity engine's pair certificates (L8), the parallel
-//! planner's stage structure (L9), and the instance-impact analyzer's
-//! verdicts and obligations (L10/L11). All are purely static — the trace
-//! is never executed.
+//! (L7), the commutativity engine's pair certificates (L8), and the
+//! instance-impact analyzer's verdicts and obligations (L10/L11). All
+//! are purely static — the trace is never executed.
 
 use super::{Diagnostic, Lint, Location, Severity};
 use crate::analysis;
@@ -125,52 +124,6 @@ impl Lint for RedundantDropOrdering {
                 }
             ),
             fix: None,
-        });
-    }
-}
-
-/// L9 — a certified parallel plan that cannot exploit any parallelism.
-///
-/// Builds the trace's [`analysis::plan::EvolutionPlan`] and fires when it
-/// degenerates to a single chain of one-op stages: every operation
-/// interferes with its successors, so the plan reorders nothing and its
-/// certificate check is pure overhead over a plain batched replay.
-/// Advisory with a fix-it: run the trace through [`Schema::apply_trace`]
-/// instead of `Schema::apply_plan`.
-pub struct UnprofitableParallelism;
-
-impl Lint for UnprofitableParallelism {
-    fn id(&self) -> super::RuleId {
-        super::RuleId::UnprofitableParallelism
-    }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let analysis = analysis::analyze_trace(initial, ops);
-        let plan = analysis::plan::build_plan(&analysis);
-        if !plan.is_serial_chain() {
-            return;
-        }
-        out.push(Diagnostic {
-            rule: self.id(),
-            severity: Severity::Info,
-            location: Location::OpRange(0, ops.len() - 1),
-            types: Vec::new(),
-            props: Vec::new(),
-            reference: super::Reference::Claim(
-                "§5: a fully interfering trace admits only its recorded serialization",
-            ),
-            message: format!(
-                "the certified parallel plan for this trace is a serial chain of {} \
-                 one-op stages (max parallelism 1) — planned execution cannot beat a \
-                 plain batched apply here",
-                plan.stage_count()
-            ),
-            fix: Some(super::FixIt {
-                title: "apply the trace with plain batched Schema::apply_trace instead \
-                        of compiling a parallel plan"
-                    .to_owned(),
-                edits: Vec::new(),
-            }),
         });
     }
 }
@@ -402,53 +355,6 @@ mod tests {
         ];
         out.clear();
         RedundantDropOrdering.check_trace(&s, &uncertified, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn unprofitable_parallelism_fires_on_serial_chain_with_fixit() {
-        let mut s = base();
-        let t = s.add_type("t", [], []).unwrap();
-        let p1 = s.add_property("x");
-        let p2 = s.add_property("y");
-        // Cell-disjoint (two distinct N_e rows) yet slot-interfering: both
-        // write the type slot of `t`, so the plan is a chain of 1-op stages.
-        let ops = vec![
-            RecordedOp::AddEssentialProperty { t, p: p1 },
-            RecordedOp::AddEssentialProperty { t, p: p2 },
-        ];
-        let mut out = Vec::new();
-        UnprofitableParallelism.check_trace(&s, &ops, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].severity, Severity::Info);
-        assert_eq!(out[0].location, Location::OpRange(0, 1));
-        assert!(out[0].message.contains("serial chain"), "{out:?}");
-        let fix = out[0].fix.as_ref().expect("L9 carries a fix-it");
-        assert!(fix.title.contains("apply_trace"), "{fix:?}");
-        assert!(fix.edits.is_empty());
-    }
-
-    #[test]
-    fn unprofitable_parallelism_quiet_on_parallel_or_trivial_traces() {
-        let mut s = base();
-        let p1 = s.add_type("p1", [], []).unwrap();
-        let p2 = s.add_type("p2", [], []).unwrap();
-        let c1 = s.add_type("c1", [p1], []).unwrap();
-        let c2 = s.add_type("c2", [p2], []).unwrap();
-        // Two disjoint drops: a genuinely parallel plan → silent.
-        let parallel = vec![
-            RecordedOp::DropEssentialSupertype { t: c1, s: p1 },
-            RecordedOp::DropEssentialSupertype { t: c2, s: p2 },
-        ];
-        let mut out = Vec::new();
-        UnprofitableParallelism.check_trace(&s, &parallel, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-
-        // A single op has nothing to parallelise either way → silent.
-        let q = s.add_property("q");
-        let single = vec![RecordedOp::AddEssentialProperty { t: c1, p: q }];
-        out.clear();
-        UnprofitableParallelism.check_trace(&s, &single, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 

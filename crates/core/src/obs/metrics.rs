@@ -229,25 +229,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Fold a [`TraceAnalysis`](crate::analysis::TraceAnalysis) into the
-    /// `analysis.*` counters: one trace, its op and pair-verdict counts,
-    /// its independence classes, and whether the whole trace was
-    /// certified order-independent.
-    pub fn fold_trace_analysis(&self, analysis: &crate::analysis::TraceAnalysis) {
-        self.add(names::ANALYSIS_TRACES, 1);
-        self.add(names::ANALYSIS_OPS, analysis.len() as u64);
-        self.add(names::ANALYSIS_PAIRS_COMMUTE, analysis.commuting as u64);
-        self.add(names::ANALYSIS_PAIRS_CONFLICT, analysis.conflicting as u64);
-        self.add(
-            names::ANALYSIS_PAIRS_CONSTRAINED,
-            analysis.constrained as u64,
-        );
-        self.add(names::ANALYSIS_CLASSES, analysis.classes.len() as u64);
-        if analysis.certified {
-            self.add(names::ANALYSIS_CERTIFIED, 1);
-        }
-    }
-
     /// Fold a successful [`PlanCheck`](crate::analysis::plan::PlanCheck)
     /// into the `plan.*` counters. All inputs are plan *structure* — the
     /// counters are independent of execution order, so every run of one

@@ -95,22 +95,6 @@ pub mod names {
     pub const RECOVERY_DROPPED_BYTES: &str = "recovery.dropped_bytes";
     /// Prefix of the per-operation-kind counters (`ops.add_type`, …).
     pub const OPS_PREFIX: &str = "ops.";
-    /// Traces put through the static analyzer.
-    pub const ANALYSIS_TRACES: &str = "analysis.traces";
-    /// Operations footprinted across all analysed traces.
-    pub const ANALYSIS_OPS: &str = "analysis.ops_analyzed";
-    /// Pairs certified commuting.
-    pub const ANALYSIS_PAIRS_COMMUTE: &str = "analysis.pairs_commuting";
-    /// Pairs reported as certified (witnessed) conflicts.
-    pub const ANALYSIS_PAIRS_CONFLICT: &str = "analysis.pairs_conflicting";
-    /// Pairs left as conservative order constraints.
-    pub const ANALYSIS_PAIRS_CONSTRAINED: &str = "analysis.pairs_constrained";
-    /// Traces certified order-independent end-to-end.
-    pub const ANALYSIS_CERTIFIED: &str = "analysis.traces_certified";
-    /// Independence classes emitted across all analysed traces.
-    pub const ANALYSIS_CLASSES: &str = "analysis.classes";
-    /// Semantics-preserving rewrites found by the trace optimizer.
-    pub const ANALYSIS_REWRITES: &str = "analysis.rewrites";
     /// Plan certificates re-verified successfully by `plan::check`.
     pub const PLAN_CHECKS: &str = "plan.checks";
     /// Plan certificates rejected by `plan::check`.

@@ -510,50 +510,6 @@ impl Schema {
         })
     }
 
-    /// Apply a trace pre-partitioned by the static analyzer: classes in
-    /// first-op-index order, each class's members together in their
-    /// original relative order. Sound because ops in *different* classes
-    /// are certified commuting, so hoisting a class's members together
-    /// cannot change the final schema.
-    ///
-    /// All classes share **one** outer [`Schema::evolve_batch`], so the
-    /// whole trace costs a single scoped recomputation over the union of
-    /// the classes' seeds — same finalize cost as [`Schema::apply_trace`]
-    /// — instead of one per class (the per-class finalize overhead that
-    /// made partitioned apply ~34x slower than batched on single-class
-    /// traces).
-    ///
-    /// When an observer is attached the analysis is folded into the
-    /// `analysis.*` counters. On rejection the applied prefix (whole
-    /// classes plus the failing class's successful prefix) stays applied,
-    /// mirroring [`Schema::apply_trace`].
-    pub fn apply_trace_partitioned(&mut self, ops: &[RecordedOp]) -> Result<PartitionedApply> {
-        let analysis = crate::analysis::analyze_trace(self, ops);
-        self.apply_trace_partitioned_with(ops, &analysis)
-    }
-
-    /// [`Schema::apply_trace_partitioned`] with a prebuilt analysis — the
-    /// execution half alone, for callers that compile the analysis once
-    /// and replay it on many replicas (the same amortization contract as
-    /// [`Schema::apply_plan`], which takes a prebuilt certificate). The
-    /// caller is responsible for `analysis` having been computed against
-    /// this schema and exactly these `ops`.
-    pub fn apply_trace_partitioned_with(
-        &mut self,
-        ops: &[RecordedOp],
-        analysis: &crate::analysis::TraceAnalysis,
-    ) -> Result<PartitionedApply> {
-        if let Some(obs) = &self.obs {
-            obs.registry().fold_trace_analysis(analysis);
-        }
-        let classes = analysis.classes.iter().map(|c| c.ops.as_slice());
-        Ok(PartitionedApply {
-            applied: self.apply_classes(ops, classes)?,
-            classes: analysis.classes.len(),
-            certified: analysis.certified,
-        })
-    }
-
     /// Execute a certified evolution plan over `ops`.
     ///
     /// The certificate is re-verified before anything executes, and a
@@ -574,7 +530,7 @@ impl Schema {
     /// are those of [`Schema::apply_trace`] on the same trace.
     ///
     /// On a rejected op the applied prefix, in stage order, stays applied
-    /// and recomputed (as in [`Schema::apply_trace_partitioned`]); wrap in
+    /// and recomputed (as in [`Schema::apply_trace`]); wrap in
     /// [`SharedSchema::apply_plan`](crate::SharedSchema::apply_plan) for
     /// all-or-nothing publication.
     pub fn apply_plan(&mut self, ops: &[RecordedOp], plan: &EvolutionPlan) -> Result<PlanApply> {
@@ -591,8 +547,16 @@ impl Schema {
         if let Some(obs) = &self.obs {
             obs.registry().fold_plan_check(&verdict);
         }
-        let classes = cert.stage_table().into_iter().flatten();
-        let applied = self.apply_classes(ops, classes.map(|ci| cert.classes[ci].ops.as_slice()))?;
+        // The admitted classes partition the trace, so success applies it all.
+        self.evolve_batch(|s| {
+            for ci in cert.stage_table().into_iter().flatten() {
+                for &i in &cert.classes[ci].ops {
+                    ops[i].apply(s)?;
+                }
+            }
+            Ok(())
+        })?;
+        let applied = ops.len();
         if let Some(obs) = &self.obs {
             obs.registry().add(names::PLAN_APPLIES, 1);
             obs.registry().add(names::PLAN_OPS, applied as u64);
@@ -604,37 +568,6 @@ impl Schema {
             max_parallelism: verdict.max_parallelism,
         })
     }
-
-    /// Apply `ops` class by class, each class's members in the order
-    /// given, inside one [`Schema::evolve_batch`]. Returns the number of
-    /// operations applied.
-    fn apply_classes<'a>(
-        &mut self,
-        ops: &[RecordedOp],
-        classes: impl IntoIterator<Item = &'a [usize]>,
-    ) -> Result<usize> {
-        self.evolve_batch(|s| {
-            let mut applied = 0usize;
-            for class in classes {
-                for &i in class {
-                    ops[i].apply(s)?;
-                    applied += 1;
-                }
-            }
-            Ok(applied)
-        })
-    }
-}
-
-/// Outcome of [`Schema::apply_trace_partitioned`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionedApply {
-    /// Operations successfully applied.
-    pub applied: usize,
-    /// Independence classes the trace was split into (= batches run).
-    pub classes: usize,
-    /// Was the whole trace certified order-independent?
-    pub certified: bool,
 }
 
 /// Outcome of [`Schema::apply_plan`].
@@ -1023,60 +956,8 @@ mod tests {
         assert!(s.essential_supertypes(b).unwrap().is_empty());
     }
 
-    #[test]
-    fn partitioned_apply_matches_batched_and_counts_classes() {
-        let build = || {
-            let mut s = Schema::new(LatticeConfig::default());
-            s.add_root_type("obj").unwrap();
-            let p1 = s.add_type("p1", [], []).unwrap();
-            let p2 = s.add_type("p2", [], []).unwrap();
-            let c1 = s.add_type("c1", [p1, p2], []).unwrap();
-            let c2 = s.add_type("c2", [p1, p2], []).unwrap();
-            let ops = vec![
-                RecordedOp::DropEssentialSupertype { t: c1, s: p1 },
-                RecordedOp::DropEssentialSupertype { t: c2, s: p2 },
-            ];
-            (s, ops)
-        };
-        let (mut a, ops) = build();
-        let (mut b, _) = build();
-        let before = a.stats().scoped_recomputes + a.stats().noop_recomputes;
-        let done = a.apply_trace_partitioned(&ops).unwrap();
-        assert_eq!(done.applied, 2);
-        assert_eq!(done.classes, 2);
-        assert!(done.certified);
-        b.apply_trace(&ops).unwrap();
-        assert_eq!(a.canonical_fingerprint(), b.canonical_fingerprint());
-        // One shared scoped recomputation for the whole trace — same
-        // finalize cost as plain batched apply.
-        let after = a.stats().scoped_recomputes + a.stats().noop_recomputes;
-        assert_eq!(after - before, 1);
-    }
-
-    #[test]
-    fn partitioned_apply_folds_analysis_metrics() {
-        let registry = Arc::new(crate::obs::MetricsRegistry::new());
-        let obs = Arc::new(crate::obs::EvolveObs::new(registry.clone()));
-        let mut s = Schema::new(LatticeConfig::default());
-        s.add_root_type("obj").unwrap();
-        let p1 = s.add_type("p1", [], []).unwrap();
-        let c1 = s.add_type("c1", [p1], []).unwrap();
-        s.attach_obs(obs);
-        let ops = vec![RecordedOp::AddEssentialSupertype {
-            t: c1,
-            s: TypeId::from_index(0),
-        }];
-        s.apply_trace_partitioned(&ops).unwrap();
-        use crate::obs::names;
-        assert_eq!(registry.get(names::ANALYSIS_TRACES), 1);
-        assert_eq!(registry.get(names::ANALYSIS_OPS), 1);
-        assert_eq!(registry.get(names::ANALYSIS_CERTIFIED), 1);
-        assert_eq!(registry.get(names::ANALYSIS_CLASSES), 1);
-    }
-
     /// A lattice with four disjoint diamonds, each contributing one
-    /// redundant-edge drop: four slot- and reach-disjoint classes in one
-    /// stage.
+    /// redundant-edge drop: four slot-disjoint classes in one stage.
     fn four_diamonds() -> (Schema, Vec<RecordedOp>) {
         let mut s = Schema::new(LatticeConfig::default());
         s.add_root_type("obj").unwrap();
@@ -1105,6 +986,37 @@ mod tests {
         let done = s.apply_plan(&ops, &plan).unwrap();
         assert_eq!(done.applied, 4);
         assert_eq!(done.classes, 4);
+        assert_eq!(
+            s.canonical_fingerprint(),
+            sequential.canonical_fingerprint()
+        );
+        assert_eq!(s.version(), sequential.version());
+        assert!(s.verify().is_empty());
+    }
+
+    #[test]
+    fn stage_mates_sharing_a_descendant_apply_like_the_trace() {
+        // Drops on rows `a` and `b`, which share the descendant `shared`:
+        // slot-disjoint, so one stage, though both change `shared`'s
+        // derived rows. One derivation after the batch covers both.
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        let p1 = s.add_type("p1", [], []).unwrap();
+        let p2 = s.add_type("p2", [], []).unwrap();
+        let a = s.add_type("a", [p1, p2], []).unwrap();
+        let b = s.add_type("b", [p1, p2], []).unwrap();
+        s.add_type("shared", [a, b], []).unwrap();
+        let ops = vec![
+            RecordedOp::DropEssentialSupertype { t: a, s: p1 },
+            RecordedOp::DropEssentialSupertype { t: b, s: p2 },
+        ];
+        let plan = plan_for(&s, &ops);
+        assert_eq!(plan.class_count(), 2, "{}", plan.to_text());
+        assert_eq!(plan.stage_count(), 1, "{}", plan.to_text());
+        plan::check(&s, &ops, &plan.certificate).expect("the checker admits the plan");
+        let mut sequential = s.clone();
+        sequential.apply_trace(&ops).unwrap();
+        s.apply_plan(&ops, &plan).unwrap();
         assert_eq!(
             s.canonical_fingerprint(),
             sequential.canonical_fingerprint()

@@ -24,12 +24,15 @@
 //!    edge into one stage must be refused by the checker, and
 //!    `apply_plan` must reject the plan leaving the schema untouched.
 //!
-//! Vacuousness guards assert the sweep really exercised parallel plans
-//! and really rejected tampered ones.
+//! Vacuousness guards assert the sweep really exercised wide plans, really
+//! rejected tampered ones, and really ran stage-mates whose written type
+//! rows share a descendant: both move that descendant's derived rows, and
+//! the one derivation after the batch must still land on the batch's
+//! fingerprint.
 
 use std::sync::Arc;
 
-use axiombase_core::analysis::plan;
+use axiombase_core::analysis::plan::{self, Slot};
 use axiombase_core::obs::{names, EvolveObs, MetricsRegistry};
 use axiombase_core::{
     analyze_trace, build_plan, EngineKind, EvolutionPlan, LatticeConfig, MetricsSnapshot,
@@ -148,11 +151,36 @@ fn drop_family(engine: EngineKind, seed: u64) -> (Schema, Vec<RecordedOp>) {
     (base, ops)
 }
 
+/// Does the plan put two classes in one stage that write type rows with
+/// a common descendant in `base` (read off the public `super_lattice`)?
+fn stage_mates_share_a_descendant(base: &Schema, evo: &EvolutionPlan) -> bool {
+    let cert = &evo.certificate;
+    let stages = cert.stage_table();
+    base.iter_types().any(|d| {
+        let above: Vec<usize> = base
+            .super_lattice(d)
+            .expect("live type")
+            .iter()
+            .map(|t| t.index())
+            .collect();
+        let writes_above = |ci: &usize| {
+            cert.classes[*ci]
+                .writes
+                .iter()
+                .any(|slot| matches!(slot, Slot::Type(t) if above.contains(t)))
+        };
+        stages
+            .iter()
+            .any(|stage| stage.iter().filter(|ci| writes_above(ci)).count() >= 2)
+    })
+}
+
 /// Discharge all four claims on one trace. Returns
-/// `(max_parallelism, tampered-and-rejected?)`.
-fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> (usize, bool) {
+/// `(max_parallelism, tampered-and-rejected?, stage-mates share a
+/// descendant?)`.
+fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> (usize, bool, bool) {
     if ops.is_empty() {
-        return (0, false);
+        return (0, false, false);
     }
     let analysis = analyze_trace(base, ops);
     let evo = build_plan(&analysis);
@@ -226,20 +254,26 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> (usize,
         tampered_rejected = true;
     }
 
-    (evo.max_parallelism(), tampered_rejected)
+    (
+        evo.max_parallelism(),
+        tampered_rejected,
+        stage_mates_share_a_descendant(base, &evo),
+    )
 }
 
 fn sweep(engine: EngineKind) {
     let mut wide_plans = 0usize;
     let mut tampered = 0usize;
+    let mut shared_descendants = 0usize;
     for seed in 0..SEEDS {
         for (tag, (base, ops)) in [
             ("random", random_family(engine, seed)),
             ("drops", drop_family(engine, seed)),
         ] {
-            let (width, rejected) = one_trace(&base, &ops, seed, tag);
+            let (width, rejected, shared) = one_trace(&base, &ops, seed, tag);
             wide_plans += usize::from(width >= 2);
             tampered += usize::from(rejected);
+            shared_descendants += usize::from(shared);
         }
     }
     // Vacuousness guards: the sweep must have exercised real parallelism
@@ -251,6 +285,14 @@ fn sweep(engine: EngineKind) {
     assert!(
         tampered >= 50,
         "({engine:?}) only {tampered} tampered certificates exercised"
+    );
+    assert!(
+        shared_descendants >= 100,
+        "({engine:?}) only {shared_descendants} plans ran stage-mates sharing a descendant"
+    );
+    println!(
+        "({engine:?}) wide plans {wide_plans}, tampered rejected {tampered}, \
+         stage-mates sharing a descendant {shared_descendants}"
     );
 }
 

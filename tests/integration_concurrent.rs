@@ -4,7 +4,44 @@
 use axiombase_core::{oracle, EngineKind, LatticeConfig, SharedSchema};
 use axiombase_workload::{apply_random_ops, apply_random_ops_batched, LatticeGen, OpMix};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+
+/// Reader threads in the reader/writer stress tests.
+const READERS: usize = 3;
+
+/// One reader: verify every version it observes — monotone, all nine
+/// axioms, the brute-force oracle — counting each into `checked`. It
+/// verifies a first version before waiting on `start`, and the writer
+/// waits there too, so every reader checks at least one version however
+/// the threads are scheduled; after `stop` it verifies the last one.
+fn verifying_reader(
+    shared: &SharedSchema,
+    start: &Barrier,
+    stop: &AtomicBool,
+    checked: &AtomicU64,
+) {
+    let mut last: Option<u64> = None;
+    let mut observe = || {
+        let snap = shared.snapshot();
+        let version = snap.version();
+        assert!(
+            last.is_none_or(|l| version >= l),
+            "versions must be monotone"
+        );
+        if last != Some(version) {
+            last = Some(version);
+            assert!(snap.verify().is_empty());
+            assert!(oracle::check_schema(&snap).is_empty());
+            checked.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    observe();
+    start.wait();
+    while !stop.load(Ordering::Relaxed) {
+        observe();
+    }
+    observe();
+}
 
 /// Readers never observe a torn or axiom-violating schema while a writer
 /// evolves it; versions observed by each reader are monotone.
@@ -16,29 +53,18 @@ fn readers_see_consistent_monotone_versions() {
         ..Default::default()
     }
     .generate(LatticeConfig::TIGUKAT, EngineKind::Incremental);
-    let shared = Arc::new(SharedSchema::new(base.schema));
-    let stop = Arc::new(AtomicBool::new(false));
-    let checked = Arc::new(AtomicU64::new(0));
+    let shared = SharedSchema::new(base.schema);
+    let (start, stop, checked) = (
+        Barrier::new(READERS + 1),
+        AtomicBool::new(false),
+        AtomicU64::new(0),
+    );
 
     crossbeam::scope(|scope| {
-        for _ in 0..3 {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let checked = Arc::clone(&checked);
-            scope.spawn(move |_| {
-                let mut last = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = shared.snapshot();
-                    assert!(snap.version() >= last, "versions must be monotone");
-                    if snap.version() != last {
-                        last = snap.version();
-                        assert!(snap.verify().is_empty());
-                        assert!(oracle::check_schema(&snap).is_empty());
-                        checked.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+        for _ in 0..READERS {
+            scope.spawn(|_| verifying_reader(&shared, &start, &stop, &checked));
         }
+        start.wait();
         // Writer.
         for step in 0..150u64 {
             shared
@@ -53,8 +79,8 @@ fn readers_see_consistent_monotone_versions() {
     .unwrap();
 
     assert!(
-        checked.load(Ordering::Relaxed) > 0,
-        "readers observed versions"
+        checked.load(Ordering::Relaxed) >= READERS as u64,
+        "every reader verified at least one version"
     );
     assert!(shared.snapshot().verify().is_empty());
 }
@@ -104,29 +130,18 @@ fn batched_writer_readers_verify_every_version() {
         ..Default::default()
     }
     .generate(LatticeConfig::TIGUKAT, EngineKind::Incremental);
-    let shared = Arc::new(SharedSchema::new(base.schema));
-    let stop = Arc::new(AtomicBool::new(false));
-    let checked = Arc::new(AtomicU64::new(0));
+    let shared = SharedSchema::new(base.schema);
+    let (start, stop, checked) = (
+        Barrier::new(READERS + 1),
+        AtomicBool::new(false),
+        AtomicU64::new(0),
+    );
 
     crossbeam::scope(|scope| {
-        for _ in 0..3 {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let checked = Arc::clone(&checked);
-            scope.spawn(move |_| {
-                let mut last = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = shared.snapshot();
-                    assert!(snap.version() >= last, "versions must be monotone");
-                    if snap.version() != last {
-                        last = snap.version();
-                        assert!(snap.verify().is_empty());
-                        assert!(oracle::check_schema(&snap).is_empty());
-                        checked.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+        for _ in 0..READERS {
+            scope.spawn(|_| verifying_reader(&shared, &start, &stop, &checked));
         }
+        start.wait();
         // Writer: 40 batches of 8 operations each; readers snapshotting
         // mid-batch must only ever see the pre-batch version.
         for step in 0..40u64 {
@@ -142,8 +157,8 @@ fn batched_writer_readers_verify_every_version() {
     .unwrap();
 
     assert!(
-        checked.load(Ordering::Relaxed) > 0,
-        "readers observed versions"
+        checked.load(Ordering::Relaxed) >= READERS as u64,
+        "every reader verified at least one version"
     );
     let final_schema = shared.snapshot();
     assert!(final_schema.verify().is_empty());
