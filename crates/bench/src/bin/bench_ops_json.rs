@@ -40,6 +40,19 @@
 //! `plan::check` carry a hard ceiling of [`MIGRATION_CEILING`]x; the two
 //! impact ratios are recorded without a bound.
 //!
+//! The `versions` block prices a published schema version: a 1,100-op
+//! size-neutral trace runs through `SharedSchema::evolve` (clone, edit,
+//! publish, release of the old version, per op) and through
+//! `RecordedOp::apply` on a uniquely owned schema, on the 1,000-type and
+//! the 10,000-type base, as a paired median of ratios. Hard ceilings:
+//! [`VERSIONS_CEILING_1K`]x at 1,000 types and [`VERSIONS_CEILING_10K`]x at
+//! 10,000; the soft target at 1,000 types is [`VERSIONS_TARGET_1K`]x. There
+//! is deliberately no gate tying staging at 10,000 types to staging at
+//! 1,000: in-place apply itself grows ~23x between those sizes (down-sets
+//! grow with the lattice), and an edit's derived writes, which staging
+//! copies leaf by leaf, grow with it. Staging scales with what changes,
+//! not with the schema's size, and the two ratios gate exactly that.
+//!
 //! Run: `cargo run --release -p axiombase-bench --bin bench_ops_json`
 
 use axiombase_bench::expect;
@@ -77,9 +90,9 @@ const IMPACT_HARD_CEILING: f64 = 32.0;
 /// Ops per migration in the `migration` cell (perfbench's migration size).
 const MIGRATION_OPS: usize = 200;
 
-/// perfbench's size-neutral migration mix: type and edge adds balance
-/// their drops, so the base keeps its size across migrations.
-const MIGRATION_MIX: OpMix = OpMix {
+/// perfbench's size-neutral op mix: type and edge adds balance their
+/// drops, so the base keeps its size across migrations and traces.
+const SIZE_NEUTRAL_MIX: OpMix = OpMix {
     add_type: 2,
     drop_type: 2,
     add_edge: 2,
@@ -93,6 +106,16 @@ const MIGRATION_MIX: OpMix = OpMix {
 /// and tests the union graph for cycles in O(initial + written edges);
 /// the quadratic rescan it replaced read ~18x here.
 const MIGRATION_CEILING: f64 = 8.0;
+/// Ops per trace in the `versions` cell.
+const VERSIONS_OPS: usize = 1_100;
+/// Hard ceiling for `SharedSchema::evolve` against in-place apply at
+/// 1,000 types. Flat per-slot `Arc` spines, copied whole on every clone,
+/// read ~5.4x here.
+const VERSIONS_CEILING_1K: f64 = 2.5;
+/// Soft target for the same ratio at 1,000 types.
+const VERSIONS_TARGET_1K: f64 = 2.0;
+/// Hard ceiling for the same ratio at 10,000 types (flat spines: ~3.1x).
+const VERSIONS_CEILING_10K: f64 = 2.0;
 const TRACE_SEED: u64 = 0xBA7C;
 const ITERATIONS: usize = 5;
 
@@ -544,14 +567,7 @@ struct MigrationRow {
 /// The certificates are verified once, untimed, before anything is
 /// timed.
 fn measure_migration(base: &Schema) -> (usize, Vec<MigrationRow>) {
-    let mut attempts = MIGRATION_OPS * 3 / 2;
-    let ops = loop {
-        let (ops, _) = generate_trace(base, attempts, MIGRATION_MIX, TRACE_SEED ^ 0x316);
-        if ops.len() >= MIGRATION_OPS {
-            break ops[..MIGRATION_OPS].to_vec();
-        }
-        attempts *= 2;
-    };
+    let ops = size_neutral_trace(base, MIGRATION_OPS, TRACE_SEED ^ 0x316);
     let evo_plan = build_plan(&analyze_trace(base, &ops));
     plan::check(base, &ops, &evo_plan.certificate).expect("the migration plan re-verifies");
     let ia = impact::analyze(base, &ops);
@@ -584,6 +600,93 @@ fn measure_migration(base: &Schema) -> (usize, Vec<MigrationRow>) {
         assert!(impact::check(base, &ops, &ia.certificate).is_ok());
     });
     (ops.len(), rows)
+}
+
+/// The first `n` recorded ops of a seeded size-neutral trace on `base`.
+fn size_neutral_trace(base: &Schema, n: usize, seed: u64) -> Vec<RecordedOp> {
+    let mut attempts = n * 3 / 2;
+    loop {
+        let (ops, _) = generate_trace(base, attempts, SIZE_NEUTRAL_MIX, seed);
+        if ops.len() >= n {
+            return ops[..n].to_vec();
+        }
+        attempts *= 2;
+    }
+}
+
+/// One `versions` row: per-op cost of publishing a version per op
+/// against applying the same op in place, on one base size.
+struct VersionsRow {
+    types: usize,
+    evolve_ns: u128,
+    in_place_ns: u128,
+    ratio: f64,
+}
+
+/// The `versions` cell on a `types`-type base: one untimed warmup pair,
+/// then [`ITERATIONS`] pairs with alternating leg order. Both legs start
+/// from a schema parsed from the base's snapshot, so neither shares
+/// storage with anything when its timer starts. Returns best-of-N per-op
+/// cells and the median of per-pair ratios; the two legs' fingerprints
+/// must match.
+fn measure_versions(types: usize) -> VersionsRow {
+    let base = LatticeGen {
+        types,
+        max_parents: 3,
+        props_per_type: 1.5,
+        redeclare_prob: 0.1,
+        seed: 42,
+    }
+    .generate(LatticeConfig::ORION, EngineKind::Incremental)
+    .schema;
+    let ops = size_neutral_trace(&base, VERSIONS_OPS, TRACE_SEED ^ 0x7E5);
+    let text = base.to_snapshot();
+    drop(base);
+    let fresh = || Schema::from_snapshot(&text).expect("the base round-trips");
+    let per_op = |start: Instant| start.elapsed().as_nanos() / ops.len() as u128;
+    let (mut evolve_ns, mut in_place_ns) = (u128::MAX, u128::MAX);
+    let mut ratios = Vec::new();
+    let mut agree = true;
+    for i in 0..=ITERATIONS {
+        let evolve_first = i % 2 == 0;
+        let (mut evolve_i, mut in_place_i) = (0u128, 0u128);
+        let (mut evolve_fp, mut in_place_fp) = (0, 0);
+        for leg in 0..2 {
+            if (leg == 0) == evolve_first {
+                let shared = SharedSchema::new(fresh());
+                let start = Instant::now();
+                for op in &ops {
+                    shared.evolve(|s| op.apply(s)).expect("trace op publishes");
+                }
+                evolve_i = per_op(start);
+                evolve_fp = shared.snapshot().fingerprint();
+            } else {
+                let mut s = fresh();
+                let start = Instant::now();
+                for op in &ops {
+                    op.apply(&mut s).expect("trace op applies in place");
+                }
+                in_place_i = per_op(start);
+                in_place_fp = s.fingerprint();
+            }
+        }
+        agree &= evolve_fp == in_place_fp;
+        if i > 0 {
+            evolve_ns = evolve_ns.min(evolve_i);
+            in_place_ns = in_place_ns.min(in_place_i);
+            ratios.push(evolve_i as f64 / in_place_i.max(1) as f64);
+        }
+    }
+    expect(
+        agree,
+        &format!("versions at {types} types: evolve and in-place apply agree"),
+    );
+    VersionsRow {
+        types,
+        evolve_ns,
+        in_place_ns,
+        ratio: median(&mut ratios),
+    }
 }
 
 fn main() {
@@ -859,6 +962,34 @@ fn main() {
         );
     }
 
+    // Published versions: staging (clone, edit, publish, release) against
+    // the same edits in place, at two base sizes.
+    let versions = [1_000, 10_000].map(measure_versions);
+    for r in &versions {
+        println!(
+            "{:>11} / {:<7} {:>12} ns/op evolve, {} ns/op in place: {:.2}x",
+            "versions", r.types, r.evolve_ns, r.in_place_ns, r.ratio
+        );
+    }
+    let [v1k, v10k] = &versions;
+    if v1k.ratio <= VERSIONS_TARGET_1K {
+        println!("ok   evolve within {VERSIONS_TARGET_1K}x of in-place apply at 1,000 types");
+    } else {
+        println!(
+            "WARN soft gate: evolve {:.2}x of in-place apply at 1,000 types, above the \
+             {VERSIONS_TARGET_1K}x target",
+            v1k.ratio
+        );
+    }
+    expect(
+        v1k.ratio <= VERSIONS_CEILING_1K,
+        &format!("evolve stays within {VERSIONS_CEILING_1K}x of in-place apply at 1,000 types (hard ceiling)"),
+    );
+    expect(
+        v10k.ratio <= VERSIONS_CEILING_10K,
+        &format!("evolve stays within {VERSIONS_CEILING_10K}x of in-place apply at 10,000 types (hard ceiling)"),
+    );
+
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"benchmark\": \"ops_single_vs_batched\",");
@@ -956,6 +1087,21 @@ fn main() {
             "    \"{}\": {{\"ns_per_op\": {}, \"batched_apply_ns_per_op\": {}, \
              \"ratio_vs_batched\": {:.2}}}{comma}",
             r.name, r.ns, r.batch_ns, r.ratio
+        );
+    }
+    json.push_str("  },\n");
+    json.push_str("  \"versions\": {\n");
+    let _ = writeln!(json, "    \"ops\": {VERSIONS_OPS},");
+    let _ = writeln!(json, "    \"soft_target_1k\": {VERSIONS_TARGET_1K:.1},");
+    for (r, ceiling, comma) in [
+        (v1k, VERSIONS_CEILING_1K, ","),
+        (v10k, VERSIONS_CEILING_10K, ""),
+    ] {
+        let _ = writeln!(
+            json,
+            "    \"types_{}\": {{\"evolve_ns_per_op\": {}, \"in_place_ns_per_op\": {}, \
+             \"ratio_vs_in_place\": {:.2}, \"ceiling\": {ceiling:.1}}}{comma}",
+            r.types, r.evolve_ns, r.in_place_ns, r.ratio
         );
     }
     json.push_str("  },\n");

@@ -416,17 +416,18 @@ mod tests {
         let b = s.type_by_name("B").unwrap();
         // Forge: reference a tombstoned slot.
         let bogus = TypeId::from_index(s.types.len());
-        s.types.push(std::sync::Arc::new(crate::model::TypeSlot {
-            name: "ghost".into(),
-            alive: false,
-            frozen: false,
-            pe: Default::default(),
-            ne: Default::default(),
-        }));
-        s.derived.push(Default::default());
-        std::sync::Arc::make_mut(&mut s.types[b.index()])
-            .pe
-            .insert(bogus);
+        s.types.push(
+            &None,
+            crate::model::TypeSlot {
+                name: "ghost".into(),
+                alive: false,
+                frozen: false,
+                pe: Default::default(),
+                ne: Default::default(),
+            },
+        );
+        s.derived.push(&None, Default::default());
+        s.types.make_mut(&None, b.index()).pe.insert(bogus);
         let v = s.check_closure();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].axiom, Axiom::Closure);
@@ -438,9 +439,7 @@ mod tests {
         let mut s = tigukat_like();
         let a = s.type_by_name("A").unwrap();
         let b = s.type_by_name("B").unwrap();
-        std::sync::Arc::make_mut(&mut s.types[a.index()])
-            .pe
-            .insert(b); // forge cycle a <-> b
+        s.types.make_mut(&None, a.index()).pe.insert(b); // forge cycle a <-> b
         let v = s.check_acyclicity();
         assert!(v.iter().any(|x| x.axiom == Axiom::Acyclicity));
     }
@@ -451,9 +450,7 @@ mod tests {
         let b = s.type_by_name("B").unwrap();
         let p = s.add_property("x");
         // Forge N(b) without updating N_e(b).
-        std::sync::Arc::make_mut(&mut s.derived[b.index()])
-            .n
-            .insert(p);
+        s.derived.make_mut(&None, b.index()).n.insert(p);
         let kinds: BTreeSet<Axiom> = s.verify().into_iter().map(|v| v.axiom).collect();
         assert!(kinds.contains(&Axiom::Nativeness), "{kinds:?}");
         assert!(kinds.contains(&Axiom::Interface), "{kinds:?}");

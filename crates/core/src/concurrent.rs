@@ -16,8 +16,10 @@
 //! the base snapshot) or to swap a pointer (publishing). An evolution step:
 //!
 //! 1. takes the writer mutex (serializing writers, not readers),
-//! 2. clones the current version — cheap, because [`Schema`] shares its
-//!    storage spines structurally (see [`crate::model`]),
+//! 2. clones the current version — one pointer copy per 64 slots and per
+//!    name shard, because [`Schema`] keeps its storage in chunked
+//!    persistent spines (see [`crate::model`]); step 3's edits then copy
+//!    only the 64-slot leaves, records and name shards they touch,
 //! 3. runs the mutation closure, including all lattice recomputation, on
 //!    that private clone with **no lock held**,
 //! 4. on `Ok`, publishes the clone with a single pointer swap; on `Err`,

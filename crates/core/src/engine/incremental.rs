@@ -26,9 +26,10 @@
 //! cached lattices and re-derives just `N`/`H`/`I`.
 //!
 //! Per-type derivation reads the supertypes' derived records through shared
-//! reborrows (no set cloning), and writes a type's new record behind its
-//! `Arc` — an unshared record is updated in place, a record still shared
-//! with an older schema version is replaced wholesale.
+//! reborrows (no set cloning), and writes a type's new record into the
+//! derived spine — an unshared record is updated in place, a record still
+//! shared with an older schema version is replaced wholesale (its leaf is
+//! copied first while an older version shares it).
 //!
 //! The per-type kernel itself runs on the dense bitset rows of
 //! `core::bits`: the Axiom 6/9 unions, the Axiom 8 difference, and the
@@ -40,16 +41,21 @@ use std::sync::Arc;
 
 use crate::bits::{PropSet, TypeSet};
 use crate::ids::TypeId;
-use crate::model::{DerivedType, TypeSlot};
+use crate::model::{DerivedType, Spine, TypeSlot};
+use crate::obs::EvolveObs;
 
 use super::{down_set, topo_order, ChangeKind, ACYCLIC_MSG};
 
 /// Re-derive every live type (used for full rebuilds, e.g. engine switches
 /// and snapshot loads). Returns the number of per-type derivations.
-pub(crate) fn derive_full(types: &[Arc<TypeSlot>], derived: &mut [Arc<DerivedType>]) -> usize {
+pub(crate) fn derive_full(
+    types: &Spine<TypeSlot>,
+    derived: &mut Spine<DerivedType>,
+    obs: &Option<Arc<EvolveObs>>,
+) -> usize {
     let order = topo_order(types).expect(ACYCLIC_MSG);
     for &t in &order {
-        derive_one_in_place(types, derived, t, ChangeKind::Edges);
+        derive_one_in_place(types, derived, obs, t, ChangeKind::Edges);
     }
     order.len()
 }
@@ -60,9 +66,10 @@ pub(crate) fn derive_full(types: &[Arc<TypeSlot>], derived: &mut [Arc<DerivedTyp
 /// depth the invalidation propagated through, 1 for a flat set of
 /// unrelated seeds, 0 for an empty affected set).
 pub(crate) fn derive_scoped(
-    types: &[Arc<TypeSlot>],
-    rev: &[Arc<TypeSet>],
-    derived: &mut [Arc<DerivedType>],
+    types: &Spine<TypeSlot>,
+    rev: &Spine<TypeSet>,
+    derived: &mut Spine<DerivedType>,
+    obs: &Option<Arc<EvolveObs>>,
     seeds: &[TypeId],
     kind: ChangeKind,
 ) -> (usize, u64) {
@@ -105,7 +112,7 @@ pub(crate) fn derive_scoped(
     while head < queue.len() {
         let i = queue[head] as usize;
         head += 1;
-        derive_one_in_place(types, derived, affected_vec[i], kind);
+        derive_one_in_place(types, derived, obs, affected_vec[i], kind);
         count += 1;
         depth = depth.max(level[i]);
         for &c in &children[i] {
@@ -132,8 +139,9 @@ pub(crate) fn derive_scoped(
 /// — no cloning of `P` is needed to satisfy the borrow checker, because the
 /// new sets are accumulated in locals and written back in one step.
 fn derive_one_in_place(
-    types: &[Arc<TypeSlot>],
-    derived: &mut [Arc<DerivedType>],
+    types: &Spine<TypeSlot>,
+    derived: &mut Spine<DerivedType>,
+    obs: &Option<Arc<EvolveObs>>,
     t: TypeId,
     kind: ChangeKind,
 ) {
@@ -177,7 +185,7 @@ fn derive_one_in_place(
 
         // The whole record changed: replace it outright (cheaper than
         // make_mut when the old record is shared with a previous version).
-        derived[t.index()] = Arc::new(DerivedType { p, pl, n, h, iface });
+        derived.set(obs, t.index(), DerivedType { p, pl, n, h, iface });
     } else {
         // PropsOnly: P/PL are cached and untouched; re-derive N/H/I.
         let mut h = PropSet::new();
@@ -188,7 +196,7 @@ fn derive_one_in_place(
         n.subtract(&h);
         let mut iface = slot.ne.clone();
         iface.union_with(&h);
-        let d = Arc::make_mut(&mut derived[t.index()]);
+        let d = derived.make_mut(obs, t.index());
         d.h = h;
         d.n = n;
         d.iface = iface;
@@ -278,9 +286,7 @@ mod tests {
         let mut s = chain();
         let c0 = s.type_by_name("c0").unwrap();
         let c1 = s.type_by_name("c1").unwrap();
-        std::sync::Arc::make_mut(&mut s.types[c0.index()])
-            .pe
-            .insert(c1);
+        s.types.make_mut(&None, c0.index()).pe.insert(c1);
         s.rebuild_subtype_index();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             crate::engine::recompute_after_many(&mut s, &[c0], crate::engine::ChangeKind::Edges);

@@ -23,11 +23,9 @@
 pub(crate) mod incremental;
 pub(crate) mod naive;
 
-use std::sync::Arc;
-
 use crate::bits::TypeSet;
 use crate::ids::TypeId;
-use crate::model::{Schema, TypeSlot};
+use crate::model::{DerivedType, Schema, Spine, TypeSlot};
 use crate::obs::RecomputeScope;
 
 /// Shared failure message for a `P_e` cycle reaching a derivation engine.
@@ -113,14 +111,12 @@ impl BatchState {
 
 /// Recompute the whole lattice with the configured engine.
 pub(crate) fn recompute_all(schema: &mut Schema) {
-    let mut derived = std::mem::take(&mut schema.derived);
-    derived.clear();
-    derived.resize(schema.types.len(), Arc::default());
+    schema.derived = Spine::repeat(schema.types.len(), DerivedType::default());
+    let (types, derived, obs) = (&schema.types, &mut schema.derived, &schema.obs);
     let n = match schema.engine {
-        EngineKind::Naive => naive::derive_all(&schema.types, &mut derived),
-        EngineKind::Incremental => incremental::derive_full(&schema.types, &mut derived),
+        EngineKind::Naive => naive::derive_all(types, derived, obs),
+        EngineKind::Incremental => incremental::derive_full(types, derived, obs),
     };
-    schema.derived = derived;
     schema.stats.full_recomputes += 1;
     schema.stats.types_derived += n as u64;
     schema.stats.last_types_derived = n as u64;
@@ -141,11 +137,8 @@ pub(crate) fn recompute_all(schema: &mut Schema) {
 pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind: ChangeKind) {
     match schema.engine {
         EngineKind::Naive => {
-            let mut derived = std::mem::take(&mut schema.derived);
-            derived.clear();
-            derived.resize(schema.types.len(), Arc::default());
-            let n = naive::derive_all(&schema.types, &mut derived);
-            schema.derived = derived;
+            schema.derived = Spine::repeat(schema.types.len(), DerivedType::default());
+            let n = naive::derive_all(&schema.types, &mut schema.derived, &schema.obs);
             schema.stats.full_recomputes += 1;
             schema.stats.types_derived += n as u64;
             schema.stats.last_types_derived = n as u64;
@@ -155,11 +148,15 @@ pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind
             }
         }
         EngineKind::Incremental => {
-            let mut derived = std::mem::take(&mut schema.derived);
-            derived.resize(schema.types.len(), Arc::default());
-            let (n, depth) =
-                incremental::derive_scoped(&schema.types, &schema.rev, &mut derived, changed, kind);
-            schema.derived = derived;
+            debug_assert_eq!(schema.derived.len(), schema.types.len());
+            let (n, depth) = incremental::derive_scoped(
+                &schema.types,
+                &schema.rev,
+                &mut schema.derived,
+                &schema.obs,
+                changed,
+                kind,
+            );
             if n == 0 {
                 schema.stats.noop_recomputes += 1;
             } else {
@@ -183,7 +180,7 @@ pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind
 /// for an empty schema) — the full-recompute analogue of the per-scope
 /// depth the incremental engine reports. Only computed when an observer is
 /// attached.
-pub(crate) fn lattice_depth(types: &[Arc<TypeSlot>]) -> u64 {
+pub(crate) fn lattice_depth(types: &Spine<TypeSlot>) -> u64 {
     let order = topo_order(types).expect(ACYCLIC_MSG);
     let mut level = vec![0u64; types.len()];
     let mut depth = 0u64;
@@ -204,7 +201,7 @@ pub(crate) fn lattice_depth(types: &[Arc<TypeSlot>]) -> u64 {
 /// essential supertypes. Returns `None` if the `P_e` graph has a cycle
 /// (never the case for schemas built through [`crate::ops`], which reject
 /// cycles up front; deserialized snapshots are validated before install).
-pub(crate) fn topo_order(types: &[Arc<TypeSlot>]) -> Option<Vec<TypeId>> {
+pub(crate) fn topo_order(types: &Spine<TypeSlot>) -> Option<Vec<TypeId>> {
     let n = types.len();
     let mut remaining: Vec<usize> = vec![0; n];
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -254,7 +251,7 @@ pub(crate) fn topo_order(types: &[Arc<TypeSlot>]) -> Option<Vec<TypeId>> {
 /// This holds for compounded batches too: each absorbed operation's own
 /// seeds cover the edge(s) it changed, and edges *below* a seed are
 /// traversed as they are now, after all edits.
-pub(crate) fn down_set(types: &[Arc<TypeSlot>], rev: &[Arc<TypeSet>], seeds: &[TypeId]) -> TypeSet {
+pub(crate) fn down_set(types: &Spine<TypeSlot>, rev: &Spine<TypeSet>, seeds: &[TypeId]) -> TypeSet {
     let mut out = TypeSet::new();
     let mut stack: Vec<TypeId> = Vec::new();
     for &t in seeds {
@@ -308,7 +305,7 @@ mod tests {
         // Forge a cycle directly in the inputs (ops would reject this).
         let a = s.type_by_name("a").unwrap();
         let c = s.type_by_name("c").unwrap();
-        Arc::make_mut(&mut s.types[a.index()]).pe.insert(c);
+        s.types.make_mut(&None, a.index()).pe.insert(c);
         assert!(topo_order(&s.types).is_none());
     }
 

@@ -32,22 +32,28 @@ use std::sync::Arc;
 
 use crate::bits::{PropSet, TypeSet};
 use crate::ids::TypeId;
-use crate::model::{DerivedType, TypeSlot};
+use crate::model::{DerivedType, Spine, TypeSlot};
+use crate::obs::EvolveObs;
 
 use super::{topo_order, ACYCLIC_MSG};
 
 /// Re-derive every live type. Returns the number of per-type derivations.
-pub(crate) fn derive_all(types: &[Arc<TypeSlot>], derived: &mut [Arc<DerivedType>]) -> usize {
+pub(crate) fn derive_all(
+    types: &Spine<TypeSlot>,
+    derived: &mut Spine<DerivedType>,
+    obs: &Option<Arc<EvolveObs>>,
+) -> usize {
     let order = topo_order(types).expect(ACYCLIC_MSG);
     for &t in &order {
-        derived[t.index()] = Arc::new(derive_one(types, derived, t));
+        let d = derive_one(types, derived, t);
+        derived.set(obs, t.index(), d);
     }
     order.len()
 }
 
 /// Derive one type from the axioms, assuming all its essential supertypes
 /// have already been derived.
-fn derive_one(types: &[Arc<TypeSlot>], derived: &[Arc<DerivedType>], t: TypeId) -> DerivedType {
+fn derive_one(types: &Spine<TypeSlot>, derived: &Spine<DerivedType>, t: TypeId) -> DerivedType {
     let pe = &types[t.index()].pe;
     let ne = &types[t.index()].ne;
 

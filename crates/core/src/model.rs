@@ -16,16 +16,22 @@
 //!
 //! # Structural sharing
 //!
-//! All per-type storage is `Arc`-wrapped (`Vec<Arc<TypeSlot>>`,
-//! `Vec<Arc<DerivedType>>`, …), so cloning a [`Schema`] — the heart of the
-//! copy-on-write versioning in [`crate::concurrent`] — copies only the
-//! spine vectors of `Arc` pointers, O(|T|) pointer bumps instead of a deep
-//! copy of every name and every derived set. A subsequent mutation then
-//! pays for exactly what it changes: writers go through [`Arc::make_mut`],
-//! which clones an individual slot only when it is still shared with an
-//! older version. Version production is therefore O(changed types).
+//! Per-slot storage lives in chunked persistent spines (`Spine<TypeSlot>`,
+//! `Spine<DerivedType>`, …: `Arc`'d cells in `Arc`'d 64-slot leaves) and
+//! the type names in a sharded `NameIndex` (64 `Arc`'d hash shards); see
+//! the `sharing` submodule. Cloning a [`Schema`], the heart of the
+//! copy-on-write versioning in [`crate::concurrent`], therefore copies one
+//! pointer per 64 slots and per shard, not one per slot, and no name or
+//! derived set. A later mutation pays for what it changes, at leaf and
+//! shard granularity: the first write to a slot copies its 64-slot leaf
+//! (pointers only) and then the slot's record, each only while an older
+//! version still shares it; a type add, drop or rename copies the one name
+//! shard it touches. A version thus costs O(|T|/64) pointer copies plus
+//! O(leaves and shards the change touches).
 
-use std::collections::{BTreeSet, HashMap};
+mod sharing;
+
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::bits::{PropSet, TypeSet};
@@ -34,6 +40,8 @@ use crate::engine::{self, BatchState, EngineKind, EngineStats};
 use crate::error::{Result, SchemaError};
 use crate::ids::{PropId, TypeId};
 use crate::obs::EvolveObs;
+
+pub(crate) use sharing::{NameIndex, Spine};
 
 /// A property in the registry.
 ///
@@ -101,17 +109,17 @@ pub struct DerivedType {
 #[derive(Debug)]
 pub struct Schema {
     pub(crate) config: LatticeConfig,
-    pub(crate) types: Vec<Arc<TypeSlot>>,
-    pub(crate) props: Vec<Arc<PropRecord>>,
-    pub(crate) by_name: Arc<HashMap<String, TypeId>>,
+    pub(crate) types: Spine<TypeSlot>,
+    pub(crate) props: Spine<PropRecord>,
+    pub(crate) by_name: NameIndex,
     pub(crate) root: Option<TypeId>,
     pub(crate) base: Option<TypeId>,
-    pub(crate) derived: Vec<Arc<DerivedType>>,
+    pub(crate) derived: Spine<DerivedType>,
     /// Reverse essential-subtype adjacency: `rev[s]` is the set of live
     /// types with `s ∈ P_e(t)` (the paper's `sub_e`). Maintained
     /// incrementally by every `P_e` edit so down-set discovery never scans
     /// all of `T`.
-    pub(crate) rev: Vec<Arc<TypeSet>>,
+    pub(crate) rev: Spine<TypeSet>,
     /// Live-type membership `T` as a dense bitset: the word-iterable twin
     /// of the per-slot `alive` flags. Serves `iter_types`/`type_count`/
     /// `is_live` without chasing one `Arc` per arena slot.
@@ -127,7 +135,7 @@ pub struct Schema {
     pub(crate) batch: Option<BatchState>,
     /// Optional observer: when attached, the engine and copy-on-write
     /// helpers report recompute scopes, affected-set sizes, lattice depth,
-    /// and actual `Arc` copies into its metrics registry.
+    /// and actual leaf, cell and shard copies into its metrics registry.
     pub(crate) obs: Option<Arc<EvolveObs>>,
 }
 
@@ -137,7 +145,7 @@ impl Clone for Schema {
             config: self.config,
             types: self.types.clone(),
             props: self.props.clone(),
-            by_name: Arc::clone(&self.by_name),
+            by_name: self.by_name.clone(),
             root: self.root,
             base: self.base,
             derived: self.derived.clone(),
@@ -165,20 +173,6 @@ impl Clone for Schema {
     }
 }
 
-/// Copy-on-write access to an `Arc`-wrapped spine cell: clones the cell if
-/// (and only if) it is still shared with another schema version, reporting
-/// the copy to the observer when one actually happens. All interior
-/// mutation in `ops`/`model` funnels through here so
-/// `engine.cow_copies` counts every real copy and nothing else.
-pub(crate) fn cow<'a, T: Clone>(obs: &Option<Arc<EvolveObs>>, arc: &'a mut Arc<T>) -> &'a mut T {
-    if let Some(o) = obs {
-        if Arc::get_mut(arc).is_none() {
-            o.on_cow_copy();
-        }
-    }
-    Arc::make_mut(arc)
-}
-
 impl Schema {
     /// Create an empty schema using the default (incremental) engine.
     pub fn new(config: LatticeConfig) -> Self {
@@ -192,13 +186,13 @@ impl Schema {
     pub fn with_engine(config: LatticeConfig, engine: EngineKind) -> Self {
         Schema {
             config,
-            types: Vec::new(),
-            props: Vec::new(),
-            by_name: Arc::new(HashMap::new()),
+            types: Spine::new(),
+            props: Spine::new(),
+            by_name: NameIndex::new(),
             root: None,
             base: None,
-            derived: Vec::new(),
-            rev: Vec::new(),
+            derived: Spine::new(),
+            rev: Spine::new(),
             live: TypeSet::new(),
             live_props: PropSet::new(),
             engine,
@@ -251,9 +245,9 @@ impl Schema {
 
     /// Attach an observer: from now on the engine reports recompute scope,
     /// affected-set size, and lattice depth, and the copy-on-write helpers
-    /// report actual `Arc` copies, into `obs`'s metrics registry (and span
-    /// events to its tracer, if any). Clones of this schema inherit the
-    /// observer.
+    /// report actual leaf, cell and shard copies, into `obs`'s metrics
+    /// registry (and span events to its tracer, if any). Clones of this
+    /// schema inherit the observer.
     pub fn attach_obs(&mut self, obs: Arc<EvolveObs>) {
         self.obs = Some(obs);
     }
@@ -335,7 +329,7 @@ impl Schema {
 
     /// Look up a live type by name.
     pub fn type_by_name(&self, name: &str) -> Option<TypeId> {
-        self.by_name.get(name).copied().filter(|&t| self.is_live(t))
+        self.by_name.get(name).filter(|&t| self.is_live(t))
     }
 
     /// Look up live properties by name (names need not be unique).
@@ -400,7 +394,7 @@ impl Schema {
     /// The full derived record of `t` (all of Table 1 at once).
     pub fn derived(&self, t: TypeId) -> Result<&DerivedType> {
         self.check_live(t)?;
-        Ok(self.derived[t.index()].as_ref())
+        Ok(&self.derived[t.index()])
     }
 
     /// Is `s` a supertype of `t` (i.e. `s ∈ PL(t)`)? Reflexive.
@@ -539,20 +533,17 @@ impl Schema {
 
     pub(crate) fn slot(&self, t: TypeId) -> Result<&TypeSlot> {
         match self.types.get(t.index()) {
-            Some(s) if s.alive => Ok(s.as_ref()),
+            Some(s) if s.alive => Ok(s),
             _ => Err(SchemaError::UnknownType(t)),
         }
     }
 
-    /// Mutable access to a live slot. Copy-on-write: if the slot is still
-    /// shared with an older schema version, it is cloned here, so mutation
-    /// cost is proportional to what actually changes.
+    /// Mutable access to a live slot. Copy-on-write: the slot's leaf, then
+    /// the slot, is cloned here only while an older schema version still
+    /// shares it, so mutation cost is proportional to what actually changes.
     pub(crate) fn slot_mut(&mut self, t: TypeId) -> Result<&mut TypeSlot> {
-        let obs = &self.obs;
-        match self.types.get_mut(t.index()) {
-            Some(s) if s.alive => Ok(cow(obs, s)),
-            _ => Err(SchemaError::UnknownType(t)),
-        }
+        self.check_live(t)?;
+        Ok(self.types.make_mut(&self.obs, t.index()))
     }
 
     pub(crate) fn check_live(&self, t: TypeId) -> Result<()> {
@@ -585,12 +576,12 @@ impl Schema {
 
     /// Register `sub ∈ sub_e(sup)` in the reverse-subtype index.
     pub(crate) fn rev_insert(&mut self, sup: TypeId, sub: TypeId) {
-        cow(&self.obs, &mut self.rev[sup.index()]).insert(sub);
+        self.rev.make_mut(&self.obs, sup.index()).insert(sub);
     }
 
     /// Remove `sub` from `sub_e(sup)` in the reverse-subtype index.
     pub(crate) fn rev_remove(&mut self, sup: TypeId, sub: TypeId) {
-        cow(&self.obs, &mut self.rev[sup.index()]).remove(sub);
+        self.rev.make_mut(&self.obs, sup.index()).remove(sub);
     }
 
     /// Rebuild the reverse-subtype index from scratch (snapshot loads and
@@ -607,7 +598,7 @@ impl Schema {
                 rev[s.index()].insert(t);
             }
         }
-        self.rev = rev.into_iter().map(Arc::new).collect();
+        self.rev = rev.into_iter().collect();
     }
 
     /// Is `target` in the reflexive upward `P_e`-closure of `from`? This is

@@ -41,7 +41,8 @@ pub mod names {
     pub const ENGINE_NOOP: &str = "engine.noop_recomputes";
     /// Total per-type derivations across all recomputations.
     pub const ENGINE_TYPES_DERIVED: &str = "engine.types_derived";
-    /// `Arc::make_mut` copies actually performed on shared schema spines.
+    /// Copy-on-write copies actually performed on storage a schema version
+    /// shares with another: spine leaves, spine cells and name shards.
     pub const ENGINE_COW_COPIES: &str = "engine.cow_copies";
     /// Histogram: types re-derived per recomputation.
     pub const ENGINE_AFFECTED: &str = "engine.affected_set_size";
@@ -284,7 +285,8 @@ impl EvolveObs {
         });
     }
 
-    /// An `Arc::make_mut` on a shared spine actually copied.
+    /// A copy-on-write edit copied a shared spine leaf, spine cell or name
+    /// shard.
     #[inline]
     pub(crate) fn on_cow_copy(&self) {
         self.cow_copies.inc();
@@ -484,8 +486,8 @@ mod tests {
         );
         assert_eq!(hist.sum, stats.types_derived);
 
-        // No `Arc` copy happened while this schema was the sole owner of
-        // its spines; editing next to a live clone copies exactly then.
+        // Nothing was copied while this schema was the sole owner of its
+        // storage; editing next to a live clone copies exactly then.
         assert_eq!(reg.get(names::ENGINE_COW_COPIES), 0);
         let keep = s.clone();
         let p = s.add_property("x");
@@ -499,6 +501,26 @@ mod tests {
         for (i, ev) in events.iter().enumerate() {
             assert_eq!(ev.seq, i as u64);
         }
+    }
+
+    #[test]
+    fn cow_copies_count_leaf_and_cell_copies_of_a_clone_only() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let mut s = Schema::new(LatticeConfig::default());
+        let root = s.add_root_type("root").unwrap();
+        let a = s.add_type("a", [root], []).unwrap();
+        let b = s.add_type("b", [root], []).unwrap();
+        s.attach_obs(Arc::new(EvolveObs::new(Arc::clone(&reg))));
+
+        // Uniquely owned: the write edits its leaf and cell in place.
+        s.freeze_type(a).unwrap();
+        assert_eq!(reg.get(names::ENGINE_COW_COPIES), 0);
+
+        // Freshly cloned: the write copies the shared leaf, then the cell.
+        let keep = s.clone();
+        s.freeze_type(b).unwrap();
+        assert_eq!(reg.get(names::ENGINE_COW_COPIES), 2);
+        assert!(!keep.is_frozen(b) && s.is_frozen(b));
     }
 
     #[test]

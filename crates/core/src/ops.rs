@@ -25,15 +25,13 @@
 //! *before* mutating; a returned error implies the schema is unchanged. The
 //! failure-injection tests pin this with fingerprint comparisons.
 
-use std::sync::Arc;
-
 use crate::analysis::plan::{self, EvolutionPlan};
 use crate::bits::{ensure_arena_index, ArenaKind, PropSet, TypeSet};
 use crate::engine::{BatchState, ChangeKind};
 use crate::error::{Result, SchemaError};
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
-use crate::model::{cow, PropRecord, Schema, TypeSlot};
+use crate::model::{DerivedType, PropRecord, Schema, TypeSlot};
 use crate::obs::names;
 
 impl Schema {
@@ -48,10 +46,13 @@ impl Schema {
     /// [`PropId`].
     pub fn add_property(&mut self, name: impl Into<String>) -> PropId {
         let id = PropId::from_index(self.props.len());
-        self.props.push(Arc::new(PropRecord {
-            name: name.into(),
-            alive: true,
-        }));
+        self.props.push(
+            &self.obs,
+            PropRecord {
+                name: name.into(),
+                alive: true,
+            },
+        );
         self.live_props.insert(id);
         id
     }
@@ -59,7 +60,7 @@ impl Schema {
     /// Rename a property (labels only; identity is unchanged).
     pub fn rename_property(&mut self, p: PropId, name: impl Into<String>) -> Result<()> {
         self.check_live_prop(p)?;
-        cow(&self.obs, &mut self.props[p.index()]).name = name.into();
+        self.props.make_mut(&self.obs, p.index()).name = name.into();
         self.bump_version();
         Ok(())
     }
@@ -74,9 +75,9 @@ impl Schema {
             .filter(|&t| self.types[t.index()].ne.contains(p))
             .collect();
         for &t in &holders {
-            cow(&self.obs, &mut self.types[t.index()]).ne.remove(p);
+            self.types.make_mut(&self.obs, t.index()).ne.remove(p);
         }
-        cow(&self.obs, &mut self.props[p.index()]).alive = false;
+        self.props.make_mut(&self.obs, p.index()).alive = false;
         self.live_props.remove(p);
         if !holders.is_empty() {
             self.note_change(&holders, ChangeKind::PropsOnly);
@@ -168,7 +169,7 @@ impl Schema {
         let mut changed = vec![t];
         if self.config.is_pointed() {
             if let Some(b) = self.base {
-                cow(&self.obs, &mut self.types[b.index()]).pe.insert(t);
+                self.types.make_mut(&self.obs, b.index()).pe.insert(t);
                 self.rev_insert(t, b);
                 changed.push(b);
             }
@@ -190,12 +191,11 @@ impl Schema {
         }
         self.check_fresh_name(&new_name)?;
         let old = std::mem::replace(
-            &mut cow(&self.obs, &mut self.types[t.index()]).name,
+            &mut self.types.make_mut(&self.obs, t.index()).name,
             new_name.clone(),
         );
-        let by_name = cow(&self.obs, &mut self.by_name);
-        by_name.remove(&old);
-        by_name.insert(new_name, t);
+        self.by_name.remove(&self.obs, &old);
+        self.by_name.insert(&self.obs, new_name, t);
         self.bump_version();
         Ok(())
     }
@@ -247,7 +247,7 @@ impl Schema {
         };
         let mut relinked: Vec<TypeId> = Vec::new();
         for &c in &subtypes {
-            let slot = cow(&self.obs, &mut self.types[c.index()]);
+            let slot = self.types.make_mut(&self.obs, c.index());
             slot.pe.remove(t);
             if slot.pe.is_empty() {
                 if let Some(root) = relink_root {
@@ -266,15 +266,16 @@ impl Schema {
             self.rev_remove(s, t);
         }
         // ...and as a supertype (its subtypes just dropped their t-edges).
-        self.rev[t.index()] = Arc::default();
-        let slot = cow(&self.obs, &mut self.types[t.index()]);
+        self.rev.set(&self.obs, t.index(), TypeSet::new());
+        let slot = self.types.make_mut(&self.obs, t.index());
         slot.alive = false;
         slot.pe.clear();
         slot.ne.clear();
         let name = slot.name.clone();
         self.live.remove(t);
-        cow(&self.obs, &mut self.by_name).remove(&name);
-        self.derived[t.index()] = Arc::default();
+        self.by_name.remove(&self.obs, &name);
+        self.derived
+            .set(&self.obs, t.index(), DerivedType::default());
         if !subtypes.is_empty() {
             self.note_change(&subtypes, ChangeKind::Edges);
         }
@@ -325,7 +326,7 @@ impl Schema {
                 supertype: s,
             });
         }
-        cow(&self.obs, &mut self.types[t.index()]).pe.insert(s);
+        self.types.make_mut(&self.obs, t.index()).pe.insert(s);
         self.rev_insert(s, t);
         self.note_change(&[t], ChangeKind::Edges);
         self.bump_version();
@@ -361,11 +362,11 @@ impl Schema {
         if self.config.is_pointed() && Some(t) == self.base {
             return Err(SchemaError::BaseEdgeDrop { supertype: s });
         }
-        cow(&self.obs, &mut self.types[t.index()]).pe.remove(s);
+        self.types.make_mut(&self.obs, t.index()).pe.remove(s);
         self.rev_remove(s, t);
         if self.types[t.index()].pe.is_empty() {
             if let (true, Some(root)) = (self.config.is_rooted(), self.root) {
-                cow(&self.obs, &mut self.types[t.index()]).pe.insert(root);
+                self.types.make_mut(&self.obs, t.index()).pe.insert(root);
                 self.rev_insert(root, t);
             }
         }
@@ -385,7 +386,7 @@ impl Schema {
     pub fn add_essential_property(&mut self, t: TypeId, p: PropId) -> Result<bool> {
         self.check_live(t)?;
         self.check_live_prop(p)?;
-        let inserted = cow(&self.obs, &mut self.types[t.index()]).ne.insert(p);
+        let inserted = self.types.make_mut(&self.obs, t.index()).ne.insert(p);
         if inserted {
             self.note_change(&[t], ChangeKind::PropsOnly);
             self.bump_version();
@@ -411,7 +412,7 @@ impl Schema {
         if !self.types[t.index()].ne.contains(p) {
             return Err(SchemaError::NotAnEssentialProperty { ty: t, prop: p });
         }
-        cow(&self.obs, &mut self.types[t.index()]).ne.remove(p);
+        self.types.make_mut(&self.obs, t.index()).ne.remove(p);
         self.note_change(&[t], ChangeKind::PropsOnly);
         self.bump_version();
         Ok(())
@@ -434,17 +435,20 @@ impl Schema {
         // error surfaces on the public `Result` paths instead of a panic.
         let raw = ensure_arena_index(self.types.len(), ArenaKind::Types)?;
         let t = TypeId::from_u32(raw);
-        cow(&self.obs, &mut self.by_name).insert(name.clone(), t);
+        self.by_name.insert(&self.obs, name.clone(), t);
         let parents: Vec<TypeId> = pe.iter().collect();
-        self.types.push(Arc::new(TypeSlot {
-            name,
-            alive: true,
-            frozen: false,
-            pe,
-            ne,
-        }));
-        self.derived.push(Arc::default());
-        self.rev.push(Arc::default());
+        self.types.push(
+            &self.obs,
+            TypeSlot {
+                name,
+                alive: true,
+                frozen: false,
+                pe,
+                ne,
+            },
+        );
+        self.derived.push(&self.obs, DerivedType::default());
+        self.rev.push(&self.obs, TypeSet::new());
         self.live.insert(t);
         for s in parents {
             self.rev_insert(s, t);
@@ -588,6 +592,7 @@ mod tests {
     use super::*;
     use crate::config::{LatticeConfig, Pointedness, Rootedness};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn rooted() -> (Schema, TypeId) {
         let mut s = Schema::new(LatticeConfig::default());

@@ -160,9 +160,7 @@ mod tests {
         let ta = s.type_by_name("T_teachingAssistant").unwrap();
         // Forge an extra member of PL(ta) that reachability does not justify.
         let ghost = s.add_type("Ghost", [], []).unwrap();
-        std::sync::Arc::make_mut(&mut s.derived[ta.index()])
-            .pl
-            .insert(ghost);
+        s.derived.make_mut(&None, ta.index()).pl.insert(ghost);
         assert_eq!(check_schema(&s), vec![ta]);
     }
 

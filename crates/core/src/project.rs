@@ -48,14 +48,14 @@ impl Schema {
         // Tombstone everything outside the closure.
         let drop_list: Vec<TypeId> = out.iter_types().filter(|t| !keep.contains(t)).collect();
         for t in &drop_list {
-            let slot = std::sync::Arc::make_mut(&mut out.types[t.index()]);
+            let slot = out.types.make_mut(&out.obs, t.index());
             slot.alive = false;
             slot.pe.clear();
             slot.ne.clear();
             let name = slot.name.clone();
             out.live.remove(*t);
-            std::sync::Arc::make_mut(&mut out.by_name).remove(&name);
-            out.derived[t.index()] = Default::default();
+            out.by_name.remove(&out.obs, &name);
+            out.derived.set(&out.obs, t.index(), Default::default());
         }
         // The keep-set is upward-closed, so no surviving type lists a dropped
         // one in `P_e`; still, the dropped types' own entries must vanish

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use crate::config::{LatticeConfig, Pointedness, Rootedness};
 use crate::engine::EngineKind;
 use crate::ids::{PropId, TypeId};
-use crate::model::{PropRecord, Schema, TypeSlot};
+use crate::model::{NameIndex, PropRecord, Schema, Spine, TypeSlot};
 
 /// Errors raised while parsing a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,14 +282,15 @@ fn assemble(
     root: Option<TypeId>,
     base: Option<TypeId>,
 ) -> Result<Schema, SnapshotError> {
-    // Validate inputs before deriving anything.
-    let mut by_name = std::collections::HashMap::new();
+    // Validate inputs before deriving anything; the name index is built
+    // in the same pass.
+    let mut by_name = NameIndex::new();
     for (i, t) in types.iter().enumerate() {
         if !t.alive {
             continue;
         }
         if by_name
-            .insert(t.name.clone(), TypeId::from_index(i))
+            .insert(&None, t.name.clone(), TypeId::from_index(i))
             .is_some()
         {
             return Err(SnapshotError::InvalidInputs(format!(
@@ -312,7 +313,9 @@ fn assemble(
             }
         }
     }
-    let types: Vec<std::sync::Arc<TypeSlot>> = types.into_iter().map(std::sync::Arc::new).collect();
+    // The spines are built once parsing is done, so each one's records sit
+    // together in memory rather than between the parser's allocations.
+    let types: Spine<TypeSlot> = types.into_iter().collect();
     if crate::engine::topo_order(&types).is_none() {
         return Err(SnapshotError::InvalidInputs(
             "P_e graph contains a cycle (Axiom of Acyclicity)".into(),
@@ -335,16 +338,17 @@ fn assemble(
 
     let mut schema = Schema {
         config,
-        derived: vec![Default::default(); types.len()],
+        // `recompute_all` below fills the derived spine.
+        derived: Spine::new(),
         types,
-        props: props.into_iter().map(std::sync::Arc::new).collect(),
-        by_name: std::sync::Arc::new(by_name),
+        props: props.into_iter().collect(),
+        by_name,
         root,
         base,
         engine,
         version: 0,
         stats: Default::default(),
-        rev: Vec::new(),
+        rev: Spine::new(),
         live: Default::default(),
         live_props: Default::default(),
         batch: None,

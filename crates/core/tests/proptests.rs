@@ -9,6 +9,8 @@
 //! * §5 order-independence: dropping a set of subtype edges produces the
 //!   same lattice under every order.
 //! * Snapshot round-trip: persistence preserves the observable schema.
+//! * Structural sharing: a published version never sees a later version's
+//!   write, across spine-leaf and name-shard boundaries.
 
 use axiombase_core::{oracle, EngineKind, LatticeConfig, PropId, Schema, SchemaError, TypeId};
 use proptest::prelude::*;
@@ -505,6 +507,129 @@ proptest! {
             for sup in p.super_lattice(t).unwrap() {
                 prop_assert!(p.is_live(sup));
             }
+        }
+    }
+}
+
+/// Versions share storage in 64-slot spine leaves and 64 name shards; a
+/// write to a new version must never show through an older one.
+mod version_sharing {
+    use super::*;
+    use axiombase_core::history::History;
+    use axiombase_core::{RecordedOp, SharedSchema};
+    use axiombase_workload::{record_random_ops, LatticeGen, OpMix};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    /// splitmix64 of `(seed, salt)`: the test's own picks.
+    fn mix(seed: u64, salt: u64) -> u64 {
+        let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A trace from the seeded generator behind `generate_trace`, run in
+    /// chunks on one recording history, with one extra op after each
+    /// chunk: a rename, a drop followed by re-adding the same name (a new
+    /// slot under the old name), or a freeze.
+    fn trace(base: &Schema, seed: u64) -> Vec<RecordedOp> {
+        let mut h = History::from_schema(base.clone());
+        for chunk in 0..9u64 {
+            record_random_ops(&mut h, 12, OpMix::BALANCED, mix(seed, chunk));
+            let s = h.schema();
+            let plain: Vec<TypeId> = s
+                .iter_types()
+                .filter(|&t| Some(t) != s.root() && Some(t) != s.base() && !s.is_frozen(t))
+                .collect();
+            if plain.is_empty() {
+                continue;
+            }
+            let t = plain[(mix(seed, 100 + chunk) % plain.len() as u64) as usize];
+            match chunk % 3 {
+                0 => h.rename_type(t, format!("renamed_{chunk}")).unwrap(),
+                1 => {
+                    let name = s.type_name(t).unwrap().to_string();
+                    let supers: Vec<TypeId> =
+                        s.essential_supertypes(t).unwrap().into_iter().collect();
+                    h.drop_type(t).unwrap();
+                    h.add_type(name, supers, []).unwrap();
+                }
+                _ => h.freeze_type(t).unwrap(),
+            }
+        }
+        h.ops().to_vec()
+    }
+
+    /// `type_by_name` for every name in `names`.
+    fn probe(s: &Schema, names: &BTreeSet<String>) -> Vec<Option<TypeId>> {
+        names.iter().map(|n| s.type_by_name(n)).collect()
+    }
+
+    /// A published version and what it showed when it was published.
+    struct Kept {
+        version: Arc<Schema>,
+        text: String,
+        fingerprint: u64,
+        probed: Vec<Option<TypeId>>,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Bases of 60–140 types, so the trace's adds cross the 64- and
+        /// 128-slot leaf edges. Every `every`-th published version is kept
+        /// with its snapshot text, fingerprint and name probes; after the
+        /// whole trace each still shows exactly those, and the head equals
+        /// an in-place replay on a uniquely owned schema.
+        #[test]
+        fn old_versions_never_see_a_later_write(
+            config in configs(),
+            types in 60usize..140,
+            seed in any::<u64>(),
+            every in 1usize..6,
+        ) {
+            let base = LatticeGen { types, seed, ..LatticeGen::default() }
+                .generate(config, EngineKind::Incremental)
+                .schema;
+            let ops = trace(&base, seed);
+            let mut names: BTreeSet<String> =
+                base.iter_types().map(|t| base.type_name(t).unwrap().to_string()).collect();
+            for op in &ops {
+                if let RecordedOp::AddType { name, .. } | RecordedOp::RenameType { name, .. } = op {
+                    names.insert(name.clone());
+                }
+            }
+            // Both replays start from a parse of the base, so they share
+            // nothing with it or with each other.
+            let base_text = base.to_snapshot();
+            let shared = SharedSchema::new(Schema::from_snapshot(&base_text).unwrap());
+            let mut kept = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                shared.evolve(|s| op.apply(s)).unwrap();
+                if i % every == 0 {
+                    let version = shared.snapshot();
+                    kept.push(Kept {
+                        text: version.to_snapshot(),
+                        fingerprint: version.fingerprint(),
+                        probed: probe(&version, &names),
+                        version,
+                    });
+                }
+            }
+            for k in &kept {
+                prop_assert_eq!(&k.version.to_snapshot(), &k.text);
+                prop_assert_eq!(k.version.fingerprint(), k.fingerprint);
+                prop_assert_eq!(&probe(&k.version, &names), &k.probed);
+            }
+            let mut own = Schema::from_snapshot(&base_text).unwrap();
+            for op in &ops {
+                op.apply(&mut own).unwrap();
+            }
+            let head = shared.snapshot();
+            prop_assert_eq!(head.to_snapshot(), own.to_snapshot());
+            prop_assert_eq!(head.fingerprint(), own.fingerprint());
+            prop_assert_eq!(head.version(), own.version());
         }
     }
 }
