@@ -10,12 +10,14 @@
 //!
 //! `TRACE` is a command script (executed in a fresh [`Session`] to record
 //! its operation trace; the *analysis* itself never executes an op) or a
-//! journal directory (read via the read-only `Journal::inspect` — the
-//! checkpoint supplies the initial schema and the uncovered WAL suffix
+//! journal directory (read via the read-only `Journal::read_history` —
+//! the checkpoint supplies the initial schema and the chained WAL suffix
 //! supplies the trace). The analyzers assume a recorded, known-successful
-//! trace, so a journal suffix that does not replay on its checkpoint is
-//! refused with the rejected op's sequence number, exactly as `recover`
-//! refuses it. Snapshot files carry no trace and are rejected.
+//! trace, so a journal directory is read by strict recovery's rules: a
+//! damaged checkpoint, a corrupt record, a sequence gap or a suffix op that
+//! does not replay on its checkpoint is refused with the error `recover`
+//! gives, and a torn tail, never acknowledged, is left out. Snapshot files
+//! carry no trace and are rejected.
 //!
 //! `--tail N` analyses only the last `N` recorded operations; the prefix
 //! is replayed first to build the initial schema (a migration script
@@ -48,7 +50,7 @@ use std::path::Path;
 
 use axiombase_core::analysis::{self, mc};
 use axiombase_core::journal::io::StdIo;
-use axiombase_core::journal::{replay_entries, Journal, LogEntry};
+use axiombase_core::journal::Journal;
 use axiombase_core::{json_escape, RecordedOp, Schema, TypeId};
 
 use crate::exec::Session;
@@ -126,23 +128,10 @@ fn parse_args(args: &[&str]) -> Result<Options, String> {
 pub(crate) fn load_trace(path: &str) -> Result<(Schema, Vec<RecordedOp>), String> {
     let p = Path::new(path);
     if p.is_dir() {
-        let ins = Journal::inspect(p, &StdIo).map_err(|e| format!("journal inspect: {e}"))?;
-        let data = std::fs::read_to_string(p.join(&ins.checkpoint_file))
-            .map_err(|e| format!("cannot read checkpoint: {e}"))?;
-        let body = data
-            .split_once('\n')
-            .map(|(_, b)| b)
-            .ok_or("empty checkpoint file")?;
-        let initial = Schema::from_snapshot(body).map_err(|e| format!("bad checkpoint: {e}"))?;
-        let suffix: Vec<LogEntry> = ins
-            .entries
-            .into_iter()
-            .filter(|e| e.seq > ins.checkpoint_seq)
-            .collect();
-        // The analyzers take a recorded, known-successful trace: refuse a
-        // suffix that does not replay on its checkpoint, as recovery does.
-        replay_entries(&mut initial.clone(), &suffix).map_err(|e| e.to_string())?;
-        return Ok((initial, suffix.into_iter().map(|e| e.op).collect()));
+        // The durable history, read as strict recovery reads it: refused
+        // with recovery's error, torn tail left out.
+        let (_, initial, ops) = Journal::read_history(p, &StdIo).map_err(|e| e.to_string())?;
+        return Ok((initial, ops));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if text

@@ -5,17 +5,21 @@
 //! axiombase journal-init DIR [SNAPSHOT]   # new journal (from a snapshot, or fresh)
 //! axiombase recover DIR [--salvage|--quarantine] [--json] [--trace-spans]
 //! axiombase checkpoint DIR [--json]       # recover, then force a checkpoint
-//! axiombase log DIR [--json]              # read-only WAL listing
+//! axiombase log DIR [--json]              # read-only listing of the durable history
 //! axiombase stats DIR [--salvage] [--json] # recover + full metrics snapshot
 //! axiombase doctor DIR [--json]           # read-only health diagnosis
 //! ```
 //!
 //! `recover`, `checkpoint`, and `stats` repair the directory (truncating a
-//! torn tail); `log` and `doctor` never write. All exit 0 on success, 1 on
-//! failure, 2 on usage errors — except `doctor`, whose exit code reports
-//! serviceability, and `stats`, which degrades to a health report (exit 0)
-//! when the journal cannot be opened. `--quarantine` renames a corrupt WAL
-//! segment to `*.quar` and re-checkpoints instead of refusing recovery.
+//! torn tail); `log` and `doctor` never write. Every one of them reads the
+//! directory by the journal's one set of read rules, so `log`'s tail and
+//! `doctor`'s verdict are exactly what `recover` would find. All exit 0 on
+//! success, 1 on failure, 2 on usage errors — except `doctor`, whose exit
+//! code reports serviceability, and `stats`, which degrades to a health
+//! report (exit 0) when the journal cannot be opened. `--salvage` and
+//! `--quarantine` rename a damaged newer checkpoint to `*.quar`;
+//! `--quarantine` also renames a corrupt WAL segment to `*.quar` and
+//! re-checkpoints instead of refusing recovery.
 //! `--trace-spans` replays recovery through an `EvolveTracer` and prints
 //! the structured span events after the report (as text, or as a JSON
 //! array on its own line after the JSON report).
@@ -285,9 +289,11 @@ pub fn stats(rest: &[&str]) -> i32 {
 /// `axiombase doctor DIR [--json]` — read-only health diagnosis of a
 /// journal directory: status (`healthy` / `repairable` / `corrupt` /
 /// `uninitialized` / `unreadable`), checkpoint and durable sequence
-/// numbers, segment counts, and repair advice. Never modifies anything.
-/// Exits 0 when the journal is serviceable (a normal recovery open will
-/// succeed), 1 otherwise.
+/// numbers, segment counts, the tail where the walk stopped, strict
+/// recovery's error, and repair advice. Never modifies anything. The
+/// diagnosis is strict recovery without the writes, so it exits 0 exactly
+/// when `recover DIR` (strict) succeeds — and reports the sequence that
+/// recovery reaches — and 1 otherwise.
 pub fn doctor(rest: &[&str]) -> i32 {
     let usage = "axiombase doctor DIR [--json]";
     let (dir, flags) = match parse_args(rest, &["--json"], usage) {
@@ -350,9 +356,11 @@ pub fn checkpoint(rest: &[&str]) -> i32 {
     0
 }
 
-/// `axiombase log DIR [--json]` — read-only listing of the journal: the
-/// active checkpoint plus every decodable WAL record, with any torn or
-/// corrupt tail reported (but left untouched).
+/// `axiombase log DIR [--json]` — read-only listing of the journal's
+/// durable history, read by the rules recovery reads it by: the newest
+/// verified checkpoint (and any newer damaged one, listed as skipped),
+/// every chained WAL record on top of it, and the tail where the walk
+/// stopped — torn, corrupt, a sequence gap — reported but left untouched.
 pub fn log(rest: &[&str]) -> i32 {
     let usage = "axiombase log DIR [--json]";
     let (dir, flags) = match parse_args(rest, &["--json"], usage) {
@@ -372,21 +380,31 @@ pub fn log(rest: &[&str]) -> i32 {
     if flags.contains(&"--json") {
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"checkpoint_file\": \"{}\", \"checkpoint_seq\": {}, \"entries\": [",
+            "\"checkpoint_file\": \"{}\", \"checkpoint_seq\": {}, \"skipped_checkpoints\": [",
             json_escape(&ins.checkpoint_file),
             ins.checkpoint_seq
         ));
+        for (i, s) in ins.skipped_checkpoints.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!(
+                "{{\"file\": \"{}\", \"detail\": \"{}\"}}",
+                json_escape(&s.file),
+                json_escape(&s.detail)
+            ));
+        }
+        out.push_str("], \"entries\": [");
         for (i, e) in ins.entries.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"seq\": {}, \"file\": \"{}\", \"offset\": {}, \"op\": \"{}\", \"covered\": {}}}",
+                "{{\"seq\": {}, \"file\": \"{}\", \"offset\": {}, \"op\": \"{}\"}}",
                 e.seq,
                 json_escape(&e.file),
                 e.offset,
-                json_escape(&encode_op(&e.op)),
-                e.seq <= ins.checkpoint_seq
+                json_escape(&encode_op(&e.op))
             ));
         }
         out.push_str("], \"tail\": ");
@@ -408,19 +426,16 @@ pub fn log(rest: &[&str]) -> i32 {
             "checkpoint {} (sequence {})",
             ins.checkpoint_file, ins.checkpoint_seq
         );
+        for s in &ins.skipped_checkpoints {
+            println!("skipped damaged checkpoint {}: {}", s.file, s.detail);
+        }
         for e in &ins.entries {
-            let covered = if e.seq <= ins.checkpoint_seq {
-                " [covered]"
-            } else {
-                ""
-            };
             println!(
-                "{:>8}  {}@{}  {}{}",
+                "{:>8}  {}@{}  {}",
                 e.seq,
                 e.file,
                 e.offset,
-                encode_op(&e.op),
-                covered
+                encode_op(&e.op)
             );
         }
         match &ins.tail {

@@ -228,3 +228,65 @@ fn doctor_reports_a_frame_that_does_not_replay_as_corrupt() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn every_reader_refuses_a_sequence_gap_as_recovery_does() {
+    let dir = scratch("gap");
+    build_journal(&dir, 2);
+    // A CRC-valid frame for seq 4 after seqs 1 and 2: seq 3 is missing.
+    let wal = wal_path(&dir);
+    let mut frame = Vec::new();
+    let op = RecordedOp::AddType {
+        name: "T_gap".into(),
+        supers: vec![TypeId::from_index(0)],
+        props: vec![],
+    };
+    encode_frame(&mut frame, 4, &op);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&frame);
+    std::fs::write(&wal, &bytes).unwrap();
+    let refusal = "sequence gap: expected 3 found 4";
+
+    let d = dir.to_str().unwrap();
+    let (code, _, stderr) = run(&["recover", d]);
+    assert_eq!(code, 1, "strict recovery refuses the gap: {stderr}");
+    assert!(stderr.contains(refusal), "{stderr}");
+
+    let (code, stdout, _) = run(&["doctor", d]);
+    assert_eq!(
+        code, 1,
+        "a journal recovery refuses is not serviceable: {stdout}"
+    );
+    assert!(stdout.contains("status: corrupt"), "{stdout}");
+    assert!(stdout.contains("durable seq: 2"), "{stdout}");
+    assert!(stdout.contains(refusal), "{stdout}");
+
+    let (code, stdout, _) = run(&["log", d]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("tail: sequence gap"), "{stdout}");
+    assert!(
+        !stdout.contains("T_gap"),
+        "the gapped frame is not history: {stdout}"
+    );
+
+    // The trace loaders read durable history only: they refuse with
+    // recovery's error, exit 2 like every journal the loader refuses.
+    for args in [&["analyze", d][..], &["apply", d], &["apply", "--plan", d]] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stdout}\n{stderr}");
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+    }
+
+    let fresh = scratch("gap-init");
+    let f = fresh.to_str().unwrap();
+    let (code, _, stderr) = run(&["journal-init", f, d]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains(refusal), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&fresh)
+        .map(|entries| entries.map(|e| e.unwrap().file_name()).collect())
+        .unwrap_or_default();
+    assert!(left.is_empty(), "journal-init left {left:?}");
+
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "readers never write");
+    std::fs::remove_dir_all(&dir).ok();
+}

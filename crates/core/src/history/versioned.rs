@@ -339,32 +339,23 @@ impl Branch {
 }
 
 /// The chained post-fork suffix of `dir`: ops with sequence > `fork_seq`,
-/// in recorded order. Typed refusal when the oldest checkpoint already
-/// passed the fork point.
+/// in recorded order, read as strict recovery reads them. Typed refusal
+/// when the oldest checkpoint already passed the fork point.
 fn suffix_since(
     dir: &Path,
     io: &dyn JournalIo,
     fork_seq: u64,
 ) -> Result<Vec<RecordedOp>, MergeError> {
-    let insp = Journal::inspect(dir, io)?;
-    if insp.checkpoint_seq > fork_seq {
+    let (checkpoint_seq, _, mut ops) = Journal::read_history(dir, io)?;
+    if checkpoint_seq > fork_seq {
         return Err(MergeError::SuffixUnavailable {
             dir: dir.display().to_string(),
-            checkpoint_seq: insp.checkpoint_seq,
+            checkpoint_seq,
             fork_seq,
         });
     }
-    let mut cur = insp.checkpoint_seq;
-    let mut ops = Vec::new();
-    for e in &insp.entries {
-        if e.seq == cur + 1 {
-            cur = e.seq;
-            if e.seq > fork_seq {
-                ops.push(e.op.clone());
-            }
-        }
-    }
-    Ok(ops)
+    let shared = (fork_seq - checkpoint_seq).min(ops.len() as u64);
+    Ok(ops.split_off(shared as usize))
 }
 
 #[cfg(test)]

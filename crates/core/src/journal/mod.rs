@@ -19,6 +19,26 @@
 //!   reports exactly which bytes were dropped, mirroring
 //!   [`crate::History::apply_trace`]'s applied-prefix semantics.
 //!
+//! # One set of read rules
+//!
+//! Every reader of a journal directory — recovery in all three modes,
+//! time travel ([`Journal::replay_at`], [`JournaledSchema::open_at`]),
+//! [`Journal::inspect`] (`log`), [`Journal::diagnose`] (`doctor`),
+//! [`Journal::repair_tail`], merge's suffix read and
+//! [`Journal::read_history`] (the CLI's trace loaders) — walks it through
+//! the private `read` module: one checkpoint loader (the newest
+//! `checkpoint-*.axb` whose name, header, checksum and snapshot agree;
+//! newer damaged ones come back as skipped) and one chained frame walk
+//! (covered frames skipped, `seq == cur + 1` handed to the caller's
+//! visitor, anything else a finding that is either repairable — a torn
+//! frame in the last segment, a torn magic — or not). Callers differ only
+//! in their visitor and in what they do with a finding: recovery adds its
+//! mode's repair actions, and `diagnose` is strict recovery without the
+//! writes, so `doctor` calls a directory serviceable exactly when a strict
+//! open succeeds, at the same durable sequence. Salvage and quarantine
+//! rename a damaged newer checkpoint to `<name>.quar`, so a strict open
+//! afterwards starts where they did. DESIGN.md §8 tabulates the rules.
+//!
 //! # On-disk layout
 //!
 //! A journal directory holds `checkpoint-<seq:016x>.axb` files (a one-line
@@ -66,6 +86,7 @@
 pub mod fault;
 pub mod heal;
 pub mod io;
+mod read;
 pub mod wire;
 
 use std::path::{Path, PathBuf};
@@ -80,7 +101,9 @@ use crate::model::Schema;
 use crate::obs::EvolveObs;
 
 use io::{atomic_write, JournalIo, ObservedIo};
-use wire::{crc32, encode_frame, read_frame, FrameResult, WAL_MAGIC};
+pub use read::{DropKind, DroppedTail, Health, Inspection, LogEntry, SkippedCheckpoint};
+use read::{Finding, Layout};
+use wire::{encode_frame, parse_header, render_header, WAL_MAGIC};
 
 /// Errors raised by the durability layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,68 +281,16 @@ pub enum RecoveryMode {
     /// reports exactly where. Nothing is modified.
     #[default]
     Strict,
-    /// Recover the longest valid prefix: skip damaged checkpoints, truncate
-    /// the log at the first corrupt record, and report exactly which
-    /// suffix was dropped.
+    /// Recover the longest valid prefix: skip damaged checkpoints (renamed
+    /// to `<name>.quar`, so a later strict open starts where this one did),
+    /// truncate the log at the first corrupt record, and report exactly
+    /// which suffix was dropped.
     Salvage,
     /// Like [`RecoveryMode::Salvage`], but corrupt WAL segments are
     /// *quarantined* — renamed to `<name>.quar` (contents preserved for
     /// forensics) — and the journal re-checkpoints at the recovered
     /// sequence so it continues on a fresh segment.
     Quarantine,
-}
-
-/// Why a log suffix was dropped during recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropKind {
-    /// The file ended inside a frame — a crash mid-append. The record was
-    /// never acknowledged, so nothing durable is lost.
-    TornTail,
-    /// A complete frame failed its checksum or did not decode (salvage
-    /// mode only — strict mode refuses instead).
-    Corrupt,
-    /// Valid records whose sequence numbers do not chain onto the
-    /// recovered prefix (salvage mode only).
-    SequenceGap,
-    /// A logged operation was rejected by the schema during replay
-    /// (salvage mode only).
-    ReplayRejected,
-}
-
-impl std::fmt::Display for DropKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DropKind::TornTail => "torn tail",
-            DropKind::Corrupt => "corrupt record",
-            DropKind::SequenceGap => "sequence gap",
-            DropKind::ReplayRejected => "replay rejected",
-        };
-        f.write_str(s)
-    }
-}
-
-/// The log suffix recovery dropped, reported byte-for-byte.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DroppedTail {
-    /// WAL file the suffix was dropped from.
-    pub file: String,
-    /// Byte offset the file was truncated to.
-    pub offset: usize,
-    /// Number of bytes dropped.
-    pub bytes: usize,
-    /// Why the suffix was invalid.
-    pub kind: DropKind,
-    /// Human-readable detail (checksum values, decode error, …).
-    pub detail: String,
-}
-
-/// A checkpoint file salvage-mode recovery skipped over.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkippedCheckpoint {
-    /// The damaged checkpoint file.
-    pub file: String,
-    /// What was wrong with it.
-    pub detail: String,
 }
 
 /// A corrupt WAL segment renamed out of the way by
@@ -348,7 +319,8 @@ pub struct RecoveryReport {
     /// The recovered sequence number (`checkpoint_seq` + replayed records,
     /// counting records skipped as already covered).
     pub seq: u64,
-    /// Damaged checkpoints skipped (salvage mode).
+    /// Damaged checkpoints skipped and renamed to `<file>.quar` (salvage
+    /// and quarantine modes).
     pub skipped_checkpoints: Vec<SkippedCheckpoint>,
     /// The invalid suffix dropped from the log, if any.
     pub dropped_tail: Option<DroppedTail>,
@@ -377,11 +349,7 @@ impl RecoveryReport {
             );
         }
         if let Some(d) = &self.dropped_tail {
-            let _ = writeln!(
-                out,
-                "dropped {} byte(s) at {}+{} ({}): {}",
-                d.bytes, d.file, d.offset, d.kind, d.detail
-            );
+            let _ = writeln!(out, "dropped {d}");
         } else {
             let _ = writeln!(out, "log tail clean: nothing dropped");
         }
@@ -419,10 +387,7 @@ impl RecoveryReport {
         }
         out.push(']');
         match &self.dropped_tail {
-            Some(d) => out.push_str(&format!(
-                ",\"dropped_tail\":{{\"file\":{:?},\"offset\":{},\"bytes\":{},\"kind\":\"{}\",\"detail\":{:?}}}",
-                d.file, d.offset, d.bytes, d.kind, d.detail
-            )),
+            Some(d) => out.push_str(&format!(",\"dropped_tail\":{}", d.to_json())),
             None => out.push_str(",\"dropped_tail\":null"),
         }
         out.push('}');
@@ -432,242 +397,6 @@ impl RecoveryReport {
 
 fn checkpoint_name(seq: u64) -> String {
     format!("checkpoint-{seq:016x}.axb")
-}
-
-/// Rename a corrupt WAL segment to `<name>.quar` (contents preserved; the
-/// suffix no longer parses as a WAL name, so replay and pruning both skip
-/// it) and record what happened.
-fn quarantine_segment(
-    io: &Arc<dyn JournalIo>,
-    dir: &Path,
-    name: &str,
-    bytes: usize,
-    detail: String,
-) -> Result<QuarantinedSegment, JournalError> {
-    let quar = format!("{name}.quar");
-    io.rename(&dir.join(name), &dir.join(&quar))?;
-    io.fsync_dir(dir)?;
-    Ok(QuarantinedSegment {
-        file: name.to_string(),
-        quarantined_as: quar,
-        bytes,
-        detail,
-    })
-}
-
-/// What the recovery scan replayed and repaired (see [`replay_wals`]).
-struct WalReplay {
-    /// Sequence number of the last replayed record.
-    seq: u64,
-    /// Records replayed on top of the checkpoint.
-    replayed: usize,
-    /// The invalid suffix dropped where the scan stopped, if any.
-    dropped_tail: Option<DroppedTail>,
-    /// Segments renamed to `*.quar`.
-    quarantined: Vec<QuarantinedSegment>,
-    /// Every segment the scan kept, with its length as the scan left it.
-    kept: Vec<(String, u64)>,
-}
-
-/// How the recovery scan left one WAL segment.
-enum SegmentEnd {
-    /// Kept at this many bytes; the scan goes on with the next segment.
-    Kept(u64),
-    /// An invalid suffix was dropped, leaving this many bytes; the scan
-    /// stops here.
-    Dropped(DroppedTail, u64),
-    /// Renamed to `*.quar`; the scan goes on with the next segment.
-    Quarantined(QuarantinedSegment),
-}
-
-/// The recovery scan: replay the chained frames of `wals` on top of the
-/// checkpoint at `checkpoint_seq`, and repair what `mode` allows. It only
-/// edits inputs; [`Journal::open`] runs it inside one
-/// [`Schema::evolve_batch`], so derivation runs once when it returns.
-fn replay_wals(
-    schema: &mut Schema,
-    io: &Arc<dyn JournalIo>,
-    dir: &Path,
-    wals: &[(u64, String)],
-    checkpoint_seq: u64,
-    mode: RecoveryMode,
-    obs: Option<&EvolveObs>,
-) -> Result<WalReplay, JournalError> {
-    let mut r = WalReplay {
-        seq: checkpoint_seq,
-        replayed: 0,
-        dropped_tail: None,
-        quarantined: Vec::new(),
-        kept: Vec::new(),
-    };
-    for (i, (_base, name)) in wals.iter().enumerate() {
-        let path = dir.join(name);
-        let data = io.read(&path)?;
-        let is_last = i + 1 == wals.len();
-
-        // A truncate-to-offset that also records what was dropped.
-        let drop_suffix =
-            |offset: usize, kind: DropKind, detail: String| -> Result<SegmentEnd, JournalError> {
-                io.truncate(&path, offset as u64)?;
-                io.fsync(&path)?;
-                let tail = DroppedTail {
-                    file: name.clone(),
-                    offset,
-                    bytes: data.len() - offset,
-                    kind,
-                    detail,
-                };
-                Ok(SegmentEnd::Dropped(tail, offset as u64))
-            };
-        // What `mode` does with an invalid suffix at `offset`: strict
-        // refuses, salvage drops it, quarantine renames the segment.
-        let invalid = |offset: usize,
-                       kind: DropKind,
-                       detail: String|
-         -> Result<SegmentEnd, JournalError> {
-            match mode {
-                RecoveryMode::Strict => Err(JournalError::Corrupt {
-                    file: name.clone(),
-                    offset,
-                    detail,
-                }),
-                RecoveryMode::Salvage => drop_suffix(offset, kind, detail),
-                RecoveryMode::Quarantine => quarantine_segment(io, dir, name, data.len(), detail)
-                    .map(SegmentEnd::Quarantined),
-            }
-        };
-
-        let end = if !data.starts_with(WAL_MAGIC) {
-            if WAL_MAGIC.starts_with(&data[..]) {
-                // Torn WAL creation: the file was never acknowledged
-                // with any record. Rewrite the magic and use it.
-                io.write(&path, WAL_MAGIC)?;
-                io.fsync(&path)?;
-                SegmentEnd::Kept(WAL_MAGIC.len() as u64)
-            } else if mode == RecoveryMode::Salvage {
-                // Reset the file to an empty WAL; everything in it is
-                // unreadable.
-                io.write(&path, WAL_MAGIC)?;
-                io.fsync(&path)?;
-                let tail = DroppedTail {
-                    file: name.clone(),
-                    offset: 0,
-                    bytes: data.len(),
-                    kind: DropKind::Corrupt,
-                    detail: "bad wal magic".into(),
-                };
-                SegmentEnd::Dropped(tail, WAL_MAGIC.len() as u64)
-            } else {
-                invalid(0, DropKind::Corrupt, "bad wal magic".into())?
-            }
-        } else {
-            let mut off = WAL_MAGIC.len();
-            loop {
-                match read_frame(&data, off) {
-                    FrameResult::End => break SegmentEnd::Kept(data.len() as u64),
-                    FrameResult::Record(frame) => {
-                        if frame.seq <= r.seq {
-                            // Already covered by the checkpoint (or an
-                            // earlier WAL file); skip.
-                            off = frame.next;
-                            continue;
-                        }
-                        if frame.seq != r.seq + 1 {
-                            let detail =
-                                format!("sequence gap: expected {} found {}", r.seq + 1, frame.seq);
-                            break invalid(off, DropKind::SequenceGap, detail)?;
-                        }
-                        if let Some(o) = obs {
-                            o.on_op(frame.seq, &frame.op);
-                        }
-                        if let Err(e) = frame.op.apply(schema) {
-                            if mode == RecoveryMode::Strict {
-                                return Err(JournalError::Replay {
-                                    seq: frame.seq,
-                                    source: e,
-                                });
-                            }
-                            let detail = format!("op {} rejected: {e}", frame.seq);
-                            break invalid(off, DropKind::ReplayRejected, detail)?;
-                        }
-                        r.seq = frame.seq;
-                        r.replayed += 1;
-                        off = frame.next;
-                    }
-                    FrameResult::TornTail { offset, bytes } => {
-                        // Torn tails are unacknowledged by construction and
-                        // truncated in every mode — but only the *last* WAL
-                        // file can legitimately have one.
-                        if is_last {
-                            let detail = format!("incomplete frame of {bytes} byte(s)");
-                            break drop_suffix(offset, DropKind::TornTail, detail)?;
-                        }
-                        let detail =
-                            format!("incomplete frame of {bytes} byte(s) in non-final wal");
-                        break invalid(offset, DropKind::Corrupt, detail)?;
-                    }
-                    FrameResult::Corrupt { offset, detail } => {
-                        break invalid(offset, DropKind::Corrupt, detail)?
-                    }
-                }
-            }
-        };
-        match end {
-            SegmentEnd::Kept(len) => r.kept.push((name.clone(), len)),
-            SegmentEnd::Dropped(tail, len) => {
-                r.kept.push((name.clone(), len));
-                r.dropped_tail = Some(tail);
-                break;
-            }
-            SegmentEnd::Quarantined(q) => r.quarantined.push(q),
-        }
-    }
-    Ok(r)
-}
-
-/// The time-travel scan: apply every chained frame up to `upto`, and
-/// count the chain past it to find the durable maximum — the longest
-/// chained prefix on top of the checkpoint, exactly as `diagnose` computes
-/// it; gapped records and torn/corrupt tails are not durable history.
-/// Returns `(max, applied)`. Like [`replay_wals`] it only edits inputs;
-/// [`Journal::replay_at`] runs it inside one [`Schema::evolve_batch`].
-fn replay_chain(
-    schema: &mut Schema,
-    io: &dyn JournalIo,
-    dir: &Path,
-    wals: &[(u64, String)],
-    checkpoint_seq: u64,
-    upto: u64,
-) -> Result<(u64, u64), JournalError> {
-    let mut max = checkpoint_seq;
-    let mut applied = 0u64;
-    'files: for (_base, name) in wals {
-        let data = io.read(&dir.join(name))?;
-        if !data.starts_with(WAL_MAGIC) {
-            break 'files;
-        }
-        let mut off = WAL_MAGIC.len();
-        loop {
-            match read_frame(&data, off) {
-                FrameResult::End => break,
-                FrameResult::Record(f) => {
-                    if f.seq == max + 1 {
-                        max = f.seq;
-                        if f.seq <= upto {
-                            f.op.apply(schema).map_err(|err| JournalError::Replay {
-                                seq: f.seq,
-                                source: err,
-                            })?;
-                            applied += 1;
-                        }
-                    }
-                    off = f.next;
-                }
-                FrameResult::TornTail { .. } | FrameResult::Corrupt { .. } => break 'files,
-            }
-        }
-    }
-    Ok((max, applied))
 }
 
 fn wal_name(seq: u64) -> String {
@@ -682,42 +411,14 @@ fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Render a checkpoint file: checksummed header + inputs-only snapshot.
-fn render_checkpoint(seq: u64, schema: &Schema) -> Vec<u8> {
-    let body = schema.to_snapshot();
-    let crc = crc32(&[body.as_bytes()]);
-    let mut out = format!("axbcheckpoint v1 seq {seq} crc {crc:08x}\n").into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
-}
-
-/// Parse and validate a checkpoint file read from `file`.
-fn parse_checkpoint(file: &str, data: &[u8]) -> Result<(u64, Schema), JournalError> {
-    let bad = |detail: String| JournalError::BadCheckpoint {
-        file: file.to_string(),
-        detail,
-    };
-    let text = std::str::from_utf8(data).map_err(|e| bad(format!("not UTF-8: {e}")))?;
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| bad("missing header line".into()))?;
-    let words: Vec<&str> = header.split_whitespace().collect();
-    let (seq, crc_hex) = match words.as_slice() {
-        ["axbcheckpoint", "v1", "seq", seq, "crc", crc] => (*seq, *crc),
-        _ => return Err(bad(format!("bad header {header:?}"))),
-    };
-    let seq: u64 = seq
-        .parse()
-        .map_err(|_| bad(format!("bad seq {seq:?} in header")))?;
-    let want = u32::from_str_radix(crc_hex, 16).map_err(|_| bad(format!("bad crc {crc_hex:?}")))?;
-    let got = crc32(&[body.as_bytes()]);
-    if got != want {
-        return Err(bad(format!(
-            "checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-        )));
-    }
-    let schema = Schema::from_snapshot(body).map_err(|e| bad(format!("bad snapshot: {e}")))?;
-    Ok((seq, schema))
+/// Rename a damaged file to `<name>.quar` (contents preserved; the suffix
+/// no longer parses as a checkpoint or WAL name, so every reader and the
+/// pruning both skip it) and return the new name.
+fn set_aside(io: &Arc<dyn JournalIo>, dir: &Path, name: &str) -> Result<String, JournalError> {
+    let quar = format!("{name}.quar");
+    io.rename(&dir.join(name), &dir.join(&quar))?;
+    io.fsync_dir(dir)?;
+    Ok(quar)
 }
 
 /// Name of the fork-metadata record a branched journal carries.
@@ -758,33 +459,12 @@ impl ForkMeta {
 
 fn render_fork_meta(meta: &ForkMeta) -> Vec<u8> {
     let body = format!("parent {}\n{}", meta.parent, meta.snapshot);
-    let crc = crc32(&[body.as_bytes()]);
-    let mut out = format!("axbfork v1 seq {} crc {crc:08x}\n", meta.fork_seq).into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
+    render_header("fork", meta.fork_seq, &body)
 }
 
 fn parse_fork_meta(data: &[u8]) -> Result<ForkMeta, JournalError> {
     let bad = |detail: String| JournalError::BadForkMeta { detail };
-    let text = std::str::from_utf8(data).map_err(|e| bad(format!("not UTF-8: {e}")))?;
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| bad("missing header line".into()))?;
-    let words: Vec<&str> = header.split_whitespace().collect();
-    let (seq, crc_hex) = match words.as_slice() {
-        ["axbfork", "v1", "seq", seq, "crc", crc] => (*seq, *crc),
-        _ => return Err(bad(format!("bad header {header:?}"))),
-    };
-    let fork_seq: u64 = seq
-        .parse()
-        .map_err(|_| bad(format!("bad seq {seq:?} in header")))?;
-    let want = u32::from_str_radix(crc_hex, 16).map_err(|_| bad(format!("bad crc {crc_hex:?}")))?;
-    let got = crc32(&[body.as_bytes()]);
-    if got != want {
-        return Err(bad(format!(
-            "checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-        )));
-    }
+    let (fork_seq, body) = parse_header("fork", data).map_err(bad)?;
     let (parent_line, snapshot) = body
         .split_once('\n')
         .ok_or_else(|| bad("missing parent line".into()))?;
@@ -823,150 +503,6 @@ pub fn read_fork_meta(dir: &Path, io: &dyn JournalIo) -> Result<Option<ForkMeta>
     }
     let data = io.read(&dir.join(FORK_META_FILE))?;
     parse_fork_meta(&data).map(Some)
-}
-
-/// One decoded WAL entry (used by [`Journal::inspect`] / the CLI `log`
-/// subcommand).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogEntry {
-    /// Global sequence number of the operation.
-    pub seq: u64,
-    /// The operation.
-    pub op: RecordedOp,
-    /// WAL file the record lives in.
-    pub file: String,
-    /// Byte offset of the frame within that file.
-    pub offset: usize,
-}
-
-/// Replay decoded `entries` on `schema` in order, as one batch (one
-/// derivation at the end, as in recovery). The first op the schema
-/// rejects is returned as [`JournalError::Replay`] with its sequence
-/// number; the ops before it stay applied.
-pub fn replay_entries<'a>(
-    schema: &mut Schema,
-    entries: impl IntoIterator<Item = &'a LogEntry>,
-) -> Result<(), JournalError> {
-    let mut seq = 0;
-    schema
-        .evolve_batch(|s| {
-            for e in entries {
-                seq = e.seq;
-                e.op.apply(s)?;
-            }
-            Ok(())
-        })
-        .map_err(|source| JournalError::Replay { seq, source })
-}
-
-/// A read-only scan of a journal directory (see [`Journal::inspect`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Inspection {
-    /// Base sequence number of the newest readable checkpoint.
-    pub checkpoint_seq: u64,
-    /// Its file name.
-    pub checkpoint_file: String,
-    /// All decodable WAL entries, in file/offset order (including records
-    /// already covered by the checkpoint, flagged by `seq <=
-    /// checkpoint_seq`).
-    pub entries: Vec<LogEntry>,
-    /// Torn or corrupt bytes found at the end of the scan, if any. A
-    /// read-only scan reports them but modifies nothing.
-    pub tail: Option<DroppedTail>,
-}
-
-/// A read-only health diagnosis of a journal directory (the CLI `doctor`
-/// subcommand and the `stats` degraded fallback). Never modifies anything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Health {
-    /// One of `healthy`, `repairable`, `corrupt`, `uninitialized`,
-    /// `unreadable`.
-    pub status: &'static str,
-    /// Base sequence of the newest readable checkpoint, if any.
-    pub checkpoint_seq: Option<u64>,
-    /// Last sequence number recoverable by replay, if a checkpoint exists.
-    pub durable_seq: Option<u64>,
-    /// WAL segment files present (`wal-*.log`).
-    pub wal_files: usize,
-    /// Quarantined segment files present (`*.quar`).
-    pub quarantined_files: usize,
-    /// Invalid tail found by the scan, if any.
-    pub tail: Option<DroppedTail>,
-    /// The error that prevented a full scan, if any.
-    pub error: Option<String>,
-    /// What to do about it.
-    pub advice: String,
-}
-
-impl Health {
-    /// `true` when the journal can serve appends after (at most) a normal
-    /// recovery open — `healthy` or `repairable`.
-    pub fn is_serviceable(&self) -> bool {
-        matches!(self.status, "healthy" | "repairable")
-    }
-
-    /// Render as human-readable text.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "status: {}", self.status);
-        if let Some(s) = self.checkpoint_seq {
-            let _ = writeln!(out, "checkpoint seq: {s}");
-        }
-        if let Some(s) = self.durable_seq {
-            let _ = writeln!(out, "durable seq: {s}");
-        }
-        let _ = writeln!(
-            out,
-            "wal files: {} ({} quarantined)",
-            self.wal_files, self.quarantined_files
-        );
-        if let Some(t) = &self.tail {
-            let _ = writeln!(
-                out,
-                "invalid tail: {} byte(s) at {}+{} ({}): {}",
-                t.bytes, t.file, t.offset, t.kind, t.detail
-            );
-        }
-        if let Some(e) = &self.error {
-            let _ = writeln!(out, "error: {e}");
-        }
-        let _ = writeln!(out, "advice: {}", self.advice);
-        out
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!("\"status\":{:?}", self.status));
-        match self.checkpoint_seq {
-            Some(s) => out.push_str(&format!(",\"checkpoint_seq\":{s}")),
-            None => out.push_str(",\"checkpoint_seq\":null"),
-        }
-        match self.durable_seq {
-            Some(s) => out.push_str(&format!(",\"durable_seq\":{s}")),
-            None => out.push_str(",\"durable_seq\":null"),
-        }
-        out.push_str(&format!(
-            ",\"wal_files\":{},\"quarantined_files\":{}",
-            self.wal_files, self.quarantined_files
-        ));
-        match &self.tail {
-            Some(t) => out.push_str(&format!(
-                ",\"tail\":{{\"file\":{:?},\"offset\":{},\"bytes\":{},\"kind\":\"{}\",\"detail\":{:?}}}",
-                t.file, t.offset, t.bytes, t.kind, t.detail
-            )),
-            None => out.push_str(",\"tail\":null"),
-        }
-        match &self.error {
-            Some(e) => out.push_str(&format!(",\"error\":{e:?}")),
-            None => out.push_str(",\"error\":null"),
-        }
-        out.push_str(&format!(",\"advice\":{:?}", self.advice));
-        out.push('}');
-        out
-    }
 }
 
 /// An open, append-able evolution journal.
@@ -1095,111 +631,91 @@ impl Journal {
         mode: RecoveryMode,
         obs: Option<Arc<EvolveObs>>,
     ) -> Result<(Journal, Schema, RecoveryReport), JournalError> {
-        let names = io.list(dir)?;
-
-        // Newest valid checkpoint.
-        let mut checkpoints: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "checkpoint-", ".axb").map(|s| (s, n.clone())))
-            .collect();
-        checkpoints.sort();
-        let mut skipped_checkpoints = Vec::new();
-        let mut start: Option<(u64, String, Schema)> = None;
-        for (seq, name) in checkpoints.iter().rev() {
-            let data = io.read(&dir.join(name))?;
-            match parse_checkpoint(name, &data) {
-                Ok((hdr_seq, schema)) if hdr_seq == *seq => {
-                    start = Some((*seq, name.clone(), schema));
-                    break;
-                }
-                Ok((hdr_seq, _)) => {
-                    let detail = format!("header seq {hdr_seq} does not match file name seq {seq}");
-                    match mode {
-                        RecoveryMode::Strict => {
-                            return Err(JournalError::BadCheckpoint {
-                                file: name.clone(),
-                                detail,
-                            })
-                        }
-                        RecoveryMode::Salvage | RecoveryMode::Quarantine => {
-                            skipped_checkpoints.push(SkippedCheckpoint {
-                                file: name.clone(),
-                                detail,
-                            });
-                        }
-                    }
-                }
-                Err(e) => match mode {
-                    RecoveryMode::Strict => return Err(e),
-                    RecoveryMode::Salvage | RecoveryMode::Quarantine => {
-                        let detail = match &e {
-                            JournalError::BadCheckpoint { detail, .. } => detail.clone(),
-                            other => other.to_string(),
-                        };
-                        skipped_checkpoints.push(SkippedCheckpoint {
-                            file: name.clone(),
-                            detail,
-                        });
-                    }
-                },
-            }
+        let mut layout = Layout::read(&*io, dir)?;
+        if mode == RecoveryMode::Strict {
+            layout = layout.strict()?;
         }
-        let (checkpoint_seq, checkpoint_file, mut schema) =
-            start.ok_or(JournalError::NoCheckpoint)?;
+        // Salvage and quarantine set damaged newer checkpoints aside, so
+        // that a later strict open starts from the checkpoint this one did.
+        for skipped in &layout.skipped {
+            set_aside(&io, dir, &skipped.file)?;
+        }
+        let (checkpoint_seq, mut schema) = (layout.checkpoint.seq, layout.checkpoint.schema);
+        let wals = &layout.wals;
         if let Some(o) = &obs {
             // Attached before replay, so the one recomputation that ends
             // the replay batch (and the copies the edits make) is counted.
             schema.attach_obs(Arc::clone(o));
         }
 
-        // Replay WAL files in base order, skipping records the checkpoint
-        // already covers (sequence numbers are global, so this is exact).
-        let mut wals: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "wal-", ".log").map(|s| (s, n.clone())))
-            .collect();
-        wals.sort();
         // The whole suffix is one batch. Whether a frame's op is accepted
         // depends only on the inputs `P_e`/`N_e`, so deferring derivation
         // changes no decision; a rejected frame leaves the applied prefix,
-        // which the batch recomputes before the scan's outcome is used.
-        let WalReplay {
-            seq,
-            replayed,
-            dropped_tail,
-            quarantined,
-            kept,
-        } = schema.evolve_batch(|s| {
-            let obs = obs.as_deref();
-            Ok(replay_wals(s, &io, dir, &wals, checkpoint_seq, mode, obs))
+        // which the batch recomputes before the walk's outcome is used.
+        let mut dropped_tail = None;
+        let mut quarantined: Vec<QuarantinedSegment> = Vec::new();
+        let (seq, kept) = schema.evolve_batch(|s| {
+            let visit = |_: &str, _, f: wire::Frame| {
+                if let Some(o) = &obs {
+                    o.on_op(f.seq, &f.op);
+                }
+                f.op.apply(s)
+            };
+            // Every mode repairs a repairable finding and goes on. Any
+            // other finding: strict refuses, salvage cuts the log there
+            // and ends, quarantine renames the segment and goes on.
+            let on_stop = |stop: read::Stop| {
+                match (stop.repairable(), mode) {
+                    (false, RecoveryMode::Strict) => return Err(stop.error()),
+                    (false, RecoveryMode::Quarantine) => {
+                        quarantined.push(QuarantinedSegment {
+                            quarantined_as: set_aside(&io, dir, &stop.file)?,
+                            bytes: stop.len,
+                            detail: stop.detail(),
+                            file: stop.file,
+                        });
+                        return Ok(true);
+                    }
+                    _ => {}
+                }
+                // A finding at offset 0 is the magic itself: rewrite it.
+                let path = dir.join(&stop.file);
+                if stop.offset == 0 {
+                    io.write(&path, WAL_MAGIC)?;
+                } else {
+                    io.truncate(&path, stop.offset as u64)?;
+                }
+                io.fsync(&path)?;
+                // A torn magic held no record: nothing was dropped.
+                if !matches!(stop.finding, Finding::TornMagic) {
+                    dropped_tail = Some(stop.tail());
+                }
+                Ok(false)
+            };
+            Ok(read::walk(&*io, dir, wals, checkpoint_seq, visit, on_stop))
         })??;
 
         // Ensure an active WAL file exists to append to (the crash window
         // between checkpoint rename and WAL creation leaves none for the
         // new base). Quarantined segments no longer exist under their WAL
         // names, so they cannot be the active file.
-        let live_wals: Vec<&(u64, String)> = wals
+        let wal_base = wals
             .iter()
-            .filter(|(_, n)| !quarantined.iter().any(|q| q.file == *n))
-            .collect();
-        let wal_base = match live_wals.last() {
-            Some((base, _)) => *base,
-            None => checkpoint_seq,
-        };
-        let wal_base = if live_wals.is_empty() || wal_base < checkpoint_seq && seq == checkpoint_seq
-        {
-            checkpoint_seq
-        } else {
-            wal_base
-        };
-        // The scan knows the length of every segment it kept; only a
-        // segment it never reached is read here. Only a missing file is
-        // created: any other read error is returned, because overwriting
-        // the file would drop acknowledged records.
+            .rev()
+            .find(|(_, n)| !quarantined.iter().any(|q| q.file == *n))
+            .map(|(base, _)| *base)
+            .filter(|&base| base >= checkpoint_seq || seq > checkpoint_seq)
+            .unwrap_or(checkpoint_seq);
+        // The walk knows the length of every segment it read, as the
+        // repairs above left it; only a segment it never reached is read
+        // here. Only a missing file is created: any other read error is
+        // returned, because overwriting the file would drop acknowledged
+        // records.
         let active = wal_name(wal_base);
         let wal_path = dir.join(&active);
-        let wal_len = match kept.iter().find(|(name, _)| *name == active) {
-            Some(&(_, len)) => len,
+        let known = wals.iter().position(|(_, name)| *name == active);
+        let wal_len = match known.and_then(|i| kept.get(i)) {
+            Some(&len) => len,
             None => match io.read(&wal_path) {
                 Ok(d) => d.len() as u64,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1228,11 +744,11 @@ impl Journal {
             journal.write_checkpoint(&schema)?;
         }
         let report = RecoveryReport {
-            checkpoint_file,
+            checkpoint_file: layout.checkpoint.file,
             checkpoint_seq,
-            replayed,
+            replayed: (seq - checkpoint_seq) as usize,
             seq,
-            skipped_checkpoints,
+            skipped_checkpoints: layout.skipped,
             dropped_tail,
             quarantined,
         };
@@ -1240,290 +756,6 @@ impl Journal {
             o.fold_recovery(&report);
         }
         Ok((journal, schema, report))
-    }
-
-    /// Read-only scan of a journal directory: newest readable checkpoint,
-    /// every decodable WAL entry, and any invalid tail — without modifying
-    /// anything (no truncation, no WAL creation).
-    pub fn inspect(dir: &Path, io: &dyn JournalIo) -> Result<Inspection, JournalError> {
-        Self::scan(dir, io).map(|(inspection, _)| inspection)
-    }
-
-    /// [`Journal::inspect`] plus the schema the newest readable
-    /// checkpoint parses to.
-    fn scan(dir: &Path, io: &dyn JournalIo) -> Result<(Inspection, Schema), JournalError> {
-        let names = io.list(dir)?;
-        let mut checkpoints: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "checkpoint-", ".axb").map(|s| (s, n.clone())))
-            .collect();
-        checkpoints.sort();
-        let mut found: Option<(u64, String, Schema)> = None;
-        for (seq, name) in checkpoints.iter().rev() {
-            let data = io.read(&dir.join(name))?;
-            match parse_checkpoint(name, &data) {
-                Ok((s, schema)) if s == *seq => {
-                    found = Some((*seq, name.clone(), schema));
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let (checkpoint_seq, checkpoint_file, checkpoint) =
-            found.ok_or(JournalError::NoCheckpoint)?;
-
-        let mut wals: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "wal-", ".log").map(|s| (s, n.clone())))
-            .collect();
-        wals.sort();
-        let mut entries = Vec::new();
-        let mut tail = None;
-        'files: for (_base, name) in &wals {
-            let data = io.read(&dir.join(name))?;
-            if !data.starts_with(WAL_MAGIC) {
-                tail = Some(DroppedTail {
-                    file: name.clone(),
-                    offset: 0,
-                    bytes: data.len(),
-                    kind: if WAL_MAGIC.starts_with(&data[..]) {
-                        DropKind::TornTail
-                    } else {
-                        DropKind::Corrupt
-                    },
-                    detail: "bad wal magic".into(),
-                });
-                break 'files;
-            }
-            let mut off = WAL_MAGIC.len();
-            loop {
-                match read_frame(&data, off) {
-                    FrameResult::End => break,
-                    FrameResult::Record(f) => {
-                        entries.push(LogEntry {
-                            seq: f.seq,
-                            op: f.op,
-                            file: name.clone(),
-                            offset: off,
-                        });
-                        off = f.next;
-                    }
-                    FrameResult::TornTail { offset, bytes } => {
-                        tail = Some(DroppedTail {
-                            file: name.clone(),
-                            offset,
-                            bytes,
-                            kind: DropKind::TornTail,
-                            detail: format!("incomplete frame of {bytes} byte(s)"),
-                        });
-                        break 'files;
-                    }
-                    FrameResult::Corrupt { offset, detail } => {
-                        tail = Some(DroppedTail {
-                            file: name.clone(),
-                            offset,
-                            bytes: data.len() - offset,
-                            kind: DropKind::Corrupt,
-                            detail,
-                        });
-                        break 'files;
-                    }
-                }
-            }
-        }
-        Ok((
-            Inspection {
-                checkpoint_seq,
-                checkpoint_file,
-                entries,
-                tail,
-            },
-            checkpoint,
-        ))
-    }
-
-    /// Time-travel read: reconstruct the schema exactly *as of* sequence
-    /// `seq` by loading the newest checkpoint and replaying the chained
-    /// WAL prefix up to (and including) `seq`. Strictly read-only — a
-    /// torn tail is never truncated, no WAL is created, nothing is
-    /// checkpointed.
-    ///
-    /// Typed failures instead of silent approximations:
-    /// - `seq` past the journal's durable maximum (including the case
-    ///   where it points into a torn/corrupt tail) is
-    ///   [`JournalError::SeqOutOfRange`] — *not* the tip state;
-    /// - `seq` before the oldest surviving checkpoint (pruned history)
-    ///   is [`JournalError::SeqBeforeCheckpoint`].
-    pub fn replay_at(dir: &Path, io: &dyn JournalIo, seq: u64) -> Result<Schema, JournalError> {
-        Self::replay_at_counted(dir, io, seq).map(|(schema, _)| schema)
-    }
-
-    /// [`Journal::replay_at`] plus the number of WAL ops replayed on top
-    /// of the checkpoint (for `timetravel.*` observability).
-    pub(crate) fn replay_at_counted(
-        dir: &Path,
-        io: &dyn JournalIo,
-        seq: u64,
-    ) -> Result<(Schema, u64), JournalError> {
-        // Single-pass scan, cost-matched to recovery: the newest valid
-        // checkpoint is parsed exactly once (the validation parse IS the
-        // starting schema), and each WAL frame is decoded exactly once —
-        // applied while wanted, merely chain-counted past `seq` to
-        // establish the durable maximum (see `replay_chain`).
-        let names = io.list(dir)?;
-        let mut checkpoints: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "checkpoint-", ".axb").map(|s| (s, n.clone())))
-            .collect();
-        checkpoints.sort();
-        let mut found: Option<(u64, Schema)> = None;
-        for (cseq, name) in checkpoints.iter().rev() {
-            let data = io.read(&dir.join(name))?;
-            if let Ok((hdr_seq, schema)) = parse_checkpoint(name, &data) {
-                if hdr_seq == *cseq {
-                    found = Some((*cseq, schema));
-                    break;
-                }
-            }
-        }
-        let (checkpoint_seq, mut schema) = found.ok_or(JournalError::NoCheckpoint)?;
-        if seq < checkpoint_seq {
-            return Err(JournalError::SeqBeforeCheckpoint {
-                requested: seq,
-                checkpoint_seq,
-            });
-        }
-
-        let mut wals: Vec<(u64, String)> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "wal-", ".log").map(|s| (s, n.clone())))
-            .collect();
-        wals.sort();
-        // The wanted frames are one batch, exactly as in recovery: one
-        // derivation when the scan ends, however many frames it applied.
-        let (max, replayed) =
-            schema.evolve_batch(|s| Ok(replay_chain(s, io, dir, &wals, checkpoint_seq, seq)))??;
-        if seq > max {
-            return Err(JournalError::SeqOutOfRange {
-                requested: seq,
-                max,
-            });
-        }
-        Ok((schema, replayed))
-    }
-
-    /// Read-only health diagnosis of `dir`: what state the journal is in
-    /// and what to do about it, without modifying anything. Unlike
-    /// [`Journal::open`], this never errors on a corrupt or wedged
-    /// journal — that *is* the diagnosis. The chained WAL suffix is
-    /// replayed in memory on the checkpoint, so a journal is reported
-    /// serviceable only when a strict recovery open would replay it.
-    pub fn diagnose(dir: &Path, io: &dyn JournalIo) -> Health {
-        let names = match io.list(dir) {
-            Ok(n) => n,
-            Err(e) => {
-                return Health {
-                    status: "unreadable",
-                    checkpoint_seq: None,
-                    durable_seq: None,
-                    wal_files: 0,
-                    quarantined_files: 0,
-                    tail: None,
-                    error: Some(e.to_string()),
-                    advice: "directory could not be listed; check the path and permissions".into(),
-                }
-            }
-        };
-        let wal_files = names
-            .iter()
-            .filter(|n| parse_name(n, "wal-", ".log").is_some())
-            .count();
-        let quarantined_files = names.iter().filter(|n| n.ends_with(".quar")).count();
-        let has_checkpoint_files = names
-            .iter()
-            .any(|n| parse_name(n, "checkpoint-", ".axb").is_some());
-        match Self::scan(dir, io) {
-            Ok((insp, mut checkpoint)) => {
-                // Longest chained prefix on top of the checkpoint — gapped
-                // records decode but do not replay, so they do not count.
-                let mut durable_seq = insp.checkpoint_seq;
-                let mut chain = Vec::new();
-                for e in &insp.entries {
-                    if e.seq == durable_seq + 1 {
-                        durable_seq += 1;
-                        chain.push(e);
-                    }
-                }
-                // Replay the chain in memory: a checksummed frame whose op
-                // the schema rejects fails a strict open just like a
-                // corrupt one.
-                let rejected = replay_entries(&mut checkpoint, chain).err();
-                if let Some(JournalError::Replay { seq, .. }) = &rejected {
-                    durable_seq = seq - 1;
-                }
-                // A torn tail (crash mid-append) is repaired by any
-                // recovery open; a checksummed-but-wrong record is refused
-                // by strict mode and needs an explicit salvage or
-                // quarantine decision.
-                let (status, advice) = match (&rejected, &insp.tail) {
-                    (Some(_), _) => (
-                        "corrupt",
-                        "a logged op does not replay on its checkpoint; `recover --salvage` \
-                         truncates the log before it, `recover --quarantine` isolates the \
-                         segment and keeps its bytes"
-                            .to_string(),
-                    ),
-                    (None, Some(t)) if t.kind == DropKind::Corrupt => (
-                        "corrupt",
-                        "corrupt record found; `recover --salvage` truncates it, `recover \
-                         --quarantine` isolates the segment and keeps its bytes"
-                            .to_string(),
-                    ),
-                    (None, Some(_)) => (
-                        "repairable",
-                        "torn tail found (crash mid-append); `recover` truncates it and the \
-                         journal continues"
-                            .to_string(),
-                    ),
-                    (None, None) => (
-                        "healthy",
-                        "checkpoint and log are clean; no action needed".to_string(),
-                    ),
-                };
-                Health {
-                    status,
-                    checkpoint_seq: Some(insp.checkpoint_seq),
-                    durable_seq: Some(durable_seq),
-                    wal_files,
-                    quarantined_files,
-                    tail: insp.tail,
-                    error: rejected.map(|e| e.to_string()),
-                    advice,
-                }
-            }
-            Err(JournalError::NoCheckpoint) if !has_checkpoint_files => Health {
-                status: "uninitialized",
-                checkpoint_seq: None,
-                durable_seq: None,
-                wal_files,
-                quarantined_files,
-                tail: None,
-                error: None,
-                advice: "no journal here; `journal-init` creates one".into(),
-            },
-            Err(e) => Health {
-                status: "corrupt",
-                checkpoint_seq: None,
-                durable_seq: None,
-                wal_files,
-                quarantined_files,
-                tail: None,
-                error: Some(e.to_string()),
-                advice: "no readable checkpoint; `recover --salvage` recovers the longest valid \
-                         prefix, `recover --quarantine` additionally isolates corrupt segments"
-                    .into(),
-            },
-        }
     }
 
     /// Sequence number of the last durable operation.
@@ -1583,11 +815,13 @@ impl Journal {
     }
 
     /// Repair the active WAL after a failed append left its suffix
-    /// unknown: rescan the file and truncate everything past the last
-    /// *acknowledged* record (`seq <= self.seq`), so a retry appends onto
-    /// a clean tail and durable replay equals the published prefix.
+    /// unknown: walk the file and truncate everything past the last
+    /// *acknowledged* chained record (`seq <= self.seq`), so a retry
+    /// appends onto a clean tail and durable replay equals the published
+    /// prefix.
     pub fn repair_tail(&mut self) -> Result<(), JournalError> {
-        let path = self.dir.join(wal_name(self.wal_base));
+        let name = wal_name(self.wal_base);
+        let path = self.dir.join(&name);
         let data = match self.io.read(&path) {
             Ok(d) => d,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1604,37 +838,28 @@ impl Journal {
             }
             Err(e) => return Err(e.into()),
         };
-        if !data.starts_with(WAL_MAGIC) {
-            if WAL_MAGIC.starts_with(&data[..]) {
-                // Torn creation: rewrite the magic.
+        // Anything past the last acknowledged record — an unacknowledged
+        // one (the failed append may have partially landed), a torn
+        // frame, or garbage — is dropped.
+        let (acked, mut cur) = (self.seq, self.wal_base);
+        let mut good_end = WAL_MAGIC.len();
+        let stop = read::walk_segment(&data, &name, true, &mut cur, &mut |_, _, f| {
+            if f.seq <= acked {
+                good_end = f.next;
+            }
+            Ok(())
+        });
+        match stop.as_ref().map(|s| &s.finding) {
+            Some(Finding::ForeignMagic) => return Err(stop.expect("matched").error()),
+            Some(Finding::TornMagic) => {
                 self.io.write(&path, WAL_MAGIC)?;
                 self.io.fsync(&path)?;
-                self.wal_len = WAL_MAGIC.len() as u64;
-                return Ok(());
             }
-            return Err(JournalError::Corrupt {
-                file: wal_name(self.wal_base),
-                offset: 0,
-                detail: "bad wal magic".into(),
-            });
-        }
-        let mut off = WAL_MAGIC.len();
-        let mut good_end = off;
-        loop {
-            match read_frame(&data, off) {
-                FrameResult::Record(frame) if frame.seq <= self.seq => {
-                    off = frame.next;
-                    good_end = off;
-                }
-                // Anything else — an unacknowledged record (the failed
-                // append may have partially landed), a torn frame, or
-                // garbage — is past the acknowledged prefix: drop it.
-                _ => break,
+            _ if good_end < data.len() => {
+                self.io.truncate(&path, good_end as u64)?;
+                self.io.fsync(&path)?;
             }
-        }
-        if good_end < data.len() {
-            self.io.truncate(&path, good_end as u64)?;
-            self.io.fsync(&path)?;
+            _ => {}
         }
         self.wal_len = good_end as u64;
         Ok(())
@@ -1657,7 +882,8 @@ impl Journal {
 
     fn write_checkpoint(&mut self, schema: &Schema) -> Result<(), JournalError> {
         let seq = self.seq;
-        let data = render_checkpoint(seq, schema);
+        // Checksummed header + inputs-only snapshot.
+        let data = render_header("checkpoint", seq, &schema.to_snapshot());
         let checkpoint_bytes = data.len() as u64;
         // 1. Checkpoint file, atomically: tmp → fsync → rename → fsync dir.
         //    A crash before the rename leaves the old checkpoint authoritative.
@@ -2296,11 +1522,23 @@ mod tests {
             Err(JournalError::BadCheckpoint { .. })
         ));
 
-        let (_, schema, report) = Journal::open(&dir(), io, RecoveryMode::Salvage).unwrap();
+        let (_, schema, report) = Journal::open(&dir(), io.clone(), RecoveryMode::Salvage).unwrap();
         assert_eq!(report.checkpoint_seq, 0);
         assert_eq!(report.skipped_checkpoints.len(), 1);
         assert_eq!(report.skipped_checkpoints[0].file, checkpoint_name(9));
         assert!(schema.type_by_name("A").is_some());
+
+        // The damaged checkpoint sits past the recovered seq, so no later
+        // prune would remove it: salvage sets it aside with its bytes, and
+        // a strict open then starts where the salvage did.
+        let quar = dir().join(format!("{}.quar", checkpoint_name(9)));
+        assert_eq!(
+            io.read(&quar).unwrap(),
+            b"axbcheckpoint v1 seq 9 crc 00000000\ngarbage"
+        );
+        let (_, again, strict) = Journal::open(&dir(), io, RecoveryMode::Strict).unwrap();
+        assert_eq!((strict.checkpoint_seq, strict.seq), (0, report.seq));
+        assert_eq!(again.fingerprint(), schema.fingerprint());
     }
 
     #[test]
@@ -3017,6 +2255,144 @@ mod tests {
             read_fork_meta(&d, &io),
             Err(JournalError::BadForkMeta { .. })
         ));
+    }
+
+    /// A byte-for-byte copy of every file in `dir()` on a fresh `MemIo`.
+    fn copy_of(io: &MemIo) -> Arc<MemIo> {
+        let copy = Arc::new(MemIo::new());
+        for name in io.list(&dir()).unwrap() {
+            let path = dir().join(name);
+            copy.write(&path, &io.read(&path).unwrap()).unwrap();
+        }
+        copy
+    }
+
+    /// One directory per read finding: its name, the directory, and the
+    /// file strict recovery refuses (`None`: strict recovery opens it).
+    fn verdict_rows() -> Vec<(&'static str, MemIo, Option<String>)> {
+        // checkpoint-0 + wal-0 holding A, B, C (seqs 1..=3), and its root.
+        let base = || {
+            let io = MemIo::new();
+            let opts = JournalOptions::default();
+            let js =
+                JournaledSchema::create(&dir(), Arc::new(io.clone()), base_schema(), opts).unwrap();
+            let root = js.snapshot().root().unwrap();
+            for name in ["A", "B", "C"] {
+                js.apply(&add(name, vec![root])).unwrap();
+            }
+            (io, root)
+        };
+        let frame = |seq: u64, op: &RecordedOp| {
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, seq, op);
+            frame
+        };
+        let wal0 = dir().join(wal_name(0));
+        let frame_offset = |io: &MemIo, n: usize| {
+            let data = io.read(&wal0).unwrap();
+            let mut off = WAL_MAGIC.len();
+            for _ in 0..n {
+                let len = u32::from_le_bytes(data[off + 8..off + 12].try_into().unwrap());
+                off += wire::FRAME_HEADER + len as usize;
+            }
+            off
+        };
+        let mut rows = Vec::new();
+
+        let (io, _) = base();
+        rows.push(("clean", io, None));
+
+        let (io, _) = base();
+        io.append(&wal0, &[0x07, 0x00, 0x00]).unwrap();
+        rows.push(("torn tail", io, None));
+
+        let (io, _) = base();
+        io.write(&wal0, &WAL_MAGIC[..4]).unwrap();
+        rows.push(("torn wal magic", io, None));
+
+        let (io, _) = base();
+        io.corrupt(&wal0, 0, 0x20);
+        rows.push(("foreign wal magic", io, Some(wal_name(0))));
+
+        let (io, _) = base();
+        io.corrupt(&wal0, frame_offset(&io, 1) + wire::FRAME_HEADER + 1, 0x01);
+        rows.push(("corrupt frame", io, Some(wal_name(0))));
+
+        let (io, _) = base();
+        let t = crate::ids::TypeId::from_index(999_999);
+        io.append(&wal0, &frame(4, &RecordedOp::DropType { t }))
+            .unwrap();
+        rows.push(("frame that does not replay", io, Some(wal_name(0))));
+
+        let (io, root) = base();
+        io.append(&wal0, &frame(5, &add("E", vec![root]))).unwrap();
+        rows.push(("sequence gap", io, Some(wal_name(0))));
+
+        let (io, _) = base();
+        let damaged = b"axbcheckpoint v1 seq 2 crc 00000000\ngarbage";
+        io.write(&dir().join(checkpoint_name(2)), damaged).unwrap();
+        rows.push(("damaged newest checkpoint", io, Some(checkpoint_name(2))));
+
+        // wal-0 ends inside a frame, and wal-2 holds seq 3 after it.
+        let (io, _) = base();
+        let third = frame_offset(&io, 2);
+        let data = io.read(&wal0).unwrap();
+        let wal2 = [WAL_MAGIC, &data[third..]].concat();
+        io.write(&dir().join(wal_name(2)), &wal2).unwrap();
+        io.write(&wal0, &[&data[..third], &[0x07, 0x00, 0x00]].concat())
+            .unwrap();
+        rows.push(("torn frame in a non-final segment", io, Some(wal_name(0))));
+        rows
+    }
+
+    #[test]
+    fn one_verdict_per_directory() {
+        for (row, io, refused) in verdict_rows() {
+            let health = Journal::diagnose(&dir(), &*copy_of(&io));
+            let strict = Journal::open(&dir(), copy_of(&io), RecoveryMode::Strict);
+            assert_eq!(
+                health.is_serviceable(),
+                strict.is_ok(),
+                "{row}: doctor {health:?} vs strict {:?}",
+                strict.as_ref().err()
+            );
+            assert_eq!(strict.is_ok(), refused.is_none(), "{row}: {health:?}");
+            match (strict, refused) {
+                (Ok((_, schema, report)), _) => {
+                    assert_eq!(health.durable_seq, Some(report.seq), "{row}");
+                    // Time travel reads the same history, read-only.
+                    let at = Journal::replay_at(&dir(), &io, report.seq).unwrap();
+                    assert_eq!(at.fingerprint(), schema.fingerprint(), "{row}");
+                }
+                (Err(e), Some(file)) => {
+                    assert_eq!(health.status, "corrupt", "{row}");
+                    assert_eq!(health.error, Some(e.to_string()), "{row}");
+                    let tail_file = health.tail.as_ref().map(|t| t.file.as_str());
+                    let names_it = tail_file == Some(file.as_str())
+                        || health.error.as_ref().is_some_and(|e| e.contains(&file));
+                    assert!(names_it, "{row}: doctor does not name {file}: {health:?}");
+                }
+                (Err(e), None) => unreachable!("{row}: {e}"),
+            }
+            // After a salvage or quarantine open, strict recovery opens the
+            // directory, at the same sequence — except that salvage ends
+            // where it cuts the log and leaves a later segment it never
+            // reached in place, which the strict open then replays.
+            for mode in [RecoveryMode::Salvage, RecoveryMode::Quarantine] {
+                let copy = copy_of(&io);
+                let (_, _, repaired) = Journal::open(&dir(), copy.clone(), mode)
+                    .unwrap_or_else(|e| panic!("{row}: {mode:?}: {e}"));
+                let (_, _, again) = Journal::open(&dir(), copy.clone(), RecoveryMode::Strict)
+                    .unwrap_or_else(|e| panic!("{row}: strict after {mode:?}: {e}"));
+                let later_segment =
+                    mode == RecoveryMode::Salvage && row == "torn frame in a non-final segment";
+                assert_eq!(again.seq > repaired.seq, later_segment, "{row}: {mode:?}");
+                assert!(again.seq >= repaired.seq, "{row}: {mode:?}");
+                let health = Journal::diagnose(&dir(), &*copy);
+                assert!(health.is_serviceable(), "{row}: {mode:?}: {health:?}");
+                assert_eq!(health.durable_seq, Some(again.seq), "{row}: {mode:?}");
+            }
+        }
     }
 
     #[test]

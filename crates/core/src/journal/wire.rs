@@ -71,6 +71,47 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
+// Checksummed files: checkpoints and fork metadata
+// ---------------------------------------------------------------------
+
+/// Render a checksummed file of `kind` (`checkpoint`, `fork`): the header
+/// line `axb<kind> v1 seq <seq> crc <crc32-of-body>`, then `body`.
+pub(crate) fn render_header(kind: &str, seq: u64, body: &str) -> Vec<u8> {
+    let crc = crc32(&[body.as_bytes()]);
+    let mut out = format!("axb{kind} v1 seq {seq} crc {crc:08x}\n").into_bytes();
+    out.extend_from_slice(body.as_bytes());
+    out
+}
+
+/// Parse a file [`render_header`] wrote: the header's sequence number and
+/// the body, once the body matches its checksum. The error says what was
+/// wrong.
+pub(crate) fn parse_header<'a>(kind: &str, data: &'a [u8]) -> Result<(u64, &'a str), String> {
+    let text = std::str::from_utf8(data).map_err(|e| format!("not UTF-8: {e}"))?;
+    let (header, body) = text
+        .split_once('\n')
+        .ok_or_else(|| "missing header line".to_string())?;
+    let words: Vec<&str> = header.split_whitespace().collect();
+    let (seq, crc_hex) = match words.as_slice() {
+        [tag, "v1", "seq", seq, "crc", crc] if tag.strip_prefix("axb") == Some(kind) => {
+            (*seq, *crc)
+        }
+        _ => return Err(format!("bad header {header:?}")),
+    };
+    let seq = seq
+        .parse()
+        .map_err(|_| format!("bad seq {seq:?} in header"))?;
+    let want = u32::from_str_radix(crc_hex, 16).map_err(|_| format!("bad crc {crc_hex:?}"))?;
+    let got = crc32(&[body.as_bytes()]);
+    if got != want {
+        return Err(format!(
+            "checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+        ));
+    }
+    Ok((seq, body))
+}
+
+// ---------------------------------------------------------------------
 // Record payload: RecordedOp <-> text
 // ---------------------------------------------------------------------
 

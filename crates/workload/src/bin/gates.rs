@@ -25,6 +25,7 @@
 //! | `prover-purity` | analysis provers never execute an op or rebuild an engine |
 //! | `prover-isolation` | planner/merge/impact certifiers touch no I/O, threads, or object stores |
 //! | `journal-io` | all journal I/O flows through the `JournalIo` trait (`io.rs`) |
+//! | `journal-reader` | only `wire.rs` and the reader (`read.rs`) decode frames or parse checkpoints |
 //! | `panic-isolation` | `heal.rs` is the only `catch_unwind` site in the journal |
 //! | `wall-clock` | core reads time only through the injectable clock in `heal.rs` |
 //! | `static-atomic` | all counters live in `core::obs`, not ad-hoc globals |
@@ -126,6 +127,23 @@ fn registry() -> Vec<GateSpec> {
             patterns: &[concat!("std", "::fs")],
             conjunctive: false,
             skip_comment_lines: false,
+        },
+        GateSpec {
+            name: "journal-reader",
+            why: "every reader of a journal directory (recovery, time travel, inspect, \
+                  diagnose, tail repair, merge, the trace loaders) walks it by the one set \
+                  of read rules in read.rs, so the next rule — a commit marker for multi-op \
+                  appends — lands in one place; only wire.rs and read.rs may decode a frame \
+                  or parse a checkpoint",
+            roots: &["crates/core/src/journal"],
+            exempt: &["journal/wire.rs", "journal/read.rs"],
+            patterns: &[
+                concat!("read_", "frame("),
+                concat!("parse_", "checkpoint("),
+                concat!("parse_header(", "\"checkpoint\""),
+            ],
+            conjunctive: false,
+            skip_comment_lines: true,
         },
         GateSpec {
             name: "panic-isolation",
@@ -425,6 +443,25 @@ mod tests {
                 "{gate} does not scan impact.rs"
             );
         }
+    }
+
+    #[test]
+    fn journal_reader_gate_flags_a_second_reader() {
+        let all = registry();
+        let g = all.iter().find(|g| g.name == "journal-reader").unwrap();
+        let text = "// read_frame( named in prose\n\
+                    match read_frame(&data, off) {\n\
+                    let schema = parse_checkpoint(&data, seq)?;\n\
+                    let (seq, body) = parse_header(\"checkpoint\", &data)?;\n\
+                    let (seq, body) = parse_header(\"fork\", &data)?;\n";
+        let mut v = Vec::new();
+        scan_text(g, Path::new("journal/mod.rs"), text, &mut v);
+        assert_eq!(
+            v.iter().map(|v| v.line).collect::<Vec<_>>(),
+            [2, 3, 4],
+            "{v:?}"
+        );
+        assert!(g.exempt.iter().any(|e| e.ends_with("journal/read.rs")));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use axiombase_core::journal::io::{CrashKeep, FaultIo, JournalIo, MemIo};
-use axiombase_core::journal::{JournalError, JournalOptions, JournaledSchema, RecoveryMode};
+use axiombase_core::journal::{
+    Journal, JournalError, JournalOptions, JournaledSchema, RecoveryMode,
+};
 use axiombase_core::{EngineKind, LatticeConfig, RecordedOp, Schema};
 use axiombase_workload::lattice::LatticeGen;
 use axiombase_workload::trace::{generate_trace, OpMix};
@@ -104,6 +106,13 @@ fn sweep_point(
     assert!(fault.is_dead(), "fault {fail_at} must have fired");
 
     mem.crash(keep);
+    // `doctor` is strict recovery without the writes: it must call the
+    // crashed directory serviceable, at the sequence recovery reaches.
+    let health = Journal::diagnose(std::path::Path::new("/j"), &mem);
+    assert!(
+        health.is_serviceable(),
+        "doctor after fault {fail_at} ({keep:?}, torn {torn}): {health:?}"
+    );
     let (js, report) = JournaledSchema::open(
         std::path::Path::new("/j"),
         Arc::new(mem.clone()),
@@ -112,6 +121,11 @@ fn sweep_point(
     )
     .unwrap_or_else(|e| panic!("recovery after fault {fail_at} ({keep:?}, torn {torn}): {e}"));
 
+    assert_eq!(
+        health.durable_seq,
+        Some(report.seq),
+        "doctor after fault {fail_at} ({keep:?}, torn {torn})"
+    );
     let n = usize::try_from(report.seq).unwrap();
     assert!(
         n == acked || n == acked + 1,
