@@ -374,22 +374,20 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
         if let Some((t, _)) = edge_row(op) {
             row_base
                 .entry(t)
-                .or_insert_with(|| sim.types.get(t).map(|s| s.pe.clone()).unwrap_or_default());
+                .or_insert_with(|| sim.supertypes(t).collect());
             row_groups.entry(t).or_default().push(i);
         }
         if let Some((cell, _)) = prop_cell(op) {
-            cell_base.entry(cell).or_insert_with(|| {
-                sim.types
-                    .get(cell.0)
-                    .is_some_and(|s| s.ne.contains(&cell.1))
-            });
+            cell_base
+                .entry(cell)
+                .or_insert_with(|| sim.has_property(cell.0, cell.1));
             cell_groups.entry(cell).or_default().push(i);
         }
     });
     let footprints = pass.footprints;
     let cyclic = !pass.union_acyclic;
-    let rooted = pass.last.rooted;
-    let root = pass.last.root; // stable across the trace unless AddRootType ran
+    let rooted = pass.last.rooted();
+    let root = pass.last.root(); // stable across the trace unless AddRootType ran
 
     // Check each row group (unless contaminated by a non-row-local
     // writer, over cap, or cycle-guard-hazardous).

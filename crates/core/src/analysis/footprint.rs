@@ -10,18 +10,37 @@
 //! the engine, and live holders per property, so a property drop walks
 //! its holder row instead of the whole arena.
 //!
+//! **The shadow is a version of the schema.** Its type and property
+//! arenas and its subtype index are the schema's own copy-on-write input
+//! spines (`Spine<TypeSlot>`, `Spine<PropRecord>`, `Spine<TypeSet>`): a
+//! capture copies one pointer per 64-slot leaf, and a step copies the
+//! leaf and the record it writes, each only while the captured schema
+//! still shares it. The captured version is kept, unstepped, as the
+//! initial state the reordering guards read. So a capture costs
+//! O(leaves) and a trace costs the rows it writes, whatever the arena's
+//! history. The holders index is built on first use: only a property
+//! drop reads it. The subtype index is the one `Schema` maintains on
+//! every `P_e` edit; the tests check it against the index folded from the
+//! live `P_e` rows, at capture and after every step, so the shadow still
+//! answers from the inputs alone.
+//!
 //! [`TracePass`] is the one forward pass every analyzer runs: one
 //! capture, then per op a footprint against the pre-state and a step.
-//! The same pass collects the trace's union parent graph — after each
-//! step it re-reads only the `P_e` rows the op writes — and decides the
-//! MT-ASR cycle-guard question from it once the trace is done, so the
-//! cycle test costs O(initial edges + edges the trace writes).
+//! The same pass collects the trace's union parent graph — rows only for
+//! the `P_e` rows the trace writes, every other row read from the shadow
+//! — and decides the MT-ASR cycle-guard question from it once the trace
+//! is done, so the cycle test costs O(initial edges + edges the trace
+//! writes).
 
-use std::collections::BTreeSet;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::bits::IdxSet;
+use crate::bits::{IdxSet, PropSet, TypeSet};
 use crate::history::RecordedOp;
-use crate::model::Schema;
+use crate::ids::{PropId, TypeId};
+use crate::model::{PropRecord, Schema, Spine, TypeSlot};
 
 /// One addressable unit of designer-input state. Two operations can only
 /// interact through a shared cell; disjoint footprints are the first (and
@@ -83,163 +102,274 @@ impl Footprint {
     }
 }
 
-/// Symbolic shadow of one type slot's designer inputs.
-#[derive(Debug, Clone)]
-pub struct SymType {
-    /// Slot liveness.
-    pub live: bool,
-    /// Frozen flag.
-    pub frozen: bool,
-    /// Current name.
-    pub name: String,
-    /// `P_e(t)` as arena indexes.
-    pub pe: BTreeSet<usize>,
-    /// `N_e(t)` as property arena indexes.
-    pub ne: BTreeSet<usize>,
-}
-
-/// Symbolic shadow of one property slot.
-#[derive(Debug, Clone)]
-pub struct SymProp {
-    /// Slot liveness.
-    pub live: bool,
-    /// Current name.
-    pub name: String,
-}
-
 /// A pure shadow of the designer inputs: everything the operation guards
 /// read and the operation edits touch, and nothing the engine derives.
 /// Stepping it through a recorded (i.e. known-successful) trace mirrors
 /// each primitive's input-level edit without executing the primitive.
+///
+/// It is a copy-on-write version of the captured schema's input spines
+/// (see the module docs), read through the accessors below.
 #[derive(Debug, Clone)]
 pub struct SymbolicState {
-    /// Is the configuration rooted (⊤ maintained)?
-    pub rooted: bool,
-    /// Is the configuration pointed (⊥ maintained)?
-    pub pointed: bool,
-    /// Arena index of the root, if designated.
-    pub root: Option<usize>,
-    /// Arena index of the base, if designated.
-    pub base: Option<usize>,
+    rooted: bool,
+    pointed: bool,
+    root: Option<usize>,
+    base: Option<usize>,
     /// Type arena (index-aligned with the schema's).
-    pub types: Vec<SymType>,
+    types: Spine<TypeSlot>,
     /// Property arena (index-aligned with the schema's).
-    pub props: Vec<SymProp>,
-    /// Structural reverse-subtype index: `rev[s]` = essential subtypes
-    /// of `s` (types whose `P_e` row contains `s`), maintained
-    /// incrementally exactly like the engine's index, but from inputs
-    /// alone.
-    pub rev: Vec<IdxSet>,
-    /// Live holders index: `holders[p]` = live types with `p ∈ N_e`,
-    /// maintained by [`Self::step`]. A property drop clears exactly
-    /// these cells.
-    pub holders: Vec<IdxSet>,
-    /// The *captured* state an op's enumeration must also cover (never
-    /// stepped). Ops whose effect enumerates current structure
-    /// (`DropType` detaching subtypes, `DropProperty` clearing `N_e`
-    /// cells, `AddBaseType` reading all liveness) must claim the union of
-    /// the current and the captured enumeration: a trace-earlier op that
-    /// removed structure may be *reordered after* this one by a plan that
-    /// found the two disjoint, and then the removed rows are touched for
-    /// real. The union keeps every footprint an over-approximation under
-    /// any interference-preserving reordering (see [`footprint`]). Only
-    /// what those three enumerations read is kept: liveness, and the
-    /// [`Self::rev0`] and [`Self::holders0`] rows.
-    pub live0: IdxSet,
-    /// The captured reverse-subtype index (see [`Self::live0`]).
-    pub rev0: Vec<IdxSet>,
-    /// The captured live holders index (see [`Self::live0`]).
-    pub holders0: Vec<IdxSet>,
+    props: Spine<PropRecord>,
+    /// Structural reverse-subtype index: `rev[s]` = essential subtypes of
+    /// `s` (live types whose `P_e` row contains `s`), stepped with every
+    /// `P_e` edit.
+    rev: Spine<TypeSet>,
+    /// Live holders index: `holders[p]` = live types with `p ∈ N_e`, built
+    /// on first use and stepped from then on. A property drop clears
+    /// exactly these cells.
+    holders: OnceCell<Vec<IdxSet>>,
+    /// The captured version, never stepped.
+    initial: Arc<Initial>,
+}
+
+/// The *captured* state an op's enumeration must also cover. Ops whose
+/// effect enumerates current structure (`DropType` detaching subtypes,
+/// `DropProperty` clearing `N_e` cells, `AddBaseType` reading all
+/// liveness) must claim the union of the current and the captured
+/// enumeration: a trace-earlier op that removed structure may be
+/// *reordered after* this one by a plan that found the two disjoint, and
+/// then the removed rows are touched for real. The union keeps every
+/// footprint an over-approximation under any interference-preserving
+/// reordering (see [`footprint`]).
+#[derive(Debug)]
+struct Initial {
+    /// The captured type arena: liveness and the holders rows.
+    types: Spine<TypeSlot>,
+    /// The captured reverse-subtype index.
+    rev: Spine<TypeSet>,
+    /// Property slots at capture.
+    props: usize,
+    /// The captured live holders index, built on first use.
+    holders: OnceLock<Vec<IdxSet>>,
+}
+
+/// The live holders index of a type arena over `props` property slots.
+fn holders_of_arena(types: &Spine<TypeSlot>, props: usize) -> Vec<IdxSet> {
+    let mut holders = vec![IdxSet::new(); props];
+    for (t, slot) in types.iter().enumerate().filter(|(_, s)| s.alive) {
+        for p in slot.ne.iter() {
+            if let Some(set) = holders.get_mut(p.index()) {
+                set.insert(t);
+            }
+        }
+    }
+    holders
 }
 
 impl SymbolicState {
-    /// Capture the designer inputs of a live schema.
+    /// Capture the designer inputs of a live schema: one pointer per
+    /// spine leaf, whatever the arena's size.
     pub fn capture(schema: &Schema) -> SymbolicState {
-        let types: Vec<SymType> = schema
-            .types
-            .iter()
-            .map(|t| SymType {
-                live: t.alive,
-                frozen: t.frozen,
-                name: t.name.clone(),
-                pe: t.pe.iter().map(super::super::ids::TypeId::index).collect(),
-                ne: t.ne.iter().map(super::super::ids::PropId::index).collect(),
-            })
-            .collect();
-        let props: Vec<SymProp> = schema
-            .props
-            .iter()
-            .map(|p| SymProp {
-                live: p.alive,
-                name: p.name.clone(),
-            })
-            .collect();
-        let mut rev = vec![IdxSet::new(); types.len()];
-        let mut holders = vec![IdxSet::new(); props.len()];
-        let mut live0 = IdxSet::new();
-        for (t, slot) in types.iter().enumerate().filter(|(_, s)| s.live) {
-            live0.insert(t);
-            for &s in &slot.pe {
-                if let Some(set) = rev.get_mut(s) {
-                    set.insert(t);
-                }
-            }
-            for &p in &slot.ne {
-                if let Some(set) = holders.get_mut(p) {
-                    set.insert(t);
-                }
-            }
-        }
         SymbolicState {
             rooted: schema.config().is_rooted(),
             pointed: schema.config().is_pointed(),
-            root: schema.root().map(crate::ids::TypeId::index),
-            base: schema.base().map(crate::ids::TypeId::index),
-            types,
-            props,
-            rev0: rev.clone(),
-            rev,
-            holders0: holders.clone(),
-            holders,
-            live0,
+            root: schema.root().map(TypeId::index),
+            base: schema.base().map(TypeId::index),
+            types: schema.types.clone(),
+            props: schema.props.clone(),
+            rev: schema.rev.clone(),
+            holders: OnceCell::new(),
+            initial: Arc::new(Initial {
+                types: schema.types.clone(),
+                rev: schema.rev.clone(),
+                props: schema.props.len(),
+                holders: OnceLock::new(),
+            }),
         }
     }
 
-    fn push_type(&mut self, name: &str, pe: BTreeSet<usize>, ne: BTreeSet<usize>) -> usize {
+    /// Is the configuration rooted (⊤ maintained)?
+    pub fn rooted(&self) -> bool {
+        self.rooted
+    }
+
+    /// Is the configuration pointed (⊥ maintained)?
+    pub fn pointed(&self) -> bool {
+        self.pointed
+    }
+
+    /// Arena index of the root, if designated.
+    pub fn root(&self) -> Option<usize> {
+        self.root
+    }
+
+    /// Arena index of the base, if designated.
+    pub fn base(&self) -> Option<usize> {
+        self.base
+    }
+
+    /// Type arena slots, dead ones included.
+    pub fn type_slots(&self) -> usize {
+        self.types.len()
+    }
+
+    /// Property arena slots, dead ones included.
+    pub fn prop_slots(&self) -> usize {
+        self.props.len()
+    }
+
+    /// Is type slot `t` live?
+    pub fn is_live(&self, t: usize) -> bool {
+        self.types.get(t).is_some_and(|s| s.alive)
+    }
+
+    /// Was type slot `t` live at capture?
+    pub fn was_live(&self, t: usize) -> bool {
+        self.initial.types.get(t).is_some_and(|s| s.alive)
+    }
+
+    /// The frozen flag of type slot `t`.
+    pub fn is_frozen(&self, t: usize) -> bool {
+        self.types.get(t).is_some_and(|s| s.frozen)
+    }
+
+    /// The name in type slot `t` (dead slots keep their last name).
+    pub fn type_name(&self, t: usize) -> Option<&str> {
+        self.types.get(t).map(|s| s.name.as_str())
+    }
+
+    /// The name in property slot `p`.
+    pub fn prop_name(&self, p: usize) -> Option<&str> {
+        self.props.get(p).map(|r| r.name.as_str())
+    }
+
+    /// `P_e(t)` as arena indexes, ascending.
+    pub fn supertypes(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        self.types
+            .get(t)
+            .into_iter()
+            .flat_map(|s| s.pe.iter().map(TypeId::index))
+    }
+
+    /// `N_e(t)` as property arena indexes, ascending.
+    pub fn properties(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        self.types
+            .get(t)
+            .into_iter()
+            .flat_map(|s| s.ne.iter().map(PropId::index))
+    }
+
+    /// Is `p ∈ N_e(t)`?
+    pub fn has_property(&self, t: usize, p: usize) -> bool {
+        self.types
+            .get(t)
+            .is_some_and(|s| s.ne.contains(PropId::from_index(p)))
+    }
+
+    /// Essential subtypes of `s` in this state (structural reverse index).
+    pub fn subtypes(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        rev_row(&self.rev, s)
+    }
+
+    /// Essential subtypes of `s` in the *captured* state — the reordering
+    /// guard half of a drop's subtype enumeration.
+    pub fn initial_subtypes(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        rev_row(&self.initial.rev, s)
+    }
+
+    /// Live types with `p ∈ N_e` in this state.
+    pub fn holders_of(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.holders
+            .get_or_init(|| holders_of_arena(&self.types, self.props.len()))
+            .get(p)
+            .into_iter()
+            .flat_map(IdxSet::iter)
+    }
+
+    /// Live types with `p ∈ N_e` in the *captured* state.
+    pub fn initial_holders_of(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let initial = &self.initial;
+        initial
+            .holders
+            .get_or_init(|| holders_of_arena(&initial.types, initial.props))
+            .get(p)
+            .into_iter()
+            .flat_map(IdxSet::iter)
+    }
+
+    /// The names of every arena slot in this state, shared, not copied.
+    pub fn labels(&self) -> Labels {
+        Labels {
+            types: self.types.clone(),
+            props: self.props.clone(),
+        }
+    }
+
+    /// Type slot `t`, for writing: copies its leaf, then the slot, each
+    /// only while another version still shares it.
+    fn slot_mut(&mut self, t: usize) -> &mut TypeSlot {
+        self.types.make_mut(&None, t)
+    }
+
+    fn rev_insert(&mut self, s: usize, t: usize) {
+        if s < self.rev.len() {
+            self.rev.make_mut(&None, s).insert(TypeId::from_index(t));
+        }
+    }
+
+    fn rev_remove(&mut self, s: usize, t: usize) {
+        if s < self.rev.len() {
+            self.rev.make_mut(&None, s).remove(TypeId::from_index(t));
+        }
+    }
+
+    /// The holders index, built now if no read has built it yet.
+    fn holders_mut(&mut self) -> &mut Vec<IdxSet> {
+        if self.holders.get().is_none() {
+            let built = holders_of_arena(&self.types, self.props.len());
+            let _ = self.holders.set(built);
+        }
+        self.holders.get_mut().expect("built above")
+    }
+
+    fn push_type(&mut self, name: &str, pe: TypeSet, ne: PropSet) -> usize {
         let id = self.types.len();
-        for &s in &pe {
-            if let Some(set) = self.rev.get_mut(s) {
-                set.insert(id);
+        for s in pe.iter() {
+            self.rev_insert(s.index(), id);
+        }
+        if let Some(holders) = self.holders.get_mut() {
+            for p in ne.iter() {
+                if let Some(set) = holders.get_mut(p.index()) {
+                    set.insert(id);
+                }
             }
         }
-        for &p in &ne {
-            if let Some(set) = self.holders.get_mut(p) {
-                set.insert(id);
-            }
-        }
-        self.types.push(SymType {
-            live: true,
-            frozen: false,
-            name: name.to_owned(),
-            pe,
-            ne,
-        });
-        self.rev.push(IdxSet::new());
+        self.types.push(
+            &None,
+            TypeSlot {
+                name: name.to_owned(),
+                alive: true,
+                frozen: false,
+                pe,
+                ne,
+            },
+        );
+        self.rev.push(&None, TypeSet::new());
         id
     }
 
     /// Row-local canonical drop: remove `s` from `P_e(t)` and relink an
     /// emptied row to ⊤ (the axiomatic MT-DSR edit).
     fn drop_edge(&mut self, t: usize, s: usize) {
-        self.types[t].pe.remove(&s);
-        if let Some(set) = self.rev.get_mut(s) {
-            set.remove(t);
+        let (rooted, root) = (self.rooted, self.root);
+        let slot = self.slot_mut(t);
+        slot.pe.remove(TypeId::from_index(s));
+        let relink = slot.pe.is_empty() && rooted && Some(t) != root;
+        if let (true, Some(root)) = (relink, root) {
+            slot.pe.insert(TypeId::from_index(root));
         }
-        if self.types[t].pe.is_empty() && self.rooted && Some(t) != self.root {
-            if let Some(root) = self.root {
-                self.types[t].pe.insert(root);
-                self.rev[root].insert(t);
-            }
+        self.rev_remove(s, t);
+        if let (true, Some(root)) = (relink, root) {
+            self.rev_insert(root, t);
         }
     }
 
@@ -248,35 +378,37 @@ impl SymbolicState {
     pub fn step(&mut self, op: &RecordedOp) {
         match op {
             RecordedOp::AddProperty { name } => {
-                self.props.push(SymProp {
-                    live: true,
-                    name: name.clone(),
-                });
-                self.holders.push(IdxSet::new());
+                self.props.push(
+                    &None,
+                    PropRecord {
+                        name: name.clone(),
+                        alive: true,
+                    },
+                );
+                if let Some(holders) = self.holders.get_mut() {
+                    holders.push(IdxSet::new());
+                }
             }
             RecordedOp::RenameProperty { p, name } => {
-                self.props[p.index()].name.clone_from(name);
+                self.props.make_mut(&None, p.index()).name.clone_from(name);
             }
             RecordedOp::DropProperty { p } => {
                 let pi = p.index();
-                for t in std::mem::take(&mut self.holders[pi]).iter() {
-                    self.types[t].ne.remove(&pi);
+                for t in std::mem::take(&mut self.holders_mut()[pi]).iter() {
+                    self.slot_mut(t).ne.remove(*p);
                 }
-                self.props[pi].live = false;
+                self.props.make_mut(&None, pi).alive = false;
             }
             RecordedOp::AddRootType { name } => {
-                let id = self.push_type(name, BTreeSet::new(), BTreeSet::new());
+                let id = self.push_type(name, TypeSet::new(), Default::default());
                 self.root = Some(id);
             }
             RecordedOp::AddBaseType { name } => {
-                let pe: BTreeSet<usize> = self
-                    .types
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.live)
-                    .map(|(i, _)| i)
+                let pe: TypeSet = (0..self.types.len())
+                    .filter(|&t| self.is_live(t))
+                    .map(TypeId::from_index)
                     .collect();
-                let id = self.push_type(name, pe, BTreeSet::new());
+                let id = self.push_type(name, pe, Default::default());
                 self.base = Some(id);
             }
             RecordedOp::AddType {
@@ -284,74 +416,135 @@ impl SymbolicState {
                 supers,
                 props,
             } => {
-                let mut pe: BTreeSet<usize> = supers.iter().map(|s| s.index()).collect();
+                let mut pe: TypeSet = supers.iter().copied().collect();
                 if pe.is_empty() && self.rooted {
                     if let Some(root) = self.root {
-                        pe.insert(root);
+                        pe.insert(TypeId::from_index(root));
                     }
                 }
-                let ne = props.iter().map(|p| p.index()).collect();
+                let ne = props.iter().copied().collect();
                 let id = self.push_type(name, pe, ne);
                 if self.pointed {
                     if let Some(base) = self.base {
-                        self.types[base].pe.insert(id);
-                        self.rev[id].insert(base);
+                        self.slot_mut(base).pe.insert(TypeId::from_index(id));
+                        self.rev_insert(id, base);
                     }
                 }
             }
             RecordedOp::DropType { t } => {
                 let ti = t.index();
-                let subs: Vec<usize> = self.rev[ti].iter().collect();
+                let subs: Vec<usize> = self.subtypes(ti).collect();
                 for c in subs {
                     self.drop_edge(c, ti);
                 }
-                let slot = &mut self.types[ti];
-                for s in std::mem::take(&mut slot.pe) {
-                    if let Some(set) = self.rev.get_mut(s) {
-                        set.remove(ti);
-                    }
-                }
+                let slot = self.slot_mut(ti);
+                let pe = std::mem::take(&mut slot.pe);
                 // Like the engine, a dead slot keeps no `N_e` row.
-                for p in std::mem::take(&mut slot.ne) {
-                    if let Some(set) = self.holders.get_mut(p) {
-                        set.remove(ti);
+                let ne = std::mem::take(&mut slot.ne);
+                slot.alive = false;
+                for s in pe.iter() {
+                    self.rev_remove(s.index(), ti);
+                }
+                if let Some(holders) = self.holders.get_mut() {
+                    for p in ne.iter() {
+                        if let Some(set) = holders.get_mut(p.index()) {
+                            set.remove(ti);
+                        }
                     }
                 }
-                slot.live = false;
             }
             RecordedOp::RenameType { t, name } => {
-                self.types[t.index()].name.clone_from(name);
+                self.slot_mut(t.index()).name.clone_from(name);
             }
             RecordedOp::FreezeType { t } => {
-                self.types[t.index()].frozen = true;
+                self.slot_mut(t.index()).frozen = true;
             }
             RecordedOp::AddEssentialSupertype { t, s } => {
-                self.types[t.index()].pe.insert(s.index());
-                self.rev[s.index()].insert(t.index());
+                self.slot_mut(t.index()).pe.insert(*s);
+                self.rev_insert(s.index(), t.index());
             }
             RecordedOp::DropEssentialSupertype { t, s } => {
                 self.drop_edge(t.index(), s.index());
             }
             RecordedOp::AddEssentialProperty { t, p } => {
-                self.types[t.index()].ne.insert(p.index());
-                self.holders[p.index()].insert(t.index());
+                self.slot_mut(t.index()).ne.insert(*p);
+                if let Some(holders) = self.holders.get_mut() {
+                    holders[p.index()].insert(t.index());
+                }
             }
             RecordedOp::DropEssentialProperty { t, p } => {
-                self.types[t.index()].ne.remove(&p.index());
-                self.holders[p.index()].remove(t.index());
+                self.slot_mut(t.index()).ne.remove(*p);
+                if let Some(holders) = self.holders.get_mut() {
+                    holders[p.index()].remove(t.index());
+                }
             }
         }
     }
+}
 
-    /// Essential subtypes of `s` in this state (structural reverse index).
-    pub fn subtypes_of(&self, s: usize) -> IdxSet {
-        self.rev.get(s).cloned().unwrap_or_default()
+/// Row `s` of a reverse-subtype index as arena indexes.
+fn rev_row(rev: &Spine<TypeSet>, s: usize) -> impl Iterator<Item = usize> + '_ {
+    rev.get(s)
+        .into_iter()
+        .flat_map(|row| row.iter().map(TypeId::index))
+}
+
+/// The names of every type and property arena slot of one version of the
+/// designer inputs (dead slots keep their last name), for rendering: a
+/// shared handle on that version's spines, so taking the labels of a
+/// shadow copies one pointer per leaf, not one string per slot. Equality
+/// compares names; leaves both sides share are equal without a look.
+#[derive(Clone)]
+pub struct Labels {
+    types: Spine<TypeSlot>,
+    props: Spine<PropRecord>,
+}
+
+impl Labels {
+    /// The name in type slot `t`.
+    pub fn type_name(&self, t: usize) -> Option<&str> {
+        self.types.get(t).map(|s| s.name.as_str())
     }
 
-    /// Essential subtypes of `s` in the *captured* state — the reordering
-    /// guard half of a drop's subtype enumeration (see [`Self::live0`]).
-    pub fn initial_subtypes_of(&self, s: usize) -> IdxSet {
-        self.rev0.get(s).cloned().unwrap_or_default()
+    /// The name in property slot `p`.
+    pub fn prop_name(&self, p: usize) -> Option<&str> {
+        self.props.get(p).map(|r| r.name.as_str())
+    }
+
+    /// Type slot `t`'s name, or `#t` past the arena.
+    pub fn type_label(&self, t: usize) -> String {
+        self.type_name(t)
+            .map_or_else(|| format!("#{t}"), str::to_owned)
+    }
+
+    /// Property slot `p`'s name, or `#p` past the arena.
+    pub fn prop_label(&self, p: usize) -> String {
+        self.prop_name(p)
+            .map_or_else(|| format!("#{p}"), str::to_owned)
+    }
+}
+
+impl PartialEq for Labels {
+    fn eq(&self, other: &Labels) -> bool {
+        self.types.eq_by(&other.types, |a, b| a.name == b.name)
+            && self.props.eq_by(&other.props, |a, b| a.name == b.name)
+    }
+}
+
+impl Eq for Labels {}
+
+impl fmt::Debug for Labels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Labels")
+            .field(
+                "types",
+                &self.types.iter().map(|s| &s.name).collect::<Vec<_>>(),
+            )
+            .field(
+                "props",
+                &self.props.iter().map(|r| &r.name).collect::<Vec<_>>(),
+            )
+            .finish()
     }
 }
 
@@ -367,14 +560,15 @@ impl SymbolicState {
 /// structure can only have *grown* at such a reordered position through
 /// ops that interfere here anyway (adding a subtype/holder reads this
 /// row), so taking the union of the current and the captured enumeration
-/// (see [`SymbolicState::live0`]) restores the over-approximation where
-/// a trace-earlier removal would otherwise have shrunk it.
+/// ([`SymbolicState::was_live`], [`SymbolicState::initial_subtypes`],
+/// [`SymbolicState::initial_holders_of`]) restores the over-approximation
+/// where a trace-earlier removal would otherwise have shrunk it.
 pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
     let mut f = Footprint::default();
     match op {
         RecordedOp::AddProperty { .. } => {
             f.allocates = true;
-            let id = state.props.len();
+            let id = state.prop_slots();
             f.reads.insert(Cell::PropArena);
             f.writes.insert(Cell::PropArena);
             f.writes.insert(Cell::PropLive(id));
@@ -392,15 +586,13 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             f.writes.insert(Cell::PropNameCell(pi));
             // Current ∪ captured holders: a trace-earlier cell clear that a
             // plan reorders after this drop makes the captured cell real.
-            for rows in [&state.holders, &state.holders0] {
-                for t in rows.get(pi).into_iter().flat_map(IdxSet::iter) {
-                    f.writes.insert(Cell::NeCell(t, pi));
-                }
+            for t in state.holders_of(pi).chain(state.initial_holders_of(pi)) {
+                f.writes.insert(Cell::NeCell(t, pi));
             }
         }
         RecordedOp::AddRootType { name } => {
             f.allocates = true;
-            let id = state.types.len();
+            let id = state.type_slots();
             f.reads.insert(Cell::TypeArena);
             f.reads.insert(Cell::RootCell);
             f.reads.insert(Cell::Name(name.clone()));
@@ -412,7 +604,7 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
         }
         RecordedOp::AddBaseType { name } => {
             f.allocates = true;
-            let id = state.types.len();
+            let id = state.type_slots();
             f.reads.insert(Cell::TypeArena);
             f.reads.insert(Cell::BaseCell);
             f.reads.insert(Cell::Name(name.clone()));
@@ -425,8 +617,8 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             // P_e(⊥) = every live type: the row edit reads all liveness.
             // Current ∪ captured liveness — a trace-earlier type drop that a
             // plan reorders after this op leaves the captured row readable.
-            for (t, slot) in state.types.iter().enumerate() {
-                if slot.live || state.live0.contains(t) {
+            for t in 0..state.type_slots() {
+                if state.is_live(t) || state.was_live(t) {
                     f.reads.insert(Cell::TypeLive(t));
                 }
             }
@@ -437,7 +629,7 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             props,
         } => {
             f.allocates = true;
-            let id = state.types.len();
+            let id = state.type_slots();
             f.reads.insert(Cell::TypeArena);
             f.reads.insert(Cell::Name(name.clone()));
             f.writes.insert(Cell::TypeArena);
@@ -449,16 +641,16 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
                 f.reads.insert(Cell::TypeLive(s.index()));
                 f.reads.insert(Cell::Frozen(s.index()));
             }
-            if supers.is_empty() && state.rooted {
+            if supers.is_empty() && state.rooted() {
                 f.reads.insert(Cell::RootCell);
             }
             for p in props {
                 f.reads.insert(Cell::PropLive(p.index()));
                 f.writes.insert(Cell::NeCell(id, p.index()));
             }
-            if state.pointed {
+            if state.pointed() {
                 f.reads.insert(Cell::BaseCell);
-                if let Some(base) = state.base {
+                if let Some(base) = state.base() {
                     f.writes.insert(Cell::PeRow(base));
                 }
             }
@@ -473,15 +665,13 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             f.writes.insert(Cell::TypeLive(ti));
             f.writes.insert(Cell::TypeNameCell(ti));
             f.writes.insert(Cell::PeRow(ti));
-            if let Some(slot) = state.types.get(ti) {
-                f.writes.insert(Cell::Name(slot.name.clone()));
+            if let Some(name) = state.type_name(ti) {
+                f.writes.insert(Cell::Name(name.to_owned()));
             }
             // Current ∪ captured subtypes: a trace-earlier detach of a child
             // that a plan reorders after this drop makes the captured
             // child's row edit (and possible ⊤-relink) real.
-            let mut subs = state.subtypes_of(ti);
-            subs.union_with(&state.initial_subtypes_of(ti));
-            for c in subs.iter() {
+            for c in state.subtypes(ti).chain(state.initial_subtypes(ti)) {
                 f.reads.insert(Cell::PeRow(c));
                 f.writes.insert(Cell::PeRow(c));
             }
@@ -490,12 +680,12 @@ pub fn footprint(op: &RecordedOp, state: &SymbolicState) -> Footprint {
             let ti = t.index();
             f.reads.insert(Cell::TypeLive(ti));
             f.reads.insert(Cell::TypeNameCell(ti));
-            let same = state.types.get(ti).is_some_and(|s| &s.name == name);
-            if !same {
+            let current = state.type_name(ti);
+            if current != Some(name.as_str()) {
                 f.reads.insert(Cell::Name(name.clone()));
                 f.writes.insert(Cell::Name(name.clone()));
-                if let Some(slot) = state.types.get(ti) {
-                    f.writes.insert(Cell::Name(slot.name.clone()));
+                if let Some(current) = current {
+                    f.writes.insert(Cell::Name(current.to_owned()));
                 }
                 f.writes.insert(Cell::TypeNameCell(ti));
             }
@@ -566,14 +756,8 @@ pub struct TracePass {
     /// Per-op footprints against their pre-states, with their
     /// [`Cell::CycleGuard`] cells when the union edge graph is cyclic.
     pub footprints: Vec<Footprint>,
-    /// The trace's **union parent graph** over the final type arena:
-    /// every essential edge present in *any* intermediate state —
-    /// initial edges, op-introduced edges, and canonical ⊤-relinks alike.
-    /// The MT-ASR cycle test searches it (plus an edge from every slot to
-    /// the final ⊤) to decide [`Self::union_acyclic`].
-    pub union_parents: Vec<IdxSet>,
-    /// Was the union edge graph acyclic (MT-ASR cycle guards vacuous in
-    /// every order)?
+    /// Was the trace's union edge graph acyclic (MT-ASR cycle guards
+    /// vacuous in every order)?
     pub union_acyclic: bool,
     /// The shadow after the last op (final labels and designations).
     pub last: SymbolicState,
@@ -584,38 +768,41 @@ impl TracePass {
     /// trace): `pre` sees each op with its pre-state, then the op's
     /// footprint is inferred and the shadow stepped.
     ///
-    /// The union parent graph starts as the captured rows and, after each
-    /// step, re-reads only the rows the op writes a `P_e` cell of: a
-    /// newborn row, the row of an MT-ASR/MT-DSR, the subtypes a DT
-    /// relinks, and ⊥ when a pointed lattice links it to a new type. No
-    /// other row can gain an edge, so the union is exact at
-    /// O(initial edges + edges the trace writes).
+    /// The union parent graph is every essential edge present in *any*
+    /// intermediate state — initial edges, op-introduced edges, and
+    /// canonical ⊤-relinks alike. It keeps a row only for each row the
+    /// trace writes a `P_e` cell of (a newborn row, the row of an
+    /// MT-ASR/MT-DSR, the subtypes a DT relinks, and ⊥ when a pointed
+    /// lattice links it to a new type): the captured row, then after each
+    /// step the row as the op left it. No other row can gain an edge, so
+    /// every other row of the union is the shadow's own, and the union is
+    /// exact at O(edges the trace writes) beside the shared spines.
     pub fn run(
         initial: &Schema,
         ops: &[RecordedOp],
         mut pre: impl FnMut(usize, &RecordedOp, &SymbolicState),
     ) -> TracePass {
         let mut sim = SymbolicState::capture(initial);
-        let captured = sim.types.len();
-        let mut union_parents: Vec<IdxSet> = sim
-            .types
-            .iter()
-            .map(|slot| slot.pe.iter().copied().collect())
-            .collect();
+        let mut written: BTreeMap<usize, TypeSet> = BTreeMap::new();
         let mut footprints = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
             pre(i, op, &sim);
             let fp = footprint(op, &sim);
             sim.step(op);
-            union_parents.resize(sim.types.len(), IdxSet::new());
             for cell in &fp.writes {
                 if let Cell::PeRow(t) = *cell {
-                    union_parents[t].extend(sim.types[t].pe.iter().copied());
+                    let captured = sim.initial.types.get(t).map(|s| &s.pe);
+                    let row = written
+                        .entry(t)
+                        .or_insert_with(|| captured.cloned().unwrap_or_default());
+                    if let Some(slot) = sim.types.get(t) {
+                        row.union_with(&slot.pe);
+                    }
                 }
             }
             footprints.push(fp);
         }
-        let union_acyclic = !union_graph_cyclic(&sim, captured, &union_parents);
+        let union_acyclic = !union_graph_cyclic(&sim, &written);
         if !union_acyclic {
             for (op, fp) in ops.iter().zip(&mut footprints) {
                 guard_cycle(op, fp);
@@ -623,7 +810,6 @@ impl TracePass {
         }
         TracePass {
             footprints,
-            union_parents,
             union_acyclic,
             last: sim,
         }
@@ -631,24 +817,26 @@ impl TracePass {
 }
 
 /// Does the union edge graph — every edge any permutation of the trace
-/// can materialise — contain a cycle? Its edges are the union parent
-/// graph's, except the rows of slots already dead at capture (the first
-/// `captured` slots not in [`SymbolicState::live0`]), which hold no live
-/// edge and which no op re-reads; plus an edge from every slot but ⊤
-/// itself to the final ⊤, covering the relink any drop can make in any
-/// order.
-fn union_graph_cyclic(last: &SymbolicState, captured: usize, union_parents: &[IdxSet]) -> bool {
-    let none = IdxSet::new();
+/// can materialise — contain a cycle? A row the trace writes contributes
+/// its union `written` row; every other row is unchanged since capture,
+/// so it contributes the shadow's row, except that slots already dead at
+/// capture hold no edge. On top of those, an edge runs from every slot
+/// but ⊤ itself to the final ⊤, covering the relink any drop can make in
+/// any order.
+fn union_graph_cyclic(last: &SymbolicState, written: &BTreeMap<usize, TypeSet>) -> bool {
+    let none = TypeSet::new();
     let successors = |t: usize| {
-        let row = if t < captured && !last.live0.contains(t) {
-            &none
-        } else {
-            &union_parents[t]
+        let row = match written.get(&t) {
+            Some(row) => row,
+            None if last.was_live(t) => last.types.get(t).map_or(&none, |s| &s.pe),
+            None => &none,
         };
-        row.iter().chain(last.root.filter(|&r| r != t))
+        row.iter()
+            .map(TypeId::index)
+            .chain(last.root.filter(|&r| r != t))
     };
     // Iterative three-colour DFS.
-    let n = union_parents.len();
+    let n = last.type_slots();
     let mut colour = vec![0u8; n];
     for start in 0..n {
         if colour[start] != 0 {
@@ -676,21 +864,11 @@ fn union_graph_cyclic(last: &SymbolicState, captured: usize, union_parents: &[Id
     false
 }
 
-/// Render a cell for humans, resolving arena indexes to names where the
-/// labels are known.
-pub fn cell_label(cell: &Cell, type_names: &[String], prop_names: &[String]) -> String {
-    let tn = |i: usize| {
-        type_names
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("#{i}"))
-    };
-    let pn = |i: usize| {
-        prop_names
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("#{i}"))
-    };
+/// Render a cell for humans, resolving arena indexes to the names in
+/// `labels`.
+pub fn cell_label(cell: &Cell, labels: &Labels) -> String {
+    let tn = |i: usize| labels.type_label(i);
+    let pn = |i: usize| labels.prop_label(i);
     match cell {
         Cell::TypeLive(i) => format!("live({})", tn(*i)),
         Cell::PropLive(i) => format!("live(prop {})", pn(*i)),
@@ -705,5 +883,146 @@ pub fn cell_label(cell: &Cell, type_names: &[String], prop_names: &[String]) -> 
         Cell::CycleGuard => "reach(≤)".to_owned(),
         Cell::TypeArena => "type-arena".to_owned(),
         Cell::PropArena => "prop-arena".to_owned(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::LatticeConfig;
+
+    /// A 1,000-type lattice: every type under one or two earlier types,
+    /// a fresh essential property on every third.
+    fn thousand() -> Schema {
+        let mut s = Schema::new(LatticeConfig::default());
+        let mut types = vec![s.add_root_type("T0").unwrap()];
+        let mut x: u64 = 7;
+        for i in 1..1000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let a = types[(x >> 33) as usize % types.len()];
+            let b = types[(x >> 17) as usize % types.len()];
+            let props = if i % 3 == 0 {
+                vec![s.add_property(format!("p{i}"))]
+            } else {
+                Vec::new()
+            };
+            types.push(s.add_type(format!("T{i}"), [a, b], props).unwrap());
+        }
+        s
+    }
+
+    /// The subtype index folded from the live `P_e` rows.
+    fn folded_rev(sim: &SymbolicState) -> Vec<TypeSet> {
+        let mut rev = vec![TypeSet::new(); sim.type_slots()];
+        for (t, slot) in sim.types.iter().enumerate().filter(|(_, s)| s.alive) {
+            for s in slot.pe.iter() {
+                rev[s.index()].insert(TypeId::from_index(t));
+            }
+        }
+        rev
+    }
+
+    /// The shadow's subtype index and (when built) holders index equal the
+    /// ones folded from its live input rows.
+    fn assert_indexes_folded(sim: &SymbolicState, at: usize) {
+        let rev: Vec<TypeSet> = sim.rev.iter().cloned().collect();
+        assert_eq!(rev, folded_rev(sim), "subtype index after {at} step(s)");
+        if let Some(holders) = sim.holders.get() {
+            assert_eq!(
+                holders,
+                &holders_of_arena(&sim.types, sim.prop_slots()),
+                "holders index after {at} step(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn a_capture_shares_every_leaf_and_a_trace_unshares_what_it_writes() {
+        let schema = thousand();
+        let sim = SymbolicState::capture(&schema);
+        assert_eq!(sim.types.unshared_with(&schema.types), (0, 0));
+        assert_eq!(sim.props.unshared_with(&schema.props), (0, 0));
+        assert_eq!(sim.rev.unshared_with(&schema.rev), (0, 0));
+        assert_indexes_folded(&sim, 0);
+
+        let p = schema.iter_props().next().unwrap();
+        let two_parents: Vec<(TypeId, TypeId)> = schema
+            .iter_types()
+            .filter_map(|t| {
+                let pe = schema.essential_supertypes(t).unwrap();
+                (pe.len() == 2).then(|| (t, *pe.iter().next().unwrap()))
+            })
+            .collect();
+        for k in [1usize, 7, 40] {
+            // k `N_e` rows written: k type records, nothing else.
+            let mut sim = SymbolicState::capture(&schema);
+            for i in 0..k {
+                let t = TypeId::from_index(1 + 23 * i);
+                sim.step(&RecordedOp::AddEssentialProperty { t, p });
+            }
+            let (leaves, records) = sim.types.unshared_with(&schema.types);
+            assert!(leaves <= k && records == k, "{k}: ({leaves}, {records})");
+            assert_eq!(sim.props.unshared_with(&schema.props), (0, 0));
+            assert_eq!(sim.rev.unshared_with(&schema.rev), (0, 0));
+
+            // k `P_e` rows written: k type records, and at most one
+            // subtype-index record per dropped edge.
+            let mut sim = SymbolicState::capture(&schema);
+            for (i, &(t, s)) in two_parents.iter().take(k).enumerate() {
+                sim.step(&RecordedOp::DropEssentialSupertype { t, s });
+                assert_indexes_folded(&sim, i + 1);
+            }
+            let (leaves, records) = sim.types.unshared_with(&schema.types);
+            assert!(leaves <= k && records == k, "{k}: ({leaves}, {records})");
+            let (leaves, records) = sim.rev.unshared_with(&schema.rev);
+            assert!(leaves <= k && records <= k, "{k}: ({leaves}, {records})");
+        }
+        // The captured schema never saw a write.
+        assert_eq!(schema.fingerprint(), thousand().fingerprint());
+    }
+
+    #[test]
+    fn stepped_indexes_equal_the_folded_ones() {
+        let schema = thousand();
+        let p = |i: usize| PropId::from_index(i);
+        let t = |i: usize| TypeId::from_index(i);
+        let ops = vec![
+            RecordedOp::AddEssentialProperty { t: t(5), p: p(0) },
+            RecordedOp::AddProperty { name: "q".into() },
+            RecordedOp::AddType {
+                name: "fresh".into(),
+                supers: vec![t(5), t(9)],
+                props: vec![p(0), p(3)],
+            },
+            RecordedOp::DropType { t: t(9) },
+            RecordedOp::DropEssentialProperty { t: t(5), p: p(0) },
+            RecordedOp::AddEssentialSupertype {
+                t: t(1000),
+                s: t(12),
+            },
+            RecordedOp::DropProperty { p: p(3) },
+            RecordedOp::DropType { t: t(5) },
+            RecordedOp::DropProperty { p: p(0) },
+        ];
+        // Holders built at capture, then stepped; or built first by the
+        // property drop mid-trace.
+        for eager in [true, false] {
+            let mut sim = SymbolicState::capture(&schema);
+            if eager {
+                assert_eq!(sim.holders_of(0).count(), 1);
+            }
+            for (i, op) in ops.iter().enumerate() {
+                sim.step(op);
+                assert_indexes_folded(&sim, i + 1);
+            }
+            assert!(
+                sim.holders.get().is_some(),
+                "a property drop builds the holders"
+            );
+            // The property drops read the captured holders too.
+            assert_eq!(sim.initial_holders_of(3).count(), 1);
+        }
     }
 }

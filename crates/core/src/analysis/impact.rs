@@ -33,6 +33,18 @@
 //! ([`super::plan::check`], [`super::merge::check`]) — an independent
 //! [`check`] that trusts *nothing* inside the certificate: it re-derives
 //! every verdict and obligation from the raw trace and compares.
+//!
+//! **Cost.** Each of [`analyze`] and [`check`] captures the schema once
+//! (a copy-on-write version of its input spines: one pointer per 64-slot
+//! leaf) and folds the interface rows of the live lattice once; every
+//! op then costs the rows it touches. A type's *birth* row — the
+//! interface its stored instances were created under — is kept only for
+//! the types an op actually affects, taken as the pre-op row the first
+//! time one does (every interface change is recorded as a delta, so that
+//! row is still the birth row). The certificate's labels are a shared
+//! handle on the final shadow's name spines, and the checker compares
+//! them by content, looking only at the leaves the two versions do not
+//! share.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -42,7 +54,7 @@ use crate::history::RecordedOp;
 use crate::json_escape;
 use crate::model::Schema;
 
-use super::footprint::SymbolicState;
+use super::footprint::{Labels, SymbolicState};
 
 /// Severity of a schema change as seen by the stored instances of one
 /// type. Ordered: folding a trace takes the per-type maximum.
@@ -209,10 +221,9 @@ pub struct ImpactCertificate {
     pub ops: Vec<OpImpact>,
     /// Per-type obligations, ascending by type index.
     pub obligations: Vec<ConversionObligation>,
-    /// Final-state type arena labels for rendering.
-    pub type_labels: Vec<String>,
-    /// Final-state property arena labels for rendering.
-    pub prop_labels: Vec<String>,
+    /// Final-state arena labels for rendering, shared with the final
+    /// shadow.
+    pub labels: Labels,
 }
 
 impl ImpactCertificate {
@@ -335,8 +346,7 @@ pub struct ImpactCheck {
 struct Derived {
     ops: Vec<OpImpact>,
     obligations: Vec<ConversionObligation>,
-    type_labels: Vec<String>,
-    prop_labels: Vec<String>,
+    labels: Labels,
 }
 
 /// Dense interface rows `I(t) = ⋃ { N_e(u) : u ∈ PL(t) }` for every live
@@ -357,34 +367,48 @@ struct IfaceRows {
     indeg: Vec<u32>,
 }
 
+/// Is `t` a live type other than ⊥ — a type with a storable extent?
+fn storable(sim: &SymbolicState, t: usize) -> bool {
+    sim.is_live(t) && Some(t) != sim.base()
+}
+
 impl IfaceRows {
     /// Fold the captured shadow once, top-down over the whole lattice.
     fn capture(sim: &SymbolicState) -> IfaceRows {
         let mut iface = IfaceRows {
-            rows: vec![IdxSet::new(); sim.types.len()],
+            rows: vec![IdxSet::new(); sim.type_slots()],
             indeg: Vec::new(),
         };
-        let all: IdxSet = (0..sim.types.len())
-            .filter(|&t| sim.types[t].live && Some(t) != sim.base)
+        let all: IdxSet = (0..sim.type_slots())
+            .filter(|&t| storable(sim, t))
             .collect();
         iface.refold(sim, &all);
         iface
     }
 
+    /// `N_e(t)` united with the rows of `t`'s live parents.
+    fn fold_row(&self, sim: &SymbolicState, t: usize) -> IdxSet {
+        let mut row: IdxSet = sim.properties(t).collect();
+        for s in sim.supertypes(t) {
+            if sim.is_live(s) {
+                if let Some(parent) = self.rows.get(s) {
+                    row.union_with(parent);
+                }
+            }
+        }
+        row
+    }
+
     /// Append rows for types the shadow minted since the last step:
     /// a newborn's interface is its `N_e` plus its parents' rows.
     fn grow(&mut self, sim: &SymbolicState) {
-        while self.rows.len() < sim.types.len() {
+        while self.rows.len() < sim.type_slots() {
             let t = self.rows.len();
-            let mut row = IdxSet::new();
-            if sim.types[t].live && Some(t) != sim.base {
-                row.extend(sim.types[t].ne.iter().copied());
-                for &s in &sim.types[t].pe {
-                    if let Some(parent) = self.rows.get(s) {
-                        row.union_with(parent);
-                    }
-                }
-            }
+            let row = if storable(sim, t) {
+                self.fold_row(sim, t)
+            } else {
+                IdxSet::new()
+            };
             self.rows.push(row);
         }
     }
@@ -405,27 +429,19 @@ impl IfaceRows {
         let mut changed = BTreeMap::new();
         let mut queue: Vec<usize> = direct.to_vec();
         while let Some(u) = queue.pop() {
-            if Some(u) == sim.base {
+            if Some(u) == sim.base() {
                 continue;
             }
-            let slot = &sim.types[u];
-            if !slot.live {
+            if !sim.is_live(u) {
                 let old = std::mem::take(&mut self.rows[u]);
                 changed.entry(u).or_insert(old);
                 continue;
             }
-            let mut row: IdxSet = slot.ne.iter().copied().collect();
-            for &s in &slot.pe {
-                if sim.types[s].live {
-                    row.union_with(&self.rows[s]);
-                }
-            }
+            let row = self.fold_row(sim, u);
             if row == self.rows[u] {
                 continue;
             }
-            for c in sim.rev[u].iter() {
-                queue.push(c);
-            }
+            queue.extend(sim.subtypes(u));
             let old = std::mem::replace(&mut self.rows[u], row);
             changed.entry(u).or_insert(old);
         }
@@ -439,17 +455,16 @@ impl IfaceRows {
     /// whole-lattice fold at capture.
     fn refold(&mut self, sim: &SymbolicState, cands: &IdxSet) {
         self.indeg.clear();
-        self.indeg.resize(sim.types.len(), 0);
+        self.indeg.resize(sim.type_slots(), 0);
         let mut ready = Vec::new();
         for t in cands.iter() {
-            if !sim.types[t].live || Some(t) == sim.base {
+            if !storable(sim, t) {
                 self.rows[t] = IdxSet::new();
                 continue;
             }
-            let d = sim.types[t]
-                .pe
-                .iter()
-                .filter(|&&s| cands.contains(s) && sim.types[s].live)
+            let d = sim
+                .supertypes(t)
+                .filter(|&s| cands.contains(s) && sim.is_live(s))
                 .count() as u32;
             self.indeg[t] = d;
             if d == 0 {
@@ -457,15 +472,9 @@ impl IfaceRows {
             }
         }
         while let Some(t) = ready.pop() {
-            let mut row: IdxSet = sim.types[t].ne.iter().copied().collect();
-            for &s in &sim.types[t].pe {
-                if sim.types[s].live {
-                    row.union_with(&self.rows[s]);
-                }
-            }
-            self.rows[t] = row;
-            for c in sim.rev[t].iter() {
-                if cands.contains(c) && sim.types[c].live && Some(c) != sim.base {
+            self.rows[t] = self.fold_row(sim, t);
+            for c in sim.subtypes(t) {
+                if cands.contains(c) && storable(sim, c) {
                     self.indeg[c] -= 1;
                     if self.indeg[c] == 0 {
                         ready.push(c);
@@ -481,14 +490,12 @@ impl IfaceRows {
 /// so an input edit at `t` reaches exactly `↓t`), walked over the
 /// structural reverse-subtype index. Ops that only allocate, rename, or
 /// freeze touch no existing interface. A dropped property's seeds are
-/// its live holders ([`SymbolicState::holders`]).
+/// its live holders ([`SymbolicState::holders_of`]).
 fn interface_candidates(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
     let mut seeds = IdxSet::new();
     match op {
         RecordedOp::DropProperty { p } => {
-            if let Some(h) = sim.holders.get(p.index()) {
-                seeds = h.clone();
-            }
+            seeds.extend(sim.holders_of(p.index()));
         }
         RecordedOp::AddEssentialSupertype { t, .. }
         | RecordedOp::AddEssentialProperty { t, .. } => {
@@ -510,7 +517,7 @@ fn interface_candidates(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
     }
     let mut work: Vec<usize> = seeds.iter().collect();
     while let Some(t) = work.pop() {
-        for c in sim.rev.get(t).into_iter().flat_map(IdxSet::iter) {
+        for c in sim.subtypes(t) {
             if seeds.insert(c) {
                 work.push(c);
             }
@@ -530,14 +537,14 @@ fn split_delta(
 ) -> (Vec<usize>, Vec<(usize, usize)>, Vec<usize>) {
     let mut arrivals: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for &q in arriving {
-        if let Some(prop) = sim.props.get(q) {
-            arrivals.entry(prop.name.as_str()).or_default().push(q);
+        if let Some(name) = sim.prop_name(q) {
+            arrivals.entry(name).or_default().push(q);
         }
     }
     let mut rekeyed = Vec::new();
     let mut lost = Vec::new();
     for &p in departing {
-        let name = sim.props.get(p).map_or("", |prop| prop.name.as_str());
+        let name = sim.prop_name(p).unwrap_or("");
         match arrivals.get_mut(name) {
             Some(queue) if !queue.is_empty() => rekeyed.push((p, queue.remove(0))),
             _ => lost.push(p),
@@ -559,26 +566,35 @@ fn classify(added: &[usize], rekeyed: &[(usize, usize)], lost: &[usize]) -> Impa
     }
 }
 
+/// One affected type's fold along the trace.
+struct Fold {
+    /// Join of its per-op levels.
+    level: ImpactLevel,
+    /// First op reaching that level.
+    first_op: usize,
+    /// Did its extent die?
+    extent_lost: bool,
+    /// The interface its instances were born under: the row at capture,
+    /// or right after creation for a trace-minted type.
+    birth: IdxSet,
+}
+
 /// Walk the trace once over a symbolic shadow, classifying each op
 /// against the candidate types' pre/post interfaces and folding the
 /// per-type obligation state.
 fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     let mut sim = SymbolicState::capture(initial);
     let mut iface = IfaceRows::capture(&sim);
-    // Interface each type's instances are born under: capture-time for
-    // initial types, post-creation for trace-minted ones. `None` for the
-    // base (⊥ has no storable extent) and for dead slots.
-    let mut born: Vec<Option<IdxSet>> = (0..sim.types.len())
-        .map(|t| (sim.types[t].live && Some(t) != sim.base).then(|| iface.rows[t].clone()))
-        .collect();
-    // Per-type fold: (level, first op reaching it, extent lost).
-    let mut fold: Vec<Option<(ImpactLevel, usize, bool)>> = vec![None; sim.types.len()];
+    // Per affected type, ascending. Every change to a row is recorded as
+    // a delta, so the pre-op row of a type's first delta is still the row
+    // its instances were born under.
+    let mut fold: BTreeMap<usize, Fold> = BTreeMap::new();
 
     let mut op_impacts = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
         let candidates: Vec<usize> = interface_candidates(&sim, op)
             .iter()
-            .filter(|&t| sim.types[t].live && Some(t) != sim.base)
+            .filter(|&t| storable(&sim, t))
             .collect();
         // Rows a shrinking op edits directly: the target, plus — for a
         // type drop — its current subtypes, whose `P_e` rows the drop
@@ -586,7 +602,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         let direct: Vec<usize> = match op {
             RecordedOp::DropType { t } => {
                 let ti = t.index();
-                let mut d: Vec<usize> = sim.rev[ti].iter().collect();
+                let mut d: Vec<usize> = sim.subtypes(ti).collect();
                 d.push(ti);
                 d
             }
@@ -597,30 +613,28 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
 
         sim.step(op);
 
-        // A type-creating op grew the arena: extend the side tables and
-        // record the newborn's birth interface (base excluded).
+        // A type-creating op grew the arena: fold the newborn's row.
         iface.grow(&sim);
-        while born.len() < sim.types.len() {
-            let t = born.len();
-            born.push((sim.types[t].live && Some(t) != sim.base).then(|| iface.rows[t].clone()));
-            fold.push(None);
-        }
 
         let mut affected = IdxSet::new();
         let mut deltas: Vec<TypeImpact> = Vec::new();
-        let mut record = |delta: TypeImpact| {
+        let mut record = |delta: TypeImpact, pre_row: &dyn Fn() -> IdxSet| {
             let t = delta.type_index;
             affected.insert(t);
-            match &mut fold[t] {
-                Some((level, first, extent)) => {
-                    if delta.level > *level {
-                        *level = delta.level;
-                        *first = i;
+            fold.entry(t)
+                .and_modify(|f| {
+                    if delta.level > f.level {
+                        f.level = delta.level;
+                        f.first_op = i;
                     }
-                    *extent |= delta.extent_lost;
-                }
-                slot => *slot = Some((delta.level, i, delta.extent_lost)),
-            }
+                    f.extent_lost |= delta.extent_lost;
+                })
+                .or_insert_with(|| Fold {
+                    level: delta.level,
+                    first_op: i,
+                    extent_lost: delta.extent_lost,
+                    birth: pre_row(),
+                });
             deltas.push(delta);
         };
         match op {
@@ -630,14 +644,22 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                 let pi = p.index();
                 for &t in &candidates {
                     if iface.rows[t].remove(pi) {
-                        record(TypeImpact {
-                            type_index: t,
-                            level: ImpactLevel::Destructive,
-                            added: Vec::new(),
-                            rekeyed: Vec::new(),
-                            lost: vec![pi],
-                            extent_lost: false,
-                        });
+                        let row = &iface.rows[t];
+                        record(
+                            TypeImpact {
+                                type_index: t,
+                                level: ImpactLevel::Destructive,
+                                added: Vec::new(),
+                                rekeyed: Vec::new(),
+                                lost: vec![pi],
+                                extent_lost: false,
+                            },
+                            &|| {
+                                let mut pre = row.clone();
+                                pre.insert(pi);
+                                pre
+                            },
+                        );
                     }
                 }
             }
@@ -648,14 +670,22 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                 let pi = p.index();
                 for &t in &candidates {
                     if iface.rows[t].insert(pi) {
-                        record(TypeImpact {
-                            type_index: t,
-                            level: ImpactLevel::Extending,
-                            added: vec![pi],
-                            rekeyed: Vec::new(),
-                            lost: Vec::new(),
-                            extent_lost: false,
-                        });
+                        let row = &iface.rows[t];
+                        record(
+                            TypeImpact {
+                                type_index: t,
+                                level: ImpactLevel::Extending,
+                                added: vec![pi],
+                                rekeyed: Vec::new(),
+                                lost: Vec::new(),
+                                extent_lost: false,
+                            },
+                            &|| {
+                                let mut pre = row.clone();
+                                pre.remove(pi);
+                                pre
+                            },
+                        );
                     }
                 }
             }
@@ -668,14 +698,22 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                         continue;
                     }
                     iface.rows[t].union_with(&reach);
-                    record(TypeImpact {
-                        type_index: t,
-                        level: ImpactLevel::Extending,
-                        added: arriving_set.iter().collect(),
-                        rekeyed: Vec::new(),
-                        lost: Vec::new(),
-                        extent_lost: false,
-                    });
+                    let row = &iface.rows[t];
+                    record(
+                        TypeImpact {
+                            type_index: t,
+                            level: ImpactLevel::Extending,
+                            added: arriving_set.iter().collect(),
+                            rekeyed: Vec::new(),
+                            lost: Vec::new(),
+                            extent_lost: false,
+                        },
+                        &|| {
+                            let mut pre = row.clone();
+                            pre.subtract(&arriving_set);
+                            pre
+                        },
+                    );
                 }
             }
             // Interface shrinkage (an edge or essential went away, maybe
@@ -687,15 +725,18 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
             | RecordedOp::DropEssentialProperty { .. } => {
                 let changed = iface.propagate_removal(&sim, &direct);
                 for (&t, pre_row) in &changed {
-                    if !sim.types[t].live {
-                        record(TypeImpact {
-                            type_index: t,
-                            level: ImpactLevel::Destructive,
-                            added: Vec::new(),
-                            rekeyed: Vec::new(),
-                            lost: Vec::new(),
-                            extent_lost: true,
-                        });
+                    if !sim.is_live(t) {
+                        record(
+                            TypeImpact {
+                                type_index: t,
+                                level: ImpactLevel::Destructive,
+                                added: Vec::new(),
+                                rekeyed: Vec::new(),
+                                lost: Vec::new(),
+                                extent_lost: true,
+                            },
+                            &|| pre_row.clone(),
+                        );
                         continue;
                     }
                     let post_row = &iface.rows[t];
@@ -713,14 +754,17 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                     if level == ImpactLevel::Preserving {
                         continue;
                     }
-                    record(TypeImpact {
-                        type_index: t,
-                        level,
-                        added,
-                        rekeyed,
-                        lost,
-                        extent_lost: false,
-                    });
+                    record(
+                        TypeImpact {
+                            type_index: t,
+                            level,
+                            added,
+                            rekeyed,
+                            lost,
+                            extent_lost: false,
+                        },
+                        &|| pre_row.clone(),
+                    );
                 }
             }
             // Allocation, rename, and freeze ops seed no candidates.
@@ -742,21 +786,17 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     // (birth interface vs final interface, names resolved in the final
     // state) classifies the one-shot conversion, while the trace join
     // records sequential severity — see the [`ConversionObligation`] doc.
-    let mut obligations = Vec::new();
-    for (t, state) in fold.iter().enumerate() {
-        let Some((trace_level, first_op, extent_lost)) = *state else {
-            continue;
-        };
-        let (added, rekeyed, lost) = if extent_lost {
+    let mut obligations = Vec::with_capacity(fold.len());
+    for (t, f) in fold {
+        let (added, rekeyed, lost) = if f.extent_lost {
             (Vec::new(), Vec::new(), Vec::new())
         } else {
-            let birth = born[t].clone().unwrap_or_default();
             let fin = &iface.rows[t];
-            let arriving: Vec<usize> = fin.iter().filter(|&q| !birth.contains(q)).collect();
-            let departing: Vec<usize> = birth.iter().filter(|&q| !fin.contains(q)).collect();
+            let arriving: Vec<usize> = fin.iter().filter(|&q| !f.birth.contains(q)).collect();
+            let departing: Vec<usize> = f.birth.iter().filter(|&q| !fin.contains(q)).collect();
             split_delta(&sim, &arriving, &departing)
         };
-        let level = if extent_lost {
+        let level = if f.extent_lost {
             ImpactLevel::Destructive
         } else {
             classify(&added, &rekeyed, &lost)
@@ -764,12 +804,12 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         obligations.push(ConversionObligation {
             type_index: t,
             level,
-            trace_level,
-            first_op,
+            trace_level: f.level,
+            first_op: f.first_op,
             added,
             rekeyed,
             lost,
-            extent_lost,
+            extent_lost: f.extent_lost,
             strategies: Strategies::for_level(level),
             guard_required: level == ImpactLevel::Destructive,
         });
@@ -778,8 +818,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     Derived {
         ops: op_impacts,
         obligations,
-        type_labels: sim.types.iter().map(|t| t.name.clone()).collect(),
-        prop_labels: sim.props.iter().map(|p| p.name.clone()).collect(),
+        labels: sim.labels(),
     }
 }
 
@@ -794,8 +833,7 @@ pub fn analyze(initial: &Schema, ops: &[RecordedOp]) -> ImpactAnalysis {
         kinds: ops.iter().map(RecordedOp::kind_name).collect(),
         ops: derived.ops,
         obligations: derived.obligations,
-        type_labels: derived.type_labels,
-        prop_labels: derived.prop_labels,
+        labels: derived.labels,
     };
     let plan = PropagationPlan::from_obligations(&certificate.obligations);
     ImpactAnalysis { certificate, plan }
@@ -887,7 +925,7 @@ pub fn check(
             ));
         }
     }
-    if cert.type_labels != derived.type_labels || cert.prop_labels != derived.prop_labels {
+    if cert.labels != derived.labels {
         return Err("certificate labels diverge from the final symbolic state".to_owned());
     }
 
@@ -902,12 +940,8 @@ pub fn check(
     })
 }
 
-fn label(labels: &[String], i: usize) -> String {
-    labels.get(i).cloned().unwrap_or_else(|| format!("#{i}"))
-}
-
 fn delta_text(
-    prop_labels: &[String],
+    labels: &Labels,
     added: &[usize],
     rekeyed: &[(usize, usize)],
     lost: &[usize],
@@ -918,18 +952,18 @@ fn delta_text(
         parts.push("extent lost".to_owned());
     }
     if !lost.is_empty() {
-        let names: Vec<String> = lost.iter().map(|&p| label(prop_labels, p)).collect();
+        let names: Vec<String> = lost.iter().map(|&p| labels.prop_label(p)).collect();
         parts.push(format!("lost {{{}}}", names.join(", ")));
     }
     if !rekeyed.is_empty() {
         let names: Vec<String> = rekeyed
             .iter()
-            .map(|&(p, q)| format!("{}#{p}→#{q}", label(prop_labels, p)))
+            .map(|&(p, q)| format!("{}#{p}→#{q}", labels.prop_label(p)))
             .collect();
         parts.push(format!("rekey {{{}}}", names.join(", ")));
     }
     if !added.is_empty() {
-        let names: Vec<String> = added.iter().map(|&p| label(prop_labels, p)).collect();
+        let names: Vec<String> = added.iter().map(|&p| labels.prop_label(p)).collect();
         parts.push(format!("add {{{}}}", names.join(", ")));
     }
     parts.join("; ")
@@ -957,7 +991,7 @@ impl ImpactAnalysis {
                 let names: Vec<String> = op
                     .affected
                     .iter()
-                    .map(|t| label(&cert.type_labels, t))
+                    .map(|t| cert.labels.type_label(t))
                     .collect();
                 let _ = write!(line, " affected {{{}}}", names.join(", "));
             }
@@ -965,16 +999,10 @@ impl ImpactAnalysis {
         }
         let _ = writeln!(out, "obligations: {}", cert.obligations.len());
         for o in &cert.obligations {
-            let delta = delta_text(
-                &cert.prop_labels,
-                &o.added,
-                &o.rekeyed,
-                &o.lost,
-                o.extent_lost,
-            );
+            let delta = delta_text(&cert.labels, &o.added, &o.rekeyed, &o.lost, o.extent_lost);
             let mut line = format!(
                 "  {}: {} (first at op {})",
-                label(&cert.type_labels, o.type_index),
+                cert.labels.type_label(o.type_index),
                 o.level.tag(),
                 o.first_op + 1
             );
@@ -993,7 +1021,7 @@ impl ImpactAnalysis {
         let _ = writeln!(out, "plan: {} step(s)", self.plan.steps.len());
         for s in &self.plan.steps {
             let delta = delta_text(
-                &cert.prop_labels,
+                &cert.labels,
                 &s.add_slots,
                 &s.rekey_slots,
                 &s.drop_slots,
@@ -1001,7 +1029,7 @@ impl ImpactAnalysis {
             );
             let mut line = format!(
                 "  {}: {}",
-                label(&cert.type_labels, s.type_index),
+                cert.labels.type_label(s.type_index),
                 s.strategy.tag()
             );
             if s.guarded {
@@ -1026,7 +1054,7 @@ impl ImpactAnalysis {
         let prop_list = |props: &[usize]| {
             props
                 .iter()
-                .map(|&p| format!("\"{}\"", json_escape(&label(&cert.prop_labels, p))))
+                .map(|&p| format!("\"{}\"", json_escape(&cert.labels.prop_label(p))))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -1036,7 +1064,7 @@ impl ImpactAnalysis {
                 .map(|&(p, q)| {
                     format!(
                         "{{\"from\":{p},\"to\":{q},\"name\":\"{}\"}}",
-                        json_escape(&label(&cert.prop_labels, q))
+                        json_escape(&cert.labels.prop_label(q))
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1050,7 +1078,7 @@ impl ImpactAnalysis {
                 let affected: Vec<String> = op
                     .affected
                     .iter()
-                    .map(|t| format!("\"{}\"", json_escape(&label(&cert.type_labels, t))))
+                    .map(|t| format!("\"{}\"", json_escape(&cert.labels.type_label(t))))
                     .collect();
                 format!(
                     "{{\"index\":{},\"kind\":\"{}\",\"level\":\"{}\",\"affected\":[{}]}}",
@@ -1077,7 +1105,7 @@ impl ImpactAnalysis {
                      \"trace_level\":\"{}\",\"first_op\":{},\
                      \"added\":[{}],\"rekeyed\":[{}],\"lost\":[{}],\"extent_lost\":{},\
                      \"strategies\":[{}],\"guard_required\":{}}}",
-                    json_escape(&label(&cert.type_labels, o.type_index)),
+                    json_escape(&cert.labels.type_label(o.type_index)),
                     o.type_index,
                     o.level.tag(),
                     o.trace_level.tag(),
@@ -1099,7 +1127,7 @@ impl ImpactAnalysis {
                 format!(
                     "{{\"type\":\"{}\",\"strategy\":\"{}\",\"guarded\":{},\"add\":[{}],\
                      \"rekey\":[{}],\"drop\":[{}],\"drop_extent\":{}}}",
-                    json_escape(&label(&cert.type_labels, s.type_index)),
+                    json_escape(&cert.labels.type_label(s.type_index)),
                     s.strategy.tag(),
                     s.guarded,
                     prop_list(&s.add_slots),
@@ -1317,6 +1345,34 @@ mod tests {
         let mut bad = ia.certificate.clone();
         bad.op_count = 1;
         assert!(check(&s, &ops, &bad).unwrap_err().contains("covers"));
+
+        // Labels are compared by content: the final names of a shadow that
+        // shares no leaf with the checker's, but holds the same names, pass;
+        // one renamed slot does not.
+        let labels_after = |schema: &Schema| {
+            let mut sim = SymbolicState::capture(schema);
+            for op in &ops {
+                sim.step(op);
+            }
+            sim.labels()
+        };
+        let mut copied = s.clone();
+        copied.rename_type(person, "someone").unwrap();
+        copied.rename_type(person, "person").unwrap();
+        copied.rename_property(age, "age").unwrap();
+        let mut same = ia.certificate.clone();
+        same.labels = labels_after(&copied);
+        check(&s, &ops, &same).expect("the same names from unshared leaves are accepted");
+        let mut renamed = s.clone();
+        renamed.rename_type(person, "someone").unwrap();
+        let mut bad = ia.certificate.clone();
+        bad.labels = labels_after(&renamed);
+        assert!(check(&s, &ops, &bad).unwrap_err().contains("labels"));
+        let mut renamed = s.clone();
+        renamed.rename_property(age, "years").unwrap();
+        let mut bad = ia.certificate.clone();
+        bad.labels = labels_after(&renamed);
+        assert!(check(&s, &ops, &bad).unwrap_err().contains("labels"));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::json_escape;
 use crate::model::Schema;
 
 pub use commute::{CommuteReason, ConflictKind, PairReport, PairVerdict, Witness};
-pub use footprint::{Cell, Footprint, SymbolicState};
+pub use footprint::{Cell, Footprint, Labels, SymbolicState};
 pub use impact::{
     ConversionObligation, ImpactAnalysis, ImpactCertificate, ImpactCheck, ImpactLevel, OpImpact,
     PlanStep, PropagationPlan, Strategies, Strategy, TypeImpact,
@@ -88,10 +88,8 @@ pub struct TraceAnalysis {
     pub conflicting: usize,
     /// Pairs left as conservative order constraints.
     pub constrained: usize,
-    /// Type arena labels (final names) for rendering.
-    pub type_labels: Vec<String>,
-    /// Property arena labels for rendering.
-    pub prop_labels: Vec<String>,
+    /// Final arena labels for rendering, shared with the final shadow.
+    pub labels: Labels,
 }
 
 /// `n!` as a decimal string (saturating at u128).
@@ -118,8 +116,7 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
     } = commute::analyze_pairs(initial, ops);
 
     // Final-state labels for rendering (dead slots keep their names).
-    let type_labels: Vec<String> = last.types.into_iter().map(|t| t.name).collect();
-    let prop_labels: Vec<String> = last.props.into_iter().map(|p| p.name).collect();
+    let labels = last.labels();
 
     // Union-find over non-commuting pairs.
     let n = ops.len();
@@ -178,8 +175,7 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
         commuting,
         conflicting,
         constrained,
-        type_labels,
-        prop_labels,
+        labels,
     }
 }
 
@@ -230,7 +226,7 @@ impl TraceAnalysis {
             let fp = &self.footprints[i];
             let cells = |set: &BTreeSet<Cell>| {
                 set.iter()
-                    .map(|c| footprint::cell_label(c, &self.type_labels, &self.prop_labels))
+                    .map(|c| footprint::cell_label(c, &self.labels))
                     .collect::<Vec<_>>()
                     .join(", ")
             };
@@ -320,11 +316,7 @@ impl TraceAnalysis {
                         .map(|c| {
                             format!(
                                 "\"{}\"",
-                                json_escape(&footprint::cell_label(
-                                    c,
-                                    &self.type_labels,
-                                    &self.prop_labels
-                                ))
+                                json_escape(&footprint::cell_label(c, &self.labels))
                             )
                         })
                         .collect::<Vec<_>>()

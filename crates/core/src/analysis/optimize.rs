@@ -116,7 +116,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
         match op {
             RecordedOp::RenameType { t, name } => {
                 let ti = t.index();
-                if st.types.get(ti).is_some_and(|s| &s.name == name) {
+                if st.type_name(ti) == Some(name.as_str()) {
                     return Some(TraceRewrite {
                         kind: RewriteKind::NoOpRename,
                         removed: vec![orig[i]],
@@ -130,7 +130,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
                 for (j, later) in ops.iter().enumerate().skip(i + 1) {
                     if let RecordedOp::RenameType { t: t2, .. } = later {
                         if t2.index() == ti {
-                            let old = st.types.get(ti).map(|s| s.name.clone()).unwrap_or_default();
+                            let old = st.type_name(ti).unwrap_or_default().to_owned();
                             let unread = !range_touches(&fps, i + 1..j, &Cell::TypeNameCell(ti))
                                 && !range_touches(&fps, i + 1..j, &Cell::Name(name.clone()))
                                 && !range_touches(&fps, i + 1..j, &Cell::Name(old));
@@ -161,7 +161,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
             }
             RecordedOp::RenameProperty { p, name } => {
                 let pi = p.index();
-                if st.props.get(pi).is_some_and(|s| &s.name == name) {
+                if st.prop_name(pi) == Some(name.as_str()) {
                     return Some(TraceRewrite {
                         kind: RewriteKind::NoOpRename,
                         removed: vec![orig[i]],
@@ -197,7 +197,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
                     }
                 }
             }
-            RecordedOp::FreezeType { t } if st.types.get(t.index()).is_some_and(|s| s.frozen) => {
+            RecordedOp::FreezeType { t } if st.is_frozen(t.index()) => {
                 return Some(TraceRewrite {
                     kind: RewriteKind::DoubleFreeze,
                     removed: vec![orig[i]],
@@ -207,7 +207,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
             }
             RecordedOp::AddEssentialProperty { t, p } => {
                 let (ti, pi) = (t.index(), p.index());
-                if st.types.get(ti).is_some_and(|s| s.ne.contains(&pi)) {
+                if st.has_property(ti, pi) {
                     return Some(TraceRewrite {
                         kind: RewriteKind::IdempotentReAdd,
                         removed: vec![orig[i]],
@@ -290,7 +290,7 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
                 let (ti, si) = (t.index(), s.index());
                 // Relink safety: restoring only reverses the drop when the
                 // drop did not relink (row kept ≥ 1 other member).
-                let row_len = st.types.get(ti).map_or(0, |x| x.pe.len());
+                let row_len = st.supertypes(ti).count();
                 if row_len < 2 {
                     continue;
                 }

@@ -48,7 +48,7 @@ use crate::history::RecordedOp;
 use crate::json_escape;
 use crate::model::Schema;
 
-use super::footprint::{self, Cell};
+use super::footprint::{self, Cell, Labels};
 use super::TraceAnalysis;
 
 /// One unit of designer-input state as a plan certificate counts it.
@@ -95,24 +95,12 @@ pub fn slot_of(cell: &Cell) -> Slot {
     }
 }
 
-/// Render a slot for humans, resolving arena indexes to names where
-/// labels are known.
-pub fn slot_label(slot: &Slot, type_labels: &[String], prop_labels: &[String]) -> String {
-    let tn = |i: usize| {
-        type_labels
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("#{i}"))
-    };
-    let pn = |i: usize| {
-        prop_labels
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("#{i}"))
-    };
+/// Render a slot for humans, resolving arena indexes to the names in
+/// `labels`.
+pub fn slot_label(slot: &Slot, labels: &Labels) -> String {
     match slot {
-        Slot::Type(t) => format!("type({})", tn(*t)),
-        Slot::Prop(p) => format!("prop({})", pn(*p)),
+        Slot::Type(t) => format!("type({})", labels.type_label(*t)),
+        Slot::Prop(p) => format!("prop({})", labels.prop_label(*p)),
         Slot::Name(s) => format!("name({s})"),
         Slot::Root => "root".into(),
         Slot::Base => "base".into(),
@@ -216,10 +204,8 @@ impl PlanCertificate {
 pub struct EvolutionPlan {
     /// The self-contained certificate (what [`check`] consumes).
     pub certificate: PlanCertificate,
-    /// Type arena labels (final names) for rendering.
-    pub type_labels: Vec<String>,
-    /// Property arena labels for rendering.
-    pub prop_labels: Vec<String>,
+    /// Final arena labels for rendering, shared with the analysis's.
+    pub labels: Labels,
 }
 
 impl EvolutionPlan {
@@ -252,7 +238,7 @@ impl EvolutionPlan {
         );
         let slots = |set: &BTreeSet<Slot>| {
             set.iter()
-                .map(|s| slot_label(s, &self.type_labels, &self.prop_labels))
+                .map(|s| slot_label(s, &self.labels))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
@@ -281,7 +267,7 @@ impl EvolutionPlan {
                     edge.to_class + 1,
                     edge.earlier_op + 1,
                     edge.later_op + 1,
-                    slot_label(&edge.slot, &self.type_labels, &self.prop_labels)
+                    slot_label(&edge.slot, &self.labels)
                 );
             }
         }
@@ -298,12 +284,7 @@ impl EvolutionPlan {
         let cert = &self.certificate;
         let slots = |set: &BTreeSet<Slot>| {
             set.iter()
-                .map(|s| {
-                    format!(
-                        "\"{}\"",
-                        json_escape(&slot_label(s, &self.type_labels, &self.prop_labels))
-                    )
-                })
+                .map(|s| format!("\"{}\"", json_escape(&slot_label(s, &self.labels))))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -332,7 +313,7 @@ impl EvolutionPlan {
                     e.to_class + 1,
                     e.earlier_op + 1,
                     e.later_op + 1,
-                    json_escape(&slot_label(&e.slot, &self.type_labels, &self.prop_labels))
+                    json_escape(&slot_label(&e.slot, &self.labels))
                 )
             })
             .collect();
@@ -536,8 +517,7 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
             classes,
             edges,
         },
-        type_labels: analysis.type_labels.clone(),
-        prop_labels: analysis.prop_labels.clone(),
+        labels: analysis.labels.clone(),
     }
 }
 

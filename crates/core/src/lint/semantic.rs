@@ -158,13 +158,7 @@ impl Lint for DestructiveOpUnguarded {
             let names: Vec<String> = op
                 .affected
                 .iter()
-                .map(|t| {
-                    ia.certificate
-                        .type_labels
-                        .get(t)
-                        .cloned()
-                        .unwrap_or_else(|| format!("#{t}"))
-                })
+                .map(|t| ia.certificate.labels.type_label(t))
                 .collect();
             let extent = op.deltas.iter().any(|d| d.extent_lost);
             out.push(Diagnostic {
@@ -229,25 +223,11 @@ impl Lint for ConvertibleAsExtending {
                 continue;
             }
             let ty = crate::ids::TypeId::from_index(o.type_index);
-            let name = ia
-                .certificate
-                .type_labels
-                .get(o.type_index)
-                .cloned()
-                .unwrap_or_else(|| format!("#{}", o.type_index));
+            let name = ia.certificate.labels.type_label(o.type_index);
             let rekeys: Vec<String> = o
                 .rekeyed
                 .iter()
-                .map(|&(p, q)| {
-                    let label = |i: usize| {
-                        ia.certificate
-                            .prop_labels
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("#{i}"))
-                    };
-                    format!("{}#{p}→#{q}", label(q))
-                })
+                .map(|&(p, q)| format!("{}#{p}→#{q}", ia.certificate.labels.prop_label(q)))
                 .collect();
             out.push(Diagnostic {
                 rule: self.id(),

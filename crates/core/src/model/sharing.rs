@@ -156,10 +156,47 @@ impl<T> Spine<T> {
             .expect("cells below len are filled")
     }
 
+    /// Do `self` and `other` hold equal cells? Leaves the two spines share
+    /// are equal without a look, and so are shared cells; every other pair
+    /// of cells is compared by `eq`.
+    pub(crate) fn eq_by(&self, other: &Spine<T>, eq: impl Fn(&T, &T) -> bool) -> bool {
+        self.len == other.len
+            && self.leaves.iter().zip(&other.leaves).all(|(a, b)| {
+                Arc::ptr_eq(a, b)
+                    || a.0.iter().zip(&b.0).all(|pair| match pair {
+                        (Some(x), Some(y)) => Arc::ptr_eq(x, y) || eq(x, y),
+                        (x, y) => x.is_none() && y.is_none(),
+                    })
+            })
+    }
+
     /// Addresses of the leaves, to test what a write copied.
     #[cfg(test)]
     fn leaf_ptrs(&self) -> Vec<*const ()> {
         self.leaves.iter().map(|l| Arc::as_ptr(l).cast()).collect()
+    }
+
+    /// How many leaves, and how many cells, of `self` `other` does not
+    /// share: compared by address, and every leaf or cell past `other`'s
+    /// end counts as unshared.
+    #[cfg(test)]
+    pub(crate) fn unshared_with(&self, other: &Spine<T>) -> (usize, usize) {
+        let mut out = (0, 0);
+        for (i, leaf) in self.leaves.iter().enumerate() {
+            let theirs = other.leaves.get(i);
+            if theirs.is_some_and(|o| Arc::ptr_eq(leaf, o)) {
+                continue;
+            }
+            out.0 += 1;
+            for (j, cell) in leaf.0.iter().enumerate() {
+                let Some(cell) = cell else { break };
+                let shared = theirs
+                    .and_then(|o| o.0[j].as_ref())
+                    .is_some_and(|o| Arc::ptr_eq(cell, o));
+                out.1 += usize::from(!shared);
+            }
+        }
+        out
     }
 }
 
@@ -340,6 +377,27 @@ mod tests {
         assert_eq!(changed(&before, &clone.leaf_ptrs()), vec![3]);
         assert_eq!((keep.len(), clone.len()), (200, 201));
         assert_eq!(reg.get(names::ENGINE_COW_COPIES), 4);
+    }
+
+    #[test]
+    fn equality_looks_only_at_unshared_leaves() {
+        let source: Spine<String> = (0..200).map(|i| i.to_string()).collect();
+        let mut clone = source.clone();
+        let same = |a: &String, b: &String| a == b;
+        assert!(source.eq_by(&clone, |_, _| panic!("a shared leaf was compared")));
+        assert_eq!(clone.unshared_with(&source), (0, 0));
+
+        // Rewrite one cell to an equal value: one leaf and one cell are no
+        // longer shared, and only that cell is compared.
+        clone.set(&None, 70, "70".into());
+        assert_eq!(clone.unshared_with(&source), (1, 1));
+        assert!(clone.eq_by(&source, same));
+        clone.set(&None, 70, "seventy".into());
+        assert!(!clone.eq_by(&source, same));
+        let mut longer = source.clone();
+        longer.push(&None, "200".into());
+        assert!(!longer.eq_by(&source, same));
+        assert_eq!(longer.unshared_with(&source), (1, 1));
     }
 
     #[test]

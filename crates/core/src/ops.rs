@@ -1130,8 +1130,7 @@ mod tests {
                 classes: plan.certificate.classes.clone(),
                 edges: vec![],
             },
-            type_labels: plan.type_labels.clone(),
-            prop_labels: plan.prop_labels.clone(),
+            labels: plan.labels.clone(),
         };
         bad.certificate.classes[1].ops = vec![0];
         let err = s.apply_plan(&ops, &bad).unwrap_err();

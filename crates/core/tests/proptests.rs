@@ -11,6 +11,8 @@
 //! * Snapshot round-trip: persistence preserves the observable schema.
 //! * Structural sharing: a published version never sees a later version's
 //!   write, across spine-leaf and name-shard boundaries.
+//! * The analysis shadow, a copy-on-write version of a captured schema,
+//!   steps through a recorded history exactly as the schema evolves.
 
 use axiombase_core::{oracle, EngineKind, LatticeConfig, PropId, Schema, SchemaError, TypeId};
 use proptest::prelude::*;
@@ -362,7 +364,9 @@ proptest! {
 /// randomized trace and check replay fidelity at every prefix.
 mod history_props {
     use super::*;
+    use axiombase_core::analysis::SymbolicState;
     use axiombase_core::History;
+    use std::collections::BTreeSet;
 
     fn drive(h: &mut History, op: &Op, counter: &mut u32) {
         // A compact mirror of `apply` over the recorded API (subset: the
@@ -440,8 +444,80 @@ mod history_props {
         }
     }
 
+    /// The analysis shadow, read through its accessors, equals the live
+    /// schema read through its public API: live types, names, `P_e` and
+    /// `N_e` rows, the subtype index, and (when `holders` is set) the
+    /// holders of every live property.
+    fn shadow_agrees(sim: &SymbolicState, s: &Schema, holders: bool) {
+        let live: Vec<usize> = (0..sim.type_slots()).filter(|&t| sim.is_live(t)).collect();
+        assert_eq!(live, s.iter_types().map(TypeId::index).collect::<Vec<_>>());
+        assert_eq!(sim.root(), s.root().map(TypeId::index));
+        assert_eq!(sim.base(), s.base().map(TypeId::index));
+        let ids = |set: BTreeSet<TypeId>| set.into_iter().map(TypeId::index).collect::<Vec<_>>();
+        for t in s.iter_types() {
+            let i = t.index();
+            assert_eq!(sim.type_name(i), s.type_name(t).ok());
+            assert_eq!(
+                sim.supertypes(i).collect::<Vec<_>>(),
+                ids(s.essential_supertypes(t).unwrap())
+            );
+            assert_eq!(
+                sim.subtypes(i).collect::<Vec<_>>(),
+                ids(s.essential_subtypes(t).unwrap())
+            );
+            let ne: Vec<usize> = s
+                .essential_properties(t)
+                .unwrap()
+                .into_iter()
+                .map(PropId::index)
+                .collect();
+            assert_eq!(sim.properties(i).collect::<Vec<_>>(), ne);
+        }
+        for p in s.iter_props() {
+            assert_eq!(sim.prop_name(p.index()), s.prop_name(p).ok());
+            if holders {
+                let want: Vec<usize> = s
+                    .iter_types()
+                    .filter(|&t| s.essential_properties(t).unwrap().contains(&p))
+                    .map(TypeId::index)
+                    .collect();
+                assert_eq!(sim.holders_of(p.index()).collect::<Vec<_>>(), want);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A shadow captured mid-history and stepped through every op the
+        /// history records afterwards agrees with the live schema after
+        /// each op. With `eager` unset, the holders index is first built
+        /// by whichever op or check needs it.
+        #[test]
+        fn symbolic_shadow_steps_like_the_schema(
+            prefix in proptest::collection::vec(op_strategy(), 0..24),
+            trace in proptest::collection::vec(op_strategy(), 0..40),
+            eager in any::<bool>(),
+        ) {
+            let mut h = History::new(LatticeConfig::ORION);
+            h.add_root_type("T_object").unwrap();
+            let mut counter = 0;
+            for op in &prefix {
+                drive(&mut h, op, &mut counter);
+            }
+            let mut sim = SymbolicState::capture(h.schema());
+            shadow_agrees(&sim, h.schema(), eager);
+            let mut done = h.len();
+            for op in &trace {
+                drive(&mut h, op, &mut counter);
+                for rec in &h.ops()[done..] {
+                    sim.step(rec);
+                }
+                done = h.len();
+                shadow_agrees(&sim, h.schema(), eager);
+            }
+            shadow_agrees(&sim, h.schema(), true);
+        }
 
         #[test]
         fn replay_matches_live_at_every_prefix(

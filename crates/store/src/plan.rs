@@ -149,6 +149,7 @@ impl ObjectStore {
                 // interface reconciliation — the plan already knows the
                 // delta.
                 let rec = self.record_mut_for_plan(oid)?;
+                let was_stale = rec.conformance == crate::object::Conformance::Stale;
                 for &p in &m.dropped {
                     if rec.slots.remove(&p).is_some() {
                         stats.slots_dropped += 1;
@@ -160,6 +161,9 @@ impl ObjectStore {
                 }
                 rec.conformance = crate::object::Conformance::Conforming;
                 rec.conforms_to_version = new_schema.version();
+                if was_stale {
+                    self.note_conforming(m.ty, oid);
+                }
                 stats.converted += 1;
             }
         }

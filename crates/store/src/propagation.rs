@@ -24,6 +24,23 @@
 //! [`PropagationStats`] counts the work each policy performs; the
 //! `propagation_policies` harness and `bench_propagation` bench compare them
 //! across evolution traces.
+//!
+//! **What marking costs.** A schema change reaches the store as the list
+//! of types whose interface may have moved
+//! ([`ObjectStore::on_schema_change`](crate::ObjectStore::on_schema_change)).
+//! Eager conversion walks those types' extents. The deferring policies
+//! (lazy conversion, screening, filtering) visit only the objects they
+//! mark: the store keeps, per type, a list of the objects that turned
+//! conforming since the type was last marked — **every conforming
+//! object is on its type's list** — and a change drains the affected
+//! types' lists, marking each entry that still exists, still has that
+//! type and is still conforming. Creating, migrating, loading and
+//! converting an object (and a migration plan's conversion) list it; a
+//! deletion or migration leaves a stale entry the next drain skips, and a
+//! list that outgrows twice its extent is compacted to the extent's
+//! members. Marking therefore costs the objects marked, not the objects
+//! stored: the `propagation` cell of `BENCH_ops.json` marks the same
+//! objects in a store ten times larger for about the same time.
 
 /// When and how schema changes are coerced onto instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -101,9 +101,9 @@ impl ObjectStore {
         let mut out = Vec::new();
         'obj: for oid in scope {
             let obj_ty = self.type_of(oid)?;
-            let iface = schema.interface(obj_ty)?.clone();
+            let iface = &schema.derived(obj_ty)?.iface;
             for pred in &query.predicates {
-                if !iface.contains(&pred.prop()) {
+                if !iface.contains(pred.prop()) {
                     continue 'obj;
                 }
                 let v = match self.get(schema, oid, pred.prop()) {

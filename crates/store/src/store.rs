@@ -6,10 +6,13 @@
 //! [`Policy`]. It is deliberately schema-agnostic: every access takes the
 //! current [`Schema`] so the store always judges conformance against the
 //! live interface — the essence of *dynamic* schema evolution.
+//!
+//! Every access reads the type's interface as the schema's own `PropSet`
+//! row ([`Schema::derived`]), so no access materialises an interface.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use axiombase_core::{PropId, Schema, TypeId};
+use axiombase_core::{PropId, PropSet, Schema, TypeId};
 
 use crate::object::{Conformance, ObjectRecord, Oid};
 use crate::propagation::{Policy, PropagationStats};
@@ -71,6 +74,13 @@ pub type Result<T, E = StoreError> = std::result::Result<T, E>;
 pub struct ObjectStore {
     objects: BTreeMap<Oid, ObjectRecord>,
     extents: HashMap<TypeId, BTreeSet<Oid>>,
+    /// Per type, the oids that turned `Conforming` since the type was last
+    /// marked stale. **Invariant:** every `Conforming` record of type `t`
+    /// is listed under `t`. Entries may be stale (the record was deleted,
+    /// migrated or marked since), so [`Self::on_schema_change`] re-checks
+    /// each one it drains. [`list_conforming`] keeps a list within twice
+    /// its extent.
+    conforming: HashMap<TypeId, Vec<Oid>>,
     next: u64,
     policy: Policy,
     stats: PropagationStats,
@@ -112,13 +122,14 @@ impl ObjectStore {
     /// Create an instance of `ty`, with one `Null` slot per interface
     /// property, and add it to the type's extent.
     pub fn create(&mut self, schema: &Schema, ty: TypeId) -> Result<Oid> {
-        let iface = schema.interface(ty)?;
-        let slots: BTreeMap<PropId, Value> = iface.iter().map(|&p| (p, Value::Null)).collect();
+        let iface = &schema.derived(ty)?.iface;
+        let slots: BTreeMap<PropId, Value> = iface.iter().map(|p| (p, Value::Null)).collect();
         let oid = Oid::from_raw(self.next);
         self.next += 1;
         self.objects
             .insert(oid, ObjectRecord::new(ty, slots, schema.version()));
         self.extents.entry(ty).or_default().insert(oid);
+        list_conforming(&mut self.conforming, &self.extents, ty, oid);
         Ok(oid)
     }
 
@@ -152,13 +163,8 @@ impl ObjectStore {
     /// converts (lazy), masks (screening), or rejects (filtering) before the
     /// read; properties outside the *current* interface are never readable.
     pub fn get(&mut self, schema: &Schema, oid: Oid, prop: PropId) -> Result<Value> {
-        self.touch(schema, oid)?;
-        let rec = self
-            .objects
-            .get(&oid)
-            .ok_or(StoreError::UnknownObject(oid))?;
-        let iface = schema.interface(rec.ty)?;
-        if !iface.contains(&prop) {
+        let (rec, iface) = self.admit(schema, oid)?;
+        if !iface.contains(prop) {
             return Err(StoreError::NotInInterface { oid, prop });
         }
         match rec.slots.get(&prop) {
@@ -174,43 +180,47 @@ impl ObjectStore {
     /// Write a slot through the propagation policy. Writes to properties
     /// outside the current interface are rejected.
     pub fn set(&mut self, schema: &Schema, oid: Oid, prop: PropId, value: Value) -> Result<()> {
-        self.touch(schema, oid)?;
-        let rec = self
-            .objects
-            .get_mut(&oid)
-            .ok_or(StoreError::UnknownObject(oid))?;
-        let iface = schema.interface(rec.ty)?;
-        if !iface.contains(&prop) {
+        let (rec, iface) = self.admit(schema, oid)?;
+        if !iface.contains(prop) {
             return Err(StoreError::NotInInterface { oid, prop });
         }
         rec.slots.insert(prop, value);
         Ok(())
     }
 
-    /// Apply policy-specific handling for a possibly stale object before an
-    /// access. Screening reads count against the mask in [`Self::get`].
-    fn touch(&mut self, schema: &Schema, oid: Oid) -> Result<()> {
+    /// Find `oid`'s record once and apply the policy's handling of a stale
+    /// record before an access: convert it (eager, lazy), leave it for the
+    /// interface mask (screening), or refuse it (filtering). Returns the
+    /// record with its type's current interface row. Screening reads count
+    /// against the mask in [`Self::get`].
+    fn admit<'a>(
+        &'a mut self,
+        schema: &'a Schema,
+        oid: Oid,
+    ) -> Result<(&'a mut ObjectRecord, &'a PropSet)> {
         let rec = self
             .objects
-            .get(&oid)
+            .get_mut(&oid)
             .ok_or(StoreError::UnknownObject(oid))?;
-        if rec.conformance == Conformance::Conforming {
-            return Ok(());
+        if rec.conformance == Conformance::Stale {
+            match self.policy {
+                Policy::Eager | Policy::Lazy => {
+                    let iface = &schema.derived(rec.ty)?.iface;
+                    conform(rec, iface, schema.version(), &mut self.stats);
+                    list_conforming(&mut self.conforming, &self.extents, rec.ty, oid);
+                    self.stats.lazy_conversions += 1;
+                }
+                Policy::Screening => {
+                    // Leave the record as-is; get/set mask through the interface.
+                }
+                Policy::Filtering => {
+                    self.stats.filtered_rejections += 1;
+                    return Err(StoreError::FilteredOut(oid));
+                }
+            }
         }
-        match self.policy {
-            Policy::Eager | Policy::Lazy => {
-                self.convert(schema, oid)?;
-                self.stats.lazy_conversions += 1;
-            }
-            Policy::Screening => {
-                // Leave the record as-is; get/set mask through the interface.
-            }
-            Policy::Filtering => {
-                self.stats.filtered_rejections += 1;
-                return Err(StoreError::FilteredOut(oid));
-            }
-        }
-        Ok(())
+        let iface = &schema.derived(rec.ty)?.iface;
+        Ok((rec, iface))
     }
 
     /// Coerce an object's slots to its type's current interface: drop slots
@@ -222,18 +232,10 @@ impl ObjectStore {
             .objects
             .get_mut(&oid)
             .ok_or(StoreError::UnknownObject(oid))?;
-        let iface = schema.interface(rec.ty)?;
-        let before = rec.slots.len();
-        rec.slots.retain(|p, _| iface.contains(p));
-        self.stats.slots_dropped += (before - rec.slots.len()) as u64;
-        for p in iface {
-            if let std::collections::btree_map::Entry::Vacant(e) = rec.slots.entry(p) {
-                e.insert(Value::Null);
-                self.stats.slots_added += 1;
-            }
+        let iface = &schema.derived(rec.ty)?.iface;
+        if conform(rec, iface, schema.version(), &mut self.stats) {
+            list_conforming(&mut self.conforming, &self.extents, rec.ty, oid);
         }
-        rec.conformance = Conformance::Conforming;
-        rec.conforms_to_version = schema.version();
         Ok(())
     }
 
@@ -241,28 +243,47 @@ impl ObjectStore {
     /// `affected_types` (typically the changed type's down-set, as reported
     /// by the schema operations) may have moved. Eager conversion coerces
     /// every affected instance now; the other policies mark them stale.
+    ///
+    /// **Cost.** Eager conversion walks the affected types' extents. The
+    /// deferring policies visit only what they mark: they drain each
+    /// affected type's conforming list (see the `conforming` field) and
+    /// mark every entry whose record still exists, still has that type
+    /// and is still `Conforming` — O(marked objects, plus the list entries
+    /// deletions and migrations left), never O(stored objects).
     pub fn on_schema_change(&mut self, schema: &Schema, affected_types: &[TypeId]) {
-        let affected: BTreeSet<TypeId> = affected_types.iter().copied().collect();
-        let oids: Vec<Oid> = self
-            .objects
-            .iter()
-            .filter(|(_, r)| affected.contains(&r.ty))
-            .map(|(&o, _)| o)
-            .collect();
         match self.policy {
             Policy::Eager => {
-                for oid in oids {
-                    // Only count real work: convert touches every record.
-                    self.convert(schema, oid).expect("object exists");
-                    self.stats.eager_conversions += 1;
+                let affected: BTreeSet<TypeId> = affected_types.iter().copied().collect();
+                for t in affected {
+                    let Some(extent) = self.extents.get(&t).filter(|e| !e.is_empty()) else {
+                        continue;
+                    };
+                    let iface = &schema
+                        .derived(t)
+                        .expect("an affected type with instances is live")
+                        .iface;
+                    for oid in extent {
+                        let rec = self.objects.get_mut(oid).expect("extent member exists");
+                        if conform(rec, iface, schema.version(), &mut self.stats) {
+                            list_conforming(&mut self.conforming, &self.extents, t, *oid);
+                        }
+                        // Only count real work: conversion touches every record.
+                        self.stats.eager_conversions += 1;
+                    }
                 }
             }
             Policy::Lazy | Policy::Screening | Policy::Filtering => {
-                for oid in oids {
-                    let rec = self.objects.get_mut(&oid).expect("object exists");
-                    if rec.conformance == Conformance::Conforming {
-                        rec.conformance = Conformance::Stale;
-                        self.stats.marked_stale += 1;
+                for t in affected_types {
+                    let Some(listed) = self.conforming.remove(t) else {
+                        continue;
+                    };
+                    for oid in listed {
+                        if let Some(rec) = self.objects.get_mut(&oid) {
+                            if rec.ty == *t && rec.conformance == Conformance::Conforming {
+                                rec.conformance = Conformance::Stale;
+                                self.stats.marked_stale += 1;
+                            }
+                        }
                     }
                 }
             }
@@ -292,11 +313,15 @@ impl ObjectStore {
     /// effect of DT/DC: "The extent managed by a dropped class is also
     /// dropped" (§3.3). Returns the deleted oids.
     pub fn drop_extent(&mut self, ty: TypeId) -> Vec<Oid> {
-        let oids: Vec<Oid> = self.extent(ty).into_iter().collect();
-        for &oid in &oids {
-            self.objects.remove(&oid);
+        let oids: Vec<Oid> = self
+            .extents
+            .remove(&ty)
+            .map(|extent| extent.into_iter().collect())
+            .unwrap_or_default();
+        for oid in &oids {
+            self.objects.remove(oid);
         }
-        self.extents.remove(&ty);
+        self.conforming.remove(&ty);
         oids
     }
 
@@ -305,14 +330,14 @@ impl ObjectStore {
     /// migration techniques, the instances can be ported to some other type
     /// prior to being dropped", §3.3).
     pub fn migrate(&mut self, schema: &Schema, oid: Oid, new_ty: TypeId) -> Result<()> {
-        let iface = schema.interface(new_ty)?.clone();
+        let iface = &schema.derived(new_ty)?.iface;
         let rec = self
             .objects
             .get_mut(&oid)
             .ok_or(StoreError::UnknownObject(oid))?;
         let old_ty = rec.ty;
         let mut slots: BTreeMap<PropId, Value> = BTreeMap::new();
-        for p in iface {
+        for p in iface.iter() {
             let v = rec.slots.remove(&p).unwrap_or(Value::Null);
             slots.insert(p, v);
         }
@@ -324,6 +349,7 @@ impl ObjectStore {
             ext.remove(&oid);
         }
         self.extents.entry(new_ty).or_default().insert(oid);
+        list_conforming(&mut self.conforming, &self.extents, new_ty, oid);
         Ok(())
     }
 
@@ -346,10 +372,18 @@ impl ObjectStore {
 
     /// Mutable access to a record for the migration planner (bypasses the
     /// propagation policy deliberately — the plan IS the propagation).
+    /// The planner lists a record it turns `Conforming` through
+    /// [`Self::note_conforming`].
     pub(crate) fn record_mut_for_plan(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
         self.objects
             .get_mut(&oid)
             .ok_or(StoreError::UnknownObject(oid))
+    }
+
+    /// List `oid`, an instance of `ty` that just turned `Conforming`, for
+    /// the next schema change that marks `ty` stale.
+    pub(crate) fn note_conforming(&mut self, ty: TypeId, oid: Oid) {
+        list_conforming(&mut self.conforming, &self.extents, ty, oid);
     }
 
     /// Install a deserialized record under an explicit identity
@@ -359,8 +393,54 @@ impl ObjectStore {
             return Err(format!("duplicate oid {oid}"));
         }
         self.extents.entry(rec.ty).or_default().insert(oid);
+        if rec.conformance == Conformance::Conforming {
+            list_conforming(&mut self.conforming, &self.extents, rec.ty, oid);
+        }
         self.objects.insert(oid, rec);
         Ok(())
+    }
+}
+
+/// Coerce `rec`'s slots to `iface`: drop slots outside it, add `Null`
+/// slots for its new properties, and mark the record conforming at
+/// `version`. Returns whether the record was stale.
+fn conform(
+    rec: &mut ObjectRecord,
+    iface: &PropSet,
+    version: u64,
+    stats: &mut PropagationStats,
+) -> bool {
+    let before = rec.slots.len();
+    rec.slots.retain(|&p, _| iface.contains(p));
+    stats.slots_dropped += (before - rec.slots.len()) as u64;
+    for p in iface.iter() {
+        if let std::collections::btree_map::Entry::Vacant(e) = rec.slots.entry(p) {
+            e.insert(Value::Null);
+            stats.slots_added += 1;
+        }
+    }
+    rec.conforms_to_version = version;
+    std::mem::replace(&mut rec.conformance, Conformance::Conforming) == Conformance::Stale
+}
+
+/// Append `oid`, an instance of `ty` that just turned `Conforming`, to
+/// `ty`'s conforming list. A list that outgrows twice its extent keeps
+/// only the extent's members, once each, so deletions and migrations
+/// cannot grow it without bound: compaction leaves at most one entry per
+/// instance, and the next one waits for as many pushes again.
+fn list_conforming(
+    lists: &mut HashMap<TypeId, Vec<Oid>>,
+    extents: &HashMap<TypeId, BTreeSet<Oid>>,
+    ty: TypeId,
+    oid: Oid,
+) {
+    let list = lists.entry(ty).or_default();
+    list.push(oid);
+    let extent = extents.get(&ty);
+    if list.len() > 2 * extent.map_or(0, BTreeSet::len) {
+        list.retain(|o| extent.is_some_and(|e| e.contains(o)));
+        list.sort_unstable();
+        list.dedup();
     }
 }
 

@@ -23,7 +23,10 @@
 //!    the recorded order's same-length prefix.
 //!
 //! Vacuousness guards assert both tiers were actually exercised across
-//! the sweep (hundreds of certified traces, hundreds of witnesses).
+//! the sweep (hundreds of certified traces, hundreds of witnesses). On
+//! every trace, the symbolic shadow's subtype index (the schema's own,
+//! stepped copy-on-write) must equal the index folded from its live `P_e`
+//! rows, at capture and after every step.
 //!
 //! A second sweep pins the MT-ASR cycle-guard verdict, which the analyzers
 //! decide from edges collected inside their own forward pass, against a
@@ -260,6 +263,7 @@ fn sweep(engine: EngineKind) {
             ("random", random_family(engine, seed)),
             ("drops", drop_family(engine, seed)),
         ] {
+            check_rev_along(&base, &ops, &format!("seed {seed} {tag}"));
             let (cert, wit) = one_trace(&base, &ops, seed, tag);
             certified += usize::from(cert);
             witnesses += wit;
@@ -286,26 +290,57 @@ fn certificates_are_sound_incremental_engine() {
     sweep(EngineKind::Incremental);
 }
 
+/// The shadow's subtype index — the schema's own, stepped copy-on-write —
+/// must equal the index folded from the shadow's live `P_e` rows.
+fn assert_rev_is_folded(state: &SymbolicState, tag: &str, at: usize) {
+    let n = state.type_slots();
+    let mut folded = vec![BTreeSet::new(); n];
+    for t in (0..n).filter(|&t| state.is_live(t)) {
+        for s in state.supertypes(t) {
+            folded[s].insert(t);
+        }
+    }
+    for (s, want) in folded.iter().enumerate() {
+        let got: BTreeSet<usize> = state.subtypes(s).collect();
+        assert_eq!(
+            &got, want,
+            "{tag}: after {at} step(s), the subtypes of {s} differ from the folded P_e rows"
+        );
+    }
+}
+
+/// [`assert_rev_is_folded`] at capture and after every step of `ops`.
+fn check_rev_along(base: &Schema, ops: &[RecordedOp], tag: &str) {
+    let mut sim = SymbolicState::capture(base);
+    assert_rev_is_folded(&sim, tag, 0);
+    for (i, op) in ops.iter().enumerate() {
+        sim.step(op);
+        assert_rev_is_folded(&sim, tag, i + 1);
+    }
+}
+
 /// The union edge graph's cycle verdict by full rescan: the live `P_e`
 /// edges of the captured state and of the state after every step, plus
 /// an edge from every slot to the final ⊤ (any drop may relink there).
+/// Along the way, the shadow's subtype index must equal the index folded
+/// from its live `P_e` rows, at capture and after every step.
 fn rescan_union_cyclic(base: &Schema, ops: &[RecordedOp]) -> bool {
     fn collect(state: &SymbolicState, edges: &mut BTreeSet<(usize, usize)>) {
-        for (t, slot) in state.types.iter().enumerate() {
-            if slot.live {
-                edges.extend(slot.pe.iter().map(|&s| (t, s)));
-            }
+        for t in (0..state.type_slots()).filter(|&t| state.is_live(t)) {
+            edges.extend(state.supertypes(t).map(|s| (t, s)));
         }
     }
     let mut sim = SymbolicState::capture(base);
     let mut edges = BTreeSet::new();
     collect(&sim, &mut edges);
-    for op in ops {
+    assert_rev_is_folded(&sim, "rescan", 0);
+    for (i, op) in ops.iter().enumerate() {
         sim.step(op);
         collect(&sim, &mut edges);
+        assert_rev_is_folded(&sim, "rescan", i + 1);
     }
-    let n = sim.types.len();
-    if let Some(root) = sim.root {
+    let n = sim.type_slots();
+    if let Some(root) = sim.root() {
         edges.extend((0..n).filter(|&t| t != root).map(|t| (t, root)));
     }
     let mut adj = vec![Vec::new(); n];
