@@ -2,8 +2,11 @@
 //! effect on **stored instances**, fold the per-op verdicts into per-type
 //! conversion obligations, and synthesize a propagation plan naming the
 //! admissible conversion strategies — all statically, from the symbolic
-//! shadow of the designer inputs ([`SymbolicState`]). No operation is ever
-//! executed, no derivation pass is run, and no object store is ever opened.
+//! shadow of the designer inputs ([`SymbolicState`]) and the interface rows
+//! `I(t)` the captured schema already derived. No operation is ever
+//! executed, no derivation pass is run, and no object store is ever opened:
+//! the store executes the plan (`ObjectStore::apply_plan` in
+//! `axiombase-store`).
 //!
 //! The classification lattice (ordered; the fold along a trace is `max`):
 //!
@@ -36,15 +39,14 @@
 //!
 //! **Cost.** Each of [`analyze`] and [`check`] captures the schema once
 //! (a copy-on-write version of its input spines: one pointer per 64-slot
-//! leaf) and folds the interface rows of the live lattice once; every
-//! op then costs the rows it touches. A type's *birth* row — the
-//! interface its stored instances were created under — is kept only for
-//! the types an op actually affects, taken as the pre-op row the first
-//! time one does (every interface change is recorded as a delta, so that
-//! row is still the birth row). The certificate's labels are a shared
-//! handle on the final shadow's name spines, and the checker compares
-//! them by content, looking only at the leaves the two versions do not
-//! share.
+//! leaf) and copies its derived interface rows once; every op then costs
+//! the rows it touches. A type's *birth* row — the interface its stored
+//! instances were created under — is kept only for the types an op
+//! actually affects, taken as the pre-op row the first time one does
+//! (every interface change is recorded as a delta, so that row is still
+//! the birth row). The certificate's labels are a shared handle on the
+//! final shadow's name spines, and the checker compares them by content,
+//! looking only at the leaves the two versions do not share.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -287,8 +289,8 @@ pub struct PlanStep {
 }
 
 /// The per-type conversion schedule synthesized from the obligations —
-/// the input an eager/lazy conversion executor consumes unchanged.
-/// Preserving types carry no step.
+/// the input the store's executor (`ObjectStore::apply_plan` in
+/// `axiombase-store`) consumes unchanged. Preserving types carry no step.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PropagationPlan {
     /// Steps ascending by type index.
@@ -351,6 +353,9 @@ struct Derived {
 
 /// Dense interface rows `I(t) = ⋃ { N_e(u) : u ∈ PL(t) }` for every live
 /// non-base type, maintained *incrementally* while the shadow steps.
+/// They start as the captured schema's derived `I(t)` rows: the axioms
+/// define them from the same inputs, and the certificate's fingerprint
+/// binds them (it hashes `N(t)` and `H(t)`, whose union is `I(t)`).
 /// Interface growth (new essentials, new supertype edges) flows down the
 /// reverse-subtype index as word-parallel row unions; interface shrinkage
 /// re-folds exactly the candidate rows, children after parents. The
@@ -363,8 +368,6 @@ struct IfaceRows {
     /// types and for ⊥ (whose row is never read — nothing sits below it
     /// and it holds no storable extent).
     rows: Vec<IdxSet>,
-    /// Scratch in-degree buffer for the topological re-fold.
-    indeg: Vec<u32>,
 }
 
 /// Is `t` a live type other than ⊥ — a type with a storable extent?
@@ -373,17 +376,19 @@ fn storable(sim: &SymbolicState, t: usize) -> bool {
 }
 
 impl IfaceRows {
-    /// Fold the captured shadow once, top-down over the whole lattice.
-    fn capture(sim: &SymbolicState) -> IfaceRows {
-        let mut iface = IfaceRows {
-            rows: vec![IdxSet::new(); sim.type_slots()],
-            indeg: Vec::new(),
-        };
-        let all: IdxSet = (0..sim.type_slots())
-            .filter(|&t| storable(sim, t))
+    /// The interface rows `initial` derived, for the shadow captured from
+    /// it: one word-span copy per storable type.
+    fn capture(initial: &Schema, sim: &SymbolicState) -> IfaceRows {
+        let rows = (0..sim.type_slots())
+            .map(|t| {
+                if storable(sim, t) {
+                    IdxSet::from(&initial.derived[t].iface)
+                } else {
+                    IdxSet::new()
+                }
+            })
             .collect();
-        iface.refold(sim, &all);
-        iface
+        IfaceRows { rows }
     }
 
     /// `N_e(t)` united with the rows of `t`'s live parents.
@@ -446,42 +451,6 @@ impl IfaceRows {
             changed.entry(u).or_insert(old);
         }
         changed
-    }
-
-    /// Re-derive the rows in `cands` from the current shadow, children
-    /// after parents (Kahn over the candidate-internal `P_e` edges;
-    /// parents outside `cands` kept their rows, so reading them is
-    /// sound). Dead and ⊥ rows are cleared. Used for the one-time
-    /// whole-lattice fold at capture.
-    fn refold(&mut self, sim: &SymbolicState, cands: &IdxSet) {
-        self.indeg.clear();
-        self.indeg.resize(sim.type_slots(), 0);
-        let mut ready = Vec::new();
-        for t in cands.iter() {
-            if !storable(sim, t) {
-                self.rows[t] = IdxSet::new();
-                continue;
-            }
-            let d = sim
-                .supertypes(t)
-                .filter(|&s| cands.contains(s) && sim.is_live(s))
-                .count() as u32;
-            self.indeg[t] = d;
-            if d == 0 {
-                ready.push(t);
-            }
-        }
-        while let Some(t) = ready.pop() {
-            self.rows[t] = self.fold_row(sim, t);
-            for c in sim.subtypes(t) {
-                if cands.contains(c) && storable(sim, c) {
-                    self.indeg[c] -= 1;
-                    if self.indeg[c] == 0 {
-                        ready.push(c);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -584,7 +553,7 @@ struct Fold {
 /// per-type obligation state.
 fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     let mut sim = SymbolicState::capture(initial);
-    let mut iface = IfaceRows::capture(&sim);
+    let mut iface = IfaceRows::capture(initial, &sim);
     // Per affected type, ascending. Every change to a row is recorded as
     // a delta, so the pre-op row of a type's first delta is still the row
     // its instances were born under.

@@ -1,9 +1,10 @@
 //! `core::analysis` — semantic static analysis of evolution traces.
 //!
-//! Everything here works from the *designer inputs* alone (`P_e`/`N_e`
-//! rows, names, liveness, freezing) via a symbolic shadow of the schema;
-//! no operation is ever executed and no derivation is ever run. The
-//! submodules:
+//! Everything here works from the *designer inputs* (`P_e`/`N_e` rows,
+//! names, liveness, freezing) via a symbolic shadow of the schema; the
+//! one piece of derived state read is the captured schema's interface
+//! rows `I(t)`, where [`impact`] starts its own. No operation is ever
+//! executed and no derivation is ever run. The submodules:
 //!
 //! - [`footprint`] — per-op read/write sets over input cells, inferred in
 //!   one forward pass over a symbolic shadow of the designer inputs;
@@ -22,7 +23,7 @@
 //!   checker ([`plan::check`]) that trusts nothing from the planner;
 //! - [`merge`] and [`impact`] — the merge certifier for two branch
 //!   suffixes and the instance-impact analyzer, each with its own
-//!   independent checker.
+//!   independent checker; the store executes impact's propagation plan.
 //!
 //! The headline consumer is order-independence certification
 //! ([`TraceAnalysis::certified`]): when every unordered pair of a trace

@@ -404,12 +404,12 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         // Kahn's algorithm on the group graph: a full topological order
         // means the edges are satisfiable by staging alone.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut indeg = vec![0usize; m];
+        let mut in_degree = vec![0usize; m];
         for &(a, b) in fwd.keys() {
             adj[a].push(b);
-            indeg[b] += 1;
+            in_degree[b] += 1;
         }
-        let mut ready: BTreeSet<usize> = (0..m).filter(|&g| indeg[g] == 0).collect();
+        let mut ready: BTreeSet<usize> = (0..m).filter(|&g| in_degree[g] == 0).collect();
         let mut popped = vec![false; m];
         let mut count = 0usize;
         while let Some(&g) = ready.iter().next() {
@@ -417,8 +417,8 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
             popped[g] = true;
             count += 1;
             for &h in &adj[g] {
-                indeg[h] -= 1;
-                if indeg[h] == 0 && !popped[h] {
+                in_degree[h] -= 1;
+                if in_degree[h] == 0 && !popped[h] {
                     ready.insert(h);
                 }
             }
@@ -451,15 +451,15 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
     let m = groups.len();
     let group_first: Vec<usize> = groups.iter().map(|g| g[0]).collect();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut indeg = vec![0usize; m];
+    let mut in_degree = vec![0usize; m];
     for &(a, b) in fwd.keys() {
         adj[a].push(b);
-        indeg[b] += 1;
+        in_degree[b] += 1;
     }
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<Reverse<(usize, usize)>> = (0..m)
-        .filter(|&g| indeg[g] == 0)
+        .filter(|&g| in_degree[g] == 0)
         .map(|g| Reverse((group_first[g], g)))
         .collect();
     let mut stage = vec![0usize; m];
@@ -468,8 +468,8 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         stage[g] = min_stage[g];
         for &h in &adj[g] {
             min_stage[h] = min_stage[h].max(stage[g] + 1);
-            indeg[h] -= 1;
-            if indeg[h] == 0 {
+            in_degree[h] -= 1;
+            if in_degree[h] == 0 {
                 heap.push(Reverse((group_first[h], h)));
             }
         }

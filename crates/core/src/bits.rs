@@ -660,6 +660,13 @@ impl Extend<usize> for IdxSet {
     }
 }
 
+impl From<&PropSet> for IdxSet {
+    /// The same bits as property arena rows: a copy of the word span.
+    fn from(set: &PropSet) -> IdxSet {
+        IdxSet(set.0.clone())
+    }
+}
+
 impl<'a> IntoIterator for &'a IdxSet {
     type Item = usize;
     type IntoIter = std::iter::Map<RawIter<'a>, fn(u32) -> usize>;

@@ -48,14 +48,14 @@ fn ref_derive(s: &Schema) -> BTreeMap<TypeId, RefDerived> {
         .map(|&t| (t, s.essential_supertypes(t).expect("live")))
         .collect();
     // Kahn topological order over the P_e edges (supertypes first).
-    let mut indeg: BTreeMap<TypeId, usize> = live.iter().map(|&t| (t, pe[&t].len())).collect();
-    let mut queue: Vec<TypeId> = live.iter().copied().filter(|t| indeg[t] == 0).collect();
+    let mut in_degree: BTreeMap<TypeId, usize> = live.iter().map(|&t| (t, pe[&t].len())).collect();
+    let mut queue: Vec<TypeId> = live.iter().copied().filter(|t| in_degree[t] == 0).collect();
     let mut order = Vec::new();
     while let Some(t) = queue.pop() {
         order.push(t);
         for &c in &live {
             if pe[&c].contains(&t) {
-                let d = indeg.get_mut(&c).expect("live");
+                let d = in_degree.get_mut(&c).expect("live");
                 *d -= 1;
                 if *d == 0 {
                     queue.push(c);

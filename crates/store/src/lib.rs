@@ -6,6 +6,16 @@
 //! defers. `axiombase-tigukat` composes this store with the axiomatic
 //! [`axiombase_core::Schema`] to form a full objectbase.
 //!
+//! A migration reaches the store one of two ways. Per change, the schema
+//! operations report the types whose interface may have moved and
+//! [`ObjectStore::on_schema_change`] coerces or marks their instances by
+//! the store's [`Policy`]. Per trace, [`ObjectStore::apply_plan`] executes
+//! the certified [`PropagationPlan`](axiombase_core::analysis::PropagationPlan)
+//! that `analysis::impact` derives for it: one pass over the named
+//! extents that re-keys the values the plan carries, deletes or ports a
+//! dropped type's instances ([`OrphanAction`]), and reconciles every other
+//! record with its type's interface.
+//!
 //! ```
 //! use axiombase_core::{Schema, LatticeConfig};
 //! use axiombase_store::{ObjectStore, Policy, Value};
@@ -30,7 +40,6 @@
 
 pub mod object;
 pub mod persist;
-pub mod plan;
 pub mod propagation;
 pub mod query;
 pub mod store;
@@ -38,8 +47,7 @@ pub mod value;
 
 pub use object::{Conformance, ObjectRecord, Oid};
 pub use persist::StoreSnapshotError;
-pub use plan::{plan, MigrationPlan, OrphanAction, PlanStats, TypeMigration};
 pub use propagation::{Policy, PropagationStats};
 pub use query::{Predicate, Select};
-pub use store::{ObjectStore, Result, StoreError};
+pub use store::{ObjectStore, OrphanAction, PlanStats, Result, StoreError};
 pub use value::Value;

@@ -35,7 +35,7 @@
 //! object is on its type's list** — and a change drains the affected
 //! types' lists, marking each entry that still exists, still has that
 //! type and is still conforming. Creating, migrating, loading and
-//! converting an object (and a migration plan's conversion) list it; a
+//! converting an object (and executing a propagation plan) list it; a
 //! deletion or migration leaves a stale entry the next drain skips, and a
 //! list that outgrows twice its extent is compacted to the extent's
 //! members. Marking therefore costs the objects marked, not the objects

@@ -12,7 +12,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use axiombase_core::{PropId, PropSet, Schema, TypeId};
+use axiombase_core::analysis::PropagationPlan;
+use axiombase_core::{PropId, PropSet, Schema, SchemaError, TypeId};
 
 use crate::object::{Conformance, ObjectRecord, Oid};
 use crate::propagation::{Policy, PropagationStats};
@@ -33,8 +34,12 @@ pub enum StoreError {
     },
     /// The filtering policy rejected access to a non-conforming instance.
     FilteredOut(Oid),
+    /// A propagation plan's step does not fit the schema it runs against:
+    /// the step keeps the extent of a dead type, or drops the extent of a
+    /// live one.
+    PlanMismatch(TypeId),
     /// A schema-level error surfaced during an instance operation.
-    Schema(axiombase_core::SchemaError),
+    Schema(SchemaError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -53,6 +58,9 @@ impl std::fmt::Display for StoreError {
                     "object {o} does not conform to the current schema (filtering policy)"
                 )
             }
+            StoreError::PlanMismatch(t) => {
+                write!(f, "the plan's step for type {t} does not fit the schema")
+            }
             StoreError::Schema(e) => write!(f, "schema error: {e}"),
         }
     }
@@ -60,14 +68,42 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-impl From<axiombase_core::SchemaError> for StoreError {
-    fn from(e: axiombase_core::SchemaError) -> Self {
+impl From<SchemaError> for StoreError {
+    fn from(e: SchemaError) -> Self {
         StoreError::Schema(e)
     }
 }
 
 /// Result alias for store operations.
 pub type Result<T, E = StoreError> = std::result::Result<T, E>;
+
+/// What [`ObjectStore::apply_plan`] does with the instances of a type the
+/// plan drops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrphanAction {
+    /// Delete them ("the extent managed by a dropped class is also
+    /// dropped", §3.3).
+    Delete,
+    /// Migrate them to another (live) type, preserving shared slots
+    /// ("instances can be ported to some other type prior to being
+    /// dropped", §3.3).
+    MigrateTo(TypeId),
+}
+
+/// Outcome counters from [`ObjectStore::apply_plan`]. Its conversions
+/// also count in [`ObjectStore::stats`], as conversions at schema-change
+/// time, with the slots they add and drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlanStats {
+    /// Instances reconciled with their type's interface.
+    pub converted: usize,
+    /// Slot values carried to their same-named replacement property.
+    pub rekeyed: usize,
+    /// Instances of dropped types deleted.
+    pub orphans_deleted: usize,
+    /// Instances of dropped types migrated.
+    pub orphans_migrated: usize,
+}
 
 /// An instance store with per-type extents and a change-propagation policy.
 #[derive(Debug, Clone, Default)]
@@ -353,6 +389,74 @@ impl ObjectStore {
         Ok(())
     }
 
+    /// Execute a certified propagation plan (`impact::analyze` over the
+    /// trace that evolved the schema to `schema`) in one pass over the
+    /// extents it names. A step that drops its type's extent applies
+    /// `orphans` through [`Self::drop_extent`] or [`Self::migrate`].
+    /// Every other step moves each re-keyed value to its same-named
+    /// replacement property, then reconciles the record with its type's
+    /// interface in `schema`, as every conversion does, so a record an
+    /// earlier change left stale conforms too. Instances of types the plan
+    /// does not name are untouched.
+    ///
+    /// A plan that does not fit `schema` is refused before any record
+    /// changes: a step whose type's liveness contradicts its
+    /// `drop_extent` ([`StoreError::PlanMismatch`]), and a `MigrateTo`
+    /// target that is not live.
+    pub fn apply_plan(
+        &mut self,
+        schema: &Schema,
+        plan: &PropagationPlan,
+        orphans: OrphanAction,
+    ) -> Result<PlanStats> {
+        for step in &plan.steps {
+            let t = TypeId::from_index(step.type_index);
+            if schema.is_live(t) == step.drop_extent {
+                return Err(StoreError::PlanMismatch(t));
+            }
+        }
+        if let OrphanAction::MigrateTo(target) = orphans {
+            if !schema.is_live(target) {
+                return Err(SchemaError::UnknownType(target).into());
+            }
+        }
+        let mut stats = PlanStats::default();
+        for step in &plan.steps {
+            let t = TypeId::from_index(step.type_index);
+            if step.drop_extent {
+                match orphans {
+                    OrphanAction::Delete => stats.orphans_deleted += self.drop_extent(t).len(),
+                    OrphanAction::MigrateTo(target) => {
+                        for oid in self.extent(t) {
+                            self.migrate(schema, oid, target)?;
+                            stats.orphans_migrated += 1;
+                        }
+                    }
+                }
+                continue;
+            }
+            let Some(extent) = self.extents.get(&t) else {
+                continue;
+            };
+            let iface = &schema.derived(t)?.iface;
+            for oid in extent {
+                let rec = self.objects.get_mut(oid).expect("extent member exists");
+                for &(p, q) in &step.rekey_slots {
+                    if let Some(v) = rec.slots.remove(&PropId::from_index(p)) {
+                        rec.slots.insert(PropId::from_index(q), v);
+                        stats.rekeyed += 1;
+                    }
+                }
+                if conform(rec, iface, schema.version(), &mut self.stats) {
+                    list_conforming(&mut self.conforming, &self.extents, t, *oid);
+                }
+                self.stats.eager_conversions += 1;
+                stats.converted += 1;
+            }
+        }
+        Ok(stats)
+    }
+
     /// All live object identities.
     pub fn iter_oids(&self) -> impl Iterator<Item = Oid> + '_ {
         self.objects.keys().copied()
@@ -368,22 +472,6 @@ impl ObjectStore {
         // Never move the high-water mark below an existing identity.
         let floor = self.objects.keys().next_back().map_or(0, |o| o.raw() + 1);
         self.next = next.max(floor);
-    }
-
-    /// Mutable access to a record for the migration planner (bypasses the
-    /// propagation policy deliberately — the plan IS the propagation).
-    /// The planner lists a record it turns `Conforming` through
-    /// [`Self::note_conforming`].
-    pub(crate) fn record_mut_for_plan(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
-        self.objects
-            .get_mut(&oid)
-            .ok_or(StoreError::UnknownObject(oid))
-    }
-
-    /// List `oid`, an instance of `ty` that just turned `Conforming`, for
-    /// the next schema change that marks `ty` stale.
-    pub(crate) fn note_conforming(&mut self, ty: TypeId, oid: Oid) {
-        list_conforming(&mut self.conforming, &self.extents, ty, oid);
     }
 
     /// Install a deserialized record under an explicit identity
@@ -447,7 +535,8 @@ fn list_conforming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axiombase_core::LatticeConfig;
+    use axiombase_core::analysis::impact;
+    use axiombase_core::{History, LatticeConfig};
 
     fn schema() -> (Schema, TypeId, TypeId, PropId) {
         let mut s = Schema::new(LatticeConfig::default());
@@ -581,5 +670,167 @@ mod tests {
         // Oids are never reused.
         let o2 = store.create(&s, employee).unwrap();
         assert_ne!(o, o2);
+    }
+
+    /// Root, `A{x}` and `B` under `A`, recorded; a lazy store holds three
+    /// instances of each, every `x` set to a distinct value.
+    fn planned() -> (History, ObjectStore, TypeId, TypeId, PropId) {
+        let mut h = History::new(LatticeConfig::default());
+        let root = h.add_root_type("T_object").unwrap();
+        let a = h.add_type("A", [root], []).unwrap();
+        let x = h.define_property_on(a, "x").unwrap();
+        let b = h.add_type("B", [a], []).unwrap();
+        let mut store = ObjectStore::new(Policy::Lazy);
+        for i in 0..6 {
+            let o = store.create(h.schema(), [a, b][i % 2]).unwrap();
+            store.set(h.schema(), o, x, Value::Int(i as i64)).unwrap();
+        }
+        (h, store, a, b, x)
+    }
+
+    /// The plan for the ops `h` recorded since version `from`.
+    fn plan_since(h: &History, from: usize) -> PropagationPlan {
+        impact::analyze(&h.as_of(from).unwrap(), &h.ops()[from..]).plan
+    }
+
+    fn records(store: &ObjectStore) -> Vec<(Oid, ObjectRecord)> {
+        store
+            .iter_oids()
+            .map(|o| (o, store.record(o).unwrap().clone()))
+            .collect()
+    }
+
+    #[test]
+    fn apply_plan_of_a_preserving_trace_changes_nothing() {
+        let (mut h, mut store, a, ..) = planned();
+        let from = h.len();
+        h.rename_type(a, "A2").unwrap();
+        let ia = impact::analyze(&h.as_of(from).unwrap(), &h.ops()[from..]);
+        assert!(ia.plan.steps.is_empty());
+        assert!(ia.to_text().contains("plan: 0 step(s)"));
+        let before = records(&store);
+        let stats = store
+            .apply_plan(h.schema(), &ia.plan, OrphanAction::Delete)
+            .unwrap();
+        assert_eq!(stats, PlanStats::default());
+        assert_eq!(records(&store), before);
+    }
+
+    #[test]
+    fn apply_plan_converts_and_deletes_orphans() {
+        let (mut h, mut store, a, b, x) = planned();
+        let from = h.len();
+        let y = h.define_property_on(a, "y").unwrap();
+        h.drop_type(b).unwrap();
+        let plan = plan_since(&h, from);
+        let stats = store
+            .apply_plan(h.schema(), &plan, OrphanAction::Delete)
+            .unwrap();
+        assert_eq!((stats.converted, stats.orphans_deleted), (3, 3));
+        assert_eq!(store.object_count(), 3);
+        assert_eq!(store.stats().eager_conversions, 3);
+        assert_eq!(store.stats().slots_added, 3);
+        for (_, rec) in records(&store) {
+            assert_eq!(rec.slots.keys().copied().collect::<Vec<_>>(), [x, y]);
+            assert!(!rec.slots[&x].is_null(), "x keeps its value");
+        }
+    }
+
+    #[test]
+    fn apply_plan_migrates_orphans() {
+        let (mut h, mut store, a, b, x) = planned();
+        let from = h.len();
+        h.drop_type(b).unwrap();
+        let plan = plan_since(&h, from);
+        let stats = store
+            .apply_plan(h.schema(), &plan, OrphanAction::MigrateTo(a))
+            .unwrap();
+        assert_eq!(stats.orphans_migrated, 3);
+        assert_eq!(store.object_count(), 6);
+        assert_eq!(store.extent(a).len(), 6);
+        let xs: Vec<Value> = records(&store)
+            .into_iter()
+            .map(|(_, r)| r.slots[&x].clone())
+            .collect();
+        assert_eq!(xs, (0..6).map(Value::Int).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn apply_plan_carries_rekeyed_values() {
+        // Dropping `x` and attaching a new `x` to `A` re-keys the slot: the
+        // plan carries each value across, where a drop then an add of
+        // `Null` would lose it.
+        let (mut h, mut store, a, _, x) = planned();
+        let from = h.len();
+        let before = records(&store);
+        h.drop_property(x).unwrap();
+        let x2 = h.define_property_on(a, "x").unwrap();
+        let plan = plan_since(&h, from);
+        assert!(plan
+            .steps
+            .iter()
+            .all(|s| s.rekey_slots == [(x.index(), x2.index())]));
+        let stats = store
+            .apply_plan(h.schema(), &plan, OrphanAction::Delete)
+            .unwrap();
+        assert_eq!((stats.converted, stats.rekeyed), (6, 6));
+        for ((_, old), (_, new)) in before.iter().zip(records(&store)) {
+            assert_eq!(new.slots, BTreeMap::from([(x2, old.slots[&x].clone())]));
+        }
+    }
+
+    #[test]
+    fn apply_plan_conforms_records_an_earlier_change_left_stale() {
+        let (mut h, mut store, a, b, x) = planned();
+        let y = h.define_property_on(a, "y").unwrap();
+        store.on_schema_change(h.schema(), &[a, b]);
+        assert_eq!(store.stats().marked_stale, 6);
+        let from = h.len();
+        let z = h.define_property_on(a, "z").unwrap();
+        let plan = plan_since(&h, from);
+        store
+            .apply_plan(h.schema(), &plan, OrphanAction::Delete)
+            .unwrap();
+        for (oid, rec) in records(&store) {
+            assert_eq!(rec.conformance, Conformance::Conforming);
+            assert_eq!(rec.conforms_to_version, h.schema().version());
+            assert_eq!(rec.slots.keys().copied().collect::<Vec<_>>(), [x, y, z]);
+            assert_eq!(store.get(h.schema(), oid, y).unwrap(), Value::Null);
+        }
+        assert_eq!(store.stats().screened_reads, 0);
+        // A later change marks every record stale again: each one was back
+        // on its type's conforming list.
+        h.define_property_on(a, "w").unwrap();
+        store.on_schema_change(h.schema(), &[a, b]);
+        assert_eq!(store.stats().marked_stale, 12);
+    }
+
+    #[test]
+    fn apply_plan_refuses_plans_that_do_not_fit_before_any_change() {
+        let (mut h, mut store, a, b, _) = planned();
+        let from = h.len();
+        h.define_property_on(a, "y").unwrap();
+        let grow = plan_since(&h, from);
+        let (mid, from) = (h.schema().clone(), h.len());
+        h.drop_type(b).unwrap();
+        let drop = plan_since(&h, from);
+        let before = records(&store);
+        // `grow` keeps B's extent, but B is dead in the final schema; A's
+        // step comes first and still converts nothing.
+        assert_eq!(
+            store.apply_plan(h.schema(), &grow, OrphanAction::Delete),
+            Err(StoreError::PlanMismatch(b))
+        );
+        // `drop` drops B's extent, but B still lives in `mid`.
+        assert_eq!(
+            store.apply_plan(&mid, &drop, OrphanAction::Delete),
+            Err(StoreError::PlanMismatch(b))
+        );
+        // The orphans' target is dead.
+        assert_eq!(
+            store.apply_plan(h.schema(), &drop, OrphanAction::MigrateTo(b)),
+            Err(StoreError::Schema(SchemaError::UnknownType(b)))
+        );
+        assert_eq!(records(&store), before);
     }
 }

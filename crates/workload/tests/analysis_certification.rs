@@ -348,17 +348,17 @@ fn rescan_union_cyclic(base: &Schema, ops: &[RecordedOp]) -> bool {
         adj[t].push(s);
     }
     // Kahn's algorithm: a cycle leaves nodes with positive in-degree.
-    let mut indeg = vec![0usize; n];
+    let mut in_degree = vec![0usize; n];
     for &s in adj.iter().flatten() {
-        indeg[s] += 1;
+        in_degree[s] += 1;
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&t| in_degree[t] == 0).collect();
     let mut seen = 0;
     while let Some(t) = ready.pop() {
         seen += 1;
         for &s in &adj[t] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
+            in_degree[s] -= 1;
+            if in_degree[s] == 0 {
                 ready.push(s);
             }
         }

@@ -3,7 +3,8 @@
 //! are checked against reality by executing every trace against a seeded
 //! object store.
 //!
-//! Two trace families × two engines × 250 seeds = 1000 traces. Per trace:
+//! Three trace families × two engines × 250 seeds = 1500 traces. Per
+//! trace:
 //!
 //! 1. **Certificate soundness** — the certificate `impact::analyze`
 //!    emits must be re-verified by the independent checker
@@ -24,20 +25,32 @@
 //!      slot value or, for a dropped type, a non-empty dropped extent.
 //! 3. **Completeness** — any object whose readable representation
 //!    changed must belong to a type in that op's affected set.
-//! 4. **Tamper rejection** — certificates with edited levels, deltas,
+//! 4. **Plan execution** — a second store, populated at the base exactly
+//!    like the first, runs the whole trace's propagation plan in one
+//!    `ObjectStore::apply_plan`. A dead type's objects must be gone under
+//!    a `drop_extent` step; every other object of a planned type must
+//!    conform, with exactly its final interface as slots, kept slots
+//!    holding their birth values, re-key targets holding the departed
+//!    slot's birth value and every other slot `Null`; an object of a type
+//!    with no step must be unchanged; and every object's slot keys must
+//!    equal those the op-by-op eager store reached. A value that differs
+//!    between the two stores must be a re-key target or a slot that left
+//!    and came back.
+//! 5. **Tamper rejection** — certificates with edited levels, deltas,
 //!    obligations, or fingerprints are refused by the checker.
 //!
 //! Vacuousness guards assert the sweep really exercised extending and
-//! destructive verdicts and really dropped extents.
+//! destructive verdicts, really dropped extents, and really re-keyed
+//! slots of stored objects (the "rekey" family's traffic).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use axiombase_core::analysis::impact::{self, ImpactLevel, TypeImpact};
-use axiombase_core::{EngineKind, LatticeConfig, PropId, RecordedOp, Schema, TypeId};
-use axiombase_store::{ObjectStore, Oid, Policy, Value};
+use axiombase_core::analysis::impact::{self, ImpactLevel, PropagationPlan, TypeImpact};
+use axiombase_core::{EngineKind, History, LatticeConfig, PropId, RecordedOp, Schema, TypeId};
+use axiombase_store::{Conformance, ObjectStore, Oid, OrphanAction, Policy, Value};
 use axiombase_workload::{generate_trace, LatticeGen, OpMix};
 
-/// Seeds per engine; 250 × 2 engines × 2 families = 1000 traces.
+/// Seeds per engine; 250 × 2 engines × 3 families = 1500 traces.
 const SEEDS: u64 = 250;
 
 /// Family "random": a recorded mix against a small random lattice.
@@ -71,6 +84,49 @@ fn churn_family(engine: EngineKind, seed: u64) -> (Schema, Vec<RecordedOp>) {
     let base = gen.generate(LatticeConfig::default(), engine).schema;
     let (ops, _) = generate_trace(&base, 16, OpMix::PROPERTY_CHURN, seed ^ 0x55aa);
     (base, ops)
+}
+
+/// Family "rekey": a random prefix, then a held property dropped and a
+/// new property with the same name attached to a former holder or one of
+/// its supertypes, then a random suffix. Impact matches the two by name,
+/// so the holders' stored values must be re-keyed, not lost.
+fn rekey_family(engine: EngineKind, seed: u64) -> (Schema, Vec<RecordedOp>) {
+    let gen = LatticeGen {
+        types: 8,
+        max_parents: 3,
+        props_per_type: 1.5,
+        redeclare_prob: 0.1,
+        seed: seed ^ 0x4e4b,
+    };
+    let base = gen.generate(LatticeConfig::default(), engine).schema;
+    let mut h = History::from_schema(base.clone());
+    let (prefix, _) = generate_trace(&base, 6, OpMix::BALANCED, seed ^ 0x2c1d);
+    h.apply_trace(&prefix).expect("a generated trace replays");
+    let held: Vec<(TypeId, PropId)> = h
+        .schema()
+        .iter_types()
+        .flat_map(|t| {
+            let props = h.schema().essential_properties(t).expect("live");
+            props.into_iter().map(move |p| (t, p))
+        })
+        .collect();
+    if !held.is_empty() {
+        let (holder, p) = held[(seed as usize).wrapping_mul(7) % held.len()];
+        let lattice: Vec<TypeId> = h
+            .schema()
+            .super_lattice(holder)
+            .expect("live")
+            .into_iter()
+            .collect();
+        let target = lattice[(seed as usize / 2) % lattice.len()];
+        let name = h.schema().prop_name(p).expect("live").to_owned();
+        h.drop_property(p).expect("a held property drops");
+        h.define_property_on(target, name)
+            .expect("a live type takes a property");
+    }
+    let (suffix, _) = generate_trace(h.schema(), 6, OpMix::PROPERTY_CHURN, seed ^ 0x9e37);
+    h.apply_trace(&suffix).expect("a generated trace replays");
+    (base, h.ops().to_vec())
 }
 
 /// The readable representation of one object: its type's *current*
@@ -124,6 +180,97 @@ struct Tally {
     destructive: usize,
     extents_dropped: usize,
     changed_objects: usize,
+    /// Obligations with a re-key, of types that hold a stored object.
+    rekeyed_obligations: usize,
+    /// Slot values the plan store holds and the eager store does not.
+    values_differ: usize,
+}
+
+/// Every object's type and slots, as stored.
+fn records(store: &ObjectStore) -> BTreeMap<Oid, (TypeId, BTreeMap<PropId, Value>)> {
+    store
+        .iter_oids()
+        .map(|oid| {
+            let rec = store.record(oid).expect("live object");
+            (oid, (rec.ty, rec.slots.clone()))
+        })
+        .collect()
+}
+
+/// Run the whole trace's plan on `planned`, a store populated at the base
+/// like the eager one, and hold every object against the plan, its birth
+/// state and the eager store. `left` names, per object, the slots that
+/// left its interface at some op of the eager run. Returns how many slot
+/// values the two stores hold differently.
+fn execute_plan(
+    final_schema: &Schema,
+    plan: &PropagationPlan,
+    mut planned: ObjectStore,
+    birth: &BTreeMap<Oid, (TypeId, BTreeMap<PropId, Value>)>,
+    eager: &ObjectStore,
+    left: &BTreeMap<Oid, BTreeSet<PropId>>,
+    at: &str,
+) -> usize {
+    let mut values_differ = 0;
+    planned
+        .apply_plan(final_schema, plan, OrphanAction::Delete)
+        .unwrap_or_else(|e| panic!("{at}: the certified plan was refused: {e}"));
+    let step_for = |t: TypeId| plan.steps.iter().find(|s| s.type_index == t.index());
+    for (oid, (ty, born)) in birth {
+        let step = step_for(*ty);
+        if !final_schema.is_live(*ty) {
+            assert!(
+                step.is_some_and(|s| s.drop_extent),
+                "{at}: dead type {ty:?} has no drop_extent step"
+            );
+            assert!(
+                planned.record(*oid).is_err(),
+                "{at}: {oid} outlived its type"
+            );
+            continue;
+        }
+        let rec = planned.record(*oid).expect("a live type's object survives");
+        let iface = final_schema.interface(*ty).expect("live type");
+        let keys: BTreeSet<PropId> = rec.slots.keys().copied().collect();
+        assert_eq!(keys, iface, "{at}: {oid} slots are not its final interface");
+        let eager_keys: BTreeSet<PropId> = eager
+            .record(*oid)
+            .expect("eager object")
+            .slots
+            .keys()
+            .copied()
+            .collect();
+        assert_eq!(
+            keys, eager_keys,
+            "{at}: {oid} slots differ from eager propagation"
+        );
+        let Some(step) = step else {
+            assert_eq!(&rec.slots, born, "{at}: {oid} of an unplanned type changed");
+            continue;
+        };
+        assert_eq!(rec.conformance, Conformance::Conforming, "{at}: {oid}");
+        for (p, v) in &rec.slots {
+            let rekeyed_from = step
+                .rekey_slots
+                .iter()
+                .find(|&&(_, q)| q == p.index())
+                .map(|&(from, _)| PropId::from_index(from));
+            let want = match (born.get(p), rekeyed_from) {
+                (Some(kept), _) => kept.clone(),
+                (None, Some(from)) => born[&from].clone(),
+                (None, None) => Value::Null,
+            };
+            assert_eq!(v, &want, "{at}: {oid} slot {p:?} after the plan");
+            if !v.is_null() && eager.record(*oid).expect("eager object").slots[p] != *v {
+                assert!(
+                    rekeyed_from.is_some() || left.get(oid).is_some_and(|l| l.contains(p)),
+                    "{at}: {oid} slot {p:?} differs from eager propagation unexplained"
+                );
+                values_differ += 1;
+            }
+        }
+    }
+    values_differ
 }
 
 /// Execute one trace for real and hold every static claim against it.
@@ -138,6 +285,17 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
     let mut by_type: BTreeMap<TypeId, Oid> = BTreeMap::new();
     let mut next_val = 1i64;
     populate(&mut store, &schema, &mut by_type, &mut next_val);
+    // The plan store starts as the eager store's twin: same oids, same
+    // values.
+    let mut planned = ObjectStore::new(Policy::Lazy);
+    populate(&mut planned, &schema, &mut BTreeMap::new(), &mut 1);
+    let birth = records(&planned);
+    assert_eq!(
+        birth,
+        records(&store),
+        "seed {seed} {tag}: twin stores differ"
+    );
+    let mut left: BTreeMap<Oid, BTreeSet<PropId>> = BTreeMap::new();
 
     for (i, op) in ops.iter().enumerate() {
         let pre: BTreeMap<Oid, (TypeId, BTreeMap<PropId, Value>)> = store
@@ -246,6 +404,9 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                 arrived, want_arrived,
                 "seed {seed} {tag} op {i}: {ty:?} gained different slots than claimed"
             );
+            left.entry(*oid)
+                .or_default()
+                .extend(departed.iter().map(|&p| PropId::from_index(p)));
 
             // Kept slots keep their values; fresh slots are Null.
             for (p, v) in &new {
@@ -293,6 +454,16 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
         // refill every fresh Null slot with a distinct value.
         populate(&mut store, &schema, &mut by_type, &mut next_val);
     }
+
+    tally.rekeyed_obligations += ia
+        .certificate
+        .obligations
+        .iter()
+        .filter(|o| !o.rekeyed.is_empty())
+        .filter(|o| birth.values().any(|(ty, _)| ty.index() == o.type_index))
+        .count();
+    let at = format!("seed {seed} {tag}");
+    tally.values_differ += execute_plan(&schema, &ia.plan, planned, &birth, &store, &left, &at);
 }
 
 fn sweep(engine: EngineKind) {
@@ -301,6 +472,7 @@ fn sweep(engine: EngineKind) {
         for (tag, (base, ops)) in [
             ("random", random_family(engine, seed)),
             ("churn", churn_family(engine, seed)),
+            ("rekey", rekey_family(engine, seed)),
         ] {
             one_trace(&base, &ops, seed, tag, &mut tally);
         }
@@ -324,6 +496,21 @@ fn sweep(engine: EngineKind) {
         tally.extents_dropped
     );
     assert!(tally.changed_objects >= 500, "({engine:?}) sweep too quiet");
+    assert!(
+        tally.rekeyed_obligations >= 100,
+        "({engine:?}) only {} re-keyed obligations on stored types — sweep too narrow",
+        tally.rekeyed_obligations
+    );
+    assert!(
+        tally.values_differ >= 100,
+        "({engine:?}) only {} values told the plan store from the eager store",
+        tally.values_differ
+    );
+    eprintln!(
+        "({engine:?}) {} re-keyed obligations on stored types; {} slot values differ \
+         between the plan store and the eager store",
+        tally.rekeyed_obligations, tally.values_differ
+    );
 }
 
 #[test]

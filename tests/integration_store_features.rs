@@ -1,14 +1,16 @@
 //! Cross-crate integration of the "production" features: recorded history,
-//! version diffs, explicit migration plans, and instance selection — the
+//! version diffs, certified propagation plans, and instance selection — the
 //! workflow a DBA would actually run an evolution with.
 
-use axiombase_core::{diff, History, LatticeConfig, TypeId};
-use axiombase_store::{plan, ObjectStore, OrphanAction, Policy, Predicate, Select, Value};
+use axiombase_core::analysis::impact;
+use axiombase_core::{diff, History, LatticeConfig, PropId, RecordedOp, TypeId};
+use axiombase_store::{ObjectStore, OrphanAction, Policy, Predicate, Select, Value};
 
 /// End-to-end evolution workflow:
 /// 1. build schema v0 with instances,
 /// 2. evolve through a recorded history,
-/// 3. diff the versions and derive a migration plan,
+/// 3. diff the versions and analyse the recorded ops into a propagation
+///    plan,
 /// 4. apply the plan, 5. query the result.
 #[test]
 fn dba_workflow_history_plan_select() {
@@ -36,20 +38,25 @@ fn dba_workflow_history_plan_select() {
     let lot = h.define_property_on(part, "lot").unwrap();
     h.drop_type(legacy).unwrap();
 
-    // 3. Diff explains the change; the plan operationalises it.
+    // 3. Diff explains the change; the impact plan operationalises it.
     let d = diff(&h.as_of(v0).unwrap(), h.schema());
     assert!(!d.is_empty());
     assert!(d.to_string().contains("LegacyPart"));
-    let p = plan(&old_schema, h.schema());
-    assert_eq!(p.dropped_types, vec![legacy]);
-    assert_eq!(p.migrations.len(), 1);
-    assert!(p
-        .describe(&old_schema, h.schema())
-        .contains("convert instances of Part"));
+    let ops = &h.ops()[v0..];
+    let ia = impact::analyze(&old_schema, ops);
+    impact::check(&old_schema, ops, &ia.certificate).unwrap();
+    assert_eq!(dropped_extents(&ia.plan), vec![legacy.index()]);
+    assert_eq!(ia.plan.steps.len(), 2);
+    let text = ia.to_text();
+    assert!(text.contains("  Part: screening — add {lot}"), "{text}");
+    assert!(
+        text.contains("  LegacyPart: eager, guarded — extent lost"),
+        "{text}"
+    );
 
     // 4. Apply: legacy instances migrate to Part rather than dying.
     let stats = store
-        .apply_plan(h.schema(), &p, OrphanAction::MigrateTo(part))
+        .apply_plan(h.schema(), &ia.plan, OrphanAction::MigrateTo(part))
         .unwrap();
     assert_eq!(stats.converted, 5);
     assert_eq!(stats.orphans_migrated, 1);
@@ -85,12 +92,12 @@ fn plan_and_eager_propagation_converge() {
     // Path 1: plan-based.
     let (mut h1, a1, b1) = build();
     let mut s1 = ObjectStore::new(Policy::Lazy);
-    let old1 = h1.schema().clone();
+    let (old1, v0) = (h1.schema().clone(), h1.len());
     let oa1 = s1.create(&old1, a1).unwrap();
     let ob1 = s1.create(&old1, b1).unwrap();
     h1.define_property_on(a1, "y").unwrap();
     h1.define_property_on(b1, "z").unwrap();
-    let p = plan(&old1, h1.schema());
+    let p = impact::analyze(&old1, &h1.ops()[v0..]).plan;
     s1.apply_plan(h1.schema(), &p, OrphanAction::Delete)
         .unwrap();
 
@@ -117,9 +124,9 @@ fn plan_and_eager_propagation_converge() {
 }
 
 /// A batched evolution publishes exactly one snapshot pair, and the
-/// migration plan computed from that pair carries the instance store across
-/// the whole batch in one pass — the store-propagation hook for
-/// `evolve_batch`.
+/// propagation plan of its trace, analysed against the pre-batch snapshot,
+/// carries the instance store across the whole batch in one pass — the
+/// store-propagation hook for a batched `apply_trace`.
 #[test]
 fn batched_evolution_yields_one_migration_plan() {
     use axiombase_core::SharedSchema;
@@ -139,18 +146,24 @@ fn batched_evolution_yields_one_migration_plan() {
 
     // One batch: new property, dropped type, new subtype — many edits, one
     // shared recomputation, one atomically published version.
-    let lot = shared
-        .evolve_batch(|s| {
-            let lot = s.define_property_on(part, "lot")?;
-            s.drop_type(legacy)?;
-            s.add_type("Subassembly", [part], []).map(|_| lot)
-        })
-        .unwrap();
+    let lot = PropId::from_index(old.prop_count());
+    let ops = [
+        RecordedOp::AddProperty { name: "lot".into() },
+        RecordedOp::AddEssentialProperty { t: part, p: lot },
+        RecordedOp::DropType { t: legacy },
+        RecordedOp::AddType {
+            name: "Subassembly".into(),
+            supers: vec![part],
+            props: vec![],
+        },
+    ];
+    assert_eq!(shared.apply_trace(&ops).unwrap(), ops.len());
     let new = shared.snapshot();
 
-    // The (pre, post) snapshot pair is the entire migration story.
-    let p = plan(&old, &new);
-    assert_eq!(p.dropped_types, vec![legacy]);
+    // The pre-batch snapshot and the batch's trace are the entire
+    // migration story.
+    let p = impact::analyze(&old, &ops).plan;
+    assert_eq!(dropped_extents(&p), vec![legacy.index()]);
     let stats = store
         .apply_plan(&new, &p, OrphanAction::MigrateTo(part))
         .unwrap();
@@ -163,6 +176,15 @@ fn batched_evolution_yields_one_migration_plan() {
     // And the old snapshot is untouched: it still knows nothing of `lot`.
     assert!(old.type_by_name("Subassembly").is_none());
     assert!(new.verify().is_empty());
+}
+
+/// The types whose extents a propagation plan drops.
+fn dropped_extents(plan: &impact::PropagationPlan) -> Vec<usize> {
+    plan.steps
+        .iter()
+        .filter(|s| s.drop_extent)
+        .map(|s| s.type_index)
+        .collect()
 }
 
 /// Selection interacts correctly with schema projection: a query against a
