@@ -9,7 +9,7 @@
 //! starts with `axiombase ` is a snapshot (linted statically, rules L1–L4);
 //! anything else is a command script, which is executed in a fresh
 //! [`Session`] and linted as a history (schema rules plus the trace rules
-//! L5–L8 over the recorded operations).
+//! L5–L8, L10 and L11 over the recorded operations).
 //!
 //! `--deny RULE` (repeatable; `RULE` is a code like `L3`, a kebab-case name,
 //! or `all`) turns findings of that rule into failures: the process exits 1
@@ -43,7 +43,7 @@ struct Options {
 
 fn usage() -> i32 {
     eprintln!("usage: axiombase lint [--format text|json] [--deny RULE|all]... [--fix] FILE...");
-    eprintln!("       RULE is a code (L1..L8) or name (e.g. name-conflict-hazard)");
+    eprintln!("       RULE is a code (L1..L8, L10, L11) or name (e.g. name-conflict-hazard)");
     2
 }
 

@@ -356,13 +356,13 @@ struct Derived {
 /// They start as the captured schema's derived `I(t)` rows: the axioms
 /// define them from the same inputs, and the certificate's fingerprint
 /// binds them (it hashes `N(t)` and `H(t)`, whose union is `I(t)`).
-/// Interface growth (new essentials, new supertype edges) flows down the
-/// reverse-subtype index as word-parallel row unions; interface shrinkage
-/// re-folds exactly the candidate rows, children after parents. The
-/// analyzer therefore prices each op by the rows it touches, like the
+/// Each op applies one of two rules ([`RowRule`]): growth flows down the
+/// reverse-subtype index as one word-parallel row union per type, and
+/// shrinkage re-folds the edited rows and walks each actual change down.
+/// The analyzer therefore prices each op by the rows it touches, like the
 /// `core::bits` kernel, instead of re-walking the `P_e` up-set of every
-/// candidate — the difference between microseconds and milliseconds per
-/// destructive op on a thousand-type lattice.
+/// type below the edit — the difference between microseconds and
+/// milliseconds per destructive op on a thousand-type lattice.
 struct IfaceRows {
     /// `rows[t]` = property arena indexes in `I(t)`; empty for dead
     /// types and for ⊥ (whose row is never read — nothing sits below it
@@ -454,45 +454,70 @@ impl IfaceRows {
     }
 }
 
-/// Types whose interface this op *could* change, read off the pre-state:
-/// the down-set of the edited rows (interfaces are inherited along `H`,
-/// so an input edit at `t` reaches exactly `↓t`), walked over the
-/// structural reverse-subtype index. Ops that only allocate, rename, or
-/// freeze touch no existing interface. A dropped property's seeds are
-/// its live holders ([`SymbolicState::holders_of`]).
-fn interface_candidates(sim: &SymbolicState, op: &RecordedOp) -> IdxSet {
-    let mut seeds = IdxSet::new();
-    match op {
-        RecordedOp::DropProperty { p } => {
-            seeds.extend(sim.holders_of(p.index()));
+/// How one op changes the interface rows. By the axioms an op edits one
+/// `P_e` or `N_e` row (or drops a property or type outright), so it can
+/// only grow the interfaces below the edited row or shrink them: a row
+/// it changes is extended or loses slots, never re-keyed (re-keys arise
+/// only in the net birth→final obligations). Read off the pre-step
+/// shadow: the edges and holders a drop removes are gone after the step.
+enum RowRule {
+    /// A new essential `p` or supertype edge `s` at `t`: `reach` (`{p}`,
+    /// or `I(s)` before the step) joins every row of `below`, the
+    /// storable types of `↓t` in ascending order.
+    Grow { below: Vec<usize>, reach: IdxSet },
+    /// A dropped edge, essential, property or type: re-fold the `seeds`
+    /// rows the op edits and walk each actual change down
+    /// ([`IfaceRows::propagate_removal`]). Ops that only allocate, rename
+    /// or freeze edit no existing row and seed nothing.
+    Shrink(Vec<usize>),
+}
+
+impl RowRule {
+    fn of(sim: &SymbolicState, iface: &IfaceRows, op: &RecordedOp) -> RowRule {
+        let grow = |t: usize, reach: IdxSet| RowRule::Grow {
+            below: down_set(sim, t),
+            reach,
+        };
+        match op {
+            RecordedOp::AddEssentialProperty { t, p } => {
+                grow(t.index(), std::iter::once(p.index()).collect())
+            }
+            RecordedOp::AddEssentialSupertype { t, s } => {
+                grow(t.index(), iface.rows[s.index()].clone())
+            }
+            // A type drop also rewrites the `P_e` rows of its subtypes.
+            RecordedOp::DropType { t } => {
+                let ti = t.index();
+                RowRule::Shrink(sim.subtypes(ti).chain([ti]).collect())
+            }
+            RecordedOp::DropEssentialSupertype { t, .. }
+            | RecordedOp::DropEssentialProperty { t, .. } => RowRule::Shrink(vec![t.index()]),
+            RecordedOp::DropProperty { p } => RowRule::Shrink(sim.holders_of(p.index()).collect()),
+            RecordedOp::AddProperty { .. }
+            | RecordedOp::RenameProperty { .. }
+            | RecordedOp::AddRootType { .. }
+            | RecordedOp::AddBaseType { .. }
+            | RecordedOp::AddType { .. }
+            | RecordedOp::RenameType { .. }
+            | RecordedOp::FreezeType { .. } => RowRule::Shrink(Vec::new()),
         }
-        RecordedOp::AddEssentialSupertype { t, .. }
-        | RecordedOp::AddEssentialProperty { t, .. } => {
-            seeds.insert(t.index());
-        }
-        // Shrinking ops don't walk the down-set up front: their deltas
-        // come out of [`IfaceRows::propagate_removal`], which visits only
-        // the rows that actually change.
-        RecordedOp::DropType { .. }
-        | RecordedOp::DropEssentialSupertype { .. }
-        | RecordedOp::DropEssentialProperty { .. }
-        | RecordedOp::AddProperty { .. }
-        | RecordedOp::RenameProperty { .. }
-        | RecordedOp::AddRootType { .. }
-        | RecordedOp::AddBaseType { .. }
-        | RecordedOp::AddType { .. }
-        | RecordedOp::RenameType { .. }
-        | RecordedOp::FreezeType { .. } => {}
     }
-    let mut work: Vec<usize> = seeds.iter().collect();
-    while let Some(t) = work.pop() {
-        for c in sim.subtypes(t) {
-            if seeds.insert(c) {
+}
+
+/// The storable types of `↓t`, ascending: an input edit at `t` can change
+/// only these interfaces (`I` is inherited along `H`), walked over the
+/// structural reverse-subtype index.
+fn down_set(sim: &SymbolicState, t: usize) -> Vec<usize> {
+    let mut below: IdxSet = std::iter::once(t).collect();
+    let mut work = vec![t];
+    while let Some(u) = work.pop() {
+        for c in sim.subtypes(u) {
+            if below.insert(c) {
                 work.push(c);
             }
         }
     }
-    seeds
+    below.iter().filter(|&u| storable(sim, u)).collect()
 }
 
 /// Match departing slots against arriving ones by (post-state) property
@@ -549,8 +574,8 @@ struct Fold {
 }
 
 /// Walk the trace once over a symbolic shadow, classifying each op
-/// against the candidate types' pre/post interfaces and folding the
-/// per-type obligation state.
+/// against the pre/post interfaces of the rows its [`RowRule`] changes
+/// and folding the per-type obligation state.
 fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
     let mut sim = SymbolicState::capture(initial);
     let mut iface = IfaceRows::capture(initial, &sim);
@@ -561,25 +586,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
 
     let mut op_impacts = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
-        let candidates: Vec<usize> = interface_candidates(&sim, op)
-            .iter()
-            .filter(|&t| storable(&sim, t))
-            .collect();
-        // Rows a shrinking op edits directly: the target, plus — for a
-        // type drop — its current subtypes, whose `P_e` rows the drop
-        // rewrites (read before the step; the edges are gone after).
-        let direct: Vec<usize> = match op {
-            RecordedOp::DropType { t } => {
-                let ti = t.index();
-                let mut d: Vec<usize> = sim.subtypes(ti).collect();
-                d.push(ti);
-                d
-            }
-            RecordedOp::DropEssentialSupertype { t, .. }
-            | RecordedOp::DropEssentialProperty { t, .. } => vec![t.index()],
-            _ => Vec::new(),
-        };
-
+        let rule = RowRule::of(&sim, &iface, op);
         sim.step(op);
 
         // A type-creating op grew the arena: fold the newborn's row.
@@ -606,138 +613,58 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                 });
             deltas.push(delta);
         };
-        match op {
-            // A dropped property leaves every covering interface with no
-            // replacement; the rows just lose one bit.
-            RecordedOp::DropProperty { p } => {
-                let pi = p.index();
-                for &t in &candidates {
-                    if iface.rows[t].remove(pi) {
-                        let row = &iface.rows[t];
-                        record(
-                            TypeImpact {
-                                type_index: t,
-                                level: ImpactLevel::Destructive,
-                                added: Vec::new(),
-                                rekeyed: Vec::new(),
-                                lost: vec![pi],
-                                extent_lost: false,
-                            },
-                            &|| {
-                                let mut pre = row.clone();
-                                pre.insert(pi);
-                                pre
-                            },
-                        );
-                    }
-                }
-            }
-            // Interface growth: flows down `↓t` as one bit (new
-            // essential) or one row union (new supertype edge, which
-            // contributes exactly `I(s)`).
-            RecordedOp::AddEssentialProperty { p, .. } => {
-                let pi = p.index();
-                for &t in &candidates {
-                    if iface.rows[t].insert(pi) {
-                        let row = &iface.rows[t];
-                        record(
-                            TypeImpact {
-                                type_index: t,
-                                level: ImpactLevel::Extending,
-                                added: vec![pi],
-                                rekeyed: Vec::new(),
-                                lost: Vec::new(),
-                                extent_lost: false,
-                            },
-                            &|| {
-                                let mut pre = row.clone();
-                                pre.remove(pi);
-                                pre
-                            },
-                        );
-                    }
-                }
-            }
-            RecordedOp::AddEssentialSupertype { s, .. } => {
-                let reach = iface.rows[s.index()].clone();
-                for &t in &candidates {
-                    let mut arriving_set = reach.clone();
-                    arriving_set.subtract(&iface.rows[t]);
-                    if arriving_set.is_empty() {
+        match rule {
+            RowRule::Grow { below, reach } => {
+                for t in below {
+                    if reach.is_subset(&iface.rows[t]) {
                         continue;
                     }
+                    let mut added = reach.clone();
+                    added.subtract(&iface.rows[t]);
                     iface.rows[t].union_with(&reach);
                     let row = &iface.rows[t];
                     record(
                         TypeImpact {
                             type_index: t,
                             level: ImpactLevel::Extending,
-                            added: arriving_set.iter().collect(),
+                            added: added.iter().collect(),
                             rekeyed: Vec::new(),
                             lost: Vec::new(),
                             extent_lost: false,
                         },
                         &|| {
                             let mut pre = row.clone();
-                            pre.subtract(&arriving_set);
+                            pre.subtract(&added);
                             pre
                         },
                     );
                 }
             }
-            // Interface shrinkage (an edge or essential went away, maybe
-            // with the type itself): propagate the change from the
-            // directly edited rows and diff each touched row against its
-            // returned pre-op value.
-            RecordedOp::DropType { .. }
-            | RecordedOp::DropEssentialSupertype { .. }
-            | RecordedOp::DropEssentialProperty { .. } => {
-                let changed = iface.propagate_removal(&sim, &direct);
-                for (&t, pre_row) in &changed {
-                    if !sim.is_live(t) {
-                        record(
-                            TypeImpact {
-                                type_index: t,
-                                level: ImpactLevel::Destructive,
-                                added: Vec::new(),
-                                rekeyed: Vec::new(),
-                                lost: Vec::new(),
-                                extent_lost: true,
-                            },
-                            &|| pre_row.clone(),
-                        );
-                        continue;
-                    }
-                    let post_row = &iface.rows[t];
-                    let mut arr = post_row.clone();
-                    arr.subtract(pre_row);
-                    let mut dep = pre_row.clone();
-                    dep.subtract(post_row);
-                    if arr.is_empty() && dep.is_empty() {
-                        continue;
-                    }
-                    let arriving: Vec<usize> = arr.iter().collect();
-                    let departing: Vec<usize> = dep.iter().collect();
-                    let (added, rekeyed, lost) = split_delta(&sim, &arriving, &departing);
-                    let level = classify(&added, &rekeyed, &lost);
-                    if level == ImpactLevel::Preserving {
-                        continue;
-                    }
+            // Rows only shrink here, so every row the shrinkage touched
+            // lost slots, or its whole extent with the type.
+            RowRule::Shrink(seeds) => {
+                for (t, pre_row) in iface.propagate_removal(&sim, &seeds) {
+                    let extent_lost = !sim.is_live(t);
+                    let lost = if extent_lost {
+                        Vec::new()
+                    } else {
+                        let mut lost = pre_row.clone();
+                        lost.subtract(&iface.rows[t]);
+                        lost.iter().collect()
+                    };
                     record(
                         TypeImpact {
                             type_index: t,
-                            level,
-                            added,
-                            rekeyed,
+                            level: ImpactLevel::Destructive,
+                            added: Vec::new(),
+                            rekeyed: Vec::new(),
                             lost,
-                            extent_lost: false,
+                            extent_lost,
                         },
                         &|| pre_row.clone(),
                     );
                 }
             }
-            // Allocation, rename, and freeze ops seed no candidates.
-            _ => {}
         }
         let level = deltas
             .iter()
@@ -1195,6 +1122,80 @@ mod tests {
         }
         assert_eq!(ia.plan.steps[0].strategy, Strategy::Eager);
         assert!(ia.plan.steps[0].guarded);
+        check(&s, &ops, &ia.certificate).expect("accepted");
+    }
+
+    #[test]
+    fn drop_property_held_by_a_type_and_its_subtype_loses_one_slot_each() {
+        let mut s = base();
+        let person = s.add_type("person", [], []).unwrap();
+        let name = s.define_property_on(person, "name").unwrap();
+        let student = s.add_type("student", [person], [name]).unwrap();
+        let grad = s.add_type("grad", [student], []).unwrap();
+        let ops = vec![RecordedOp::DropProperty { p: name }];
+        let ia = analyze(&s, &ops);
+        // The shrink rule re-folds `student` only once `person`'s row has
+        // lost the slot, and `grad` only once `student`'s has.
+        let deltas = &ia.certificate.ops[0].deltas;
+        let types: Vec<usize> = deltas.iter().map(|d| d.type_index).collect();
+        assert_eq!(types, vec![person.index(), student.index(), grad.index()]);
+        for d in deltas {
+            assert_eq!(d.level, ImpactLevel::Destructive);
+            assert_eq!(d.lost, vec![name.index()]);
+            assert!(d.added.is_empty() && d.rekeyed.is_empty() && !d.extent_lost);
+        }
+        check(&s, &ops, &ia.certificate).expect("accepted");
+    }
+
+    #[test]
+    fn add_essential_property_already_inherited_is_preserving() {
+        let mut s = base();
+        let person = s.add_type("person", [], []).unwrap();
+        let name = s.define_property_on(person, "name").unwrap();
+        let student = s.add_type("student", [person], []).unwrap();
+        let ops = vec![RecordedOp::AddEssentialProperty {
+            t: student,
+            p: name,
+        }];
+        let ia = analyze(&s, &ops);
+        assert_eq!(ia.certificate.ops[0].level, ImpactLevel::Preserving);
+        assert!(ia.certificate.ops[0].deltas.is_empty());
+        assert!(ia.certificate.obligations.is_empty());
+        check(&s, &ops, &ia.certificate).expect("accepted");
+    }
+
+    #[test]
+    fn add_essential_supertype_extends_a_diamond_once_per_type() {
+        let mut s = base();
+        let named = s.add_type("named", [], []).unwrap();
+        let x = s.define_property_on(named, "x").unwrap();
+        let y = s.define_property_on(named, "y").unwrap();
+        let top = s.add_type("top", [], []).unwrap();
+        let left = s.add_type("left", [top], []).unwrap();
+        let right = s.add_type("right", [top], [y]).unwrap();
+        let bottom = s.add_type("bottom", [left, right], []).unwrap();
+        let ops = vec![RecordedOp::AddEssentialSupertype { t: top, s: named }];
+        let ia = analyze(&s, &ops);
+        let op = &ia.certificate.ops[0];
+        assert_eq!(op.level, ImpactLevel::Extending);
+        // `bottom` sits below both arms but gets one delta; `right` and
+        // `bottom` already hold `y`, so only `x` arrives there.
+        let got: Vec<(usize, Vec<usize>)> = op
+            .deltas
+            .iter()
+            .map(|d| (d.type_index, d.added.clone()))
+            .collect();
+        let both = vec![x.index(), y.index()];
+        assert_eq!(
+            got,
+            vec![
+                (top.index(), both.clone()),
+                (left.index(), both),
+                (right.index(), vec![x.index()]),
+                (bottom.index(), vec![x.index()]),
+            ]
+        );
+        assert!(op.deltas.iter().all(|d| d.level == ImpactLevel::Extending));
         check(&s, &ops, &ia.certificate).expect("accepted");
     }
 

@@ -21,7 +21,7 @@
 
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
-use crate::snapshot::{quote, take_quoted};
+use crate::snapshot::{parse_ids, quote, take_bracketed, take_quoted};
 
 /// Frame header size: seq (8) + len (4) + crc (4).
 pub const FRAME_HEADER: usize = 16;
@@ -270,27 +270,6 @@ pub fn decode_op(text: &str) -> Result<RecordedOp, String> {
         }
         other => Err(format!("unknown op kind {other:?}")),
     }
-}
-
-/// Parse `key[...]`, returning the bracket contents and the remainder.
-/// (Same grammar as the snapshot format's `pe[...]`/`ne[...]`.)
-fn take_bracketed<'a>(s: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
-    let rest = s.strip_prefix(key)?.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    Some((&rest[..end], &rest[end + 1..]))
-}
-
-fn parse_ids(s: &str) -> Result<Vec<usize>, String> {
-    if s.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|w| {
-            w.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad id {w:?}"))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -105,7 +105,7 @@ pub use journal::{
 };
 pub use lint::{
     apply_fixes, canonicalize, lint_history, lint_schema, lint_trace, Diagnostic, FixEdit, FixIt,
-    Lint, Location, Reference, Registry, RuleId, Severity,
+    Location, Reference, RuleId, Severity,
 };
 pub use model::{DerivedType, Schema};
 pub use obs::{

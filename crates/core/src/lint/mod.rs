@@ -11,15 +11,15 @@
 //!
 //! The subsystem is organised as:
 //!
-//! * a [`Lint`] trait — one rule, able to inspect a [`Schema`] and/or a
-//!   replayable trace of [`RecordedOp`]s;
-//! * a [`Registry`] of rules (the six built-in rules live in
-//!   [`rules`] and [`trace`]; external crates may register more);
+//! * ten rules, each a plain function: L1–L4 inspect a [`Schema`], the
+//!   others a replayable trace of [`RecordedOp`]s (L10 and L11 read the
+//!   trace's one instance-impact analysis);
 //! * a structured [`Diagnostic`] carrying the rule id, severity, offending
 //!   [`TypeId`]/[`PropId`]s, the Table-2 axiom or §5 claim it derives from
 //!   ([`Reference`]), and an optional machine-applicable [`FixIt`];
-//! * drivers [`lint_schema`] / [`lint_trace`] / [`lint_history`] and the
-//!   fix-it appliers [`apply_fixes`] / [`canonicalize`].
+//! * drivers [`lint_schema`] / [`lint_trace`] / [`lint_history`], which
+//!   run the rules in code order, and the fix-it appliers
+//!   [`apply_fixes`] / [`canonicalize`].
 //!
 //! Every fix-it is **semantics-preserving**: canonicalising `P_e`/`N_e` to
 //! minimal form leaves every derived interface `I(t)` (and `P`, `PL`, `N`,
@@ -39,19 +39,19 @@
 //! | L10 | destructive op with no preceding snapshot/branch guard | §3.3 |
 //! | L11 | destruction a trace rewrite downgrades to a convertible re-key | §5 |
 
-pub mod rules;
-pub mod semantic;
-pub mod trace;
+mod rules;
+mod semantic;
+mod trace;
 
 use std::collections::BTreeSet;
 
+use crate::analysis;
 use crate::axioms::Axiom;
 use crate::history::{History, RecordedOp};
 use crate::ids::{PropId, TypeId};
 use crate::model::Schema;
 
-/// Identifies one of the built-in lint rules (or a registered external one
-/// reusing an id).
+/// Identifies one of the ten lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// L1 — `P_e(t)` is non-minimal: an essential supertype is reachable
@@ -89,7 +89,7 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    /// All ten built-in rules, in code order (L9 is retired; L10 and L11
+    /// All ten rules, in code order (L9 is retired; L10 and L11
     /// keep their codes).
     pub const ALL: [RuleId; 10] = [
         RuleId::RedundantEssentialSupertype,
@@ -337,124 +337,48 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// One lint rule. Implement [`Lint::check_schema`], [`Lint::check_trace`],
-/// or both; the default bodies do nothing, so a schema-only rule need not
-/// mention traces and vice versa.
-pub trait Lint {
-    /// The rule's identity (drives `--deny` selection and display).
-    fn id(&self) -> RuleId;
-
-    /// Analyse a static schema.
-    fn check_schema(&self, _schema: &Schema, _out: &mut Vec<Diagnostic>) {}
-
-    /// Analyse an operation trace starting from `initial`. Implementations
-    /// replay `ops` themselves (replay is deterministic, see
-    /// [`RecordedOp::apply`]).
-    fn check_trace(&self, _initial: &Schema, _ops: &[RecordedOp], _out: &mut Vec<Diagnostic>) {}
+/// Sort diagnostics by location, then rule code, for deterministic output
+/// (stable: one rule's findings at one location keep their order).
+fn sorted(mut out: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+    out
 }
 
-/// An ordered collection of lint rules.
-pub struct Registry {
-    rules: Vec<Box<dyn Lint>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("rules", &self.ids())
-            .finish()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl Registry {
-    /// A registry with no rules.
-    pub fn empty() -> Self {
-        Registry { rules: Vec::new() }
-    }
-
-    /// The ten built-in rules L1–L8, L10 and L11.
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(rules::RedundantEssentialSupertype));
-        r.register(Box::new(rules::ShadowedEssentialProperty));
-        r.register(Box::new(rules::NameConflictHazard));
-        r.register(Box::new(rules::DisconnectedOrDangling));
-        r.register(Box::new(trace::OrderDependenceHazard));
-        r.register(Box::new(trace::ChurnNoOp));
-        r.register(Box::new(semantic::DeadOp));
-        r.register(Box::new(semantic::RedundantDropOrdering));
-        r.register(Box::new(semantic::DestructiveOpUnguarded));
-        r.register(Box::new(semantic::ConvertibleAsExtending));
-        r
-    }
-
-    /// Add a rule (external crates may register their own [`Lint`]s).
-    pub fn register(&mut self, rule: Box<dyn Lint>) {
-        self.rules.push(rule);
-    }
-
-    /// Keep only the rules whose id satisfies `keep`.
-    pub fn retain(&mut self, mut keep: impl FnMut(RuleId) -> bool) {
-        self.rules.retain(|r| keep(r.id()));
-    }
-
-    /// The ids of the registered rules, in registration order.
-    pub fn ids(&self) -> Vec<RuleId> {
-        self.rules.iter().map(|r| r.id()).collect()
-    }
-
-    /// Run every registered rule's schema check. Diagnostics are sorted by
-    /// location, then rule code, for deterministic output.
-    pub fn lint_schema(&self, schema: &Schema) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            rule.check_schema(schema, &mut out);
-        }
-        out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        out
-    }
-
-    /// Run every registered rule's trace check against `ops` replayed from
-    /// `initial`.
-    pub fn lint_trace(&self, initial: &Schema, ops: &[RecordedOp]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            rule.check_trace(initial, ops, &mut out);
-        }
-        out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        out
-    }
-}
-
-/// Lint a static schema with the built-in rules L1–L4 (the trace rules have
+/// Lint a static schema with the schema rules L1–L4 (the trace rules have
 /// nothing to say about a schema alone).
 pub fn lint_schema(schema: &Schema) -> Vec<Diagnostic> {
-    Registry::builtin().lint_schema(schema)
+    let mut out = Vec::new();
+    rules::redundant_essential_supertype(schema, &mut out);
+    rules::shadowed_essential_property(schema, &mut out);
+    rules::name_conflict_hazard(schema, &mut out);
+    rules::disconnected_or_dangling(schema, &mut out);
+    sorted(out)
 }
 
-/// Lint an operation trace (replayed from `initial`) with the built-in
-/// trace rules L5–L6.
+/// Lint an operation trace (replayed from `initial`) with the trace rules
+/// L5–L8, L10 and L11. The trace's instance-impact analysis is computed
+/// once and read by both L10 and L11.
 pub fn lint_trace(initial: &Schema, ops: &[RecordedOp]) -> Vec<Diagnostic> {
-    Registry::builtin().lint_trace(initial, ops)
+    let mut out = Vec::new();
+    trace::order_dependence_hazard(initial, ops, &mut out);
+    trace::churn_no_op(initial, ops, &mut out);
+    semantic::dead_op(initial, ops, &mut out);
+    semantic::redundant_drop_ordering(initial, ops, &mut out);
+    let impact = analysis::impact::analyze(initial, ops);
+    semantic::destructive_op_unguarded(&impact, &mut out);
+    semantic::convertible_as_extending(&impact, &mut out);
+    sorted(out)
 }
 
 /// Lint a [`History`]: trace rules over its recorded ops plus schema rules
 /// over its current state.
 pub fn lint_history(history: &History) -> Vec<Diagnostic> {
-    let registry = Registry::builtin();
     let mut out = match history.as_of(0) {
-        Ok(initial) => registry.lint_trace(&initial, history.ops()),
+        Ok(initial) => lint_trace(&initial, history.ops()),
         Err(_) => Vec::new(),
     };
-    out.extend(registry.lint_schema(history.schema()));
-    out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    out
+    out.extend(lint_schema(history.schema()));
+    sorted(out)
 }
 
 /// Apply every machine-applicable fix in `diags` to `schema`. Returns the
@@ -539,15 +463,6 @@ mod tests {
         s.define_property_on(a, "x").unwrap();
         assert!(lint_schema(&s).is_empty(), "{:?}", lint_schema(&s));
         assert_eq!(canonicalize(&mut s), 0);
-    }
-
-    #[test]
-    fn registry_retain_filters_rules() {
-        let mut r = Registry::builtin();
-        assert_eq!(r.ids().len(), 10);
-        r.retain(|id| !id.is_trace_rule());
-        assert_eq!(r.ids().len(), 4);
-        assert!(r.ids().iter().all(|id| !id.is_trace_rule()));
     }
 
     #[test]

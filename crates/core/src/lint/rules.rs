@@ -1,4 +1,4 @@
-//! The built-in schema rules L1–L4.
+//! The schema rules L1–L4.
 //!
 //! Each rule inspects the designer inputs (`P_e`/`N_e`) and the derived
 //! state of Table 1 and reports smells that the axioms *tolerate* but §5
@@ -6,17 +6,17 @@
 //! dead weight. Where an input edit provably preserves every derived term,
 //! the diagnostic carries a machine-applicable fix.
 
-use super::{Diagnostic, FixEdit, FixIt, Lint, Location, Reference, RuleId, Severity};
+use super::{Diagnostic, FixEdit, FixIt, Location, Reference, RuleId, Severity};
 use crate::axioms::Axiom;
 use crate::model::Schema;
 
-fn tn(schema: &Schema, t: crate::ids::TypeId) -> String {
+pub(super) fn tn(schema: &Schema, t: crate::ids::TypeId) -> String {
     schema
         .type_name(t)
         .map_or_else(|_| format!("{t}"), str::to_owned)
 }
 
-fn pn(schema: &Schema, p: crate::ids::PropId) -> String {
+pub(super) fn pn(schema: &Schema, p: crate::ids::PropId) -> String {
     schema
         .prop_name(p)
         .map_or_else(|_| format!("{p}"), str::to_owned)
@@ -35,52 +35,44 @@ fn pn(schema: &Schema, p: crate::ids::PropId) -> String {
 /// The base type `⊥` is exempt: `P_e(⊥)` = all types is definitional
 /// (§3.3), not a designer smell. Frozen types get the diagnostic without a
 /// fix (structural drops are rejected on them).
-pub struct RedundantEssentialSupertype;
-
-impl Lint for RedundantEssentialSupertype {
-    fn id(&self) -> RuleId {
-        RuleId::RedundantEssentialSupertype
-    }
-
-    fn check_schema(&self, schema: &Schema, out: &mut Vec<Diagnostic>) {
-        for t in schema.iter_types() {
-            if Some(t) == schema.base() {
-                continue;
-            }
-            let pe = schema.essential_supertypes(t).expect("live type");
-            let p = schema.immediate_supertypes(t).expect("live type");
-            for &s in pe.difference(&p) {
-                let fix = if schema.is_frozen(t) {
-                    None
-                } else {
-                    Some(FixIt {
-                        title: format!(
-                            "remove redundant essential supertype {} from P_e({})",
-                            tn(schema, s),
-                            tn(schema, t)
-                        ),
-                        edits: vec![FixEdit::DropEssentialSupertype { t, s }],
-                    })
-                };
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    severity: Severity::Warning,
-                    location: Location::Type(t),
-                    types: vec![s],
-                    props: vec![],
-                    reference: Reference::Claim(
-                        "§5 (minimality of P makes conflict resolution and display cheap)",
+pub(super) fn redundant_essential_supertype(schema: &Schema, out: &mut Vec<Diagnostic>) {
+    for t in schema.iter_types() {
+        if Some(t) == schema.base() {
+            continue;
+        }
+        let pe = schema.essential_supertypes(t).expect("live type");
+        let p = schema.immediate_supertypes(t).expect("live type");
+        for &s in pe.difference(&p) {
+            let fix = if schema.is_frozen(t) {
+                None
+            } else {
+                Some(FixIt {
+                    title: format!(
+                        "remove redundant essential supertype {} from P_e({})",
+                        tn(schema, s),
+                        tn(schema, t)
                     ),
-                    message: format!(
-                        "P_e({t_name}) is non-minimal: {s_name} is already reachable \
-                         through another essential supertype, so the Axiom of Supertypes \
-                         excludes it from P({t_name})",
-                        t_name = tn(schema, t),
-                        s_name = tn(schema, s),
-                    ),
-                    fix,
-                });
-            }
+                    edits: vec![FixEdit::DropEssentialSupertype { t, s }],
+                })
+            };
+            out.push(Diagnostic {
+                rule: RuleId::RedundantEssentialSupertype,
+                severity: Severity::Warning,
+                location: Location::Type(t),
+                types: vec![s],
+                props: vec![],
+                reference: Reference::Claim(
+                    "§5 (minimality of P makes conflict resolution and display cheap)",
+                ),
+                message: format!(
+                    "P_e({t_name}) is non-minimal: {s_name} is already reachable \
+                     through another essential supertype, so the Axiom of Supertypes \
+                     excludes it from P({t_name})",
+                    t_name = tn(schema, t),
+                    s_name = tn(schema, s),
+                ),
+                fix,
+            });
         }
     }
 }
@@ -92,43 +84,35 @@ impl Lint for RedundantEssentialSupertype {
 /// *resurrect* as native if the inheriting path is ever dropped (the §2
 /// adoption semantics). The fix drops the shadowed entry from `N_e(t)`,
 /// which leaves `N`, `I` — everything — unchanged.
-pub struct ShadowedEssentialProperty;
-
-impl Lint for ShadowedEssentialProperty {
-    fn id(&self) -> RuleId {
-        RuleId::ShadowedEssentialProperty
-    }
-
-    fn check_schema(&self, schema: &Schema, out: &mut Vec<Diagnostic>) {
-        for t in schema.iter_types() {
-            let ne = schema.essential_properties(t).expect("live type");
-            let h = schema.inherited_properties(t).expect("live type");
-            for &p in ne.intersection(&h) {
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    severity: Severity::Warning,
-                    location: Location::Type(t),
-                    types: vec![],
-                    props: vec![p],
-                    reference: Reference::Axiom(Axiom::Nativeness),
-                    message: format!(
-                        "`{p_name}` is declared essential on {t_name} but already \
-                         inherited there; the Axiom of Nativeness erases it from \
-                         N({t_name}), and it would resurrect as native if the \
-                         inheriting path were dropped",
-                        p_name = pn(schema, p),
-                        t_name = tn(schema, t),
+pub(super) fn shadowed_essential_property(schema: &Schema, out: &mut Vec<Diagnostic>) {
+    for t in schema.iter_types() {
+        let ne = schema.essential_properties(t).expect("live type");
+        let h = schema.inherited_properties(t).expect("live type");
+        for &p in ne.intersection(&h) {
+            out.push(Diagnostic {
+                rule: RuleId::ShadowedEssentialProperty,
+                severity: Severity::Warning,
+                location: Location::Type(t),
+                types: vec![],
+                props: vec![p],
+                reference: Reference::Axiom(Axiom::Nativeness),
+                message: format!(
+                    "`{p_name}` is declared essential on {t_name} but already \
+                     inherited there; the Axiom of Nativeness erases it from \
+                     N({t_name}), and it would resurrect as native if the \
+                     inheriting path were dropped",
+                    p_name = pn(schema, p),
+                    t_name = tn(schema, t),
+                ),
+                fix: Some(FixIt {
+                    title: format!(
+                        "drop shadowed `{}` from N_e({})",
+                        pn(schema, p),
+                        tn(schema, t)
                     ),
-                    fix: Some(FixIt {
-                        title: format!(
-                            "drop shadowed `{}` from N_e({})",
-                            pn(schema, p),
-                            tn(schema, t)
-                        ),
-                        edits: vec![FixEdit::DropEssentialProperty { t, p }],
-                    }),
-                });
-            }
+                    edits: vec![FixEdit::DropEssentialProperty { t, p }],
+                }),
+            });
         }
     }
 }
@@ -142,41 +126,33 @@ impl Lint for ShadowedEssentialProperty {
 /// detectable in the minimal supertypes alone. No machine fix: choosing a
 /// resolution (qualify vs. precedence, cf. [`crate::conflicts::Resolution`])
 /// is a design decision.
-pub struct NameConflictHazard;
-
-impl Lint for NameConflictHazard {
-    fn id(&self) -> RuleId {
-        RuleId::NameConflictHazard
-    }
-
-    fn check_schema(&self, schema: &Schema, out: &mut Vec<Diagnostic>) {
-        for t in schema.iter_types() {
-            for conflict in schema.name_conflicts(t).expect("live type") {
-                let origins: Vec<String> = conflict
-                    .candidates
-                    .iter()
-                    .map(|&(_, d)| tn(schema, d))
-                    .collect();
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    severity: Severity::Warning,
-                    location: Location::Type(t),
-                    types: conflict.candidates.iter().map(|&(_, d)| d).collect(),
-                    props: conflict.candidates.iter().map(|&(p, _)| p).collect(),
-                    reference: Reference::Claim(
-                        "§5 (conflicts are detectable in the minimal supertypes alone)",
-                    ),
-                    message: format!(
-                        "{} distinct properties named `{}` are visible at {} \
-                         (defined on {}); every name view must disambiguate them",
-                        conflict.candidates.len(),
-                        conflict.name,
-                        tn(schema, t),
-                        origins.join(", "),
-                    ),
-                    fix: None,
-                });
-            }
+pub(super) fn name_conflict_hazard(schema: &Schema, out: &mut Vec<Diagnostic>) {
+    for t in schema.iter_types() {
+        for conflict in schema.name_conflicts(t).expect("live type") {
+            let origins: Vec<String> = conflict
+                .candidates
+                .iter()
+                .map(|&(_, d)| tn(schema, d))
+                .collect();
+            out.push(Diagnostic {
+                rule: RuleId::NameConflictHazard,
+                severity: Severity::Warning,
+                location: Location::Type(t),
+                types: conflict.candidates.iter().map(|&(_, d)| d).collect(),
+                props: conflict.candidates.iter().map(|&(p, _)| p).collect(),
+                reference: Reference::Claim(
+                    "§5 (conflicts are detectable in the minimal supertypes alone)",
+                ),
+                message: format!(
+                    "{} distinct properties named `{}` are visible at {} \
+                     (defined on {}); every name view must disambiguate them",
+                    conflict.candidates.len(),
+                    conflict.name,
+                    tn(schema, t),
+                    origins.join(", "),
+                ),
+                fix: None,
+            });
         }
     }
 }
@@ -192,71 +168,61 @@ impl Lint for NameConflictHazard {
 /// essential properties and no subtypes of its own — it contributes nothing
 /// to any interface. Reported as informational, with no fix: the type may
 /// be a staging stub about to gain structure.
-pub struct DisconnectedOrDangling;
-
-impl Lint for DisconnectedOrDangling {
-    fn id(&self) -> RuleId {
-        RuleId::DisconnectedOrDangling
-    }
-
-    fn check_schema(&self, schema: &Schema, out: &mut Vec<Diagnostic>) {
-        let support = super::essential_property_support(schema);
-        for p in schema.iter_props() {
-            if !support.contains(&p) {
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    severity: Severity::Warning,
-                    location: Location::Prop(p),
-                    types: vec![],
-                    props: vec![p],
-                    reference: Reference::Claim(
-                        "§2 (properties join the schema only via some N_e)",
-                    ),
-                    message: format!(
-                        "property `{}` is referenced by no type's N_e — it appears \
-                         in no interface and can be deleted",
-                        pn(schema, p),
-                    ),
-                    fix: Some(FixIt {
-                        title: format!("delete dangling property `{}`", pn(schema, p)),
-                        edits: vec![FixEdit::DeleteProperty { p }],
-                    }),
-                });
-            }
+pub(super) fn disconnected_or_dangling(schema: &Schema, out: &mut Vec<Diagnostic>) {
+    let support = super::essential_property_support(schema);
+    for p in schema.iter_props() {
+        if !support.contains(&p) {
+            out.push(Diagnostic {
+                rule: RuleId::DisconnectedOrDangling,
+                severity: Severity::Warning,
+                location: Location::Prop(p),
+                types: vec![],
+                props: vec![p],
+                reference: Reference::Claim("§2 (properties join the schema only via some N_e)"),
+                message: format!(
+                    "property `{}` is referenced by no type's N_e — it appears \
+                     in no interface and can be deleted",
+                    pn(schema, p),
+                ),
+                fix: Some(FixIt {
+                    title: format!("delete dangling property `{}`", pn(schema, p)),
+                    edits: vec![FixEdit::DeleteProperty { p }],
+                }),
+            });
         }
-        for t in schema.iter_types() {
-            if Some(t) == schema.root() || Some(t) == schema.base() {
-                continue;
-            }
-            let pe = schema.essential_supertypes(t).expect("live type");
-            let only_root_above = pe.iter().all(|&s| Some(s) == schema.root());
-            let subs = schema.essential_subtypes(t).expect("live type");
-            let only_base_below = subs.iter().all(|&c| Some(c) == schema.base());
-            if only_root_above
-                && only_base_below
-                && schema
-                    .essential_properties(t)
-                    .expect("live type")
-                    .is_empty()
-            {
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    severity: Severity::Info,
-                    location: Location::Type(t),
-                    types: vec![],
-                    props: vec![],
-                    reference: Reference::Claim(
-                        "§2 (a type's contribution to the schema is its P_e/N_e)",
-                    ),
-                    message: format!(
-                        "type {} is linked only through ⊤/⊥, declares no essential \
-                         properties, and has no subtypes — it contributes nothing \
-                         to any interface",
-                        tn(schema, t),
-                    ),
-                    fix: None,
-                });
-            }
+    }
+    for t in schema.iter_types() {
+        if Some(t) == schema.root() || Some(t) == schema.base() {
+            continue;
+        }
+        let pe = schema.essential_supertypes(t).expect("live type");
+        let only_root_above = pe.iter().all(|&s| Some(s) == schema.root());
+        let subs = schema.essential_subtypes(t).expect("live type");
+        let only_base_below = subs.iter().all(|&c| Some(c) == schema.base());
+        if only_root_above
+            && only_base_below
+            && schema
+                .essential_properties(t)
+                .expect("live type")
+                .is_empty()
+        {
+            out.push(Diagnostic {
+                rule: RuleId::DisconnectedOrDangling,
+                severity: Severity::Info,
+                location: Location::Type(t),
+                types: vec![],
+                props: vec![],
+                reference: Reference::Claim(
+                    "§2 (a type's contribution to the schema is its P_e/N_e)",
+                ),
+                message: format!(
+                    "type {} is linked only through ⊤/⊥, declares no essential \
+                     properties, and has no subtypes — it contributes nothing \
+                     to any interface",
+                    tn(schema, t),
+                ),
+                fix: None,
+            });
         }
     }
 }

@@ -1,13 +1,14 @@
-//! The built-in semantic trace rules L7, L8, L10 and L11.
+//! The semantic trace rules L7, L8, L10 and L11.
 //!
 //! Unlike L5/L6 (which replay the trace), these rules consume facts from
 //! `core::analysis`: the trace optimizer's semantics-preserving rewrites
 //! (L7), the commutativity engine's pair certificates (L8), and the
-//! instance-impact analyzer's verdicts and obligations (L10/L11). All
-//! are purely static — the trace is never executed.
+//! instance-impact analyzer's verdicts and obligations (L10/L11, which
+//! read the one analysis `lint_trace` computes). All are purely static —
+//! the trace is never executed.
 
-use super::{Diagnostic, Lint, Location, Severity};
-use crate::analysis;
+use super::{Diagnostic, FixIt, Location, Reference, RuleId, Severity};
+use crate::analysis::{self, ImpactAnalysis, ImpactLevel};
 use crate::history::RecordedOp;
 use crate::model::Schema;
 
@@ -21,45 +22,37 @@ use crate::model::Schema;
 /// equivalence under [`crate::history::traces_equivalent`]) makes the
 /// diagnostic safe to act on: deleting the flagged ops cannot change the
 /// final schema.
-pub struct DeadOp;
-
-impl Lint for DeadOp {
-    fn id(&self) -> super::RuleId {
-        super::RuleId::DeadOp
-    }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let optimized = analysis::optimize_trace(initial, ops);
-        for rewrite in &optimized.rewrites {
-            let Some(&first) = rewrite.removed.first() else {
-                continue;
-            };
-            let location = match rewrite.removed.last() {
-                Some(&last) if last != first => Location::OpRange(first, last),
-                _ => Location::Op(first),
-            };
-            let positions: Vec<String> = rewrite
-                .removed
-                .iter()
-                .map(|i| (i + 1).to_string())
-                .collect();
-            out.push(Diagnostic {
-                rule: self.id(),
-                severity: Severity::Warning,
-                location,
-                types: Vec::new(),
-                props: Vec::new(),
-                reference: rewrite.reference,
-                message: format!(
-                    "op(s) {} are dead ({}): {} — removing them provably leaves the final \
-                     schema unchanged",
-                    positions.join(", "),
-                    rewrite.kind.tag(),
-                    rewrite.note
-                ),
-                fix: None,
-            });
-        }
+pub(super) fn dead_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
+    let optimized = analysis::optimize_trace(initial, ops);
+    for rewrite in &optimized.rewrites {
+        let Some(&first) = rewrite.removed.first() else {
+            continue;
+        };
+        let location = match rewrite.removed.last() {
+            Some(&last) if last != first => Location::OpRange(first, last),
+            _ => Location::Op(first),
+        };
+        let positions: Vec<String> = rewrite
+            .removed
+            .iter()
+            .map(|i| (i + 1).to_string())
+            .collect();
+        out.push(Diagnostic {
+            rule: RuleId::DeadOp,
+            severity: Severity::Warning,
+            location,
+            types: Vec::new(),
+            props: Vec::new(),
+            reference: rewrite.reference,
+            message: format!(
+                "op(s) {} are dead ({}): {} — removing them provably leaves the final \
+                 schema unchanged",
+                positions.join(", "),
+                rewrite.kind.tag(),
+                rewrite.note
+            ),
+            fix: None,
+        });
     }
 }
 
@@ -72,127 +65,114 @@ impl Lint for DeadOp {
 /// staged rollouts, manual "drop X before Y" runbooks) is unnecessary:
 /// one certificate covers all their interleavings. Advisory only — it
 /// fires on certainty, never on a guess.
-pub struct RedundantDropOrdering;
-
-impl Lint for RedundantDropOrdering {
-    fn id(&self) -> super::RuleId {
-        super::RuleId::RedundantDropOrdering
+pub(super) fn redundant_drop_ordering(
+    initial: &Schema,
+    ops: &[RecordedOp],
+    out: &mut Vec<Diagnostic>,
+) {
+    let drops: Vec<usize> = ops
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| matches!(op, RecordedOp::DropEssentialSupertype { .. }))
+        .map(|(i, _)| i)
+        .collect();
+    if drops.len() < 2 {
+        return;
     }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let drops: Vec<usize> = ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, RecordedOp::DropEssentialSupertype { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if drops.len() < 2 {
-            return;
-        }
-        let analysis = analysis::analyze_trace(initial, ops);
-        // Every pair *involving* a drop must commute: a drop pinned in
-        // place by a conflicting neighbour is not freely reorderable even
-        // if the drops commute among themselves.
-        let all_commute = analysis
-            .pairs
-            .iter()
-            .all(|p| !(drops.contains(&p.a) || drops.contains(&p.b)) || p.verdict.commutes());
-        if !all_commute {
-            return;
-        }
-        let (&first, &last) = (drops.first().unwrap(), drops.last().unwrap());
-        out.push(Diagnostic {
-            rule: self.id(),
-            severity: Severity::Info,
-            location: Location::OpRange(first, last),
-            types: Vec::new(),
-            props: Vec::new(),
-            reference: super::Reference::Claim(
-                "§5: essential-supertype drops are order-independent under the axioms",
-            ),
-            message: format!(
-                "all {} edge drops in this trace are pairwise certified commuting — any \
-                 ordering constraint between them is redundant (one certificate covers all \
-                 {} interleavings of the drops)",
-                drops.len(),
-                {
-                    let mut f: u128 = 1;
-                    for k in 2..=(drops.len() as u128) {
-                        f = f.saturating_mul(k);
-                    }
-                    f
+    let analysis = analysis::analyze_trace(initial, ops);
+    // Every pair *involving* a drop must commute: a drop pinned in
+    // place by a conflicting neighbour is not freely reorderable even
+    // if the drops commute among themselves.
+    let all_commute = analysis
+        .pairs
+        .iter()
+        .all(|p| !(drops.contains(&p.a) || drops.contains(&p.b)) || p.verdict.commutes());
+    if !all_commute {
+        return;
+    }
+    let (&first, &last) = (drops.first().unwrap(), drops.last().unwrap());
+    out.push(Diagnostic {
+        rule: RuleId::RedundantDropOrdering,
+        severity: Severity::Info,
+        location: Location::OpRange(first, last),
+        types: Vec::new(),
+        props: Vec::new(),
+        reference: Reference::Claim(
+            "§5: essential-supertype drops are order-independent under the axioms",
+        ),
+        message: format!(
+            "all {} edge drops in this trace are pairwise certified commuting — any \
+             ordering constraint between them is redundant (one certificate covers all \
+             {} interleavings of the drops)",
+            drops.len(),
+            {
+                let mut f: u128 = 1;
+                for k in 2..=(drops.len() as u128) {
+                    f = f.saturating_mul(k);
                 }
-            ),
-            fix: None,
-        });
-    }
+                f
+            }
+        ),
+        fix: None,
+    });
 }
 
 /// L10 — a destructive schema change with no preceding guard.
 ///
-/// Runs the instance-impact analyzer ([`analysis::impact::analyze`]) and
-/// fires once per op classified **destructive**: a slot or a whole extent
-/// is lost, and a plain op trace offers no snapshot/branch point that
-/// would keep the lost data reachable. The fix is procedural (traces
+/// Reads the trace's instance-impact analysis and fires once per op
+/// classified **destructive**: a slot or a whole extent is lost, and a
+/// plain op trace offers no snapshot/branch point that would keep the
+/// lost data reachable. The fix is procedural (traces
 /// cannot encode guards): split the trace before the destructive op and
 /// take a journal snapshot/branch there, then run the destructive suffix
 /// against the guarded copy.
-pub struct DestructiveOpUnguarded;
-
-impl Lint for DestructiveOpUnguarded {
-    fn id(&self) -> super::RuleId {
-        super::RuleId::DestructiveOpUnguarded
-    }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let ia = analysis::impact::analyze(initial, ops);
-        for (i, op) in ia.certificate.ops.iter().enumerate() {
-            if op.level != analysis::ImpactLevel::Destructive {
-                continue;
-            }
-            let types: Vec<crate::ids::TypeId> = op
-                .affected
-                .iter()
-                .map(crate::ids::TypeId::from_index)
-                .collect();
-            let names: Vec<String> = op
-                .affected
-                .iter()
-                .map(|t| ia.certificate.labels.type_label(t))
-                .collect();
-            let extent = op.deltas.iter().any(|d| d.extent_lost);
-            out.push(Diagnostic {
-                rule: self.id(),
-                severity: Severity::Warning,
-                location: Location::Op(i),
-                types,
-                props: Vec::new(),
-                reference: super::Reference::Claim(
-                    "§3.3: the objects managed by a dropped type (and the values stored \
-                     under a dropped property) are dropped with it",
-                ),
-                message: format!(
-                    "op {} ({}) is destructive for {{{}}} — {} is lost and no snapshot or \
-                     branch point precedes it in the trace",
-                    i + 1,
-                    ia.certificate.kinds[i],
-                    names.join(", "),
-                    if extent {
-                        "a whole extent"
-                    } else {
-                        "stored slot data"
-                    }
-                ),
-                fix: Some(super::FixIt {
-                    title: format!(
-                        "split the trace before op {} and take a journal snapshot/branch \
-                         there, so the destructive suffix runs against a guarded copy",
-                        i + 1
-                    ),
-                    edits: Vec::new(),
-                }),
-            });
+pub(super) fn destructive_op_unguarded(ia: &ImpactAnalysis, out: &mut Vec<Diagnostic>) {
+    for (i, op) in ia.certificate.ops.iter().enumerate() {
+        if op.level != ImpactLevel::Destructive {
+            continue;
         }
+        let types: Vec<crate::ids::TypeId> = op
+            .affected
+            .iter()
+            .map(crate::ids::TypeId::from_index)
+            .collect();
+        let names: Vec<String> = op
+            .affected
+            .iter()
+            .map(|t| ia.certificate.labels.type_label(t))
+            .collect();
+        let extent = op.deltas.iter().any(|d| d.extent_lost);
+        out.push(Diagnostic {
+            rule: RuleId::DestructiveOpUnguarded,
+            severity: Severity::Warning,
+            location: Location::Op(i),
+            types,
+            props: Vec::new(),
+            reference: Reference::Claim(
+                "§3.3: the objects managed by a dropped type (and the values stored \
+                 under a dropped property) are dropped with it",
+            ),
+            message: format!(
+                "op {} ({}) is destructive for {{{}}} — {} is lost and no snapshot or \
+                 branch point precedes it in the trace",
+                i + 1,
+                ia.certificate.kinds[i],
+                names.join(", "),
+                if extent {
+                    "a whole extent"
+                } else {
+                    "stored slot data"
+                }
+            ),
+            fix: Some(FixIt {
+                title: format!(
+                    "split the trace before op {} and take a journal snapshot/branch \
+                     there, so the destructive suffix runs against a guarded copy",
+                    i + 1
+                ),
+                edits: Vec::new(),
+            }),
+        });
     }
 }
 
@@ -207,64 +187,53 @@ impl Lint for DestructiveOpUnguarded {
 /// instances once, from the pre-trace representation against the final
 /// schema — downgrades the change to refining/extending and makes a
 /// value-carrying conversion function admissible.
-pub struct ConvertibleAsExtending;
-
-impl Lint for ConvertibleAsExtending {
-    fn id(&self) -> super::RuleId {
-        super::RuleId::ConvertibleAsExtending
-    }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let ia = analysis::impact::analyze(initial, ops);
-        for o in &ia.certificate.obligations {
-            if o.trace_level != analysis::ImpactLevel::Destructive
-                || o.level >= analysis::ImpactLevel::Destructive
-            {
-                continue;
-            }
-            let ty = crate::ids::TypeId::from_index(o.type_index);
-            let name = ia.certificate.labels.type_label(o.type_index);
-            let rekeys: Vec<String> = o
+pub(super) fn convertible_as_extending(ia: &ImpactAnalysis, out: &mut Vec<Diagnostic>) {
+    for o in &ia.certificate.obligations {
+        if o.trace_level != ImpactLevel::Destructive || o.level >= ImpactLevel::Destructive {
+            continue;
+        }
+        let ty = crate::ids::TypeId::from_index(o.type_index);
+        let name = ia.certificate.labels.type_label(o.type_index);
+        let rekeys: Vec<String> = o
+            .rekeyed
+            .iter()
+            .map(|&(p, q)| format!("{}#{p}→#{q}", ia.certificate.labels.prop_label(q)))
+            .collect();
+        out.push(Diagnostic {
+            rule: RuleId::ConvertibleAsExtending,
+            severity: Severity::Info,
+            location: Location::Op(o.first_op),
+            types: vec![ty],
+            props: o
                 .rekeyed
                 .iter()
-                .map(|&(p, q)| format!("{}#{p}→#{q}", ia.certificate.labels.prop_label(q)))
-                .collect();
-            out.push(Diagnostic {
-                rule: self.id(),
-                severity: Severity::Info,
-                location: Location::Op(o.first_op),
-                types: vec![ty],
-                props: o
-                    .rekeyed
-                    .iter()
-                    .map(|&(p, _)| crate::ids::PropId::from_index(p))
-                    .collect(),
-                reference: super::Reference::Claim(
-                    "§5: behaviour-preserving rewrites — the net schema change, not the \
-                     op sequencing, determines what a conversion must destroy",
+                .map(|&(p, _)| crate::ids::PropId::from_index(p))
+                .collect(),
+            reference: Reference::Claim(
+                "§5: behaviour-preserving rewrites — the net schema change, not the \
+                 op sequencing, determines what a conversion must destroy",
+            ),
+            message: format!(
+                "type {name} is sequentially destructive (first at op {}) but its net \
+                 change is {} — a trace rewrite{} downgrades the loss to a convertible \
+                 change",
+                o.first_op + 1,
+                o.level.tag(),
+                if rekeys.is_empty() {
+                    String::new()
+                } else {
+                    format!(" (re-key {})", rekeys.join(", "))
+                }
+            ),
+            fix: Some(FixIt {
+                title: format!(
+                    "reuse the original property instead of dropping and re-adding a \
+                     same-named replacement, or convert {name} once from the pre-trace \
+                     representation against the final schema"
                 ),
-                message: format!(
-                    "type {name} is sequentially destructive (first at op {}) but its net \
-                     change is {} — a trace rewrite{} downgrades the loss to a convertible \
-                     change",
-                    o.first_op + 1,
-                    o.level.tag(),
-                    if rekeys.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" (re-key {})", rekeys.join(", "))
-                    }
-                ),
-                fix: Some(super::FixIt {
-                    title: format!(
-                        "reuse the original property instead of dropping and re-adding a \
-                         same-named replacement, or convert {name} once from the pre-trace \
-                         representation against the final schema"
-                    ),
-                    edits: Vec::new(),
-                }),
-            });
-        }
+                edits: Vec::new(),
+            }),
+        });
     }
 }
 
@@ -272,12 +241,20 @@ impl Lint for ConvertibleAsExtending {
 mod tests {
     use super::*;
     use crate::config::LatticeConfig;
-    use crate::lint::Reference;
+    use crate::lint::lint_trace;
 
     fn base() -> Schema {
         let mut s = Schema::new(LatticeConfig::default());
         s.add_root_type("obj").unwrap();
         s
+    }
+
+    /// The findings of one rule, through the driver (L10 and L11 read the
+    /// impact analysis `lint_trace` computes).
+    fn findings(rule: RuleId, s: &Schema, ops: &[RecordedOp]) -> Vec<Diagnostic> {
+        let mut out = lint_trace(s, ops);
+        out.retain(|d| d.rule == rule);
+        out
     }
 
     #[test]
@@ -290,7 +267,7 @@ mod tests {
             RecordedOp::DropEssentialProperty { t: a, p },
         ];
         let mut out = Vec::new();
-        DeadOp.check_trace(&s, &ops, &mut out);
+        dead_op(&s, &ops, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].severity, Severity::Warning);
         assert!(matches!(
@@ -307,7 +284,7 @@ mod tests {
         let p = s.add_property("x");
         let ops = vec![RecordedOp::AddEssentialProperty { t: a, p }];
         let mut out = Vec::new();
-        DeadOp.check_trace(&s, &ops, &mut out);
+        dead_op(&s, &ops, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -323,7 +300,7 @@ mod tests {
             RecordedOp::DropEssentialSupertype { t: c2, s: p2 },
         ];
         let mut out = Vec::new();
-        RedundantDropOrdering.check_trace(&s, &certified, &mut out);
+        redundant_drop_ordering(&s, &certified, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].severity, Severity::Info);
 
@@ -334,7 +311,7 @@ mod tests {
             RecordedOp::DropEssentialSupertype { t: c1, s: p1 },
         ];
         out.clear();
-        RedundantDropOrdering.check_trace(&s, &uncertified, &mut out);
+        redundant_drop_ordering(&s, &uncertified, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -347,8 +324,7 @@ mod tests {
             RecordedOp::FreezeType { t: a },
             RecordedOp::DropProperty { p },
         ];
-        let mut out = Vec::new();
-        DestructiveOpUnguarded.check_trace(&s, &ops, &mut out);
+        let out = findings(RuleId::DestructiveOpUnguarded, &s, &ops);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].severity, Severity::Warning);
         assert_eq!(out[0].location, Location::Op(1));
@@ -371,8 +347,7 @@ mod tests {
                 name: "b".into(),
             },
         ];
-        let mut out = Vec::new();
-        DestructiveOpUnguarded.check_trace(&s, &ops, &mut out);
+        let out = findings(RuleId::DestructiveOpUnguarded, &s, &ops);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -387,8 +362,7 @@ mod tests {
             RecordedOp::AddProperty { name: "x".into() },
             RecordedOp::AddEssentialProperty { t: a, p: minted },
         ];
-        let mut out = Vec::new();
-        ConvertibleAsExtending.check_trace(&s, &ops, &mut out);
+        let out = findings(RuleId::ConvertibleAsExtending, &s, &ops);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].severity, Severity::Info);
         assert_eq!(out[0].location, Location::Op(0));
@@ -398,8 +372,7 @@ mod tests {
 
         // A plain destructive drop nets out destructive too → L11 silent.
         let plain = vec![RecordedOp::DropProperty { p }];
-        out.clear();
-        ConvertibleAsExtending.check_trace(&s, &plain, &mut out);
+        let out = findings(RuleId::ConvertibleAsExtending, &s, &plain);
         assert!(out.is_empty(), "{out:?}");
     }
 }

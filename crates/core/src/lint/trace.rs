@@ -1,4 +1,4 @@
-//! The built-in trace rules L5–L6.
+//! The replaying trace rules L5–L6.
 //!
 //! These rules analyse a replayable operation log ([`RecordedOp`]) rather
 //! than a single schema state. Replay is deterministic (identities are
@@ -7,7 +7,8 @@
 
 use std::collections::HashMap;
 
-use super::{Diagnostic, Lint, Location, Reference, RuleId, Severity};
+use super::rules::{pn, tn};
+use super::{Diagnostic, Location, Reference, RuleId, Severity};
 use crate::error::SchemaError;
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
@@ -36,7 +37,56 @@ use crate::model::Schema;
 /// correct under the axiomatic model but order-sensitive on an Orion-style
 /// system. (The simulation mirrors `axiombase-orion`'s `reduced_op4` and is
 /// cross-validated against it in that crate's tests.)
-pub struct OrderDependenceHazard;
+pub(super) fn order_dependence_hazard(
+    initial: &Schema,
+    ops: &[RecordedOp],
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut schema = initial.clone();
+    for (i, op) in ops.iter().enumerate() {
+        if let (
+            RecordedOp::DropEssentialSupertype { t: t1, s: s1 },
+            Some(RecordedOp::DropEssentialSupertype { t: t2, s: s2 }),
+        ) = (op, ops.get(i + 1))
+        {
+            let ab = orion_sim(&schema, &[(*t1, *s1), (*t2, *s2)]);
+            let ba = orion_sim(&schema, &[(*t2, *s2), (*t1, *s1)]);
+            if let (Some(fa), Some(fb)) = (ab, ba) {
+                if fa != fb {
+                    let mut types = vec![*t1, *s1, *t2, *s2];
+                    types.dedup();
+                    out.push(Diagnostic {
+                        rule: RuleId::OrderDependenceHazard,
+                        severity: Severity::Warning,
+                        location: Location::OpRange(i, i + 1),
+                        types,
+                        props: vec![],
+                        reference: Reference::Claim(
+                            "§5 (drop sequences are order-independent under the \
+                             axioms but order-dependent under Orion's OP4 relink)",
+                        ),
+                        message: format!(
+                            "ops {}-{} (drop {} from P_e({}); drop {} from P_e({})) \
+                             give different schemas under Orion OP4 semantics \
+                             depending on their order; the axiomatic result is \
+                             order-independent",
+                            i + 1,
+                            i + 2,
+                            tn(&schema, *s1),
+                            tn(&schema, *t1),
+                            tn(&schema, *s2),
+                            tn(&schema, *t2),
+                        ),
+                        fix: None,
+                    });
+                }
+            }
+        }
+        if op.apply(&mut schema).is_err() {
+            return; // Not a valid evolution path; nothing more to say.
+        }
+    }
+}
 
 /// Apply one Orion OP4 drop to `schema`. Returns `false` (leaving the
 /// schema in an unspecified but unused state) when the op is inapplicable —
@@ -80,99 +130,6 @@ fn orion_sim(base: &Schema, drops: &[(TypeId, TypeId)]) -> Option<u64> {
     Some(schema.fingerprint())
 }
 
-impl Lint for OrderDependenceHazard {
-    fn id(&self) -> RuleId {
-        RuleId::OrderDependenceHazard
-    }
-
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let mut schema = initial.clone();
-        for (i, op) in ops.iter().enumerate() {
-            if let (
-                RecordedOp::DropEssentialSupertype { t: t1, s: s1 },
-                Some(RecordedOp::DropEssentialSupertype { t: t2, s: s2 }),
-            ) = (op, ops.get(i + 1))
-            {
-                let ab = orion_sim(&schema, &[(*t1, *s1), (*t2, *s2)]);
-                let ba = orion_sim(&schema, &[(*t2, *s2), (*t1, *s1)]);
-                if let (Some(fa), Some(fb)) = (ab, ba) {
-                    if fa != fb {
-                        let mut types = vec![*t1, *s1, *t2, *s2];
-                        types.dedup();
-                        out.push(Diagnostic {
-                            rule: self.id(),
-                            severity: Severity::Warning,
-                            location: Location::OpRange(i, i + 1),
-                            types,
-                            props: vec![],
-                            reference: Reference::Claim(
-                                "§5 (drop sequences are order-independent under the \
-                                 axioms but order-dependent under Orion's OP4 relink)",
-                            ),
-                            message: format!(
-                                "ops {}-{} (drop {} from P_e({}); drop {} from P_e({})) \
-                                 give different schemas under Orion OP4 semantics \
-                                 depending on their order; the axiomatic result is \
-                                 order-independent",
-                                i + 1,
-                                i + 2,
-                                name_of(&schema, *s1),
-                                name_of(&schema, *t1),
-                                name_of(&schema, *s2),
-                                name_of(&schema, *t2),
-                            ),
-                            fix: None,
-                        });
-                    }
-                }
-            }
-            if op.apply(&mut schema).is_err() {
-                return; // Not a valid evolution path; nothing more to say.
-            }
-        }
-    }
-}
-
-fn name_of(schema: &Schema, t: TypeId) -> String {
-    schema
-        .type_name(t)
-        .map_or_else(|_| format!("{t}"), str::to_owned)
-}
-
-/// L6 — churn: operations with no structural effect, and add-then-drop
-/// pairs with no intervening use.
-///
-/// All evolution is an edit of `P_e`/`N_e` (§2); an operation that leaves
-/// the inputs and every derived term of Table 1 unchanged — a rename to the
-/// same name, freezing a frozen type, dropping a property no `N_e` ever
-/// referenced — is pure log noise. So is creating a type or property and
-/// dropping it again without any operation in between ever using it.
-/// (`AddProperty` alone is *not* flagged: "behaviors don't become part of
-/// the schema until after they are added as essential behaviors of some
-/// type" — staging a property before wiring it up is the intended §2
-/// workflow.) Informational severity: histories are append-only, so there
-/// is nothing to fix in place, but generators and migration scripts that
-/// produce churn are worth tightening.
-pub struct ChurnNoOp;
-
-impl ChurnNoOp {
-    fn diag(&self, location: Location, message: String) -> Diagnostic {
-        Diagnostic {
-            rule: self.id(),
-            severity: Severity::Info,
-            location,
-            types: vec![],
-            props: vec![],
-            reference: Reference::Claim(
-                "§2 (all evolution is edits of P_e/N_e; an operation changing \
-                 neither is churn)",
-            ),
-            message,
-            fix: None,
-        }
-    }
-}
-
 /// Does `op` reference type `t` (other than by creating/dropping it)?
 fn uses_type(op: &RecordedOp, t: TypeId) -> bool {
     match op {
@@ -197,130 +154,149 @@ fn uses_prop(op: &RecordedOp, p: PropId) -> bool {
     }
 }
 
-impl Lint for ChurnNoOp {
-    fn id(&self) -> RuleId {
-        RuleId::ChurnNoOp
-    }
+/// L6 — churn: operations with no structural effect, and add-then-drop
+/// pairs with no intervening use.
+///
+/// All evolution is an edit of `P_e`/`N_e` (§2); an operation that leaves
+/// the inputs and every derived term of Table 1 unchanged — a rename to the
+/// same name, freezing a frozen type, dropping a property no `N_e` ever
+/// referenced — is pure log noise. So is creating a type or property and
+/// dropping it again without any operation in between ever using it.
+/// (`AddProperty` alone is *not* flagged: "behaviors don't become part of
+/// the schema until after they are added as essential behaviors of some
+/// type" — staging a property before wiring it up is the intended §2
+/// workflow.) Informational severity: histories are append-only, so there
+/// is nothing to fix in place, but generators and migration scripts that
+/// produce churn are worth tightening.
+pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
+    let mut schema = initial.clone();
+    // Where each in-trace type/property was created, for pair detection.
+    let mut created_types: HashMap<TypeId, usize> = HashMap::new();
+    let mut created_props: HashMap<PropId, usize> = HashMap::new();
 
-    fn check_trace(&self, initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-        let mut schema = initial.clone();
-        // Where each in-trace type/property was created, for pair detection.
-        let mut created_types: HashMap<TypeId, usize> = HashMap::new();
-        let mut created_props: HashMap<PropId, usize> = HashMap::new();
-
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                // Staging a property is the intended workflow — never churn
-                // on its own. Capture the id for pair detection.
-                RecordedOp::AddProperty { name } => {
-                    let p = schema.add_property(name.clone());
-                    created_props.insert(p, i);
-                    continue;
-                }
-                RecordedOp::AddType {
-                    name,
-                    supers,
-                    props,
-                } => {
-                    match schema.add_type(
-                        name.clone(),
-                        supers.iter().copied(),
-                        props.iter().copied(),
-                    ) {
-                        Ok(t) => {
-                            created_types.insert(t, i);
-                        }
-                        Err(_) => return,
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            // Staging a property is the intended workflow — never churn
+            // on its own. Capture the id for pair detection.
+            RecordedOp::AddProperty { name } => {
+                let p = schema.add_property(name.clone());
+                created_props.insert(p, i);
+                continue;
+            }
+            RecordedOp::AddType {
+                name,
+                supers,
+                props,
+            } => {
+                match schema.add_type(name.clone(), supers.iter().copied(), props.iter().copied()) {
+                    Ok(t) => {
+                        created_types.insert(t, i);
                     }
-                    continue;
+                    Err(_) => return,
                 }
-                // Fingerprints ignore labels and freeze flags; compare the
-                // before-state directly.
-                RecordedOp::RenameType { t, name }
-                    if schema.type_name(*t).ok() == Some(name.as_str()) =>
-                {
-                    out.push(self.diag(
-                        Location::Op(i),
-                        format!("op {}: renames type {name} to its current name", i + 1),
-                    ));
-                }
-                RecordedOp::RenameProperty { p, name }
-                    if schema.prop_name(*p).ok() == Some(name.as_str()) =>
-                {
-                    out.push(self.diag(
-                        Location::Op(i),
-                        format!("op {}: renames property {name} to its current name", i + 1),
-                    ));
-                }
-                RecordedOp::FreezeType { t } if schema.is_frozen(*t) => {
-                    out.push(self.diag(
-                        Location::Op(i),
-                        format!(
-                            "op {}: freezes {}, which is already frozen",
-                            i + 1,
-                            name_of(&schema, *t)
-                        ),
-                    ));
-                }
-                RecordedOp::DropType { t } => {
-                    if let Some(&j) = created_types.get(t) {
-                        if !ops[j + 1..i].iter().any(|o| uses_type(o, *t)) {
-                            out.push(self.diag(
-                                Location::OpRange(j, i),
-                                format!(
-                                    "type {} is added at op {} and dropped at op {} \
-                                     with no intervening use",
-                                    name_of(&schema, *t),
-                                    j + 1,
-                                    i + 1
-                                ),
-                            ));
-                        }
-                    }
-                }
-                RecordedOp::DropProperty { p } => {
-                    let name = schema
-                        .prop_name(*p)
-                        .map_or_else(|_| format!("{p}"), str::to_owned);
-                    if let Some(&j) = created_props.get(p) {
-                        if !ops[j + 1..i].iter().any(|o| uses_prop(o, *p)) {
-                            out.push(self.diag(
-                                Location::OpRange(j, i),
-                                format!(
-                                    "property `{name}` is added at op {} and dropped \
-                                     at op {} with no intervening use",
-                                    j + 1,
-                                    i + 1
-                                ),
-                            ));
-                            if op.apply(&mut schema).is_err() {
-                                return;
-                            }
-                            continue; // Don't double-report as a plain no-op.
-                        }
-                    }
-                    let before = schema.fingerprint();
-                    if op.apply(&mut schema).is_err() {
-                        return;
-                    }
-                    if schema.fingerprint() == before {
-                        out.push(self.diag(
-                            Location::Op(i),
+                continue;
+            }
+            // Fingerprints ignore labels and freeze flags; compare the
+            // before-state directly.
+            RecordedOp::RenameType { t, name }
+                if schema.type_name(*t).ok() == Some(name.as_str()) =>
+            {
+                out.push(churn(
+                    Location::Op(i),
+                    format!("op {}: renames type {name} to its current name", i + 1),
+                ));
+            }
+            RecordedOp::RenameProperty { p, name }
+                if schema.prop_name(*p).ok() == Some(name.as_str()) =>
+            {
+                out.push(churn(
+                    Location::Op(i),
+                    format!("op {}: renames property {name} to its current name", i + 1),
+                ));
+            }
+            RecordedOp::FreezeType { t } if schema.is_frozen(*t) => {
+                out.push(churn(
+                    Location::Op(i),
+                    format!(
+                        "op {}: freezes {}, which is already frozen",
+                        i + 1,
+                        tn(&schema, *t)
+                    ),
+                ));
+            }
+            RecordedOp::DropType { t } => {
+                if let Some(&j) = created_types.get(t) {
+                    if !ops[j + 1..i].iter().any(|o| uses_type(o, *t)) {
+                        out.push(churn(
+                            Location::OpRange(j, i),
                             format!(
-                                "op {}: drops property `{name}`, which no N_e \
-                                 references — the schema is unchanged",
+                                "type {} is added at op {} and dropped at op {} \
+                                 with no intervening use",
+                                tn(&schema, *t),
+                                j + 1,
                                 i + 1
                             ),
                         ));
                     }
-                    continue;
                 }
-                _ => {}
             }
-            if op.apply(&mut schema).is_err() {
-                return;
+            RecordedOp::DropProperty { p } => {
+                let name = pn(&schema, *p);
+                if let Some(&j) = created_props.get(p) {
+                    if !ops[j + 1..i].iter().any(|o| uses_prop(o, *p)) {
+                        out.push(churn(
+                            Location::OpRange(j, i),
+                            format!(
+                                "property `{name}` is added at op {} and dropped \
+                                 at op {} with no intervening use",
+                                j + 1,
+                                i + 1
+                            ),
+                        ));
+                        if op.apply(&mut schema).is_err() {
+                            return;
+                        }
+                        continue; // Don't double-report as a plain no-op.
+                    }
+                }
+                let before = schema.fingerprint();
+                if op.apply(&mut schema).is_err() {
+                    return;
+                }
+                if schema.fingerprint() == before {
+                    out.push(churn(
+                        Location::Op(i),
+                        format!(
+                            "op {}: drops property `{name}`, which no N_e \
+                             references — the schema is unchanged",
+                            i + 1
+                        ),
+                    ));
+                }
+                continue;
             }
+            _ => {}
         }
+        if op.apply(&mut schema).is_err() {
+            return;
+        }
+    }
+}
+
+/// One L6 finding.
+fn churn(location: Location, message: String) -> Diagnostic {
+    Diagnostic {
+        rule: RuleId::ChurnNoOp,
+        severity: Severity::Info,
+        location,
+        types: vec![],
+        props: vec![],
+        reference: Reference::Claim(
+            "§2 (all evolution is edits of P_e/N_e; an operation changing \
+             neither is churn)",
+        ),
+        message,
+        fix: None,
     }
 }
 

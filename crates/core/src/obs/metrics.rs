@@ -240,31 +240,6 @@ impl MetricsRegistry {
         self.add(names::PLAN_MAX_PARALLELISM, verdict.max_parallelism as u64);
     }
 
-    /// Fold an [`ImpactCertificate`](crate::analysis::ImpactCertificate)
-    /// into the `impact.*` counters: one analysis, its per-level op
-    /// counts, and its obligation totals. Purely structural — identical
-    /// traces produce identical snapshots.
-    pub fn fold_impact(&self, cert: &crate::analysis::ImpactCertificate) {
-        self.add(names::IMPACT_ANALYSES, 1);
-        self.add(names::IMPACT_OPS, cert.op_count as u64);
-        let [preserving, extending, refining, destructive] = cert.level_counts();
-        self.add(names::IMPACT_PRESERVING, preserving as u64);
-        self.add(names::IMPACT_EXTENDING, extending as u64);
-        self.add(names::IMPACT_REFINING, refining as u64);
-        self.add(names::IMPACT_DESTRUCTIVE, destructive as u64);
-        self.add(names::IMPACT_OBLIGATIONS, cert.obligations.len() as u64);
-        self.add(names::IMPACT_GUARDED, cert.guarded_obligations() as u64);
-    }
-
-    /// Count one certificate re-verification by `impact::check`;
-    /// `accepted` is whether the checker accepted it.
-    pub fn fold_impact_check(&self, accepted: bool) {
-        self.add(names::IMPACT_CHECKS, 1);
-        if !accepted {
-            self.add(names::IMPACT_CHECKS_FAILED, 1);
-        }
-    }
-
     /// A stable point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
@@ -426,41 +401,5 @@ mod tests {
         assert_eq!(r.get(names::ENGINE_SCOPED), 7);
         assert_eq!(r.get(names::ENGINE_NOOP), 1);
         assert_eq!(r.get(names::ENGINE_TYPES_DERIVED), 40);
-    }
-
-    #[test]
-    fn fold_impact_mirrors_certificate_structure() {
-        use crate::config::LatticeConfig;
-        use crate::history::RecordedOp;
-        use crate::model::Schema;
-
-        let mut s = Schema::new(LatticeConfig::default());
-        s.add_root_type("obj").unwrap();
-        let a = s.add_type("a", [], []).unwrap();
-        let p = s.define_property_on(a, "x").unwrap();
-        let q = s.add_property("y");
-        let ops = vec![
-            RecordedOp::AddEssentialProperty { t: a, p: q },
-            RecordedOp::DropProperty { p },
-        ];
-        let ia = crate::analysis::impact::analyze(&s, &ops);
-
-        let r = MetricsRegistry::new();
-        r.fold_impact(&ia.certificate);
-        assert_eq!(r.get(names::IMPACT_ANALYSES), 1);
-        assert_eq!(r.get(names::IMPACT_OPS), 2);
-        assert_eq!(r.get(names::IMPACT_EXTENDING), 1);
-        assert_eq!(r.get(names::IMPACT_DESTRUCTIVE), 1);
-        assert_eq!(r.get(names::IMPACT_OBLIGATIONS), 1);
-        assert_eq!(r.get(names::IMPACT_GUARDED), 1);
-
-        r.fold_impact_check(crate::analysis::impact::check(&s, &ops, &ia.certificate).is_ok());
-        assert_eq!(r.get(names::IMPACT_CHECKS), 1);
-        assert_eq!(r.get(names::IMPACT_CHECKS_FAILED), 0);
-        let mut bad = ia.certificate.clone();
-        bad.initial_fingerprint ^= 1;
-        r.fold_impact_check(crate::analysis::impact::check(&s, &ops, &bad).is_ok());
-        assert_eq!(r.get(names::IMPACT_CHECKS), 2);
-        assert_eq!(r.get(names::IMPACT_CHECKS_FAILED), 1);
     }
 }

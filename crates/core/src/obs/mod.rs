@@ -126,26 +126,6 @@ pub mod names {
     pub const MERGE_CROSS_PAIRS: &str = "merge.cross_pairs";
     /// Operations adopted from the other branch by certified merges.
     pub const MERGE_OPS_MERGED: &str = "merge.ops_merged";
-    /// Impact analyses run.
-    pub const IMPACT_ANALYSES: &str = "impact.analyses";
-    /// Ops classified by the impact analyzer.
-    pub const IMPACT_OPS: &str = "impact.ops_classified";
-    /// Ops classified preserving.
-    pub const IMPACT_PRESERVING: &str = "impact.ops_preserving";
-    /// Ops classified extending.
-    pub const IMPACT_EXTENDING: &str = "impact.ops_extending";
-    /// Ops classified refining.
-    pub const IMPACT_REFINING: &str = "impact.ops_refining";
-    /// Ops classified destructive.
-    pub const IMPACT_DESTRUCTIVE: &str = "impact.ops_destructive";
-    /// Conversion obligations derived.
-    pub const IMPACT_OBLIGATIONS: &str = "impact.obligations";
-    /// Obligations requiring a guard.
-    pub const IMPACT_GUARDED: &str = "impact.obligations_guarded";
-    /// Impact certificates re-verified.
-    pub const IMPACT_CHECKS: &str = "impact.checks";
-    /// Impact certificates refused by the checker.
-    pub const IMPACT_CHECKS_FAILED: &str = "impact.checks_failed";
 }
 
 /// The observer handle threaded through the evolution pipeline.

@@ -378,7 +378,8 @@ fn ids(it: impl Iterator<Item = usize>) -> String {
     v.join(",")
 }
 
-fn parse_ids(s: &str) -> Result<Vec<usize>, String> {
+/// Parse a comma-separated id list (the contents of `key[...]`).
+pub(crate) fn parse_ids(s: &str) -> Result<Vec<usize>, String> {
     if s.trim().is_empty() {
         return Ok(Vec::new());
     }
@@ -430,7 +431,7 @@ pub(crate) fn take_quoted(s: &str) -> Option<(String, &str)> {
 }
 
 /// Parse `key[...]`, returning the bracket contents and the remainder.
-fn take_bracketed<'a>(s: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
+pub(crate) fn take_bracketed<'a>(s: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
     let rest = s.strip_prefix(key)?.strip_prefix('[')?;
     let end = rest.find(']')?;
     Some((&rest[..end], &rest[end + 1..]))

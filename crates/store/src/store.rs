@@ -262,7 +262,8 @@ impl ObjectStore {
     /// Coerce an object's slots to its type's current interface: drop slots
     /// for removed properties, add `Null` slots for new ones, and mark the
     /// object conforming. Explicit conversion is always allowed, under any
-    /// policy (it is how filtered-out objects are repaired).
+    /// policy (it is how filtered-out objects are repaired). Converting a
+    /// stale record counts in [`PropagationStats::lazy_conversions`].
     pub fn convert(&mut self, schema: &Schema, oid: Oid) -> Result<()> {
         let rec = self
             .objects
@@ -271,6 +272,7 @@ impl ObjectStore {
         let iface = &schema.derived(rec.ty)?.iface;
         if conform(rec, iface, schema.version(), &mut self.stats) {
             list_conforming(&mut self.conforming, &self.extents, rec.ty, oid);
+            self.stats.lazy_conversions += 1;
         }
         Ok(())
     }
@@ -623,6 +625,7 @@ mod tests {
         );
         assert_eq!(store.stats().filtered_rejections, 1);
         store.convert(&s, o).unwrap();
+        assert_eq!(store.stats().total_conversions(), 1);
         assert_eq!(store.get(&s, o, salary).unwrap(), Value::Null);
     }
 
