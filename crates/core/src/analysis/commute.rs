@@ -490,34 +490,6 @@ fn swap_witness(n: usize, a: usize, b: usize, prefix: usize, note: String) -> Wi
     }
 }
 
-/// Does `op` reference type arena index `t` in any operand position?
-fn mentions_type(op: &RecordedOp, t: usize) -> bool {
-    match op {
-        RecordedOp::AddType { supers, .. } => supers.iter().any(|s| s.index() == t),
-        RecordedOp::DropType { t: x }
-        | RecordedOp::RenameType { t: x, .. }
-        | RecordedOp::FreezeType { t: x } => x.index() == t,
-        RecordedOp::AddEssentialSupertype { t: x, s }
-        | RecordedOp::DropEssentialSupertype { t: x, s } => x.index() == t || s.index() == t,
-        RecordedOp::AddEssentialProperty { t: x, .. }
-        | RecordedOp::DropEssentialProperty { t: x, .. } => x.index() == t,
-        _ => false,
-    }
-}
-
-/// Does `op` reference property arena index `p`?
-fn mentions_prop(op: &RecordedOp, p: usize) -> bool {
-    match op {
-        RecordedOp::RenameProperty { p: x, .. } | RecordedOp::DropProperty { p: x } => {
-            x.index() == p
-        }
-        RecordedOp::AddType { props, .. } => props.iter().any(|x| x.index() == p),
-        RecordedOp::AddEssentialProperty { p: x, .. }
-        | RecordedOp::DropEssentialProperty { p: x, .. } => x.index() == p,
-        _ => false,
-    }
-}
-
 fn group_pair_verdict(
     group: &Group,
     a: usize,
@@ -637,7 +609,7 @@ fn pair_verdict(
     // A later DT/PD over a type/property the earlier op references:
     // swapping makes the earlier op run against a dead slot and reject.
     if let RecordedOp::DropType { t } = &ops[b] {
-        if mentions_type(&ops[a], t.index())
+        if ops[a].mentions_type(*t)
             || (footprints[a].allocates
                 && footprints[a].writes.contains(&Cell::TypeLive(t.index())))
         {
@@ -657,7 +629,7 @@ fn pair_verdict(
         }
     }
     if let RecordedOp::DropProperty { p } = &ops[b] {
-        if mentions_prop(&ops[a], p.index())
+        if ops[a].mentions_prop(*p)
             || (footprints[a].allocates
                 && footprints[a].writes.contains(&Cell::PropLive(p.index())))
         {

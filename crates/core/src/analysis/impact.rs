@@ -85,22 +85,32 @@ impl ImpactLevel {
     }
 }
 
-/// The slot-level interface delta one op inflicts on one type.
+/// The slot-level interface delta one op inflicts on one type. A single
+/// op only grows rows or only shrinks them, so a delta either adds slots
+/// or loses them (or the whole extent); re-keys appear only in the net
+/// delta of a [`ConversionObligation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeImpact {
     /// Type arena index of the affected type.
     pub type_index: usize,
-    /// Verdict for this type at this op.
-    pub level: ImpactLevel,
     /// Properties newly entering the interface (arena indexes).
     pub added: Vec<usize>,
-    /// `(old, new)` pairs: a departing slot whose value a conversion
-    /// function can carry into a same-named replacement property.
-    pub rekeyed: Vec<(usize, usize)>,
-    /// Properties leaving the interface with no replacement.
+    /// Properties leaving the interface.
     pub lost: Vec<usize>,
     /// Did the type itself die here (whole extent lost)?
     pub extent_lost: bool,
+}
+
+impl TypeImpact {
+    /// Verdict for this type at this op: `Destructive` if anything is
+    /// lost, else `Extending`.
+    pub fn level(&self) -> ImpactLevel {
+        if self.extent_lost || !self.lost.is_empty() {
+            ImpactLevel::Destructive
+        } else {
+            ImpactLevel::Extending
+        }
+    }
 }
 
 /// Verdict for one trace position: the join over its per-type deltas.
@@ -595,18 +605,18 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         let mut affected = IdxSet::new();
         let mut deltas: Vec<TypeImpact> = Vec::new();
         let mut record = |delta: TypeImpact, pre_row: &dyn Fn() -> IdxSet| {
-            let t = delta.type_index;
+            let (t, level) = (delta.type_index, delta.level());
             affected.insert(t);
             fold.entry(t)
                 .and_modify(|f| {
-                    if delta.level > f.level {
-                        f.level = delta.level;
+                    if level > f.level {
+                        f.level = level;
                         f.first_op = i;
                     }
                     f.extent_lost |= delta.extent_lost;
                 })
                 .or_insert_with(|| Fold {
-                    level: delta.level,
+                    level,
                     first_op: i,
                     extent_lost: delta.extent_lost,
                     birth: pre_row(),
@@ -626,9 +636,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                     record(
                         TypeImpact {
                             type_index: t,
-                            level: ImpactLevel::Extending,
                             added: added.iter().collect(),
-                            rekeyed: Vec::new(),
                             lost: Vec::new(),
                             extent_lost: false,
                         },
@@ -655,9 +663,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                     record(
                         TypeImpact {
                             type_index: t,
-                            level: ImpactLevel::Destructive,
                             added: Vec::new(),
-                            rekeyed: Vec::new(),
                             lost,
                             extent_lost,
                         },
@@ -668,7 +674,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         }
         let level = deltas
             .iter()
-            .map(|d| d.level)
+            .map(TypeImpact::level)
             .max()
             .unwrap_or(ImpactLevel::Preserving);
         op_impacts.push(OpImpact {
@@ -1140,9 +1146,9 @@ mod tests {
         let types: Vec<usize> = deltas.iter().map(|d| d.type_index).collect();
         assert_eq!(types, vec![person.index(), student.index(), grad.index()]);
         for d in deltas {
-            assert_eq!(d.level, ImpactLevel::Destructive);
+            assert_eq!(d.level(), ImpactLevel::Destructive);
             assert_eq!(d.lost, vec![name.index()]);
-            assert!(d.added.is_empty() && d.rekeyed.is_empty() && !d.extent_lost);
+            assert!(d.added.is_empty() && !d.extent_lost);
         }
         check(&s, &ops, &ia.certificate).expect("accepted");
     }
@@ -1195,7 +1201,10 @@ mod tests {
                 (bottom.index(), vec![x.index()]),
             ]
         );
-        assert!(op.deltas.iter().all(|d| d.level == ImpactLevel::Extending));
+        assert!(op
+            .deltas
+            .iter()
+            .all(|d| d.level() == ImpactLevel::Extending));
         check(&s, &ops, &ia.certificate).expect("accepted");
     }
 

@@ -145,6 +145,35 @@ impl RecordedOp {
         }
     }
 
+    /// Does this op name type `t` in any operand position (dropping it
+    /// included)?
+    pub fn mentions_type(&self, t: TypeId) -> bool {
+        match self {
+            RecordedOp::AddType { supers, .. } => supers.contains(&t),
+            RecordedOp::DropType { t: x }
+            | RecordedOp::RenameType { t: x, .. }
+            | RecordedOp::FreezeType { t: x }
+            | RecordedOp::AddEssentialProperty { t: x, .. }
+            | RecordedOp::DropEssentialProperty { t: x, .. } => *x == t,
+            RecordedOp::AddEssentialSupertype { t: x, s }
+            | RecordedOp::DropEssentialSupertype { t: x, s } => *x == t || *s == t,
+            _ => false,
+        }
+    }
+
+    /// Does this op name property `p` in any operand position (dropping
+    /// it included)?
+    pub fn mentions_prop(&self, p: PropId) -> bool {
+        match self {
+            RecordedOp::AddType { props, .. } => props.contains(&p),
+            RecordedOp::RenameProperty { p: x, .. }
+            | RecordedOp::DropProperty { p: x }
+            | RecordedOp::AddEssentialProperty { p: x, .. }
+            | RecordedOp::DropEssentialProperty { p: x, .. } => *x == p,
+            _ => false,
+        }
+    }
+
     /// Stable snake_case name of this operation kind — the suffix of the
     /// per-kind `ops.*` metric counters (e.g. `ops.add_type`).
     pub fn kind_name(&self) -> &'static str {

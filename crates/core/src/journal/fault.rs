@@ -1,13 +1,14 @@
 //! Fault-schedule injection: a small DSL over [`JournalIo`] faults.
 //!
-//! [`FaultIo`](super::io::FaultIo) models a *dying* process: one injected
-//! failure, then every call errors — right for crash-point sweeps, wrong
-//! for exercising the self-healing paths, where the process survives its
-//! faults. [`ChaosIo`] generalizes it: a [`FaultPlan`] schedules any mix
-//! of
+//! [`ChaosIo`] wraps any [`JournalIo`] and injects a [`FaultPlan`], a
+//! schedule of any mix of
 //!
+//! - **crash** — a *dying* process: the Nth mutating call fails (tearing
+//!   the failing write first), then every call errors, reads included.
+//!   This is the crash-point sweep's model ([`ChaosIo::crash_at`]);
 //! - **fail-Nth** — the Nth mutating call fails once with a chosen
-//!   [`FaultKind`] (optionally tearing the failing write first);
+//!   [`FaultKind`] (optionally tearing the failing write first), and the
+//!   process survives it, as the self-healing paths assume;
 //! - **intermittent** — every `period`-th call fails, up to a budget;
 //! - **slow-IO** — the Nth mutating call stalls on the injected
 //!   [`Clock`] before proceeding;
@@ -19,10 +20,10 @@
 //!   producing typed `ENOSPC`-until-checkpoint-GC pressure.
 //!
 //! Plans are generated deterministically from a seed
-//! ([`FaultPlan::seeded`]), so the chaos sweep in
-//! `workload/tests/chaos_schedule.rs` is reproducible schedule-for-
-//! schedule, and [`FaultPlan::transient_only`] tells the sweep which
-//! schedules must end `Recovered`.
+//! ([`FaultPlan::seeded`], which never schedules a crash), so the chaos
+//! sweep in `workload/tests/chaos_schedule.rs` is reproducible
+//! schedule-for-schedule, and [`FaultPlan::transient_only`] tells the
+//! sweep which schedules must end `Recovered`.
 
 use std::io;
 use std::path::Path;
@@ -31,7 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use super::heal::Clock;
+use super::heal::{Clock, ManualClock};
 use super::io::JournalIo;
 
 /// What kind of I/O error an injected fault surfaces (see
@@ -66,9 +67,20 @@ impl FaultKind {
 }
 
 /// One scheduled fault. Mutating calls are numbered from 1 once the
-/// [`ChaosIo`] is armed; reads are never counted or failed.
+/// [`ChaosIo`] is armed; reads are never counted, and only a crash fails
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultSpec {
+    /// Kill the process at mutating call number `nth`: write at most
+    /// `torn_bytes` of the failing write/append, fail it `BrokenPipe`,
+    /// and from then on fail every call, reads and listings included,
+    /// without counting it.
+    Crash {
+        /// 1-based mutating-call number.
+        nth: u64,
+        /// Bytes of the failing write that still reach the file.
+        torn_bytes: usize,
+    },
     /// Fail mutating call number `nth` exactly once, tearing the failing
     /// write/append after `torn_bytes` bytes (0 = no partial effect).
     FailNth {
@@ -203,19 +215,22 @@ impl FaultPlan {
         FaultPlan { specs }
     }
 
-    /// True when no scheduled fault is [`FaultKind::Permanent`] — such a
-    /// schedule must never leave the journal permanently degraded.
+    /// True when no scheduled fault is [`FaultKind::Permanent`] or a
+    /// crash — such a schedule must never leave the journal permanently
+    /// degraded.
     pub fn transient_only(&self) -> bool {
         self.specs.iter().all(|s| {
             !matches!(
                 s,
-                FaultSpec::FailNth {
-                    kind: FaultKind::Permanent,
-                    ..
-                } | FaultSpec::Intermittent {
-                    kind: FaultKind::Permanent,
-                    ..
-                }
+                FaultSpec::Crash { .. }
+                    | FaultSpec::FailNth {
+                        kind: FaultKind::Permanent,
+                        ..
+                    }
+                    | FaultSpec::Intermittent {
+                        kind: FaultKind::Permanent,
+                        ..
+                    }
             )
         })
     }
@@ -237,11 +252,11 @@ struct ChaosState {
     fired: Vec<bool>,
 }
 
-/// Process-survivable fault injection driven by a [`FaultPlan`]. Unlike
-/// [`FaultIo`](super::io::FaultIo), an injected failure affects only the
-/// scheduled call — the next call proceeds normally, which is exactly the
-/// situation retry/backoff exists for. Counting starts at [`ChaosIo::arm`]
-/// so journal creation/recovery run clean and schedules address only the
+/// Fault injection driven by a [`FaultPlan`]. Short of a
+/// [`FaultSpec::Crash`], an injected failure affects only the scheduled
+/// call — the next call proceeds normally, which is exactly the situation
+/// retry/backoff exists for. Counting starts at [`ChaosIo::arm`] so
+/// journal creation/recovery run clean and schedules address only the
 /// steady-state run.
 #[derive(Debug)]
 pub struct ChaosIo {
@@ -249,6 +264,8 @@ pub struct ChaosIo {
     plan: FaultPlan,
     clock: Arc<dyn Clock>,
     armed: AtomicBool,
+    /// A crash fired: every later call fails.
+    dead: AtomicBool,
     mutations: AtomicU64,
     injected: AtomicU64,
     state: Mutex<ChaosState>,
@@ -272,6 +289,7 @@ impl ChaosIo {
             plan,
             clock,
             armed: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
             mutations: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             state: Mutex::new(ChaosState {
@@ -281,12 +299,40 @@ impl ChaosIo {
         }
     }
 
+    /// Armed from the first call, kill the process at mutating call `nth`
+    /// (0 = never: only count) after tearing the failing write at
+    /// `torn_bytes` — see [`FaultSpec::Crash`]. A crash never sleeps, so
+    /// the clock is never read.
+    pub fn crash_at(inner: Arc<dyn JournalIo>, nth: u64, torn_bytes: usize) -> Self {
+        let specs = vec![FaultSpec::Crash { nth, torn_bytes }];
+        let io = Self::new(inner, FaultPlan { specs }, Arc::new(ManualClock::new()));
+        io.arm();
+        io
+    }
+
     /// Start counting mutating calls and injecting faults.
     pub fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// Mutating calls observed since [`arm`](Self::arm).
+    /// Has a [`FaultSpec::Crash`] fired (the simulated process is dead)?
+    pub fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
+    /// Fail every call of a dead process.
+    fn alive(&self) -> io::Result<()> {
+        if self.is_dead() {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "injected fault: process dead",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Mutating calls observed since [`arm`](Self::arm) (none after a
+    /// crash).
     pub fn mutations(&self) -> u64 {
         self.mutations.load(Ordering::SeqCst)
     }
@@ -300,6 +346,9 @@ impl ChaosIo {
     /// torn_bytes))` means the call must fail after writing at most
     /// `torn_bytes` of its payload. Panics if a `PanicNth` matches.
     fn gate(&self) -> Option<(io::Error, usize)> {
+        if let Err(e) = self.alive() {
+            return Some((e, 0));
+        }
         if !self.armed.load(Ordering::SeqCst) {
             return None;
         }
@@ -307,6 +356,12 @@ impl ChaosIo {
         let mut st = self.state.lock();
         for (i, spec) in self.plan.specs.iter().enumerate() {
             match spec {
+                FaultSpec::Crash { nth, torn_bytes } if *nth == n => {
+                    self.dead.store(true, Ordering::SeqCst);
+                    self.injected.fetch_add(1, Ordering::SeqCst);
+                    let e = io::Error::new(io::ErrorKind::BrokenPipe, "injected fault");
+                    return Some((e, *torn_bytes));
+                }
                 FaultSpec::FailNth {
                     nth,
                     kind,
@@ -352,6 +407,7 @@ impl JournalIo for ChaosIo {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.alive()?;
         self.inner.read(path)
     }
 
@@ -413,14 +469,14 @@ impl JournalIo for ChaosIo {
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.alive()?;
         self.inner.list(dir)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::heal::ManualClock;
-    use super::super::io::MemIo;
+    use super::super::io::{atomic_write, CrashKeep, MemIo};
     use super::*;
     use std::path::PathBuf;
 
@@ -521,6 +577,57 @@ mod tests {
         assert_eq!(io.mutations(), 0);
         io.arm();
         assert!(io.write(&p("/c/b"), b"2").is_err());
+    }
+
+    #[test]
+    fn crash_fails_nth_mutation_then_stays_dead() {
+        let mem = Arc::new(MemIo::new());
+        let io = ChaosIo::crash_at(mem.clone(), 2, 0);
+        io.write(&p("/j/a"), b"1").unwrap();
+        assert!(io.write(&p("/j/b"), b"2").is_err());
+        assert!(io.is_dead());
+        assert!(io.write(&p("/j/c"), b"3").is_err());
+        assert!(io.read(&p("/j/a")).is_err(), "dead process cannot read");
+        // The underlying fs kept the first write, never saw the second.
+        assert_eq!(mem.read(&p("/j/a")).unwrap(), b"1");
+        assert!(mem.read(&p("/j/b")).is_err());
+        assert_eq!(io.mutations(), 2);
+    }
+
+    #[test]
+    fn crash_torn_write_leaves_partial_bytes() {
+        let mem = Arc::new(MemIo::new());
+        let io = ChaosIo::crash_at(mem.clone(), 1, 3);
+        assert!(io.append(&p("/j/w"), b"abcdef").is_err());
+        assert_eq!(mem.read(&p("/j/w")).unwrap(), b"abc");
+    }
+
+    #[test]
+    fn atomic_write_crash_never_mixes_old_and_new() {
+        // At every fault point, after a crash the file is either the old
+        // contents or the new contents — never a prefix or a mix.
+        for fail_at in 1..=8u64 {
+            for keep in [CrashKeep::Synced, CrashKeep::Torn, CrashKeep::All] {
+                let mem = MemIo::new();
+                mem.write(&p("/j/f"), b"old").unwrap();
+                mem.fsync(&p("/j/f")).unwrap();
+                mem.fsync_dir(&p("/j")).unwrap();
+                let io = ChaosIo::crash_at(Arc::new(mem.clone()), fail_at, 2);
+                let r = atomic_write(&io, &p("/j/f"), b"replacement");
+                if fail_at > 4 {
+                    assert!(r.is_ok(), "only 4 I/O calls in atomic_write");
+                    continue;
+                }
+                assert!(r.is_err());
+                mem.crash(keep);
+                let got = mem.read(&p("/j/f")).unwrap();
+                assert!(
+                    got == b"old" || got == b"replacement",
+                    "fail_at={fail_at} keep={keep:?}: got {:?}",
+                    String::from_utf8_lossy(&got)
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::JournalError;
+use crate::json_escape;
 use crate::obs::EvolveObs;
 
 // ---------------------------------------------------------------------
@@ -511,7 +512,7 @@ impl DurabilityReport {
         let c = &self.counters;
         let mut out = format!("{{\"state\":\"{}\"", self.state);
         match &self.last_error {
-            Some(e) => out.push_str(&format!(",\"last_error\":{e:?}")),
+            Some(e) => out.push_str(&format!(",\"last_error\":\"{}\"", json_escape(e))),
             None => out.push_str(",\"last_error\":null"),
         }
         match self.retry_after_ms {
@@ -915,5 +916,18 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"state\":\"degraded\""), "{json}");
         assert!(json.contains("\"degradations\":1"), "{json}");
+    }
+
+    #[test]
+    fn report_json_escapes_control_characters() {
+        let r = DurabilityReport {
+            state: DurabilityState::Degraded,
+            last_error: Some("type name `A\u{1}` already in use".into()),
+            retry_after_ms: None,
+            counters: DurabilityCounters::default(),
+        };
+        let json = r.to_json();
+        assert!(json.contains("`A\\u0001`"), "{json}");
+        assert!(!json.contains("\\u{"), "not JSON: {json}");
     }
 }

@@ -3,7 +3,7 @@
 //! Every byte the journal reads or writes goes through the [`JournalIo`]
 //! trait, so tests can interpose a fault-injecting implementation and crash
 //! the system at *every* I/O point — the crash-point sweep in
-//! `workload/tests/recovery_sweep.rs` does exactly that. Three
+//! `workload/tests/recovery_sweep.rs` does exactly that. Two
 //! implementations ship:
 //!
 //! - [`StdIo`] — the real filesystem (`std::fs`). This file is the **only**
@@ -13,9 +13,11 @@
 //!   appends past the last `fsync` and renames past the last directory
 //!   fsync do not survive [`MemIo::crash`], which is how the tests check
 //!   that the journal syncs at the right points rather than merely writes.
-//! - [`FaultIo`] — wraps any implementation and fails the Nth mutating
-//!   call (optionally tearing the failing write after `k` bytes), then
-//!   behaves as if the process were dead: every later call errors.
+//!
+//! Either can be wrapped: [`ObservedIo`] counts fsyncs, and
+//! [`ChaosIo`](super::fault::ChaosIo) injects faults, from a dying process
+//! ([`ChaosIo::crash_at`](super::fault::ChaosIo::crash_at)) to seeded
+//! schedules the process survives.
 //!
 //! The module also provides [`atomic_write`]: the write-`*.tmp` → fsync →
 //! rename → fsync-directory sequence used for checkpoints and for all
@@ -25,7 +27,6 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -383,172 +384,6 @@ impl JournalIo for MemIo {
 }
 
 // ---------------------------------------------------------------------
-// FaultIo
-// ---------------------------------------------------------------------
-
-/// Fault-injecting wrapper: fails the `fail_at`-th *mutating* call (1-based;
-/// 0 = never), optionally writing only the first `torn_bytes` of the failing
-/// write/append first, and from then on behaves like a dead process — every
-/// subsequent call fails. Reads are never counted: recovery runs on a fresh
-/// handle after the crash.
-#[derive(Debug)]
-pub struct FaultIo {
-    inner: Arc<dyn JournalIo>,
-    fail_at: u64,
-    torn_bytes: usize,
-    /// Error kind the injected (`fail_at`-th) failure carries. Later
-    /// calls always fail `BrokenPipe` (the process is dead).
-    kind: io::ErrorKind,
-    mutations: AtomicU64,
-    dead: AtomicBool,
-}
-
-impl FaultIo {
-    /// Wrap `inner`, failing the `fail_at`-th mutating call (0 = never).
-    pub fn new(inner: Arc<dyn JournalIo>, fail_at: u64, torn_bytes: usize) -> Self {
-        Self::with_kind(inner, fail_at, torn_bytes, io::ErrorKind::BrokenPipe)
-    }
-
-    /// Like [`FaultIo::new`], but the injected failure carries `kind`
-    /// (e.g. [`io::ErrorKind::StorageFull`] to simulate `ENOSPC`), so the
-    /// durability layer's classification can be exercised end-to-end.
-    pub fn with_kind(
-        inner: Arc<dyn JournalIo>,
-        fail_at: u64,
-        torn_bytes: usize,
-        kind: io::ErrorKind,
-    ) -> Self {
-        FaultIo {
-            inner,
-            fail_at,
-            torn_bytes,
-            kind,
-            mutations: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
-        }
-    }
-
-    /// The error for the injected fault itself.
-    fn injected(&self) -> io::Error {
-        io::Error::new(self.kind, "injected fault")
-    }
-
-    /// A counting-only wrapper that never fails — used to discover how many
-    /// fault points a scenario has before sweeping them.
-    pub fn counting(inner: Arc<dyn JournalIo>) -> Self {
-        Self::new(inner, 0, 0)
-    }
-
-    /// Number of mutating I/O calls observed so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations.load(Ordering::SeqCst)
-    }
-
-    /// Has the injected fault fired (the simulated process is dead)?
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    fn crashed() -> io::Error {
-        io::Error::new(io::ErrorKind::BrokenPipe, "injected fault: process dead")
-    }
-
-    /// Count a mutating call; `Ok(true)` means this call must fail (after
-    /// any torn partial effect the caller applies).
-    fn gate(&self) -> io::Result<bool> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(Self::crashed());
-        }
-        let n = self.mutations.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.fail_at != 0 && n == self.fail_at {
-            self.dead.store(true, Ordering::SeqCst);
-            return Ok(true);
-        }
-        Ok(false)
-    }
-}
-
-impl JournalIo for FaultIo {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.create_dir_all(dir)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(Self::crashed());
-        }
-        self.inner.read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        if self.gate()? {
-            let k = self.torn_bytes.min(data.len());
-            if k > 0 {
-                self.inner.write(path, &data[..k])?;
-            }
-            return Err(self.injected());
-        }
-        self.inner.write(path, data)
-    }
-
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        if self.gate()? {
-            let k = self.torn_bytes.min(data.len());
-            if k > 0 {
-                self.inner.append(path, &data[..k])?;
-            }
-            return Err(self.injected());
-        }
-        self.inner.append(path, data)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.truncate(path, len)
-    }
-
-    fn fsync(&self, path: &Path) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.fsync(path)
-    }
-
-    fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.fsync_dir(dir)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        if self.gate()? {
-            return Err(self.injected());
-        }
-        self.inner.remove(path)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(Self::crashed());
-        }
-        self.inner.list(dir)
-    }
-}
-
-// ---------------------------------------------------------------------
 // ObservedIo
 // ---------------------------------------------------------------------
 
@@ -666,57 +501,6 @@ mod tests {
         io.append(&p("/j/f"), b"abcd").unwrap();
         io.crash(CrashKeep::Torn);
         assert_eq!(io.read(&p("/j/f")).unwrap(), b"okab");
-    }
-
-    #[test]
-    fn fault_io_fails_nth_mutation_then_stays_dead() {
-        let mem = Arc::new(MemIo::new());
-        let io = FaultIo::new(mem.clone(), 2, 0);
-        io.write(&p("/j/a"), b"1").unwrap();
-        assert!(io.write(&p("/j/b"), b"2").is_err());
-        assert!(io.is_dead());
-        assert!(io.write(&p("/j/c"), b"3").is_err());
-        assert!(io.read(&p("/j/a")).is_err(), "dead process cannot read");
-        // The underlying fs kept the first write, never saw the second.
-        assert_eq!(mem.read(&p("/j/a")).unwrap(), b"1");
-        assert!(mem.read(&p("/j/b")).is_err());
-        assert_eq!(io.mutations(), 2);
-    }
-
-    #[test]
-    fn fault_io_torn_write_leaves_partial_bytes() {
-        let mem = Arc::new(MemIo::new());
-        let io = FaultIo::new(mem.clone(), 1, 3);
-        assert!(io.append(&p("/j/w"), b"abcdef").is_err());
-        assert_eq!(mem.read(&p("/j/w")).unwrap(), b"abc");
-    }
-
-    #[test]
-    fn atomic_write_crash_never_mixes_old_and_new() {
-        // At every fault point, after a crash the file is either the old
-        // contents or the new contents — never a prefix or a mix.
-        for fail_at in 1..=8u64 {
-            for keep in [CrashKeep::Synced, CrashKeep::Torn, CrashKeep::All] {
-                let mem = MemIo::new();
-                mem.write(&p("/j/f"), b"old").unwrap();
-                mem.fsync(&p("/j/f")).unwrap();
-                mem.fsync_dir(&p("/j")).unwrap();
-                let io = FaultIo::new(Arc::new(mem.clone()), fail_at, 2);
-                let r = atomic_write(&io, &p("/j/f"), b"replacement");
-                if fail_at > 4 {
-                    assert!(r.is_ok(), "only 4 I/O calls in atomic_write");
-                    continue;
-                }
-                assert!(r.is_err());
-                mem.crash(keep);
-                let got = mem.read(&p("/j/f")).unwrap();
-                assert!(
-                    got == b"old" || got == b"replacement",
-                    "fail_at={fail_at} keep={keep:?}: got {:?}",
-                    String::from_utf8_lossy(&got)
-                );
-            }
-        }
     }
 
     #[test]

@@ -97,6 +97,7 @@ use parking_lot::Mutex;
 use crate::concurrent::SharedSchema;
 use crate::error::SchemaError;
 use crate::history::RecordedOp;
+use crate::json_escape;
 use crate::model::Schema;
 use crate::obs::EvolveObs;
 
@@ -360,19 +361,18 @@ impl RecoveryReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push('{');
+        let file = json_escape(&self.checkpoint_file);
         out.push_str(&format!(
-            "\"checkpoint_file\":{:?},\"checkpoint_seq\":{},\"replayed\":{},\"seq\":{}",
-            self.checkpoint_file, self.checkpoint_seq, self.replayed, self.seq
+            "\"checkpoint_file\":\"{file}\",\"checkpoint_seq\":{},\"replayed\":{},\"seq\":{}",
+            self.checkpoint_seq, self.replayed, self.seq
         ));
         out.push_str(",\"skipped_checkpoints\":[");
         for (i, s) in self.skipped_checkpoints.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"file\":{:?},\"detail\":{:?}}}",
-                s.file, s.detail
-            ));
+            let (file, detail) = (json_escape(&s.file), json_escape(&s.detail));
+            out.push_str(&format!("{{\"file\":\"{file}\",\"detail\":\"{detail}\"}}"));
         }
         out.push(']');
         out.push_str(",\"quarantined\":[");
@@ -380,9 +380,11 @@ impl RecoveryReport {
             if i > 0 {
                 out.push(',');
             }
+            let (file, detail) = (json_escape(&q.file), json_escape(&q.detail));
+            let quarantined_as = json_escape(&q.quarantined_as);
             out.push_str(&format!(
-                "{{\"file\":{:?},\"quarantined_as\":{:?},\"bytes\":{},\"detail\":{:?}}}",
-                q.file, q.quarantined_as, q.bytes, q.detail
+                "{{\"file\":\"{file}\",\"quarantined_as\":\"{quarantined_as}\",\"bytes\":{},\"detail\":\"{detail}\"}}",
+                q.bytes
             ));
         }
         out.push(']');
@@ -419,6 +421,35 @@ fn set_aside(io: &Arc<dyn JournalIo>, dir: &Path, name: &str) -> Result<String, 
     io.rename(&dir.join(name), &dir.join(&quar))?;
     io.fsync_dir(dir)?;
     Ok(quar)
+}
+
+/// `io`, counting its fsyncs into `obs` when the journal is observed.
+fn observed_io(io: Arc<dyn JournalIo>, obs: &Option<Arc<EvolveObs>>) -> Arc<dyn JournalIo> {
+    match obs {
+        Some(o) => Arc::new(ObservedIo::new(io, Arc::clone(o))),
+        None => io,
+    }
+}
+
+/// Lay down a fresh WAL `dir/name`: the magic, fsynced, and its name made
+/// durable. Returns its length.
+fn new_wal(io: &dyn JournalIo, dir: &Path, name: &str) -> std::io::Result<u64> {
+    let path = dir.join(name);
+    io.write(&path, WAL_MAGIC)?;
+    io.fsync(&path)?;
+    io.fsync_dir(dir)?;
+    Ok(WAL_MAGIC.len() as u64)
+}
+
+/// Cut the segment at `path` back to `offset` bytes, durably. A cut at 0
+/// is a torn magic: the magic is rewritten.
+fn cut_wal(io: &dyn JournalIo, path: &Path, offset: usize) -> std::io::Result<()> {
+    if offset == 0 {
+        io.write(path, WAL_MAGIC)?;
+    } else {
+        io.truncate(path, offset as u64)?;
+    }
+    io.fsync(path)
 }
 
 /// Name of the fork-metadata record a branched journal carries.
@@ -543,32 +574,8 @@ impl Journal {
         Self::create_impl(dir, io, schema, 0, None)
     }
 
-    /// Initialise a new journal in `dir` whose first checkpoint carries
-    /// sequence `base_seq` instead of 0. This is how a *branch* is
-    /// seeded: the fork-point schema is checkpointed at the fork
-    /// sequence, so sequence numbers stay globally comparable across the
-    /// parent and all of its branches.
-    pub fn create_at(
-        dir: &Path,
-        io: Arc<dyn JournalIo>,
-        schema: &Schema,
-        base_seq: u64,
-    ) -> Result<Journal, JournalError> {
-        Self::create_impl(dir, io, schema, base_seq, None)
-    }
-
-    /// Like [`Journal::create`], but observed: `io` is wrapped so fsyncs
-    /// are counted, and every append/checkpoint/wedge reports to `obs`.
-    pub fn create_observed(
-        dir: &Path,
-        io: Arc<dyn JournalIo>,
-        schema: &Schema,
-        obs: Arc<EvolveObs>,
-    ) -> Result<Journal, JournalError> {
-        let io: Arc<dyn JournalIo> = Arc::new(ObservedIo::new(io, Arc::clone(&obs)));
-        Self::create_impl(dir, io, schema, 0, Some(obs))
-    }
-
+    /// [`Journal::create`] with the first checkpoint at `base_seq` (see
+    /// [`JournaledSchema::create_at`]), observed when `obs` is given.
     fn create_impl(
         dir: &Path,
         io: Arc<dyn JournalIo>,
@@ -576,6 +583,7 @@ impl Journal {
         base_seq: u64,
         obs: Option<Arc<EvolveObs>>,
     ) -> Result<Journal, JournalError> {
+        let io = observed_io(io, &obs);
         io.create_dir_all(dir)?;
         let existing = io.list(dir)?;
         if existing
@@ -593,7 +601,7 @@ impl Journal {
             wal_budget: None,
             obs,
         };
-        j.write_checkpoint(schema)?;
+        j.checkpoint(schema)?;
         Ok(j)
     }
 
@@ -621,7 +629,6 @@ impl Journal {
         mode: RecoveryMode,
         obs: Arc<EvolveObs>,
     ) -> Result<(Journal, Schema, RecoveryReport), JournalError> {
-        let io: Arc<dyn JournalIo> = Arc::new(ObservedIo::new(io, Arc::clone(&obs)));
         Self::open_impl(dir, io, mode, Some(obs))
     }
 
@@ -631,6 +638,7 @@ impl Journal {
         mode: RecoveryMode,
         obs: Option<Arc<EvolveObs>>,
     ) -> Result<(Journal, Schema, RecoveryReport), JournalError> {
+        let io = observed_io(io, &obs);
         let mut layout = Layout::read(&*io, dir)?;
         if mode == RecoveryMode::Strict {
             layout = layout.strict()?;
@@ -678,14 +686,7 @@ impl Journal {
                     }
                     _ => {}
                 }
-                // A finding at offset 0 is the magic itself: rewrite it.
-                let path = dir.join(&stop.file);
-                if stop.offset == 0 {
-                    io.write(&path, WAL_MAGIC)?;
-                } else {
-                    io.truncate(&path, stop.offset as u64)?;
-                }
-                io.fsync(&path)?;
+                cut_wal(&*io, &dir.join(&stop.file), stop.offset)?;
                 // A torn magic held no record: nothing was dropped.
                 if !matches!(stop.finding, Finding::TornMagic) {
                     dropped_tail = Some(stop.tail());
@@ -712,18 +713,12 @@ impl Journal {
         // returned, because overwriting the file would drop acknowledged
         // records.
         let active = wal_name(wal_base);
-        let wal_path = dir.join(&active);
         let known = wals.iter().position(|(_, name)| *name == active);
         let wal_len = match known.and_then(|i| kept.get(i)) {
             Some(&len) => len,
-            None => match io.read(&wal_path) {
+            None => match io.read(&dir.join(&active)) {
                 Ok(d) => d.len() as u64,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    io.write(&wal_path, WAL_MAGIC)?;
-                    io.fsync(&wal_path)?;
-                    io.fsync_dir(dir)?;
-                    WAL_MAGIC.len() as u64
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => new_wal(&*io, dir, &active)?,
                 Err(e) => return Err(e.into()),
             },
         };
@@ -741,7 +736,7 @@ impl Journal {
             // Re-checkpoint at the recovered sequence so every surviving
             // op is covered by the checkpoint and the journal continues
             // on a fresh segment past the quarantined ones.
-            journal.write_checkpoint(&schema)?;
+            journal.checkpoint(&schema)?;
         }
         let report = RecoveryReport {
             checkpoint_file: layout.checkpoint.file,
@@ -830,10 +825,7 @@ impl Journal {
                 // Any other read error is returned for the durability
                 // machine to classify: overwriting the file would drop
                 // acknowledged records.
-                self.io.write(&path, WAL_MAGIC)?;
-                self.io.fsync(&path)?;
-                self.io.fsync_dir(&self.dir)?;
-                self.wal_len = WAL_MAGIC.len() as u64;
+                self.wal_len = new_wal(&*self.io, &self.dir, &name)?;
                 return Ok(());
             }
             Err(e) => return Err(e.into()),
@@ -851,14 +843,8 @@ impl Journal {
         });
         match stop.as_ref().map(|s| &s.finding) {
             Some(Finding::ForeignMagic) => return Err(stop.expect("matched").error()),
-            Some(Finding::TornMagic) => {
-                self.io.write(&path, WAL_MAGIC)?;
-                self.io.fsync(&path)?;
-            }
-            _ if good_end < data.len() => {
-                self.io.truncate(&path, good_end as u64)?;
-                self.io.fsync(&path)?;
-            }
+            Some(Finding::TornMagic) => cut_wal(&*self.io, &path, 0)?,
+            _ if good_end < data.len() => cut_wal(&*self.io, &path, good_end)?,
             _ => {}
         }
         self.wal_len = good_end as u64;
@@ -872,15 +858,6 @@ impl Journal {
     /// On I/O failure the on-disk state is recoverable as-is (the old
     /// checkpoint chain stays authoritative); callers may simply retry.
     pub fn checkpoint(&mut self, schema: &Schema) -> Result<(), JournalError> {
-        self.write_checkpoint(schema)
-    }
-
-    /// The observer attached at construction, if any.
-    pub(crate) fn obs(&self) -> Option<&Arc<EvolveObs>> {
-        self.obs.as_ref()
-    }
-
-    fn write_checkpoint(&mut self, schema: &Schema) -> Result<(), JournalError> {
         let seq = self.seq;
         // Checksummed header + inputs-only snapshot.
         let data = render_header("checkpoint", seq, &schema.to_snapshot());
@@ -891,10 +868,7 @@ impl Journal {
         // 2. Fresh WAL for the new base. A crash before this is harmless:
         //    recovery skips old-WAL records with seq <= checkpoint seq and
         //    recreates the missing file.
-        let wal_path = self.dir.join(wal_name(seq));
-        self.io.write(&wal_path, WAL_MAGIC)?;
-        self.io.fsync(&wal_path)?;
-        self.io.fsync_dir(&self.dir)?;
+        let wal_len = new_wal(&*self.io, &self.dir, &wal_name(seq))?;
         // 3. Prune files the new checkpoint obsoletes. Only removed once
         //    the new checkpoint and WAL are durable (step 2's fsync_dir),
         //    so the recovery chain is never broken by a crash mid-prune.
@@ -908,11 +882,16 @@ impl Journal {
         }
         self.io.fsync_dir(&self.dir)?;
         self.wal_base = seq;
-        self.wal_len = WAL_MAGIC.len() as u64;
+        self.wal_len = wal_len;
         if let Some(o) = &self.obs {
             o.on_checkpoint(checkpoint_bytes);
         }
         Ok(())
+    }
+
+    /// The observer attached at construction, if any.
+    pub(crate) fn obs(&self) -> Option<&Arc<EvolveObs>> {
+        self.obs.as_ref()
     }
 }
 
@@ -933,6 +912,7 @@ impl Default for JournalOptions {
     }
 }
 
+#[derive(Debug)]
 struct JournalCell {
     journal: Journal,
     machine: heal::DurabilityMachine,
@@ -940,13 +920,13 @@ struct JournalCell {
 }
 
 impl JournalCell {
-    fn new(journal: Journal, obs: Option<Arc<EvolveObs>>, quarantined: u64) -> JournalCell {
+    fn new(journal: Journal, quarantined: u64) -> JournalCell {
         let mut machine = heal::DurabilityMachine::new(
             heal::RetryPolicy::default(),
             Arc::new(heal::SystemClock::new()),
         );
-        if let Some(o) = obs {
-            machine.attach_obs(o);
+        if let Some(o) = journal.obs() {
+            machine.attach_obs(Arc::clone(o));
         }
         if quarantined > 0 {
             machine.note_quarantine(quarantined);
@@ -957,15 +937,35 @@ impl JournalCell {
             since_checkpoint: 0,
         }
     }
-}
 
-impl std::fmt::Debug for JournalCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalCell")
-            .field("journal", &self.journal)
-            .field("machine", &self.machine)
-            .field("since_checkpoint", &self.since_checkpoint)
-            .finish()
+    /// Run `commit` as the single panic-isolation point: a panic inside
+    /// mutation, append, checkpoint or publish degrades the machine and
+    /// surfaces as a typed error — never a poisoned lock or a torn publish.
+    fn isolated<R>(
+        &mut self,
+        commit: impl FnOnce(&mut Journal, &mut heal::DurabilityMachine) -> Result<R, JournalError>,
+    ) -> Result<R, JournalError> {
+        let JournalCell {
+            journal, machine, ..
+        } = self;
+        heal::isolate(move || commit(journal, machine)).unwrap_or_else(|msg| {
+            self.machine.note_panic(&msg);
+            Err(JournalError::Panicked(msg))
+        })
+    }
+
+    /// Checkpoint `snap`, the state at the journal's sequence, under the
+    /// machine; success restarts the cadence.
+    fn checkpoint(
+        &mut self,
+        admission: heal::Admission,
+        snap: &Schema,
+    ) -> Result<(), JournalError> {
+        self.isolated(|journal, machine| {
+            heal::guarded_commit(machine, admission, &mut CheckpointOps { journal, snap })
+        })?;
+        self.since_checkpoint = 0;
+        Ok(())
     }
 }
 
@@ -1059,6 +1059,15 @@ pub struct JournaledSchema {
     opts: JournalOptions,
 }
 
+/// Where a [`JournaledSchema`] constructor gets its journal from.
+enum Origin {
+    /// A fresh journal whose first checkpoint holds the schema at a base
+    /// sequence.
+    Create(Box<Schema>, u64),
+    /// Recovery of an existing journal.
+    Open(RecoveryMode),
+}
+
 impl JournaledSchema {
     /// Initialise a fresh journal in `dir` with `schema` as its first
     /// checkpoint.
@@ -1068,17 +1077,14 @@ impl JournaledSchema {
         schema: Schema,
         opts: JournalOptions,
     ) -> Result<JournaledSchema, JournalError> {
-        let journal = Journal::create(dir, io, &schema)?;
-        Ok(JournaledSchema {
-            shared: SharedSchema::new(schema),
-            cell: Mutex::new(JournalCell::new(journal, None, 0)),
-            opts,
-        })
+        Ok(Self::build(dir, io, Origin::Create(schema.into(), 0), opts, None)?.0)
     }
 
     /// Initialise a fresh journal in `dir` whose first checkpoint carries
-    /// sequence `base_seq` instead of 0 — branch seeding (see
-    /// [`Journal::create_at`]).
+    /// sequence `base_seq` instead of 0. This is how a *branch* is
+    /// seeded: the fork-point schema is checkpointed at the fork
+    /// sequence, so sequence numbers stay globally comparable across the
+    /// parent and all of its branches.
     pub fn create_at(
         dir: &Path,
         io: Arc<dyn JournalIo>,
@@ -1086,12 +1092,7 @@ impl JournaledSchema {
         base_seq: u64,
         opts: JournalOptions,
     ) -> Result<JournaledSchema, JournalError> {
-        let journal = Journal::create_at(dir, io, &schema, base_seq)?;
-        Ok(JournaledSchema {
-            shared: SharedSchema::new(schema),
-            cell: Mutex::new(JournalCell::new(journal, None, 0)),
-            opts,
-        })
+        Ok(Self::build(dir, io, Origin::Create(schema.into(), base_seq), opts, None)?.0)
     }
 
     /// Like [`JournaledSchema::create`], but observed end-to-end: `obs` is
@@ -1102,17 +1103,11 @@ impl JournaledSchema {
     pub fn create_observed(
         dir: &Path,
         io: Arc<dyn JournalIo>,
-        mut schema: Schema,
+        schema: Schema,
         opts: JournalOptions,
         obs: Arc<EvolveObs>,
     ) -> Result<JournaledSchema, JournalError> {
-        schema.attach_obs(Arc::clone(&obs));
-        let journal = Journal::create_observed(dir, io, &schema, Arc::clone(&obs))?;
-        Ok(JournaledSchema {
-            shared: SharedSchema::new(schema),
-            cell: Mutex::new(JournalCell::new(journal, Some(obs), 0)),
-            opts,
-        })
+        Ok(Self::build(dir, io, Origin::Create(schema.into(), 0), opts, Some(obs))?.0)
     }
 
     /// Recover a journaled schema from `dir` (see [`Journal::open`]).
@@ -1122,19 +1117,8 @@ impl JournaledSchema {
         mode: RecoveryMode,
         opts: JournalOptions,
     ) -> Result<(JournaledSchema, RecoveryReport), JournalError> {
-        let (journal, schema, report) = Journal::open(dir, io, mode)?;
-        Ok((
-            JournaledSchema {
-                shared: SharedSchema::new(schema),
-                cell: Mutex::new(JournalCell::new(
-                    journal,
-                    None,
-                    report.quarantined.len() as u64,
-                )),
-                opts,
-            },
-            report,
-        ))
+        let (js, report) = Self::build(dir, io, Origin::Open(mode), opts, None)?;
+        Ok((js, report.expect("recovery reports")))
     }
 
     /// Like [`JournaledSchema::open`], but observed end-to-end (see
@@ -1147,21 +1131,42 @@ impl JournaledSchema {
         opts: JournalOptions,
         obs: Arc<EvolveObs>,
     ) -> Result<(JournaledSchema, RecoveryReport), JournalError> {
-        let (journal, schema, report) = Journal::open_observed(dir, io, mode, Arc::clone(&obs))?;
-        Ok((
-            JournaledSchema {
-                // `schema` already carries the observer (attached before
-                // replay), so the shared handle adopts it here.
-                shared: SharedSchema::new(schema),
-                cell: Mutex::new(JournalCell::new(
-                    journal,
-                    Some(obs),
-                    report.quarantined.len() as u64,
-                )),
-                opts,
-            },
-            report,
-        ))
+        let (js, report) = Self::build(dir, io, Origin::Open(mode), opts, Some(obs))?;
+        Ok((js, report.expect("recovery reports")))
+    }
+
+    /// The one construction body: the journal from `origin`, observed
+    /// when `obs` is given, coupled to a shared handle on its schema.
+    fn build(
+        dir: &Path,
+        io: Arc<dyn JournalIo>,
+        origin: Origin,
+        opts: JournalOptions,
+        obs: Option<Arc<EvolveObs>>,
+    ) -> Result<(JournaledSchema, Option<RecoveryReport>), JournalError> {
+        let (journal, schema, report) = match origin {
+            Origin::Create(schema, base_seq) => {
+                let mut schema = *schema;
+                if let Some(o) = &obs {
+                    schema.attach_obs(Arc::clone(o));
+                }
+                let journal = Journal::create_impl(dir, io, &schema, base_seq, obs)?;
+                (journal, schema, None)
+            }
+            Origin::Open(mode) => {
+                let (journal, schema, report) = Journal::open_impl(dir, io, mode, obs)?;
+                (journal, schema, Some(report))
+            }
+        };
+        let quarantined = report.as_ref().map_or(0, |r| r.quarantined.len() as u64);
+        let js = JournaledSchema {
+            // An observed schema already carries the observer (attached
+            // before replay), so the shared handle adopts it here.
+            shared: SharedSchema::new(schema),
+            cell: Mutex::new(JournalCell::new(journal, quarantined)),
+            opts,
+        };
+        Ok((js, report))
     }
 
     /// A consistent snapshot of the current schema version (cheap; see
@@ -1203,34 +1208,19 @@ impl JournaledSchema {
         }
         let wal_base_before = cell.journal.wal_base;
         let shared = &self.shared;
-        let result = {
-            let JournalCell {
-                journal, machine, ..
-            } = cell;
-            // The single panic-isolation point: a panic inside mutation,
-            // append, or publish degrades the machine and surfaces as a
-            // typed error — never a poisoned lock or a torn publish.
-            heal::isolate(move || {
-                shared.evolve_commit(
-                    |s| s.apply_trace(ops).map_err(JournalError::from),
-                    |_next| {
-                        let mut hops = AppendOps {
-                            journal,
-                            shared,
-                            ops,
-                        };
-                        heal::guarded_commit(machine, admission, &mut hops)
-                    },
-                )
-            })
-        };
-        match result {
-            Ok(r) => r?,
-            Err(msg) => {
-                cell.machine.note_panic(&msg);
-                return Err(JournalError::Panicked(msg));
-            }
-        };
+        cell.isolated(|journal, machine| {
+            shared.evolve_commit(
+                |s| s.apply_trace(ops).map_err(JournalError::from),
+                |_next| {
+                    let mut hops = AppendOps {
+                        journal,
+                        shared,
+                        ops,
+                    };
+                    heal::guarded_commit(machine, admission, &mut hops)
+                },
+            )
+        })?;
         if cell.journal.wal_base != wal_base_before {
             // A disk-full GC checkpointed mid-retry; the cadence restarts.
             cell.since_checkpoint = 0;
@@ -1240,24 +1230,7 @@ impl JournaledSchema {
             // The ops are durable and published; an auto-checkpoint
             // failure must not fail the apply. The machine records it
             // (degrading if needed) and the cadence retries next time.
-            let snap = shared.snapshot();
-            let ckpt = {
-                let JournalCell {
-                    journal, machine, ..
-                } = cell;
-                let mut hops = CheckpointOps {
-                    journal,
-                    snap: &snap,
-                };
-                heal::isolate(move || {
-                    heal::guarded_commit(machine, heal::Admission::Normal, &mut hops)
-                })
-            };
-            match ckpt {
-                Ok(Ok(())) => cell.since_checkpoint = 0,
-                Ok(Err(_)) => {}
-                Err(msg) => cell.machine.note_panic(&msg),
-            }
+            let _ = cell.checkpoint(heal::Admission::Normal, &shared.snapshot());
         }
         Ok(ops.len())
     }
@@ -1266,30 +1239,10 @@ impl JournaledSchema {
     /// degraded, or rejected `Unavailable` exactly like an append).
     pub fn checkpoint(&self) -> Result<(), JournalError> {
         let mut cell = self.cell.lock();
-        let cell = &mut *cell;
         let admission = cell.machine.admit()?;
         // Mutations hold the cell lock across publish, so this snapshot is
         // exactly the state at the journal's current sequence.
-        let snap = self.shared.snapshot();
-        let result = {
-            let JournalCell {
-                journal, machine, ..
-            } = cell;
-            let mut hops = CheckpointOps {
-                journal,
-                snap: &snap,
-            };
-            heal::isolate(move || heal::guarded_commit(machine, admission, &mut hops))
-        };
-        match result {
-            Ok(r) => r?,
-            Err(msg) => {
-                cell.machine.note_panic(&msg);
-                return Err(JournalError::Panicked(msg));
-            }
-        }
-        cell.since_checkpoint = 0;
-        Ok(())
+        cell.checkpoint(admission, &self.shared.snapshot())
     }
 
     /// The current durability state, counters, and last error.
@@ -1572,7 +1525,7 @@ mod tests {
 
     #[test]
     fn permanent_failure_degrades_read_only_until_reopened() {
-        use super::io::FaultIo;
+        use super::fault::ChaosIo;
         let mem = Arc::new(MemIo::new());
         let js = JournaledSchema::create(
             &dir(),
@@ -1585,9 +1538,9 @@ mod tests {
         js.apply(&add("A", vec![root])).unwrap();
         drop(js);
 
-        // Reopen through a FaultIo that dies on the 1st mutating call
+        // Reopen through an I/O that dies on the 1st mutating call
         // (recovery itself only reads).
-        let fault = Arc::new(FaultIo::new(mem.clone(), 1, 0));
+        let fault = Arc::new(ChaosIo::crash_at(mem.clone(), 1, 0));
         let (js, _) = JournaledSchema::open(
             &dir(),
             fault,
@@ -1943,12 +1896,17 @@ mod tests {
     /// and a valid `D` (seq 4). Returns the I/O, the rejected frame's
     /// offset, and the accepted prefix `[A, B]`.
     fn rejected_frame_journal() -> (Arc<MemIo>, usize, Vec<RecordedOp>) {
+        rejected_frame_journal_named("A")
+    }
+
+    /// [`rejected_frame_journal`] with the type `A` named `a`.
+    fn rejected_frame_journal_named(a: &str) -> (Arc<MemIo>, usize, Vec<RecordedOp>) {
         let io = Arc::new(MemIo::new());
         let js =
             JournaledSchema::create(&dir(), io.clone(), base_schema(), JournalOptions::default())
                 .unwrap();
         let root = js.snapshot().root().unwrap();
-        let prefix = vec![add("A", vec![root]), add("B", vec![root])];
+        let prefix = vec![add(a, vec![root]), add("B", vec![root])];
         for op in &prefix {
             js.apply(op).unwrap();
         }
@@ -1956,7 +1914,7 @@ mod tests {
         let wal = dir().join(wal_name(0));
         let offset = io.len(&wal).unwrap();
         let mut frames = Vec::new();
-        encode_frame(&mut frames, 3, &add("A", vec![root]));
+        encode_frame(&mut frames, 3, &add(a, vec![root]));
         encode_frame(&mut frames, 4, &add("D", vec![root]));
         io.append(&wal, &frames).unwrap();
         (io, offset, prefix)
@@ -2038,6 +1996,18 @@ mod tests {
                 Journal::replay_at(&dir(), io.as_ref(), seq),
                 Err(JournalError::Replay { seq: 3, .. })
             ));
+        }
+    }
+
+    #[test]
+    fn json_reports_escape_control_characters_in_type_names() {
+        // The rejected frame's detail names its type, control byte and all.
+        let (io, _, _) = rejected_frame_journal_named("A\u{1}");
+        let health = Journal::diagnose(&dir(), &*io).to_json();
+        let (_, _, report) = Journal::open(&dir(), io, RecoveryMode::Salvage).unwrap();
+        for json in [report.to_json(), health] {
+            assert!(json.contains("\\u0001"), "{json}");
+            assert!(!json.contains("\\u{"), "not JSON: {json}");
         }
     }
 

@@ -39,6 +39,7 @@ use std::path::Path;
 
 use crate::error::SchemaError;
 use crate::history::RecordedOp;
+use crate::json_escape;
 use crate::model::Schema;
 
 use super::io::JournalIo;
@@ -104,8 +105,12 @@ impl DroppedTail {
     /// Render as a JSON object.
     pub(crate) fn to_json(&self) -> String {
         format!(
-            "{{\"file\":{:?},\"offset\":{},\"bytes\":{},\"kind\":\"{}\",\"detail\":{:?}}}",
-            self.file, self.offset, self.bytes, self.kind, self.detail
+            "{{\"file\":\"{}\",\"offset\":{},\"bytes\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
+            json_escape(&self.file),
+            self.offset,
+            self.bytes,
+            self.kind,
+            json_escape(&self.detail)
         )
     }
 }
@@ -212,7 +217,7 @@ impl Health {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push('{');
-        out.push_str(&format!("\"status\":{:?}", self.status));
+        out.push_str(&format!("\"status\":\"{}\"", json_escape(self.status)));
         match self.checkpoint_seq {
             Some(s) => out.push_str(&format!(",\"checkpoint_seq\":{s}")),
             None => out.push_str(",\"checkpoint_seq\":null"),
@@ -230,10 +235,10 @@ impl Health {
             None => out.push_str(",\"tail\":null"),
         }
         match &self.error {
-            Some(e) => out.push_str(&format!(",\"error\":{e:?}")),
+            Some(e) => out.push_str(&format!(",\"error\":\"{}\"", json_escape(e))),
             None => out.push_str(",\"error\":null"),
         }
-        out.push_str(&format!(",\"advice\":{:?}", self.advice));
+        out.push_str(&format!(",\"advice\":\"{}\"", json_escape(&self.advice)));
         out.push('}');
         out
     }

@@ -130,30 +130,6 @@ fn orion_sim(base: &Schema, drops: &[(TypeId, TypeId)]) -> Option<u64> {
     Some(schema.fingerprint())
 }
 
-/// Does `op` reference type `t` (other than by creating/dropping it)?
-fn uses_type(op: &RecordedOp, t: TypeId) -> bool {
-    match op {
-        RecordedOp::AddType { supers, .. } => supers.contains(&t),
-        RecordedOp::RenameType { t: x, .. } | RecordedOp::FreezeType { t: x } => *x == t,
-        RecordedOp::AddEssentialSupertype { t: x, s }
-        | RecordedOp::DropEssentialSupertype { t: x, s } => *x == t || *s == t,
-        RecordedOp::AddEssentialProperty { t: x, .. }
-        | RecordedOp::DropEssentialProperty { t: x, .. } => *x == t,
-        _ => false,
-    }
-}
-
-/// Does `op` reference property `p` (other than by creating/dropping it)?
-fn uses_prop(op: &RecordedOp, p: PropId) -> bool {
-    match op {
-        RecordedOp::AddType { props, .. } => props.contains(&p),
-        RecordedOp::RenameProperty { p: x, .. } => *x == p,
-        RecordedOp::AddEssentialProperty { p: x, .. }
-        | RecordedOp::DropEssentialProperty { p: x, .. } => *x == p,
-        _ => false,
-    }
-}
-
 /// L6 — churn: operations with no structural effect, and add-then-drop
 /// pairs with no intervening use.
 ///
@@ -226,7 +202,10 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
             }
             RecordedOp::DropType { t } => {
                 if let Some(&j) = created_types.get(t) {
-                    if !ops[j + 1..i].iter().any(|o| uses_type(o, *t)) {
+                    let uses = |o: &RecordedOp| {
+                        !matches!(o, RecordedOp::DropType { .. }) && o.mentions_type(*t)
+                    };
+                    if !ops[j + 1..i].iter().any(uses) {
                         out.push(churn(
                             Location::OpRange(j, i),
                             format!(
@@ -243,7 +222,10 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
             RecordedOp::DropProperty { p } => {
                 let name = pn(&schema, *p);
                 if let Some(&j) = created_props.get(p) {
-                    if !ops[j + 1..i].iter().any(|o| uses_prop(o, *p)) {
+                    let uses = |o: &RecordedOp| {
+                        !matches!(o, RecordedOp::DropProperty { .. }) && o.mentions_prop(*p)
+                    };
+                    if !ops[j + 1..i].iter().any(uses) {
                         out.push(churn(
                             Location::OpRange(j, i),
                             format!(

@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 
 use crate::engine::EngineStats;
 use crate::journal::RecoveryReport;
+use crate::json_escape;
 
 use super::names;
 
@@ -315,14 +316,20 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{name:?}:{v}");
+            let _ = write!(out, "\"{}\":{v}", json_escape(name));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{name:?}:{{\"count\":{},\"sum\":{}", h.count, h.sum);
+            let _ = write!(
+                out,
+                "\"{}\":{{\"count\":{},\"sum\":{}",
+                json_escape(name),
+                h.count,
+                h.sum
+            );
             out.push_str(",\"buckets\":[");
             for (j, (lower, c)) in h.buckets.iter().enumerate() {
                 if j > 0 {

@@ -12,6 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::json_escape;
+
 /// How a recomputation was scoped, as reported in a
 /// [`SpanData::Recompute`] event and counted by the metrics layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +142,10 @@ impl SpanEvent {
     pub fn to_json(&self) -> String {
         match &self.data {
             SpanData::OpStart { seq, op } => format!(
-                "{{\"seq\":{},\"kind\":\"op_start\",\"op_seq\":{},\"op\":{:?}}}",
-                self.seq, seq, op
+                "{{\"seq\":{},\"kind\":\"op_start\",\"op_seq\":{},\"op\":\"{}\"}}",
+                self.seq,
+                seq,
+                json_escape(op)
             ),
             SpanData::Recompute {
                 scope,
@@ -160,8 +164,11 @@ impl SpanEvent {
                 self.seq, version
             ),
             SpanData::Durability { from, to, reason } => format!(
-                "{{\"seq\":{},\"kind\":\"durability\",\"from\":\"{}\",\"to\":\"{}\",\"reason\":{:?}}}",
-                self.seq, from, to, reason
+                "{{\"seq\":{},\"kind\":\"durability\",\"from\":\"{}\",\"to\":\"{}\",\"reason\":\"{}\"}}",
+                self.seq,
+                from,
+                to,
+                json_escape(reason)
             ),
         }
     }
@@ -264,5 +271,30 @@ mod tests {
             t.to_json(),
             "[{\"seq\":0,\"kind\":\"journal_append\",\"records\":2,\"bytes\":99}]"
         );
+    }
+
+    #[test]
+    fn json_escapes_control_characters() {
+        let op = SpanEvent {
+            seq: 0,
+            data: SpanData::OpStart {
+                seq: 1,
+                op: "add-type \"A\u{1}\"".into(),
+            },
+        };
+        assert_eq!(
+            op.to_json(),
+            "{\"seq\":0,\"kind\":\"op_start\",\"op_seq\":1,\"op\":\"add-type \\\"A\\u0001\\\"\"}"
+        );
+        let durability = SpanEvent {
+            seq: 1,
+            data: SpanData::Durability {
+                from: "healthy",
+                to: "degraded",
+                reason: "bad\u{1}".into(),
+            },
+        };
+        let json = durability.to_json();
+        assert!(json.ends_with("\"reason\":\"bad\\u0001\"}"), "{json}");
     }
 }

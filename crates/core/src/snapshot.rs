@@ -392,7 +392,9 @@ pub(crate) fn parse_ids(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-pub(crate) fn quote(s: &str) -> String {
+/// Quote `s` for a snapshot line: wrapped in `"`, with `"`, `\` and
+/// newline escaped as `\"`, `\\` and `\n`. [`take_quoted`] reads it back.
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -411,8 +413,9 @@ fn unquote(s: &str) -> Option<String> {
     take_quoted(s.trim()).and_then(|(name, rest)| rest.trim().is_empty().then_some(name))
 }
 
-/// Parse a leading quoted string; return it plus the remainder.
-pub(crate) fn take_quoted(s: &str) -> Option<(String, &str)> {
+/// Parse a leading [`quote`]d string; return it plus the remainder, or
+/// `None` if `s` does not start with a terminated quoted string.
+pub fn take_quoted(s: &str) -> Option<(String, &str)> {
     let rest = s.strip_prefix('"')?;
     let mut out = String::new();
     let mut chars = rest.char_indices();

@@ -19,7 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use axiombase_core::journal::io::{FaultIo, JournalIo, MemIo};
+use axiombase_core::journal::fault::ChaosIo;
+use axiombase_core::journal::io::{JournalIo, MemIo};
 use axiombase_core::journal::{JournalOptions, JournaledSchema, RecoveryMode};
 use axiombase_core::obs::{names, EvolveObs, MetricsRegistry};
 use axiombase_core::{LatticeConfig, RecordedOp, Schema};
@@ -45,7 +46,7 @@ fn readers_never_observe_torn_metrics_and_publishes_match_acked_ops() {
     // Fail the 60th mutating I/O call, tearing it after 7 bytes (less than
     // any frame, so the torn suffix is unacknowledged by construction).
     let fault: Arc<dyn JournalIo> =
-        Arc::new(FaultIo::new(mem.clone() as Arc<dyn JournalIo>, 60, 7));
+        Arc::new(ChaosIo::crash_at(mem.clone() as Arc<dyn JournalIo>, 60, 7));
 
     let registry = Arc::new(MetricsRegistry::new());
     let obs = Arc::new(EvolveObs::new(Arc::clone(&registry)));

@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use axiombase_core::snapshot::{quote, take_quoted};
 use axiombase_core::{PropId, Schema, TypeId};
 use axiombase_store::{ObjectStore, Oid};
 
@@ -103,32 +104,6 @@ fn builtin_by_name(s: &str) -> Option<Builtin> {
         "const_null" => Builtin::ConstNull,
         _ => return None,
     })
-}
-
-fn quote(s: &str) -> String {
-    format!(
-        "\"{}\"",
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    )
-}
-
-fn unquote(s: &str) -> Option<String> {
-    let inner = s.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::new();
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next()? {
-                'n' => out.push('\n'),
-                c2 => out.push(c2),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Some(out)
 }
 
 impl Objectbase {
@@ -299,11 +274,9 @@ impl Objectbase {
                         "dead" => false,
                         _ => return Err(bad("bad alive flag".into())),
                     };
-                    // name is quoted; find the closing quote.
-                    let rest = rest.trim_start();
-                    let end = find_quote_end(rest).ok_or_else(|| bad("bad name quoting".into()))?;
-                    let name = unquote(&rest[..end]).ok_or_else(|| bad("bad name".into()))?;
-                    let tail: Vec<&str> = rest[end..].split_whitespace().collect();
+                    let (name, rest) = take_quoted(rest.trim_start())
+                        .ok_or_else(|| bad("bad name quoting".into()))?;
+                    let tail: Vec<&str> = rest.split_whitespace().collect();
                     let [kind_str, "object", o] = tail.as_slice() else {
                         return Err(bad(
                             "usage: function IX FLAG \"name\" KIND object OID".into()
@@ -364,10 +337,9 @@ impl Objectbase {
                         .split_once(' ')
                         .ok_or_else(|| bad("missing alive flag".into()))?;
                     let alive = alive_str == "alive";
-                    let rest = rest.trim_start();
-                    let end = find_quote_end(rest).ok_or_else(|| bad("bad name quoting".into()))?;
-                    let name = unquote(&rest[..end]).ok_or_else(|| bad("bad name".into()))?;
-                    let tail = rest[end..].trim();
+                    let (name, rest) = take_quoted(rest.trim_start())
+                        .ok_or_else(|| bad("bad name quoting".into()))?;
+                    let tail = rest.trim();
                     let (obj_part, members_part) = tail
                         .split_once(" members[")
                         .ok_or_else(|| bad("missing members[...]".into()))?;
@@ -604,24 +576,6 @@ fn parse_signature(s: &str) -> Result<Signature, String> {
             .map_err(|_| "bad result type".to_string())?,
     );
     Ok(Signature { args, result })
-}
-
-/// Find the byte index just past the closing quote of a leading quoted
-/// string.
-fn find_quote_end(s: &str) -> Option<usize> {
-    if !s.starts_with('"') {
-        return None;
-    }
-    let bytes = s.as_bytes();
-    let mut i = 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i + 1),
-            _ => i += 1,
-        }
-    }
-    None
 }
 
 #[cfg(test)]

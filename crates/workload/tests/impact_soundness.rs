@@ -325,9 +325,9 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                 panic!("seed {seed} {tag} op {i}: type {ty:?} died with no claimed delta")
             });
             assert!(
-                d.extent_lost && d.level == ImpactLevel::Destructive,
+                d.extent_lost && d.level() == ImpactLevel::Destructive,
                 "seed {seed} {tag} op {i}: dead type {ty:?} claimed {:?}",
-                d.level
+                d.level()
             );
             let dropped = store.drop_extent(ty);
             assert!(
@@ -354,7 +354,7 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                     delta.is_none(),
                     "seed {seed} {tag} op {i}: claimed {:?} for {ty:?} but the readable \
                      representation did not change",
-                    delta.map(|d| d.level)
+                    delta.map(TypeImpact::level)
                 );
                 continue;
             }
@@ -382,19 +382,9 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                 .filter(|p| !old.contains_key(*p))
                 .map(|p| p.index())
                 .collect();
-            let mut want_departed: Vec<usize> = d
-                .lost
-                .iter()
-                .copied()
-                .chain(d.rekeyed.iter().map(|&(p, _)| p))
-                .collect();
+            let mut want_departed = d.lost.clone();
             want_departed.sort_unstable();
-            let mut want_arrived: Vec<usize> = d
-                .added
-                .iter()
-                .copied()
-                .chain(d.rekeyed.iter().map(|&(_, q)| q))
-                .collect();
+            let mut want_arrived = d.added.clone();
             want_arrived.sort_unstable();
             assert_eq!(
                 departed, want_departed,
@@ -419,19 +409,13 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                 }
             }
 
-            match d.level {
-                ImpactLevel::Preserving => {
-                    panic!("seed {seed} {tag} op {i}: preserving delta changed an object")
-                }
+            match d.level() {
                 ImpactLevel::Extending => {
                     assert!(
                         departed.is_empty(),
                         "seed {seed} {tag} op {i}: extending claim lost a slot"
                     );
                     tally.extending += 1;
-                }
-                ImpactLevel::Refining => {
-                    assert!(d.lost.is_empty() && !d.rekeyed.is_empty());
                 }
                 ImpactLevel::Destructive => {
                     // Witness: a claimed loss is a real value thrown away.
@@ -447,6 +431,7 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                     }
                     tally.destructive += 1;
                 }
+                level => panic!("seed {seed} {tag} op {i}: {level:?} delta changed an object"),
             }
         }
 

@@ -11,7 +11,8 @@
 
 use std::sync::Arc;
 
-use axiombase_core::journal::io::{CrashKeep, FaultIo, JournalIo, MemIo};
+use axiombase_core::journal::fault::ChaosIo;
+use axiombase_core::journal::io::{CrashKeep, JournalIo, MemIo};
 use axiombase_core::journal::{
     Journal, JournalError, JournalOptions, JournaledSchema, RecoveryMode,
 };
@@ -96,7 +97,7 @@ fn sweep_point(
     keep: CrashKeep,
 ) -> u64 {
     let mem = MemIo::new();
-    let fault = Arc::new(FaultIo::new(Arc::new(mem.clone()), fail_at, torn));
+    let fault = Arc::new(ChaosIo::crash_at(Arc::new(mem.clone()), fail_at, torn));
     let acked = run_journaled(&mem, fault.clone(), base, ops);
     let mutations = fault.mutations();
     if fail_at == 0 {
@@ -191,7 +192,7 @@ fn recovery_is_idempotent_mid_trace() {
     let total = sweep_point(&base, &ops, 0, 0, CrashKeep::Synced);
     // Crash somewhere in the middle of the run, then recover twice.
     let mem = MemIo::new();
-    let fault = Arc::new(FaultIo::new(Arc::new(mem.clone()), total / 2, 3));
+    let fault = Arc::new(ChaosIo::crash_at(Arc::new(mem.clone()), total / 2, 3));
     run_journaled(&mem, fault, &base, &ops);
     mem.crash(CrashKeep::Torn);
 
