@@ -524,6 +524,171 @@ mod tests {
         }
     }
 
+    /// Every refusal of the v1 parser, pinned to its variant, line and
+    /// detail. Each input is the header followed by the listed lines.
+    #[test]
+    fn malformed_inputs_map_to_exact_errors() {
+        let bad = |line: usize, detail: &str| SnapshotError::BadLine {
+            line,
+            detail: detail.to_string(),
+        };
+        let invalid = |detail: &str| SnapshotError::InvalidInputs(detail.to_string());
+        let cases: Vec<(&str, SnapshotError)> = vec![
+            // Index order.
+            (
+                "prop 1 alive \"a\"",
+                bad(2, "prop index 1 out of order (expected 0)"),
+            ),
+            (
+                "prop 0 alive \"a\"\nprop 0 alive \"b\"",
+                bad(3, "prop index 0 out of order (expected 1)"),
+            ),
+            (
+                "type 1 alive plain - \"A\" pe[] ne[]",
+                bad(2, "type index 1 out of order (expected 0)"),
+            ),
+            ("prop x alive \"a\"", bad(2, "missing prop index")),
+            ("prop", bad(2, "missing prop index")),
+            (
+                "type -1 alive plain - \"A\" pe[] ne[]",
+                bad(2, "missing type index"),
+            ),
+            // States, flags and marks.
+            (
+                "prop 0 alvie \"a\"",
+                bad(2, "bad prop state Some(\"alvie\")"),
+            ),
+            ("prop 0", bad(2, "bad prop state None")),
+            (
+                "type 0 alvie plain - \"A\" pe[] ne[]",
+                bad(2, "bad type state Some(\"alvie\")"),
+            ),
+            (
+                "type 0 alive froze - \"A\" pe[] ne[]",
+                bad(2, "bad frozen flag Some(\"froze\")"),
+            ),
+            (
+                "type 0 alive plain * \"A\" pe[] ne[]",
+                bad(2, "bad root/base mark Some(\"*\")"),
+            ),
+            ("type 0 alive plain", bad(2, "bad root/base mark None")),
+            ("type 0 alive plain -", bad(2, "missing name")),
+            // Name quoting.
+            ("prop 0 alive a", bad(2, "bad prop name quoting")),
+            ("prop 0 alive \"a\" b", bad(2, "bad prop name quoting")),
+            ("prop 0 alive \"a", bad(2, "bad prop name quoting")),
+            ("prop 0 alive \"a\\", bad(2, "bad prop name quoting")),
+            (
+                "type 0 alive plain - A pe[] ne[]",
+                bad(2, "bad name quoting"),
+            ),
+            (
+                "type 0 alive plain -  \"A\" pe[] ne[]",
+                bad(2, "bad name quoting"),
+            ),
+            (
+                "type 0 alive plain - \"A pe[] ne[]",
+                bad(2, "bad name quoting"),
+            ),
+            // Id lists.
+            ("type 0 alive plain - \"A\" ne[]", bad(2, "missing pe[...]")),
+            ("type 0 alive plain - \"A\" pe[", bad(2, "missing pe[...]")),
+            (
+                "type 0 alive plain - \"A\" pe []",
+                bad(2, "missing pe[...]"),
+            ),
+            ("type 0 alive plain - \"A\" pe[]", bad(2, "missing ne[...]")),
+            (
+                "type 0 alive plain - \"A\" pe[] ne[0",
+                bad(2, "missing ne[...]"),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[x] ne[]",
+                bad(2, "bad id \"x\""),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[1,,2] ne[]",
+                bad(2, "bad id \"\""),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[] ne[ 3, y ]",
+                bad(2, "bad id \" y \""),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[-1] ne[]",
+                bad(2, "bad id \"-1\""),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[0,] ne[]",
+                bad(2, "bad id \"\""),
+            ),
+            // Engine and config words.
+            ("engine turbo", bad(2, "unknown engine \"turbo\"")),
+            ("engine", bad(2, "unknown engine \"\"")),
+            (
+                "config round pointed",
+                bad(2, "bad rootedness Some(\"round\")"),
+            ),
+            ("config rooted", bad(2, "bad pointedness None")),
+            (
+                "config rooted pointy",
+                bad(2, "bad pointedness Some(\"pointy\")"),
+            ),
+            ("config", bad(2, "bad rootedness None")),
+            // Record kinds and line numbers past comments and blank lines.
+            (
+                "\n# note\n\nfrobnicate",
+                bad(5, "unknown record kind \"frobnicate\""),
+            ),
+            ("Type 0", bad(2, "unknown record kind \"Type\"")),
+            // Root and base markers on dead types.
+            (
+                "type 0 dead plain root \"A\" pe[] ne[]",
+                invalid("root marker on dead type"),
+            ),
+            (
+                "type 0 dead plain base \"A\" pe[] ne[]",
+                invalid("base marker on dead type"),
+            ),
+            // References, names and cycles.
+            (
+                "type 0 alive plain - \"A\" pe[7] ne[]",
+                invalid("type 0 references dead/missing supertype t7"),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[] ne[3]",
+                invalid("type 0 references dead/missing property p3"),
+            ),
+            (
+                "prop 0 dead \"a\"\ntype 0 alive plain - \"A\" pe[] ne[0]",
+                invalid("type 0 references dead/missing property p0"),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[] ne[]\ntype 1 alive plain - \"A\" pe[] ne[]",
+                invalid("duplicate type name \"A\""),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[0] ne[]",
+                invalid("P_e graph contains a cycle (Axiom of Acyclicity)"),
+            ),
+        ];
+        for (body, want) in cases {
+            let text = format!("axiombase v1\n{body}\n");
+            assert_eq!(Schema::from_snapshot(&text).unwrap_err(), want, "{body:?}");
+        }
+        for (text, want) in [
+            ("", "empty input"),
+            ("axiombase v2\n", "axiombase v2"),
+            ("  axiombase v1x\n", "  axiombase v1x"),
+        ] {
+            assert_eq!(
+                Schema::from_snapshot(text).unwrap_err(),
+                SnapshotError::BadHeader(want.to_string()),
+                "{text:?}"
+            );
+        }
+    }
+
     #[test]
     fn quoting_roundtrip() {
         for s in ["plain", "with \"quotes\"", "back\\slash", "new\nline", ""] {
