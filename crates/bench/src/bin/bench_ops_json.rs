@@ -232,10 +232,14 @@ fn run_journaled(base: &Schema, ops: &[RecordedOp]) -> (u128, u64) {
 /// down *each* path first (so neither timed cell eats the cold-cache /
 /// first-touch cost — the bug that let the committed report claim a 0.87x
 /// "overhead", i.e. the durable path benchmarking faster than the bare
-/// one), then best-of-N with the two paths interleaved inside each
-/// iteration so clock/allocator drift lands on both cells evenly. Every
+/// one), then N iterations with the two paths interleaved inside each, so
+/// clock/allocator drift lands on both legs of an iteration evenly. The
+/// cells are best-of-N; the overhead is the [`median`] of the
+/// per-iteration ratios, which one lucky minimum cannot move. Every
 /// pairing also cross-checks the two fingerprints.
-fn measure_journal_overhead(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, u64, u64) {
+///
+/// Returns `(plain_ns, journal_ns, plain_fp, journal_fp, overhead)`.
+fn measure_journal_overhead(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, u64, u64, f64) {
     let (_, warm_plain_fp) = run_unjournaled(base, ops);
     let (_, warm_journal_fp) = run_journaled(base, ops);
     expect(
@@ -244,15 +248,18 @@ fn measure_journal_overhead(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, u
     );
     let (mut plain_best, mut journal_best) = (u128::MAX, u128::MAX);
     let (mut plain_fp, mut journal_fp) = (0, 0);
+    let mut ratios = Vec::with_capacity(ITERATIONS);
     for _ in 0..ITERATIONS {
-        let (ns, fp) = run_unjournaled(base, ops);
-        plain_best = plain_best.min(ns);
+        let (plain_ns, fp) = run_unjournaled(base, ops);
+        plain_best = plain_best.min(plain_ns);
         plain_fp = fp;
-        let (ns, fp) = run_journaled(base, ops);
-        journal_best = journal_best.min(ns);
+        let (journal_ns, fp) = run_journaled(base, ops);
+        journal_best = journal_best.min(journal_ns);
         journal_fp = fp;
+        ratios.push(journal_ns as f64 / plain_ns.max(1) as f64);
     }
-    (plain_best, journal_best, plain_fp, journal_fp)
+    let overhead = median(&mut ratios);
+    (plain_best, journal_best, plain_fp, journal_fp, overhead)
 }
 
 /// The 100k-type cell: a clustered forest (100 hubs, each a hub type, a
@@ -418,10 +425,9 @@ fn median(xs: &mut [f64]) -> f64 {
 /// against `Journal::open`, the recovery path that replays the same
 /// checkpoint-plus-suffix but also re-arms the journal for writing.
 /// Interleaved legs with alternating order; the gate uses the [`median`]
-/// of per-iteration ratios.
-///
-/// Returns `(open_at_ns_per_op, recover_ns_per_op, ratio, wal_ops)`.
-fn measure_timetravel(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, usize) {
+/// of per-iteration ratios. Each path's schema is derived once, in full,
+/// after its replay: the derivation counts are exact, not timed.
+fn measure_timetravel(base: &Schema, ops: &[RecordedOp]) -> Timetravel {
     use axiombase_core::journal::Journal;
     use axiombase_core::RecoveryMode;
     let io: Arc<MemIo> = Arc::new(MemIo::new());
@@ -448,17 +454,14 @@ fn measure_timetravel(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, us
     drop(js);
 
     // Untimed warmup down both paths.
-    let warm_fp = Journal::replay_at(dir, io.as_ref(), tip)
-        .expect("warmup time-travel read")
-        .fingerprint();
-    {
-        let (_, schema, _) =
-            Journal::open(dir, io.clone(), RecoveryMode::Strict).expect("warmup recovery");
-        expect(
-            schema.fingerprint() == warm_fp,
-            "time-travel read at the tip equals full recovery",
-        );
-    }
+    let at_tip = Journal::replay_at(dir, io.as_ref(), tip).expect("warmup time-travel read");
+    let warm_fp = at_tip.fingerprint();
+    let (_, recovered, _) =
+        Journal::open(dir, io.clone(), RecoveryMode::Strict).expect("warmup recovery");
+    expect(
+        recovered.fingerprint() == warm_fp,
+        "time-travel read at the tip equals full recovery",
+    );
     let (mut open_at_ns, mut recover_ns) = (u128::MAX, u128::MAX);
     let mut ratios = Vec::new();
     for i in 0..ITERATIONS * 3 {
@@ -482,7 +485,33 @@ fn measure_timetravel(base: &Schema, ops: &[RecordedOp]) -> (u128, u128, f64, us
         }
         ratios.push(open_at_i as f64 / recover_i.max(1) as f64);
     }
-    (open_at_ns, recover_ns, median(&mut ratios), wal_ops)
+    Timetravel {
+        open_at_ns,
+        recover_ns,
+        ratio: median(&mut ratios),
+        wal_ops,
+        types: recovered.type_count(),
+        recover_derived: recovered.stats().types_derived,
+        open_at_derived: at_tip.stats().types_derived,
+    }
+}
+
+/// The `timetravel` cell (see [`measure_timetravel`]).
+struct Timetravel {
+    /// Best-of-N `Journal::replay_at(tip)`, per WAL op.
+    open_at_ns: u128,
+    /// Best-of-N `Journal::open`, per WAL op.
+    recover_ns: u128,
+    /// Median of the paired `open_at / recover` ratios.
+    ratio: f64,
+    /// WAL ops behind the checkpoint.
+    wal_ops: usize,
+    /// Live types at the tip.
+    types: usize,
+    /// `types_derived` of the recovered schema.
+    recover_derived: u64,
+    /// `types_derived` of the tip `open_at` schema.
+    open_at_derived: u64,
 }
 
 /// Best-of-N per-op latency of `Schema::apply_plan` over a prebuilt
@@ -929,14 +958,14 @@ fn main() {
     // framing + checksum + append + checkpoint cost from disk speed).
     let jbase = base(EngineKind::Incremental);
     let (ops, _stats) = generate_trace(&jbase, OPS, OpMix::BALANCED, TRACE_SEED);
-    let (plain_ns, journaled_ns, plain_fp, journaled_fp) = measure_journal_overhead(&jbase, &ops);
-    let overhead = journaled_ns as f64 / plain_ns.max(1) as f64;
+    let (plain_ns, journaled_ns, plain_fp, journaled_fp, overhead) =
+        measure_journal_overhead(&jbase, &ops);
     println!("{:>11} / {:<7} {plain_ns:>12} ns/op", "shared", "plain");
     println!(
         "{:>11} / {:<7} {journaled_ns:>12} ns/op",
         "shared", "journal"
     );
-    println!("journaling overhead (in-memory I/O): {overhead:.2}x");
+    println!("journaling overhead (in-memory I/O, median of paired ratios): {overhead:.2}x");
     expect(
         plain_fp == journaled_fp,
         "journaled and unjournaled replay produce identical schemas",
@@ -1078,19 +1107,34 @@ fn main() {
     // the recovery path that replays the same checkpoint-plus-suffix
     // (soft-gated at 1.2x — replay_at does strictly less work: no
     // truncation, no re-arming, no fsync).
-    let (open_at_ns, recover_ns, tt_ratio, tt_wal_ops) = measure_timetravel(&jbase, &ops);
+    let tt = measure_timetravel(&jbase, &ops);
     println!(
-        "{:>11} / {:<7} {open_at_ns:>12} ns/op",
-        "timetravel", "open_at"
+        "{:>11} / {:<7} {:>12} ns/op",
+        "timetravel", "open_at", tt.open_at_ns
     );
     println!(
-        "{:>11} / {:<7} {recover_ns:>12} ns/op",
-        "timetravel", "recover"
+        "{:>11} / {:<7} {:>12} ns/op",
+        "timetravel", "recover", tt.recover_ns
     );
-    println!("open_at(tip) vs checkpoint-replay recovery: {tt_ratio:.2}x");
+    println!(
+        "open_at(tip) vs checkpoint-replay recovery: {:.2}x",
+        tt.ratio
+    );
     expect(
-        tt_ratio <= 1.2,
+        tt.ratio <= 1.2,
         "open_at at the tip stays within 1.2x of checkpoint-replay recovery (soft gate)",
+    );
+    println!(
+        "types derived for {} live types: recovery {}, open_at(tip) {}",
+        tt.types, tt.recover_derived, tt.open_at_derived
+    );
+    expect(
+        tt.recover_derived == tt.types as u64,
+        "recovery derives each live type once (types_derived == type_count)",
+    );
+    expect(
+        tt.open_at_derived == tt.types as u64,
+        "open_at derives each live type once (types_derived == type_count)",
     );
 
     // Static impact analysis: `impact::analyze` on a fresh 1000-op trace
@@ -1313,10 +1357,21 @@ fn main() {
     json.push_str("    }\n");
     json.push_str("  },\n");
     json.push_str("  \"timetravel\": {\n");
-    let _ = writeln!(json, "    \"wal_ops_behind_checkpoint\": {tt_wal_ops},");
-    let _ = writeln!(json, "    \"open_at_tip_ns_per_op\": {open_at_ns},");
-    let _ = writeln!(json, "    \"recovery_ns_per_op\": {recover_ns},");
-    let _ = writeln!(json, "    \"ratio_vs_recovery\": {tt_ratio:.2}");
+    let _ = writeln!(json, "    \"wal_ops_behind_checkpoint\": {},", tt.wal_ops);
+    let _ = writeln!(json, "    \"open_at_tip_ns_per_op\": {},", tt.open_at_ns);
+    let _ = writeln!(json, "    \"recovery_ns_per_op\": {},", tt.recover_ns);
+    let _ = writeln!(json, "    \"ratio_vs_recovery\": {:.2},", tt.ratio);
+    let _ = writeln!(json, "    \"types\": {},", tt.types);
+    let _ = writeln!(
+        json,
+        "    \"recovery_types_derived\": {},",
+        tt.recover_derived
+    );
+    let _ = writeln!(
+        json,
+        "    \"open_at_types_derived\": {}",
+        tt.open_at_derived
+    );
     json.push_str("  },\n");
     json.push_str("  \"impact\": {\n");
     let _ = writeln!(json, "    \"ops\": {},", iops.len());

@@ -128,6 +128,25 @@ impl RawBitSet {
         }
     }
 
+    /// The set of `bits`, given in any order and with repeats, in one
+    /// allocation: the span from the smallest to the largest word.
+    pub fn from_bits(bits: &[u32]) -> RawBitSet {
+        let (Some(&lo), Some(&hi)) = (bits.iter().min(), bits.iter().max()) else {
+            return RawBitSet::new();
+        };
+        let start = word_of(lo);
+        let mut words = vec![0u64; (word_of(hi) - start + 1) as usize];
+        for &bit in bits {
+            words[(word_of(bit) - start) as usize] |= mask_of(bit);
+        }
+        let count = words.iter().map(|w| w.count_ones()).sum();
+        RawBitSet {
+            start,
+            count,
+            words,
+        }
+    }
+
     /// Number of set bits (cached; O(1)).
     #[inline]
     pub fn len(&self) -> usize {
@@ -404,6 +423,12 @@ macro_rules! typed_bitset {
             #[inline]
             pub const fn new() -> $name {
                 $name(RawBitSet::new())
+            }
+
+            /// The set of the ids whose arena indexes are `bits` (any
+            /// order, repeats allowed), in one allocation.
+            pub(crate) fn from_bits(bits: &[u32]) -> $name {
+                $name(RawBitSet::from_bits(bits))
             }
 
             /// Number of elements (O(1)).
@@ -718,6 +743,27 @@ mod tests {
         assert!(c.remove(900));
         let d: RawBitSet = [130u32, 131].into_iter().collect();
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn from_bits_is_the_canonical_set() {
+        for bits in [
+            &[][..],
+            &[0],
+            &[63, 64],
+            &[900, 130, 131, 130],
+            &[4_000, 5, 4_000, 64, 127],
+            &[u32::MAX, u32::MAX - 70],
+        ] {
+            let want: RawBitSet = bits.iter().copied().collect();
+            let got = RawBitSet::from_bits(bits);
+            assert_eq!(got, want, "{bits:?}");
+            assert_eq!(
+                got.words.capacity(),
+                got.words.len(),
+                "one exact allocation"
+            );
+        }
     }
 
     #[test]

@@ -44,20 +44,19 @@ use crate::ids::TypeId;
 use crate::model::{DerivedType, Spine, TypeSlot};
 use crate::obs::EvolveObs;
 
-use super::{down_set, topo_order, ChangeKind, ACYCLIC_MSG};
+use super::{down_set, ChangeKind, ACYCLIC_MSG};
 
-/// Re-derive every live type (used for full rebuilds, e.g. engine switches
-/// and snapshot loads). Returns the number of per-type derivations.
+/// Re-derive every live type, in the topological `order` of all of them
+/// (full rebuilds: engine switches and snapshot loads).
 pub(crate) fn derive_full(
     types: &Spine<TypeSlot>,
     derived: &mut Spine<DerivedType>,
     obs: &Option<Arc<EvolveObs>>,
-) -> usize {
-    let order = topo_order(types).expect(ACYCLIC_MSG);
-    for &t in &order {
+    order: &[TypeId],
+) {
+    for &t in order {
         derive_one_in_place(types, derived, obs, t, ChangeKind::Edges);
     }
-    order.len()
 }
 
 /// Re-derive only the down-set of `seeds`. Returns the number of per-type

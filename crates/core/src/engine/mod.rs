@@ -89,6 +89,9 @@ pub(crate) struct BatchState {
     pub(crate) kind: ChangeKind,
     /// Whether any operation asked for a recomputation at all.
     pub(crate) dirty: bool,
+    /// The batch runs on loaded inputs that nothing has derived yet, so
+    /// it ends in one full derivation, whatever its operations touched.
+    pub(crate) underived: bool,
 }
 
 impl BatchState {
@@ -97,6 +100,16 @@ impl BatchState {
             seeds: TypeSet::new(),
             kind: ChangeKind::PropsOnly,
             dirty: false,
+            underived: false,
+        }
+    }
+
+    /// A batch over inputs with no derived rows (a parsed snapshot): it
+    /// ends in one full derivation even if no operation runs.
+    pub(crate) fn underived() -> Self {
+        BatchState {
+            underived: true,
+            ..BatchState::new()
         }
     }
 
@@ -109,21 +122,35 @@ impl BatchState {
     }
 }
 
+/// End a batch: one full derivation for a batch over underived inputs,
+/// else one recomputation over the seeds its operations absorbed (none if
+/// no operation asked for one).
+pub(crate) fn finish_batch(schema: &mut Schema, st: &BatchState) {
+    if st.underived {
+        recompute_all(schema);
+    } else if st.dirty {
+        let seeds: Vec<TypeId> = st.seeds.iter().collect();
+        recompute_after_many(schema, &seeds, st.kind);
+    }
+}
+
 /// Recompute the whole lattice with the configured engine.
 pub(crate) fn recompute_all(schema: &mut Schema) {
     schema.derived = Spine::repeat(schema.types.len(), DerivedType::default());
+    let order = topo_order(&schema.types).expect(ACYCLIC_MSG);
     let (types, derived, obs) = (&schema.types, &mut schema.derived, &schema.obs);
-    let n = match schema.engine {
-        EngineKind::Naive => naive::derive_all(types, derived, obs),
-        EngineKind::Incremental => incremental::derive_full(types, derived, obs),
-    };
+    match schema.engine {
+        EngineKind::Naive => naive::derive_all(types, derived, obs, &order),
+        EngineKind::Incremental => incremental::derive_full(types, derived, obs, &order),
+    }
+    let n = order.len() as u64;
     schema.stats.full_recomputes += 1;
-    schema.stats.types_derived += n as u64;
-    schema.stats.last_types_derived = n as u64;
+    schema.stats.types_derived += n;
+    schema.stats.last_types_derived = n;
     if let Some(obs) = &schema.obs {
         // The depth walk is only paid for when someone is listening.
-        let depth = lattice_depth(&schema.types);
-        obs.on_recompute(RecomputeScope::Full, n as u64, depth);
+        let depth = depth_along(&schema.types, &order);
+        obs.on_recompute(RecomputeScope::Full, n, depth);
     }
 }
 
@@ -136,17 +163,7 @@ pub(crate) fn recompute_all(schema: &mut Schema) {
 /// of `incremental` for why that covers every affected type.
 pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind: ChangeKind) {
     match schema.engine {
-        EngineKind::Naive => {
-            schema.derived = Spine::repeat(schema.types.len(), DerivedType::default());
-            let n = naive::derive_all(&schema.types, &mut schema.derived, &schema.obs);
-            schema.stats.full_recomputes += 1;
-            schema.stats.types_derived += n as u64;
-            schema.stats.last_types_derived = n as u64;
-            if let Some(obs) = &schema.obs {
-                let depth = lattice_depth(&schema.types);
-                obs.on_recompute(RecomputeScope::Full, n as u64, depth);
-            }
-        }
+        EngineKind::Naive => recompute_all(schema),
         EngineKind::Incremental => {
             debug_assert_eq!(schema.derived.len(), schema.types.len());
             let (n, depth) = incremental::derive_scoped(
@@ -178,13 +195,12 @@ pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind
 
 /// Longest `P_e` chain among the live types (1 for a flat set of roots, 0
 /// for an empty schema) — the full-recompute analogue of the per-scope
-/// depth the incremental engine reports. Only computed when an observer is
-/// attached.
-pub(crate) fn lattice_depth(types: &Spine<TypeSlot>) -> u64 {
-    let order = topo_order(types).expect(ACYCLIC_MSG);
+/// depth the incremental engine reports — along their topological `order`.
+/// Only computed when an observer is attached.
+fn depth_along(types: &Spine<TypeSlot>, order: &[TypeId]) -> u64 {
     let mut level = vec![0u64; types.len()];
     let mut depth = 0u64;
-    for &t in &order {
+    for &t in order {
         let base = types[t.index()]
             .pe
             .iter()

@@ -35,20 +35,17 @@ use crate::ids::TypeId;
 use crate::model::{DerivedType, Spine, TypeSlot};
 use crate::obs::EvolveObs;
 
-use super::{topo_order, ACYCLIC_MSG};
-
-/// Re-derive every live type. Returns the number of per-type derivations.
+/// Re-derive every live type, in the topological `order` of all of them.
 pub(crate) fn derive_all(
     types: &Spine<TypeSlot>,
     derived: &mut Spine<DerivedType>,
     obs: &Option<Arc<EvolveObs>>,
-) -> usize {
-    let order = topo_order(types).expect(ACYCLIC_MSG);
-    for &t in &order {
+    order: &[TypeId],
+) {
+    for &t in order {
         let d = derive_one(types, derived, t);
         derived.set(obs, t.index(), d);
     }
-    order.len()
 }
 
 /// Derive one type from the axioms, assuming all its essential supertypes

@@ -22,7 +22,7 @@ pub mod versioned;
 use crate::error::{Result, SchemaError};
 use crate::ids::{PropId, TypeId};
 use crate::model::Schema;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{Inputs, SnapshotError};
 
 /// One recorded (successful) schema operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,7 +274,8 @@ impl History {
 
     /// Materialise the schema as of version `v` (0 = the initial snapshot,
     /// `len()` = the current state) by replaying the log prefix as one
-    /// batch ([`Schema::apply_trace`]: one derivation for the whole prefix).
+    /// batch on the initial snapshot's parsed inputs: the schema is derived
+    /// once, in full, after the whole prefix.
     pub fn as_of(&self, v: usize) -> std::result::Result<Schema, HistoryError> {
         if v > self.ops.len() {
             return Err(HistoryError::NoSuchVersion {
@@ -282,10 +283,11 @@ impl History {
                 latest: self.ops.len(),
             });
         }
-        let mut schema = Schema::from_snapshot(&self.initial)?;
-        schema
-            .apply_trace(&self.ops[..v])
-            .map_err(HistoryError::ReplayFailed)?;
+        let inputs = Inputs::parse(&self.initial)?;
+        let (schema, replayed) = inputs.build(None, |s| {
+            self.ops[..v].iter().try_for_each(|op| op.apply(s))
+        });
+        replayed.map_err(HistoryError::ReplayFailed)?;
         Ok(schema)
     }
 
@@ -533,6 +535,25 @@ mod tests {
         assert_eq!(replayed.fingerprint(), h.schema().fingerprint());
         // Including identities, thanks to determinism.
         assert_eq!(replayed.type_by_name("B"), h.schema().type_by_name("B"));
+    }
+
+    #[test]
+    fn as_of_derives_once_after_the_whole_prefix() {
+        let (h, ..) = evolved();
+        let mut h = History::from_schema(h.as_of(h.len()).unwrap());
+        let root = h.schema().root().unwrap();
+        let c = h.add_type("C", [root], []).unwrap();
+        h.add_type("D", [c], []).unwrap();
+        for v in 0..=h.len() {
+            let s = h.as_of(v).unwrap();
+            let st = s.stats();
+            assert_eq!(
+                (st.full_recomputes, st.scoped_recomputes, st.noop_recomputes),
+                (1, 0, 0),
+                "version {v}: one full derivation"
+            );
+            assert_eq!(st.types_derived, s.type_count() as u64, "version {v}");
+        }
     }
 
     #[test]

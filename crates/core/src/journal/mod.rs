@@ -648,21 +648,20 @@ impl Journal {
         for skipped in &layout.skipped {
             set_aside(&io, dir, &skipped.file)?;
         }
-        let (checkpoint_seq, mut schema) = (layout.checkpoint.seq, layout.checkpoint.schema);
+        let checkpoint_seq = layout.checkpoint.seq;
         let wals = &layout.wals;
-        if let Some(o) = &obs {
-            // Attached before replay, so the one recomputation that ends
-            // the replay batch (and the copies the edits make) is counted.
-            schema.attach_obs(Arc::clone(o));
-        }
 
-        // The whole suffix is one batch. Whether a frame's op is accepted
-        // depends only on the inputs `P_e`/`N_e`, so deferring derivation
-        // changes no decision; a rejected frame leaves the applied prefix,
-        // which the batch recomputes before the walk's outcome is used.
+        // The whole suffix is one batch on the checkpoint's inputs, and its
+        // end is the schema's only derivation, a full one. Whether a
+        // frame's op is accepted depends only on the inputs `P_e`/`N_e`,
+        // so deferring derivation changes no decision; a rejected frame
+        // leaves the applied prefix, which the batch derives before the
+        // walk's outcome is used. The observer is attached before the
+        // batch, so it counts that derivation and the copies the edits
+        // make.
         let mut dropped_tail = None;
         let mut quarantined: Vec<QuarantinedSegment> = Vec::new();
-        let (seq, kept) = schema.evolve_batch(|s| {
+        let (schema, walked) = layout.checkpoint.inputs.build(obs.clone(), |s| {
             let visit = |_: &str, _, f: wire::Frame| {
                 if let Some(o) = &obs {
                     o.on_op(f.seq, &f.op);
@@ -693,8 +692,9 @@ impl Journal {
                 }
                 Ok(false)
             };
-            Ok(read::walk(&*io, dir, wals, checkpoint_seq, visit, on_stop))
-        })??;
+            read::walk(&*io, dir, wals, checkpoint_seq, visit, on_stop)
+        });
+        let (seq, kept) = walked?;
 
         // Ensure an active WAL file exists to append to (the crash window
         // between checkpoint rename and WAL creation leaves none for the
@@ -2011,16 +2011,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recovery_derives_once_for_the_whole_suffix() {
-        use crate::obs::{names, MetricsRegistry};
-        let io = Arc::new(MemIo::new());
+    /// A journal of twelve frames of eight op kinds on [`base_schema`]'s
+    /// checkpoint; returns the tip fingerprint.
+    fn twelve_frame_journal(io: &Arc<MemIo>) -> u64 {
         let js =
             JournaledSchema::create(&dir(), io.clone(), base_schema(), JournalOptions::default())
                 .unwrap();
         let root = js.snapshot().root().unwrap();
         let id = |name: &str| js.snapshot().type_by_name(name).unwrap();
-        // Twelve frames of eight op kinds.
         js.apply(&add("A", vec![root])).unwrap();
         js.apply(&add("B", vec![id("A")])).unwrap();
         js.apply(&add("C", vec![root])).unwrap();
@@ -2044,10 +2042,26 @@ mod tests {
             .unwrap();
         js.apply(&RecordedOp::DropType { t: id("D") }).unwrap();
         js.apply(&add("E", vec![root])).unwrap();
-        let want = js.snapshot().fingerprint();
-        let k = js.seq();
-        assert_eq!(k, 12);
-        drop(js);
+        assert_eq!(js.seq(), 12);
+        js.snapshot().fingerprint()
+    }
+
+    /// `s` was derived exactly once, in full: one recomputation in all,
+    /// over every live type.
+    fn assert_derived_once(s: &Schema, what: &str) {
+        let st = s.stats();
+        let recomputes = st.full_recomputes + st.scoped_recomputes + st.noop_recomputes;
+        assert_eq!(recomputes, 1, "{what}: one recomputation ({st:?})");
+        assert_eq!(st.full_recomputes, 1, "{what}: a full one ({st:?})");
+        assert_eq!(st.types_derived, s.type_count() as u64, "{what}: ({st:?})");
+    }
+
+    #[test]
+    fn recovery_derives_once_for_the_whole_suffix() {
+        use crate::obs::{names, MetricsRegistry};
+        let io = Arc::new(MemIo::new());
+        let want = twelve_frame_journal(&io);
+        let k = 12;
 
         let reg = Arc::new(MetricsRegistry::new());
         let obs = Arc::new(EvolveObs::new(Arc::clone(&reg)));
@@ -2060,6 +2074,12 @@ mod tests {
             .map(|n| reg.get(n))
             .sum();
         assert_eq!(recomputes, 1, "one derivation for {k} replayed frames");
+        assert_derived_once(&schema, "recovery");
+        assert_eq!(
+            reg.get(names::ENGINE_TYPES_DERIVED),
+            schema.type_count() as u64,
+            "the observed derivation covers every live type"
+        );
         assert_eq!(report.replayed as u64, k);
         assert_eq!(reg.get(names::RECOVERY_REPLAYED), k);
         let ops: u64 = reg
@@ -2070,6 +2090,22 @@ mod tests {
             .map(|(_, n)| n)
             .sum();
         assert_eq!(ops, k);
+    }
+
+    #[test]
+    fn time_travel_and_history_reads_derive_once() {
+        let io = Arc::new(MemIo::new());
+        let want = twelve_frame_journal(&io);
+        for seq in [0, 5, 12] {
+            let s = Journal::replay_at(&dir(), io.as_ref(), seq).unwrap();
+            assert_derived_once(&s, &format!("replay_at({seq})"));
+            if seq == 12 {
+                assert_eq!(s.fingerprint(), want);
+            }
+        }
+        let (base, checkpoint, ops) = Journal::read_history(&dir(), io.as_ref()).unwrap();
+        assert_eq!((base, ops.len()), (0, 12));
+        assert_derived_once(&checkpoint, "read_history");
     }
 
     /// Delegates to a [`MemIo`], but every read of a WAL segment after the

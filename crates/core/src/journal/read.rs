@@ -10,8 +10,12 @@
 //!
 //! 1. **One checkpoint.** [`Layout::read`] selects the newest
 //!    `checkpoint-*.axb` whose file name, header, checksum and snapshot
-//!    agree. It is parsed once, and that parse is the starting schema.
-//!    Newer checkpoints that fail a check come back as skipped.
+//!    agree. It is parsed and validated once, into [`Inputs`] that nothing
+//!    has derived. A reader that needs a schema replays its frames on those
+//!    inputs as one batch whose end is the only derivation, a full one
+//!    ([`Inputs::build`]); a reader that needs only verdicts derives
+//!    nothing ([`Inputs::check`]). Newer checkpoints that fail a check come
+//!    back as skipped.
 //! 2. **One chained walk.** [`walk`] reads the WAL segments in base order,
 //!    each once, and decodes each frame once. Frames the checkpoint (or an
 //!    earlier segment) covers are skipped; a frame with `seq == cur + 1`
@@ -41,6 +45,7 @@ use crate::error::SchemaError;
 use crate::history::RecordedOp;
 use crate::json_escape;
 use crate::model::Schema;
+use crate::snapshot::Inputs;
 
 use super::io::JournalIo;
 use super::wire::{parse_header, read_frame, Frame, FrameResult, WAL_MAGIC};
@@ -250,8 +255,9 @@ pub(crate) struct Checkpoint {
     pub(crate) seq: u64,
     /// Its file name.
     pub(crate) file: String,
-    /// The schema it holds: where every read starts.
-    pub(crate) schema: Schema,
+    /// The validated inputs it holds, not yet derived: where every read
+    /// starts.
+    pub(crate) inputs: Inputs,
 }
 
 /// A journal directory as the read rules select it.
@@ -281,8 +287,8 @@ impl Layout {
         let mut skipped = Vec::new();
         for (seq, file) in files("checkpoint-", ".axb").into_iter().rev() {
             match parse_checkpoint(&io.read(&dir.join(&file))?, seq) {
-                Ok(schema) => {
-                    let checkpoint = Checkpoint { seq, file, schema };
+                Ok(inputs) => {
+                    let checkpoint = Checkpoint { seq, file, inputs };
                     let wals = files("wal-", ".log");
                     return Ok(Layout {
                         checkpoint,
@@ -319,15 +325,16 @@ fn refuse(skipped: SkippedCheckpoint) -> JournalError {
 
 /// Verify a checkpoint file against the sequence its name carries:
 /// header, checksum, then snapshot. The error is a skipped checkpoint's
-/// detail.
-fn parse_checkpoint(data: &[u8], seq: u64) -> Result<Schema, String> {
+/// detail. A snapshot whose inputs validate always derives, so the
+/// derivation is left to the reader.
+fn parse_checkpoint(data: &[u8], seq: u64) -> Result<Inputs, String> {
     let (header_seq, body) = parse_header("checkpoint", data)?;
     if header_seq != seq {
         return Err(format!(
             "header seq {header_seq} does not match file name seq {seq}"
         ));
     }
-    Schema::from_snapshot(body).map_err(|e| format!("bad snapshot: {e}"))
+    Inputs::parse(body).map_err(|e| format!("bad snapshot: {e}"))
 }
 
 /// What ended the walk of one segment.
@@ -519,22 +526,22 @@ pub(crate) fn walk_segment(
 }
 
 /// Strict recovery without the writes: the checkpoint it starts from, the
-/// chained operations on top of it (replayed in memory as one batch, so a
-/// frame whose op does not replay ends the walk), and the last finding.
+/// chained operations on top of it (replayed on a copy of its inputs, so a
+/// frame whose op does not replay ends the walk; nothing is derived), and
+/// the last finding.
 fn read_chain(
     io: &dyn JournalIo,
     dir: &Path,
 ) -> Result<(Checkpoint, Vec<RecordedOp>, Option<Stop>), JournalError> {
     let layout = Layout::read(io, dir)?.strict()?;
     let (from, mut ops) = (layout.checkpoint.seq, Vec::new());
-    let mut replay = layout.checkpoint.schema.clone();
-    let (_, stop) = replay.evolve_batch(|s| {
-        Ok(read_walk(io, dir, &layout.wals, from, |_, _, f| {
+    let (_, stop) = layout.checkpoint.inputs.check(|s| {
+        read_walk(io, dir, &layout.wals, from, |_, _, f| {
             f.op.apply(s)?;
             ops.push(f.op);
             Ok(())
-        }))
-    })??;
+        })
+    })?;
     Ok((layout.checkpoint, ops, stop))
 }
 
@@ -568,16 +575,19 @@ impl Journal {
     /// The durable history of `dir`, read by strict recovery's rules
     /// without writing anything: the checkpoint's base sequence and
     /// schema, and the chained operations on top of it, replayed in
-    /// memory as one batch. Whatever strict recovery refuses is refused
-    /// with the same error; a repairable tail, never acknowledged, is
-    /// left out.
+    /// memory on the checkpoint's inputs. Whatever strict recovery refuses
+    /// is refused with the same error; a repairable tail, never
+    /// acknowledged, is left out. The checkpoint schema is derived once.
     pub fn read_history(
         dir: &Path,
         io: &dyn JournalIo,
     ) -> Result<(u64, Schema, Vec<RecordedOp>), JournalError> {
         match read_chain(io, dir)? {
             (_, _, Some(stop)) if !stop.repairable() => Err(stop.error()),
-            (checkpoint, ops, _) => Ok((checkpoint.seq, checkpoint.schema, ops)),
+            (checkpoint, ops, _) => {
+                let (schema, ()) = checkpoint.inputs.build(None, |_| ());
+                Ok((checkpoint.seq, schema, ops))
+            }
         }
     }
 
@@ -608,24 +618,26 @@ impl Journal {
         seq: u64,
     ) -> Result<(Schema, u64), JournalError> {
         let layout = Layout::read(io, dir)?.strict()?;
-        let (base, mut schema) = (layout.checkpoint.seq, layout.checkpoint.schema);
+        let base = layout.checkpoint.seq;
         if seq < base {
             return Err(JournalError::SeqBeforeCheckpoint {
                 requested: seq,
                 checkpoint_seq: base,
             });
         }
-        // The wanted frames are one batch, exactly as in recovery; frames
-        // past `seq` are only chained, to find the durable maximum.
-        let (max, stop) = schema.evolve_batch(|s| {
-            Ok(read_walk(io, dir, &layout.wals, base, |_, _, f| {
+        // The wanted frames are one batch on the checkpoint's inputs,
+        // exactly as in recovery, ended by the one derivation; frames past
+        // `seq` are only chained, to find the durable maximum.
+        let (schema, walked) = layout.checkpoint.inputs.build(None, |s| {
+            read_walk(io, dir, &layout.wals, base, |_, _, f| {
                 if f.seq <= seq {
                     f.op.apply(s)
                 } else {
                     Ok(())
                 }
-            }))
-        })??;
+            })
+        });
+        let (max, stop) = walked?;
         match stop {
             Some(stop) if matches!(stop.finding, Finding::Rejected { .. }) => Err(stop.error()),
             _ if seq > max => Err(JournalError::SeqOutOfRange {

@@ -165,9 +165,8 @@ impl Clone for Schema {
         // otherwise its derived state stays stale and its stats — including
         // `noop_recomputes` for batches that cancel out — silently lose the
         // batch outcome along with the discarded `BatchState`.
-        if let Some(b) = self.batch.as_ref().filter(|b| b.dirty) {
-            let seeds: Vec<TypeId> = b.seeds.iter().collect();
-            engine::recompute_after_many(&mut out, &seeds, b.kind);
+        if let Some(b) = &self.batch {
+            engine::finish_batch(&mut out, b);
         }
         out
     }

@@ -472,6 +472,15 @@ impl Schema {
     /// one scoped derivation instead of `k` (the amortization the paper's
     /// "efficient algorithms" future work asks for).
     ///
+    /// **No verdict reads a derived row.** Every rejection rule reads the
+    /// inputs, the name index and the arena only; mid-batch, the cycle
+    /// check of [`Schema::add_essential_supertype`] walks `P_e` instead of
+    /// the cached `PL`. That is what lets a checkpoint load skip its own
+    /// derivation: the journal readers replay their frames on the parsed
+    /// inputs, with no derived row at all, in a batch whose end is the one
+    /// full derivation. An operation that reads derived state for its
+    /// verdict would break that replay; keep every rule input-level.
+    ///
     /// **Mid-batch staleness:** while the closure runs, derived accessors
     /// (`interface`, `super_lattice`, `verify`, …) reflect the state at
     /// batch entry, not the pending edits; input accessors
@@ -495,10 +504,7 @@ impl Schema {
         self.batch = Some(BatchState::new());
         let out = f(self);
         let st = self.batch.take().expect("batch state set above");
-        if st.dirty {
-            let seeds: Vec<TypeId> = st.seeds.into_iter().collect();
-            crate::engine::recompute_after_many(self, &seeds, st.kind);
-        }
+        crate::engine::finish_batch(self, &st);
         out
     }
 

@@ -3,9 +3,12 @@
 //! Only `P_e` and `N_e` (plus names, shape configuration, and frozen flags)
 //! are stored — the axioms re-derive everything else on load, which is the
 //! whole point of the model: "the axiomatic model takes care of rearranging
-//! the schema to conform to these two inputs" (§2). Loading validates the
-//! inputs (acyclicity, closure) before deriving, so a corrupted snapshot
-//! can never produce a schema that violates the axioms.
+//! the schema to conform to these two inputs" (§2). Loading parses and
+//! validates the inputs (index order, references, acyclicity, duplicate
+//! names, root/base markers) into `Inputs`, so a corrupted snapshot can
+//! never produce a schema that violates the axioms, and derives nothing:
+//! whoever builds the schema from them runs the one derivation, after any
+//! operations it replays on top ([`Schema::from_snapshot`] replays none).
 //!
 //! The format is line-oriented and human-auditable:
 //!
@@ -22,12 +25,14 @@
 //! Identifiers are raw arena indices; tombstoned entries are written as
 //! `dead` so indices stay stable across a round-trip.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
+use crate::bits::{PropSet, TypeSet};
 use crate::config::{LatticeConfig, Pointedness, Rootedness};
-use crate::engine::EngineKind;
+use crate::engine::{self, BatchState, EngineKind};
 use crate::ids::{PropId, TypeId};
-use crate::model::{NameIndex, PropRecord, Schema, Spine, TypeSlot};
+use crate::model::{DerivedType, NameIndex, PropRecord, Schema, Spine, TypeSlot};
+use crate::obs::EvolveObs;
 
 /// Errors raised while parsing a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,53 +70,89 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 impl Schema {
-    /// Serialize the designer inputs to the text snapshot format.
+    /// Serialize the designer inputs to the text snapshot format. Every
+    /// line is written straight into the one output buffer.
     pub fn to_snapshot(&self) -> String {
-        let mut out = String::new();
-        out.push_str("axiombase v1\n");
-        let rooted = if self.config.is_rooted() {
-            "rooted"
+        let mut out = String::with_capacity(32 * self.props.len() + 48 * self.types.len() + 64);
+        out.push_str("axiombase v1\nconfig ");
+        out.push_str(if self.config.is_rooted() {
+            "rooted "
         } else {
-            "forest"
-        };
-        let pointed = if self.config.is_pointed() {
-            "pointed"
+            "forest "
+        });
+        out.push_str(if self.config.is_pointed() {
+            "pointed\n"
         } else {
-            "open"
-        };
-        let _ = writeln!(out, "config {rooted} {pointed}");
-        let engine = match self.engine {
-            EngineKind::Naive => "naive",
-            EngineKind::Incremental => "incremental",
-        };
-        let _ = writeln!(out, "engine {engine}");
+            "open\n"
+        });
+        out.push_str(match self.engine {
+            EngineKind::Naive => "engine naive\n",
+            EngineKind::Incremental => "engine incremental\n",
+        });
         for (i, p) in self.props.iter().enumerate() {
-            let state = if p.alive { "alive" } else { "dead" };
-            let _ = writeln!(out, "prop {i} {state} {}", quote(&p.name));
+            out.push_str("prop ");
+            push_id(&mut out, i);
+            out.push_str(if p.alive { " alive " } else { " dead " });
+            push_quoted(&mut out, &p.name);
+            out.push('\n');
         }
         for (i, t) in self.types.iter().enumerate() {
-            let state = if t.alive { "alive" } else { "dead" };
-            let frozen = if t.frozen { "frozen" } else { "plain" };
-            let mark = if Some(TypeId::from_index(i)) == self.root {
-                "root"
-            } else if Some(TypeId::from_index(i)) == self.base {
-                "base"
+            out.push_str("type ");
+            push_id(&mut out, i);
+            out.push_str(if t.alive { " alive " } else { " dead " });
+            out.push_str(if t.frozen { "frozen " } else { "plain " });
+            let id = Some(TypeId::from_index(i));
+            out.push_str(if id == self.root {
+                "root "
+            } else if id == self.base {
+                "base "
             } else {
-                "-"
-            };
-            let pe = ids(t.pe.iter().map(TypeId::index));
-            let ne = ids(t.ne.iter().map(PropId::index));
-            let _ = writeln!(
-                out,
-                "type {i} {state} {frozen} {mark} {} pe[{pe}] ne[{ne}]",
-                quote(&t.name)
-            );
+                "- "
+            });
+            push_quoted(&mut out, &t.name);
+            out.push_str(" pe[");
+            push_ids(&mut out, t.pe.iter().map(TypeId::index));
+            out.push_str("] ne[");
+            push_ids(&mut out, t.ne.iter().map(PropId::index));
+            out.push_str("]\n");
         }
         out
     }
 
     /// Parse a snapshot, validate its inputs, and derive the full schema.
+    /// The journal readers load a checkpoint the same way, with the frames
+    /// they replay in between: one parse, then one full derivation.
     pub fn from_snapshot(text: &str) -> Result<Schema, SnapshotError> {
+        Ok(Inputs::parse(text)?.build(None, |_| ()).0)
+    }
+
+    /// Save the snapshot to `path` atomically (write `*.tmp`, fsync,
+    /// rename, fsync the directory) so a crash mid-save can never truncate
+    /// or corrupt a previous good snapshot at the same path.
+    pub fn save_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
+        crate::journal::io::atomic_write_file(path, self.to_snapshot().as_bytes())
+            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
+    }
+
+    /// Load a snapshot from `path` (see [`Schema::from_snapshot`]).
+    pub fn load_from(path: &std::path::Path) -> Result<Schema, SnapshotError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
+        Schema::from_snapshot(&text)
+    }
+}
+
+/// A snapshot's validated inputs: the schema it describes, every check of
+/// a load passed, with no derived row computed yet. Cloning is as cheap as
+/// cloning a schema. [`Inputs::build`] turns them into a schema with the
+/// one derivation.
+#[derive(Debug, Clone)]
+pub(crate) struct Inputs(Schema);
+
+impl Inputs {
+    /// Parse and validate a snapshot in one pass over its lines. Each id
+    /// list is parsed straight into its set, and each name is copied once.
+    pub(crate) fn parse(text: &str) -> Result<Inputs, SnapshotError> {
         let mut lines = text.lines().enumerate();
         let header = lines
             .next()
@@ -126,6 +167,8 @@ impl Schema {
         let mut types: Vec<TypeSlot> = Vec::new();
         let mut root = None;
         let mut base = None;
+        // One id buffer serves every list of the snapshot.
+        let mut ids: Vec<u32> = Vec::new();
 
         for (ix, raw) in lines {
             let line_no = ix + 1;
@@ -137,29 +180,17 @@ impl Schema {
                 line: line_no,
                 detail,
             };
-            let mut words = line.splitn(2, ' ');
-            let key = words.next().unwrap_or_default();
-            let rest = words.next().unwrap_or_default();
+            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
             match key {
-                "config" => {
-                    let mut it = rest.split_whitespace();
-                    config.rootedness = match it.next() {
-                        Some("rooted") => Rootedness::Rooted,
-                        Some("forest") => Rootedness::Forest,
-                        other => return Err(bad(format!("bad rootedness {other:?}"))),
-                    };
-                    config.pointedness = match it.next() {
-                        Some("pointed") => Pointedness::Pointed,
-                        Some("open") => Pointedness::Open,
-                        other => return Err(bad(format!("bad pointedness {other:?}"))),
-                    };
-                }
-                "engine" => {
-                    engine = match rest.trim() {
-                        "naive" => EngineKind::Naive,
-                        "incremental" => EngineKind::Incremental,
-                        other => return Err(bad(format!("unknown engine {other:?}"))),
-                    };
+                "type" => {
+                    let (slot, mark) = parse_type_line(rest, types.len(), &mut ids).map_err(bad)?;
+                    let id = TypeId::from_index(types.len());
+                    match mark {
+                        Mark::Root => root = Some(id),
+                        Mark::Base => base = Some(id),
+                        Mark::None => {}
+                    }
+                    types.push(slot);
                 }
                 "prop" => {
                     let mut it = rest.splitn(3, ' ');
@@ -182,36 +213,59 @@ impl Schema {
                         .ok_or_else(|| bad("bad prop name quoting".into()))?;
                     props.push(PropRecord { name, alive });
                 }
-                "type" => {
-                    let (slot, mark) = parse_type_line(rest, types.len()).map_err(bad)?;
-                    let id = TypeId::from_index(types.len());
-                    match mark {
-                        Mark::Root => root = Some(id),
-                        Mark::Base => base = Some(id),
-                        Mark::None => {}
-                    }
-                    types.push(slot);
+                "config" => {
+                    let mut it = rest.split_whitespace();
+                    config.rootedness = match it.next() {
+                        Some("rooted") => Rootedness::Rooted,
+                        Some("forest") => Rootedness::Forest,
+                        other => return Err(bad(format!("bad rootedness {other:?}"))),
+                    };
+                    config.pointedness = match it.next() {
+                        Some("pointed") => Pointedness::Pointed,
+                        Some("open") => Pointedness::Open,
+                        other => return Err(bad(format!("bad pointedness {other:?}"))),
+                    };
+                }
+                "engine" => {
+                    engine = match rest.trim() {
+                        "naive" => EngineKind::Naive,
+                        "incremental" => EngineKind::Incremental,
+                        other => return Err(bad(format!("unknown engine {other:?}"))),
+                    };
                 }
                 other => return Err(bad(format!("unknown record kind {other:?}"))),
             }
         }
 
-        assemble(config, engine, props, types, root, base)
+        validate(config, engine, props, types, root, base)
     }
 
-    /// Save the snapshot to `path` atomically (write `*.tmp`, fsync,
-    /// rename, fsync the directory) so a crash mid-save can never truncate
-    /// or corrupt a previous good snapshot at the same path.
-    pub fn save_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        crate::journal::io::atomic_write_file(path, self.to_snapshot().as_bytes())
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
+    /// Build the schema: run `f` on the inputs as one batch, and end the
+    /// batch with the only derivation, a full one with the snapshot's
+    /// engine. `obs` is attached first, so it observes that derivation and
+    /// the copies `f`'s edits make. Replay on the inputs is exact: no
+    /// operation's verdict reads a derived row (see
+    /// [`Schema::evolve_batch`]).
+    pub(crate) fn build<R>(
+        self,
+        obs: Option<Arc<EvolveObs>>,
+        f: impl FnOnce(&mut Schema) -> R,
+    ) -> (Schema, R) {
+        let Inputs(mut schema) = self;
+        schema.obs = obs;
+        schema.batch = Some(BatchState::underived());
+        let out = f(&mut schema);
+        let st = schema.batch.take().expect("batch state set above");
+        engine::finish_batch(&mut schema, &st);
+        (schema, out)
     }
 
-    /// Load a snapshot from `path` (see [`Schema::from_snapshot`]).
-    pub fn load_from(path: &std::path::Path) -> Result<Schema, SnapshotError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
-        Schema::from_snapshot(&text)
+    /// Run `f` on a copy of the inputs for its verdicts alone. Nothing is
+    /// derived: every rejection rule reads the inputs only.
+    pub(crate) fn check<R>(&self, f: impl FnOnce(&mut Schema) -> R) -> R {
+        let mut schema = self.0.clone();
+        schema.batch = Some(BatchState::underived());
+        f(&mut schema)
     }
 }
 
@@ -221,7 +275,11 @@ enum Mark {
     None,
 }
 
-fn parse_type_line(rest: &str, expected_idx: usize) -> Result<(TypeSlot, Mark), String> {
+fn parse_type_line(
+    rest: &str,
+    expected_idx: usize,
+    ids: &mut Vec<u32>,
+) -> Result<(TypeSlot, Mark), String> {
     // <idx> <alive|dead> <frozen|plain> <root|base|-> "name" pe[...] ne[...]
     let mut it = rest.splitn(5, ' ');
     let idx: usize = it
@@ -251,17 +309,14 @@ fn parse_type_line(rest: &str, expected_idx: usize) -> Result<(TypeSlot, Mark), 
     };
     let tail = it.next().ok_or("missing name")?;
     let (name, tail) = take_quoted(tail).ok_or("bad name quoting")?;
-    let tail = tail.trim();
-    let (pe_str, tail) = take_bracketed(tail, "pe").ok_or("missing pe[...]")?;
+    let (pe_str, tail) = take_bracketed(tail.trim(), "pe").ok_or("missing pe[...]")?;
     let (ne_str, _tail) = take_bracketed(tail.trim(), "ne").ok_or("missing ne[...]")?;
-    let pe: crate::bits::TypeSet = parse_ids(pe_str)?
-        .into_iter()
-        .map(TypeId::from_index)
-        .collect();
-    let ne: crate::bits::PropSet = parse_ids(ne_str)?
-        .into_iter()
-        .map(PropId::from_index)
-        .collect();
+    ids.clear();
+    each_id(pe_str, |id| ids.push(id))?;
+    let pe = TypeSet::from_bits(ids);
+    ids.clear();
+    each_id(ne_str, |id| ids.push(id))?;
+    let ne = PropSet::from_bits(ids);
     Ok((
         TypeSlot {
             name,
@@ -274,16 +329,17 @@ fn parse_type_line(rest: &str, expected_idx: usize) -> Result<(TypeSlot, Mark), 
     ))
 }
 
-fn assemble(
+/// Check what a load checks besides the line syntax: every live type's
+/// references, unique live names, acyclicity and the root/base markers.
+/// The name and reverse-subtype indexes are built on the way.
+fn validate(
     config: LatticeConfig,
     engine: EngineKind,
     props: Vec<PropRecord>,
     types: Vec<TypeSlot>,
     root: Option<TypeId>,
     base: Option<TypeId>,
-) -> Result<Schema, SnapshotError> {
-    // Validate inputs before deriving anything; the name index is built
-    // in the same pass.
+) -> Result<Inputs, SnapshotError> {
     let mut by_name = NameIndex::new();
     for (i, t) in types.iter().enumerate() {
         if !t.alive {
@@ -316,7 +372,7 @@ fn assemble(
     // The spines are built once parsing is done, so each one's records sit
     // together in memory rather than between the parser's allocations.
     let types: Spine<TypeSlot> = types.into_iter().collect();
-    if crate::engine::topo_order(&types).is_none() {
+    if engine::topo_order(&types).is_none() {
         return Err(SnapshotError::InvalidInputs(
             "P_e graph contains a cycle (Axiom of Acyclicity)".into(),
         ));
@@ -338,8 +394,9 @@ fn assemble(
 
     let mut schema = Schema {
         config,
-        // `recompute_all` below fills the derived spine.
-        derived: Spine::new(),
+        // Placeholder rows, one per slot, so that replayed edits index the
+        // spine as usual; the build's full derivation replaces them.
+        derived: Spine::repeat(types.len(), DerivedType::default()),
         types,
         props: props.into_iter().collect(),
         by_name,
@@ -369,44 +426,82 @@ fn assemble(
         .map(|(i, _)| PropId::from_index(i))
         .collect();
     schema.rebuild_subtype_index();
-    schema.recompute_all();
-    Ok(schema)
+    Ok(Inputs(schema))
 }
 
-fn ids(it: impl Iterator<Item = usize>) -> String {
-    let v: Vec<String> = it.map(|x| x.to_string()).collect();
-    v.join(",")
+/// Append `n` in decimal.
+fn push_id(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Append the comma-separated id list `ids`.
+fn push_ids(out: &mut String, ids: impl Iterator<Item = usize>) {
+    for (k, id) in ids.enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        push_id(out, id);
+    }
+}
+
+/// Hand each id of a comma-separated list (the contents of `key[...]`) to
+/// `push`. An id must be a decimal in the `u32` id space.
+fn each_id(s: &str, mut push: impl FnMut(u32)) -> Result<(), String> {
+    if s.trim().is_empty() {
+        return Ok(());
+    }
+    for w in s.split(',') {
+        let id = w
+            .trim()
+            .parse::<usize>()
+            .ok()
+            .and_then(|id| u32::try_from(id).ok())
+            .ok_or_else(|| format!("bad id {w:?}"))?;
+        push(id);
+    }
+    Ok(())
 }
 
 /// Parse a comma-separated id list (the contents of `key[...]`).
 pub(crate) fn parse_ids(s: &str) -> Result<Vec<usize>, String> {
-    if s.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|w| {
-            w.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad id {w:?}"))
-        })
-        .collect()
+    let mut out = Vec::new();
+    each_id(s, |id| out.push(id as usize))?;
+    Ok(out)
 }
 
 /// Quote `s` for a snapshot line: wrapped in `"`, with `"`, `\` and
 /// newline escaped as `\"`, `\\` and `\n`. [`take_quoted`] reads it back.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_quoted(&mut out, s);
     out
+}
+
+/// Append [`quote`]`(s)`, copying each run between escapes whole.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(i) = rest.find(['"', '\\', '\n']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            _ => "\\n",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 fn unquote(s: &str) -> Option<String> {
@@ -414,23 +509,24 @@ fn unquote(s: &str) -> Option<String> {
 }
 
 /// Parse a leading [`quote`]d string; return it plus the remainder, or
-/// `None` if `s` does not start with a terminated quoted string.
+/// `None` if `s` does not start with a terminated quoted string. A name
+/// without escapes is one search and one copy.
 pub fn take_quoted(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('"')?;
+    let mut rest = s.strip_prefix('"')?;
     let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '\\' => match chars.next() {
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, c2)) => out.push(c2),
-                None => return None,
-            },
-            '"' => return Some((out, &rest[i + 1..])),
+    loop {
+        let i = rest.find(['"', '\\'])?;
+        out.push_str(&rest[..i]);
+        if rest.as_bytes()[i] == b'"' {
+            return Some((out, &rest[i + 1..]));
+        }
+        let mut escaped = rest[i + 1..].chars();
+        match escaped.next()? {
+            'n' => out.push('\n'),
             c => out.push(c),
         }
+        rest = escaped.as_str();
     }
-    None
 }
 
 /// Parse `key[...]`, returning the bracket contents and the remainder.
@@ -685,6 +781,35 @@ mod tests {
                 Schema::from_snapshot(text).unwrap_err(),
                 SnapshotError::BadHeader(want.to_string()),
                 "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        let want = "axiombase v1\n\
+                    config rooted pointed\n\
+                    engine incremental\n\
+                    prop 0 alive \"weird \\\"name\\\"\\nnewline\"\n\
+                    prop 1 dead \"gone\"\n\
+                    type 0 alive plain root \"T_object\" pe[] ne[]\n\
+                    type 1 alive plain base \"T_null\" pe[0,2,3] ne[]\n\
+                    type 2 alive frozen - \"A\" pe[0] ne[0]\n\
+                    type 3 alive plain - \"B\" pe[2] ne[]\n\
+                    type 4 dead plain - \"C\" pe[] ne[]\n";
+        assert_eq!(sample().to_snapshot(), want);
+        let r = Schema::from_snapshot(want).unwrap();
+        assert_eq!(r.to_snapshot(), want);
+    }
+
+    #[test]
+    fn ids_past_the_id_space_are_refused() {
+        for list in ["pe[4294967296] ne[]", "pe[] ne[0,18446744073709551616]"] {
+            let text = format!("axiombase v1\ntype 0 alive plain - \"A\" {list}\n");
+            let err = Schema::from_snapshot(&text).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::BadLine { line: 2, detail } if detail.starts_with("bad id")),
+                "{list}: {err:?}"
             );
         }
     }

@@ -336,7 +336,11 @@ impl Objectbase {
                     let (alive_str, rest) = rest
                         .split_once(' ')
                         .ok_or_else(|| bad("missing alive flag".into()))?;
-                    let alive = alive_str == "alive";
+                    let alive = match alive_str {
+                        "alive" => true,
+                        "dead" => false,
+                        _ => return Err(bad("bad alive flag".into())),
+                    };
                     let (name, rest) = take_quoted(rest.trim_start())
                         .ok_or_else(|| bad("bad name quoting".into()))?;
                     let tail = rest.trim();
@@ -688,6 +692,26 @@ mod tests {
         // Corrupt a type-object reference.
         let broken = text.replace("typeobject 0 ", "typeobject 0 99999 #");
         assert!(Objectbase::from_snapshot(&broken).is_err());
+    }
+
+    #[test]
+    fn collection_alive_flag_is_alive_or_dead() {
+        let text = evolved().to_snapshot();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("collection ") && l.contains(" alive "))
+            .expect("a live collection");
+        for flag in ["alve", "Alive", "dead!"] {
+            let broken = text.replace(line, &line.replacen(" alive ", &format!(" {flag} "), 1));
+            match Objectbase::from_snapshot(&broken) {
+                Err(PersistError::BadLine { detail, .. }) => assert_eq!(detail, "bad alive flag"),
+                other => panic!("flag {flag:?}: {other:?}"),
+            }
+        }
+        // Both words still load, each as itself.
+        let dead = text.replace(line, &line.replacen(" alive ", " dead ", 1));
+        let r = Objectbase::from_snapshot(&dead).unwrap();
+        assert_eq!(r.lso().len() + 1, evolved().lso().len());
     }
 
     #[test]
