@@ -130,7 +130,7 @@ impl RawBitSet {
 
     /// The set of `bits`, given in any order and with repeats, in one
     /// allocation: the span from the smallest to the largest word.
-    pub fn from_bits(bits: &[u32]) -> RawBitSet {
+    pub(crate) fn from_bits(bits: &[u32]) -> RawBitSet {
         let (Some(&lo), Some(&hi)) = (bits.iter().min(), bits.iter().max()) else {
             return RawBitSet::new();
         };

@@ -182,15 +182,25 @@ impl Inputs {
             };
             let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
             match key {
-                "type" => {
-                    let (slot, mark) = parse_type_line(rest, types.len(), &mut ids).map_err(bad)?;
-                    let id = TypeId::from_index(types.len());
-                    match mark {
-                        Mark::Root => root = Some(id),
-                        Mark::Base => base = Some(id),
-                        Mark::None => {}
-                    }
-                    types.push(slot);
+                "config" => {
+                    let mut it = rest.split_whitespace();
+                    config.rootedness = match it.next() {
+                        Some("rooted") => Rootedness::Rooted,
+                        Some("forest") => Rootedness::Forest,
+                        other => return Err(bad(format!("bad rootedness {other:?}"))),
+                    };
+                    config.pointedness = match it.next() {
+                        Some("pointed") => Pointedness::Pointed,
+                        Some("open") => Pointedness::Open,
+                        other => return Err(bad(format!("bad pointedness {other:?}"))),
+                    };
+                }
+                "engine" => {
+                    engine = match rest.trim() {
+                        "naive" => EngineKind::Naive,
+                        "incremental" => EngineKind::Incremental,
+                        other => return Err(bad(format!("unknown engine {other:?}"))),
+                    };
                 }
                 "prop" => {
                     let mut it = rest.splitn(3, ' ');
@@ -213,25 +223,15 @@ impl Inputs {
                         .ok_or_else(|| bad("bad prop name quoting".into()))?;
                     props.push(PropRecord { name, alive });
                 }
-                "config" => {
-                    let mut it = rest.split_whitespace();
-                    config.rootedness = match it.next() {
-                        Some("rooted") => Rootedness::Rooted,
-                        Some("forest") => Rootedness::Forest,
-                        other => return Err(bad(format!("bad rootedness {other:?}"))),
-                    };
-                    config.pointedness = match it.next() {
-                        Some("pointed") => Pointedness::Pointed,
-                        Some("open") => Pointedness::Open,
-                        other => return Err(bad(format!("bad pointedness {other:?}"))),
-                    };
-                }
-                "engine" => {
-                    engine = match rest.trim() {
-                        "naive" => EngineKind::Naive,
-                        "incremental" => EngineKind::Incremental,
-                        other => return Err(bad(format!("unknown engine {other:?}"))),
-                    };
+                "type" => {
+                    let (slot, mark) = parse_type_line(rest, types.len(), &mut ids).map_err(bad)?;
+                    let id = TypeId::from_index(types.len());
+                    match mark {
+                        Mark::Root => root = Some(id),
+                        Mark::Base => base = Some(id),
+                        Mark::None => {}
+                    }
+                    types.push(slot);
                 }
                 other => return Err(bad(format!("unknown record kind {other:?}"))),
             }
