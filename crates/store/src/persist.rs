@@ -405,6 +405,63 @@ mod tests {
     }
 
     #[test]
+    fn slot_lists_load_sorted_and_the_last_duplicate_wins() {
+        let s = ObjectStore::from_snapshot(
+            "store v1 policy lazy next 2\nobject 1 type 0 stale 0 slots[5=i:1, 2=_, 5=i:2]",
+        )
+        .unwrap();
+        let rec = s.record(Oid::from_raw(1)).unwrap();
+        let (p2, p5) = (PropId::from_index(2), PropId::from_index(5));
+        assert_eq!(rec.slots.keys().copied().collect::<Vec<_>>(), [p2, p5]);
+        assert_eq!(rec.slots[&p5], Value::Int(2));
+        assert_eq!(rec.slots[&p2], Value::Null);
+        assert_eq!(
+            s.to_snapshot(),
+            "store v1 policy lazy next 2\nobject 1 type 0 stale 0 slots[2=_, 5=i:2]\n"
+        );
+    }
+
+    /// A screening store holding a conforming, a stale, a screened (one
+    /// slot outside its interface, one missing) and a migrated record,
+    /// with a deleted identity between them, renders to these bytes.
+    #[test]
+    fn snapshot_bytes_of_every_record_state_are_pinned() {
+        let mut schema = Schema::new(LatticeConfig::default());
+        let root = schema.add_root_type("T_object").unwrap();
+        let a = schema.add_type("A", [root], []).unwrap();
+        let x = schema.define_property_on(a, "x").unwrap();
+        let b = schema.add_type("B", [a], []).unwrap();
+        let y = schema.define_property_on(b, "y").unwrap();
+        let c = schema.add_type("C", [root], []).unwrap();
+        let z = schema.define_property_on(c, "z").unwrap();
+        let mut store = ObjectStore::new(Policy::Screening);
+        let conforming = store.create(&schema, a).unwrap();
+        let stale = store.create(&schema, a).unwrap();
+        let gone = store.create(&schema, c).unwrap();
+        let screened = store.create(&schema, b).unwrap();
+        let migrated = store.create(&schema, c).unwrap();
+        store.set(&schema, conforming, x, Value::Int(1)).unwrap();
+        store.set(&schema, stale, x, Value::Real(0.5)).unwrap();
+        store.set(&schema, screened, y, "s".into()).unwrap();
+        store.set(&schema, migrated, z, Value::Bool(true)).unwrap();
+        store.delete(gone).unwrap();
+        schema.define_property_on(a, "w").unwrap();
+        schema.drop_essential_property(b, y).unwrap();
+        store.on_schema_change(&schema, &[a, b]);
+        store.convert(&schema, conforming).unwrap();
+        assert_eq!(store.get(&schema, screened, x).unwrap(), Value::Null);
+        store.migrate(&schema, migrated, a).unwrap();
+        let want = "store v1 policy screening next 5\n\
+                    object 0 type 1 conforming 9 slots[0=i:1, 3=_]\n\
+                    object 1 type 1 stale 7 slots[0=r:0.5]\n\
+                    object 3 type 2 stale 7 slots[0=_, 1=s:\"s\"]\n\
+                    object 4 type 1 conforming 9 slots[0=_, 3=_]\n";
+        assert_eq!(store.to_snapshot(), want);
+        let r = ObjectStore::from_snapshot(want).unwrap();
+        assert_eq!(r.to_snapshot(), want);
+    }
+
+    #[test]
     fn duplicate_oids_rejected() {
         let text = "store v1 policy lazy next 5\n\
                     object 1 type 0 conforming 0 slots[]\n\

@@ -675,6 +675,43 @@ mod tests {
         assert_ne!(o, o2);
     }
 
+    #[test]
+    fn identities_and_extents_stay_ascending_after_deletes_and_migrations() {
+        let (s, person, employee, _) = schema();
+        let mut store = ObjectStore::new(Policy::Lazy);
+        let o: Vec<Oid> = (0..8)
+            .map(|i| store.create(&s, [person, employee][i % 2]).unwrap())
+            .collect();
+        store.delete(o[2]).unwrap();
+        store.delete(o[5]).unwrap();
+        store.migrate(&s, o[7], person).unwrap();
+        store.migrate(&s, o[1], person).unwrap();
+        store.migrate(&s, o[4], employee).unwrap();
+        store.migrate(&s, o[0], employee).unwrap();
+        assert_eq!(
+            store.iter_oids().collect::<Vec<_>>(),
+            [o[0], o[1], o[3], o[4], o[6], o[7]]
+        );
+        assert_eq!(
+            store.extent(person).into_iter().collect::<Vec<_>>(),
+            [o[1], o[6], o[7]]
+        );
+        assert_eq!(
+            store.extent(employee).into_iter().collect::<Vec<_>>(),
+            [o[0], o[3], o[4]]
+        );
+        assert_eq!(
+            store
+                .deep_extent(&s, person)
+                .unwrap()
+                .into_iter()
+                .collect::<Vec<_>>(),
+            [o[0], o[1], o[3], o[4], o[6], o[7]]
+        );
+        assert_eq!(store.drop_extent(employee), [o[0], o[3], o[4]]);
+        assert_eq!(store.iter_oids().collect::<Vec<_>>(), [o[1], o[6], o[7]]);
+    }
+
     /// Root, `A{x}` and `B` under `A`, recorded; a lazy store holds three
     /// instances of each, every `x` set to a distinct value.
     fn planned() -> (History, ObjectStore, TypeId, TypeId, PropId) {
