@@ -346,7 +346,7 @@ fn suffix_since(
     io: &dyn JournalIo,
     fork_seq: u64,
 ) -> Result<Vec<RecordedOp>, MergeError> {
-    let (checkpoint_seq, _, mut ops) = Journal::read_history(dir, io)?;
+    let (checkpoint_seq, mut ops) = Journal::read_history_ops(dir, io)?;
     if checkpoint_seq > fork_seq {
         return Err(MergeError::SuffixUnavailable {
             dir: dir.display().to_string(),
@@ -433,6 +433,28 @@ mod tests {
         drop_edge(&beta2, "C", "PB");
         let report2 = beta2.merge(&alpha2).expect("other order too");
         assert_eq!(report.canonical_fingerprint, report2.canonical_fingerprint);
+    }
+
+    /// A merge derives one schema from snapshot inputs, the fork-point
+    /// base; reading either branch's post-fork suffix derives nothing.
+    #[test]
+    fn merge_reads_both_suffixes_without_deriving() {
+        let io = Arc::new(MemIo::new());
+        let root = root(io.clone());
+        let alpha = root.fork(Path::new("/alpha"), None).unwrap();
+        let beta = root.fork(Path::new("/beta"), None).unwrap();
+        drop_edge(&alpha, "C", "PA");
+        drop_edge(&beta, "C", "PB");
+        let builds = crate::snapshot::builds();
+        let ours = suffix_since(Path::new("/alpha"), io.as_ref(), 0).unwrap();
+        assert_eq!(ours.len(), 1);
+        assert_eq!(
+            crate::snapshot::builds(),
+            builds,
+            "a suffix read derives nothing"
+        );
+        alpha.merge(&beta).expect("§5 pair commutes");
+        assert_eq!(crate::snapshot::builds(), builds + 1, "only the fork base");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use core::fmt;
 
-use crate::bits::{ensure_arena_index, ArenaKind};
+use crate::bits::{ensure_arena_index, ArenaFull, ArenaKind};
 
 /// Identifier of a type in the lattice `T`.
 ///
@@ -42,10 +42,14 @@ impl TypeId {
     /// a typed error instead of a panic.
     #[inline]
     pub fn from_index(ix: usize) -> Self {
-        match ensure_arena_index(ix, ArenaKind::Types) {
-            Ok(raw) => TypeId(raw),
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_from_index(ix).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Construct from a raw index read from outside the process (a file,
+    /// a frame): an index past the `u32` id space is a typed error.
+    #[inline]
+    pub fn try_from_index(ix: usize) -> Result<Self, ArenaFull> {
+        ensure_arena_index(ix, ArenaKind::Types).map(TypeId)
     }
 
     /// Raw `u32` bit position (the bit kernel's key space).
@@ -90,10 +94,14 @@ impl PropId {
     /// Construct from a raw index (see [`TypeId::from_index`]).
     #[inline]
     pub fn from_index(ix: usize) -> Self {
-        match ensure_arena_index(ix, ArenaKind::Props) {
-            Ok(raw) => PropId(raw),
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_from_index(ix).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Construct from a raw index read from outside the process (see
+    /// [`TypeId::try_from_index`]).
+    #[inline]
+    pub fn try_from_index(ix: usize) -> Result<Self, ArenaFull> {
+        ensure_arena_index(ix, ArenaKind::Props).map(PropId)
     }
 
     /// Raw `u32` bit position (the bit kernel's key space).

@@ -2103,9 +2103,20 @@ mod tests {
                 assert_eq!(s.fingerprint(), want);
             }
         }
+        let builds = crate::snapshot::builds();
         let (base, checkpoint, ops) = Journal::read_history(&dir(), io.as_ref()).unwrap();
         assert_eq!((base, ops.len()), (0, 12));
         assert_derived_once(&checkpoint, "read_history");
+        assert_eq!(crate::snapshot::builds(), builds + 1);
+        // The ops alone: the same history, with nothing derived.
+        let builds = crate::snapshot::builds();
+        let (base_only, ops_only) = Journal::read_history_ops(&dir(), io.as_ref()).unwrap();
+        assert_eq!((base_only, ops_only), (base, ops));
+        assert_eq!(
+            crate::snapshot::builds(),
+            builds,
+            "read_history_ops derives nothing"
+        );
     }
 
     /// Delegates to a [`MemIo`], but every read of a WAL segment after the

@@ -545,6 +545,19 @@ fn read_chain(
     Ok((layout.checkpoint, ops, stop))
 }
 
+/// [`read_chain`] by the history readers' rule: a finding strict recovery
+/// refuses is the error, and a repairable tail, never acknowledged, is
+/// left out.
+fn durable_chain(
+    io: &dyn JournalIo,
+    dir: &Path,
+) -> Result<(Checkpoint, Vec<RecordedOp>), JournalError> {
+    match read_chain(io, dir)? {
+        (_, _, Some(stop)) if !stop.repairable() => Err(stop.error()),
+        (checkpoint, ops, _) => Ok((checkpoint, ops)),
+    }
+}
+
 impl Journal {
     /// Read-only listing of a journal directory: the newest verified
     /// checkpoint (and any newer damaged ones), the chained WAL entries
@@ -582,13 +595,19 @@ impl Journal {
         dir: &Path,
         io: &dyn JournalIo,
     ) -> Result<(u64, Schema, Vec<RecordedOp>), JournalError> {
-        match read_chain(io, dir)? {
-            (_, _, Some(stop)) if !stop.repairable() => Err(stop.error()),
-            (checkpoint, ops, _) => {
-                let (schema, ()) = checkpoint.inputs.build(None, |_| ());
-                Ok((checkpoint.seq, schema, ops))
-            }
-        }
+        let (checkpoint, ops) = durable_chain(io, dir)?;
+        let (schema, ()) = checkpoint.inputs.build(None, |_| ());
+        Ok((checkpoint.seq, schema, ops))
+    }
+
+    /// [`Journal::read_history`] without the schema: the checkpoint's base
+    /// sequence and the chained operations on top of it, read by the same
+    /// rules, with nothing derived.
+    pub(crate) fn read_history_ops(
+        dir: &Path,
+        io: &dyn JournalIo,
+    ) -> Result<(u64, Vec<RecordedOp>), JournalError> {
+        durable_chain(io, dir).map(|(checkpoint, ops)| (checkpoint.seq, ops))
     }
 
     /// Time-travel read: reconstruct the schema exactly *as of* sequence

@@ -167,12 +167,14 @@ pub fn decode_op(text: &str) -> Result<RecordedOp, String> {
     let idx = |w: &str| -> Result<usize, String> {
         w.parse::<usize>().map_err(|_| format!("bad id {w:?}"))
     };
-    let two_ids = |rest: &str| -> Result<(usize, usize), String> {
+    let ty = |w: &str| TypeId::try_from_index(idx(w)?).map_err(|e| e.to_string());
+    let prop = |w: &str| PropId::try_from_index(idx(w)?).map_err(|e| e.to_string());
+    fn two_ids(rest: &str) -> Result<(&str, &str), String> {
         let (a, b) = rest
             .split_once(' ')
             .ok_or_else(|| format!("expected two ids, got {rest:?}"))?;
-        Ok((idx(a.trim())?, idx(b.trim())?))
-    };
+        Ok((a.trim(), b.trim()))
+    }
     let name_only = |rest: &str| -> Result<String, String> {
         let (name, tail) = take_quoted(rest).ok_or_else(|| format!("bad quoting in {rest:?}"))?;
         if !tail.trim().is_empty() {
@@ -189,13 +191,11 @@ pub fn decode_op(text: &str) -> Result<RecordedOp, String> {
                 .split_once(' ')
                 .ok_or_else(|| format!("rp: missing name in {rest:?}"))?;
             Ok(RecordedOp::RenameProperty {
-                p: PropId::from_index(idx(p)?),
+                p: prop(p)?,
                 name: name_only(tail.trim())?,
             })
         }
-        "dp" => Ok(RecordedOp::DropProperty {
-            p: PropId::from_index(idx(rest)?),
-        }),
+        "dp" => Ok(RecordedOp::DropProperty { p: prop(rest)? }),
         "art" => Ok(RecordedOp::AddRootType {
             name: name_only(rest)?,
         }),
@@ -225,47 +225,43 @@ pub fn decode_op(text: &str) -> Result<RecordedOp, String> {
                     .collect(),
             })
         }
-        "dt" => Ok(RecordedOp::DropType {
-            t: TypeId::from_index(idx(rest)?),
-        }),
+        "dt" => Ok(RecordedOp::DropType { t: ty(rest)? }),
         "rt" => {
             let (t, tail) = rest
                 .split_once(' ')
                 .ok_or_else(|| format!("rt: missing name in {rest:?}"))?;
             Ok(RecordedOp::RenameType {
-                t: TypeId::from_index(idx(t)?),
+                t: ty(t)?,
                 name: name_only(tail.trim())?,
             })
         }
-        "ft" => Ok(RecordedOp::FreezeType {
-            t: TypeId::from_index(idx(rest)?),
-        }),
+        "ft" => Ok(RecordedOp::FreezeType { t: ty(rest)? }),
         "asr" => {
             let (t, s) = two_ids(rest)?;
             Ok(RecordedOp::AddEssentialSupertype {
-                t: TypeId::from_index(t),
-                s: TypeId::from_index(s),
+                t: ty(t)?,
+                s: ty(s)?,
             })
         }
         "dsr" => {
             let (t, s) = two_ids(rest)?;
             Ok(RecordedOp::DropEssentialSupertype {
-                t: TypeId::from_index(t),
-                s: TypeId::from_index(s),
+                t: ty(t)?,
+                s: ty(s)?,
             })
         }
         "ab" => {
             let (t, p) = two_ids(rest)?;
             Ok(RecordedOp::AddEssentialProperty {
-                t: TypeId::from_index(t),
-                p: PropId::from_index(p),
+                t: ty(t)?,
+                p: prop(p)?,
             })
         }
         "db" => {
             let (t, p) = two_ids(rest)?;
             Ok(RecordedOp::DropEssentialProperty {
-                t: TypeId::from_index(t),
-                p: PropId::from_index(p),
+                t: ty(t)?,
+                p: prop(p)?,
             })
         }
         other => Err(format!("unknown op kind {other:?}")),
@@ -473,6 +469,27 @@ mod tests {
             "ap \"x\" trailing",
         ] {
             assert!(decode_op(bad).is_err(), "{bad:?} should not decode");
+        }
+    }
+
+    /// An id past the `u32` id space is refused with the arena bound's
+    /// message, not a panic in the id constructor.
+    #[test]
+    fn decode_refuses_ids_past_the_id_space() {
+        let types = "type arena index 4294967296 exceeds the u32::MAX id space";
+        let props = "property arena index 4294967296 exceeds the u32::MAX id space";
+        for (bad, want) in [
+            ("dt 4294967296", types),
+            ("ft 4294967296", types),
+            ("rt 4294967296 \"A\"", types),
+            ("asr 4294967296 0", types),
+            ("dsr 0 4294967296", types),
+            ("ab 4294967296 0", types),
+            ("db 0 4294967296", props),
+            ("dp 4294967296", props),
+            ("rp 4294967296 \"a\"", props),
+        ] {
+            assert_eq!(decode_op(bad), Err(want.to_string()), "{bad:?}");
         }
     }
 

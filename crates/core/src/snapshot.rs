@@ -169,6 +169,10 @@ impl Inputs {
         let mut base = None;
         // One id buffer serves every list of the snapshot.
         let mut ids: Vec<u32> = Vec::new();
+        // An id names a line of the text, so no larger id can be a live
+        // reference: it is set aside, not allocated in its set.
+        let lines_in_text = text.bytes().filter(|&b| b == b'\n').count() + 1;
+        let mut unnamed: Vec<(usize, Unnamed)> = Vec::new();
 
         for (ix, raw) in lines {
             let line_no = ix + 1;
@@ -224,7 +228,11 @@ impl Inputs {
                     props.push(PropRecord { name, alive });
                 }
                 "type" => {
-                    let (slot, mark) = parse_type_line(rest, types.len(), &mut ids).map_err(bad)?;
+                    let (slot, mark, far) =
+                        parse_type_line(rest, types.len(), &mut ids, lines_in_text).map_err(bad)?;
+                    if far.pe.is_some() || far.ne.is_some() {
+                        unnamed.push((types.len(), far));
+                    }
                     let id = TypeId::from_index(types.len());
                     match mark {
                         Mark::Root => root = Some(id),
@@ -237,7 +245,7 @@ impl Inputs {
             }
         }
 
-        validate(config, engine, props, types, root, base)
+        validate(config, engine, props, types, &unnamed, root, base)
     }
 
     /// Build the schema: run `f` on the inputs as one batch, and end the
@@ -251,6 +259,8 @@ impl Inputs {
         obs: Option<Arc<EvolveObs>>,
         f: impl FnOnce(&mut Schema) -> R,
     ) -> (Schema, R) {
+        #[cfg(test)]
+        BUILDS.with(|n| n.set(n.get() + 1));
         let Inputs(mut schema) = self;
         schema.obs = obs;
         schema.batch = Some(BatchState::underived());
@@ -269,17 +279,40 @@ impl Inputs {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Schemas this thread built from snapshot inputs: one full
+    /// derivation each.
+    static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many schemas this thread has built from snapshot inputs, so a test
+/// can count the full derivations a read performs.
+#[cfg(test)]
+pub(crate) fn builds() -> u64 {
+    BUILDS.with(std::cell::Cell::get)
+}
+
 enum Mark {
     Root,
     Base,
     None,
 }
 
+/// The smallest id of a type line's `pe` and `ne` lists that cannot name
+/// a line of the text, set aside by the parser.
+#[derive(Default)]
+struct Unnamed {
+    pe: Option<u32>,
+    ne: Option<u32>,
+}
+
 fn parse_type_line(
     rest: &str,
     expected_idx: usize,
     ids: &mut Vec<u32>,
-) -> Result<(TypeSlot, Mark), String> {
+    lines_in_text: usize,
+) -> Result<(TypeSlot, Mark, Unnamed), String> {
     // <idx> <alive|dead> <frozen|plain> <root|base|-> "name" pe[...] ne[...]
     let mut it = rest.splitn(5, ' ');
     let idx: usize = it
@@ -311,11 +344,10 @@ fn parse_type_line(
     let (name, tail) = take_quoted(tail).ok_or("bad name quoting")?;
     let (pe_str, tail) = take_bracketed(tail.trim(), "pe").ok_or("missing pe[...]")?;
     let (ne_str, _tail) = take_bracketed(tail.trim(), "ne").ok_or("missing ne[...]")?;
-    ids.clear();
-    each_id(pe_str, |id| ids.push(id))?;
+    let mut far = Unnamed::default();
+    ids_naming_lines(pe_str, lines_in_text, ids, &mut far.pe)?;
     let pe = TypeSet::from_bits(ids);
-    ids.clear();
-    each_id(ne_str, |id| ids.push(id))?;
+    ids_naming_lines(ne_str, lines_in_text, ids, &mut far.ne)?;
     let ne = PropSet::from_bits(ids);
     Ok((
         TypeSlot {
@@ -326,23 +358,41 @@ fn parse_type_line(
             ne,
         },
         mark,
+        far,
     ))
 }
 
 /// Check what a load checks besides the line syntax: every live type's
 /// references, unique live names, acyclicity and the root/base markers.
-/// The name and reverse-subtype indexes are built on the way.
+/// The name and reverse-subtype indexes are built on the way. An id the
+/// parser set aside (`unnamed`, by type index) is a dangling reference of
+/// its type, live or dead, and is refused where the sets' own ids would
+/// be: after every smaller id of its list.
 fn validate(
     config: LatticeConfig,
     engine: EngineKind,
     props: Vec<PropRecord>,
     types: Vec<TypeSlot>,
+    unnamed: &[(usize, Unnamed)],
     root: Option<TypeId>,
     base: Option<TypeId>,
 ) -> Result<Inputs, SnapshotError> {
+    let dangling = |i: usize, what: &str, id: String| {
+        SnapshotError::InvalidInputs(format!("type {i} references dead/missing {what} {id}"))
+    };
+    let mut unnamed = unnamed.iter().peekable();
     let mut by_name = NameIndex::new();
     for (i, t) in types.iter().enumerate() {
+        let far = unnamed.next_if(|(at, _)| *at == i).map(|(_, far)| far);
         if !t.alive {
+            if let Some(far) = far {
+                if let Some(s) = far.pe {
+                    return Err(dangling(i, "supertype", format!("t{s}")));
+                }
+                if let Some(p) = far.ne {
+                    return Err(dangling(i, "property", format!("p{p}")));
+                }
+            }
             continue;
         }
         if by_name
@@ -356,17 +406,19 @@ fn validate(
         }
         for s in &t.pe {
             if !types.get(s.index()).is_some_and(|x| x.alive) {
-                return Err(SnapshotError::InvalidInputs(format!(
-                    "type {i} references dead/missing supertype {s}"
-                )));
+                return Err(dangling(i, "supertype", s.to_string()));
             }
+        }
+        if let Some(s) = far.and_then(|f| f.pe) {
+            return Err(dangling(i, "supertype", format!("t{s}")));
         }
         for p in &t.ne {
             if !props.get(p.index()).is_some_and(|x| x.alive) {
-                return Err(SnapshotError::InvalidInputs(format!(
-                    "type {i} references dead/missing property {p}"
-                )));
+                return Err(dangling(i, "property", p.to_string()));
             }
+        }
+        if let Some(p) = far.and_then(|f| f.ne) {
+            return Err(dangling(i, "property", format!("p{p}")));
         }
     }
     // The spines are built once parsing is done, so each one's records sit
@@ -470,6 +522,24 @@ fn each_id(s: &str, mut push: impl FnMut(u32)) -> Result<(), String> {
         push(id);
     }
     Ok(())
+}
+
+/// Read the id list `s` into `ids`, except each id of `lines_in_text` or
+/// more, of which `far` keeps the smallest.
+fn ids_naming_lines(
+    s: &str,
+    lines_in_text: usize,
+    ids: &mut Vec<u32>,
+    far: &mut Option<u32>,
+) -> Result<(), String> {
+    ids.clear();
+    each_id(s, |id| {
+        if (id as usize) < lines_in_text {
+            ids.push(id);
+        } else {
+            *far = Some(far.map_or(id, |f| f.min(id)));
+        }
+    })
 }
 
 /// Parse a comma-separated id list (the contents of `key[...]`).
@@ -754,6 +824,25 @@ mod tests {
             (
                 "type 0 alive plain - \"A\" pe[] ne[3]",
                 invalid("type 0 references dead/missing property p3"),
+            ),
+            // An id no line of the text can name is refused as dangling
+            // before its set is allocated (this one would span ~500 MB),
+            // after the smaller ids of its list and before the next list.
+            (
+                "type 0 alive plain - \"A\" pe[0,4000000000] ne[]",
+                invalid("type 0 references dead/missing supertype t4000000000"),
+            ),
+            (
+                "type 0 alive plain - \"A\" pe[4000000000,1] ne[4000000000]",
+                invalid("type 0 references dead/missing supertype t1"),
+            ),
+            (
+                "prop 0 alive \"a\"\ntype 0 alive plain - \"A\" pe[] ne[0,4000000000,4]",
+                invalid("type 0 references dead/missing property p4"),
+            ),
+            (
+                "type 0 dead plain - \"A\" pe[] ne[4000000000]",
+                invalid("type 0 references dead/missing property p4000000000"),
             ),
             (
                 "prop 0 dead \"a\"\ntype 0 alive plain - \"A\" pe[] ne[0]",

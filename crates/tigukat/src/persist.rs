@@ -233,7 +233,7 @@ impl Objectbase {
                         return Err(bad("usage: typeobject T OID".into()));
                     };
                     type_objects.insert(
-                        TypeId::from_index(t.parse().map_err(|_| bad("bad type".into()))?),
+                        type_id(t, "bad type").map_err(bad)?,
                         Oid::from_raw(o.parse().map_err(|_| bad("bad oid".into()))?),
                     );
                 }
@@ -242,9 +242,7 @@ impl Objectbase {
                     let w: Vec<&str> = rest.split_whitespace().collect();
                     match w.as_slice() {
                         [b, "object", o, "sig", sig @ ..] => {
-                            let b = PropId::from_index(
-                                b.parse().map_err(|_| bad("bad behavior id".into()))?,
-                            );
+                            let b = prop_id(b, "bad behavior id").map_err(bad)?;
                             let object =
                                 Oid::from_raw(o.parse().map_err(|_| bad("bad oid".into()))?);
                             let sig_str = sig.join(" ");
@@ -306,12 +304,13 @@ impl Objectbase {
                     let [t, b, f] = w.as_slice() else {
                         return Err(bad("usage: impl T B F".into()));
                     };
+                    let f: u32 = f.parse().map_err(|_| bad("bad function".into()))?;
                     impls.insert(
                         (
-                            TypeId::from_index(t.parse().map_err(|_| bad("bad type".into()))?),
-                            PropId::from_index(b.parse().map_err(|_| bad("bad behavior".into()))?),
+                            type_id(t, "bad type").map_err(bad)?,
+                            prop_id(b, "bad behavior").map_err(bad)?,
                         ),
-                        FunctionId::from_index(f.parse().map_err(|_| bad("bad function".into()))?),
+                        FunctionId::from_index(f as usize),
                     );
                 }
                 "class" => {
@@ -320,7 +319,7 @@ impl Objectbase {
                         return Err(bad("usage: class T object OID".into()));
                     };
                     classes.insert(
-                        TypeId::from_index(t.parse().map_err(|_| bad("bad type".into()))?),
+                        type_id(t, "bad type").map_err(bad)?,
                         ClassInfo {
                             object: Oid::from_raw(o.parse().map_err(|_| bad("bad oid".into()))?),
                         },
@@ -509,6 +508,19 @@ fn split_section<'a>(
     Ok((&body[..pos], &body[pos + next.len()..]))
 }
 
+/// A type id of the document: `not_a_number` when `w` is not a decimal,
+/// the arena bound's message when it is past the id space.
+fn type_id(w: &str, not_a_number: &str) -> Result<TypeId, String> {
+    let ix = w.parse().map_err(|_| not_a_number.to_string())?;
+    TypeId::try_from_index(ix).map_err(|e| e.to_string())
+}
+
+/// A property id of the document (see [`type_id`]).
+fn prop_id(w: &str, not_a_number: &str) -> Result<PropId, String> {
+    let ix = w.parse().map_err(|_| not_a_number.to_string())?;
+    PropId::try_from_index(ix).map_err(|e| e.to_string())
+}
+
 fn parse_primitives(rest: &str) -> Result<Primitives, String> {
     // types[...] behaviors[...]
     let (types_part, behaviors_part) = rest
@@ -518,14 +530,12 @@ fn parse_primitives(rest: &str) -> Result<Primitives, String> {
     let behaviors_str = behaviors_part.strip_suffix(']').ok_or("missing ]")?;
     let types: Vec<TypeId> = types_str
         .split_whitespace()
-        .map(|w| w.parse().map(TypeId::from_index))
-        .collect::<Result<_, _>>()
-        .map_err(|_| "bad type id".to_string())?;
+        .map(|w| type_id(w, "bad type id"))
+        .collect::<Result<_, _>>()?;
     let behaviors: Vec<PropId> = behaviors_str
         .split_whitespace()
-        .map(|w| w.parse().map(PropId::from_index))
-        .collect::<Result<_, _>>()
-        .map_err(|_| "bad behavior id".to_string())?;
+        .map(|w| prop_id(w, "bad behavior id"))
+        .collect::<Result<_, _>>()?;
     if types.len() != 16 || behaviors.len() != 9 {
         return Err(format!(
             "expected 16 types and 9 behaviors, got {} and {}",
@@ -570,15 +580,9 @@ fn parse_signature(s: &str) -> Result<Signature, String> {
     let (args_str, result_str) = inner.split_once(';').ok_or("missing ; in signature")?;
     let args: Vec<TypeId> = args_str
         .split_whitespace()
-        .map(|w| w.parse().map(TypeId::from_index))
-        .collect::<Result<_, _>>()
-        .map_err(|_| "bad arg type".to_string())?;
-    let result = TypeId::from_index(
-        result_str
-            .trim()
-            .parse()
-            .map_err(|_| "bad result type".to_string())?,
-    );
+        .map(|w| type_id(w, "bad arg type"))
+        .collect::<Result<_, _>>()?;
+    let result = type_id(result_str.trim(), "bad result type")?;
     Ok(Signature { args, result })
 }
 

@@ -3,7 +3,7 @@
 //! meta-section grammar, and a hostile document must come back as `Err` —
 //! never a panic (ISSUE 3, satellite 2).
 
-use axiombase_tigukat::{FunctionKind, Objectbase, Signature};
+use axiombase_tigukat::{FunctionKind, Objectbase, PersistError, Signature};
 use proptest::prelude::*;
 
 fn valid_snapshot() -> String {
@@ -52,6 +52,34 @@ fn mutate(text: &str, flips: &[(u16, u8)], trunc: u16, drop_line: u8, dup_line: 
     let keep = trunc as usize % (bytes.len() + 1);
     bytes.truncate(keep);
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// An id past the `u32` id space in a meta line is a typed refusal of
+/// that line, not a panic in the id constructor.
+#[test]
+fn meta_ids_past_the_id_space_are_refused() {
+    let text = valid_snapshot();
+    let types = "type arena index 4294967296 exceeds the u32::MAX id space";
+    let props = "property arena index 4294967296 exceeds the u32::MAX id space";
+    for (kind, word, want) in [
+        ("impl ", 0, types),
+        ("impl ", 1, props),
+        ("class ", 0, types),
+        ("typeobject ", 0, types),
+        ("behavior ", 0, props),
+    ] {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(kind))
+            .unwrap_or_else(|| panic!("the fixture has a {kind:?} line"));
+        let mut words: Vec<&str> = line.split(' ').collect();
+        words[word + 1] = "4294967296";
+        let hostile = text.replacen(line, &words.join(" "), 1);
+        match Objectbase::from_snapshot(&hostile) {
+            Err(PersistError::BadLine { detail, .. }) => assert_eq!(detail, want, "{line}"),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
 }
 
 proptest! {
