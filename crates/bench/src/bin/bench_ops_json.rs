@@ -54,7 +54,11 @@
 //! the smallest interface, to keep the store small). Both runs mark the
 //! same objects stale; the larger must cost within
 //! [`PROPAGATION_CEILING`]x of the smaller: propagation costs what it
-//! marks, not what is stored.
+//! marks, not what is stored. Each run also prices, per object, the
+//! store work a migration touches: [`TOUCH_CREATES`] `create`s on one
+//! changed type, `drop_extent` of that type, and [`TOUCH_READS`] reads
+//! that convert a stale object; each of the three carries the same
+//! ceiling between the two runs.
 //!
 //! The `versions` block prices a published schema version: a 1,100-op
 //! size-neutral trace runs through `SharedSchema::evolve` (clone, edit,
@@ -77,8 +81,8 @@ use axiombase_core::journal::io::MemIo;
 use axiombase_core::obs::names;
 use axiombase_core::{
     analyze_trace, build_plan, EngineKind, EvolutionPlan, EvolveObs, JournalOptions,
-    JournaledSchema, LatticeConfig, MetricsRegistry, MetricsSnapshot, PlanApply, RecordedOp,
-    Schema, SharedSchema, TypeId,
+    JournaledSchema, LatticeConfig, MetricsRegistry, MetricsSnapshot, PlanApply, PropId,
+    RecordedOp, Schema, SharedSchema, TypeId,
 };
 use axiombase_store::{ObjectStore, Oid, Policy};
 use axiombase_workload::{
@@ -140,8 +144,13 @@ const AGED_CEILING: f64 = 1.25;
 /// Objects in the smaller `propagation` run (perfbench's store size).
 const PROPAGATION_OBJECTS: usize = 100_000;
 /// Hard ceiling for `on_schema_change` over ten times the objects against
-/// the smaller run.
+/// the smaller run, and for each per-object touch cost.
 const PROPAGATION_CEILING: f64 = 1.5;
+/// Objects the `propagation` cell creates on one changed type per
+/// repetition.
+const TOUCH_CREATES: usize = 2_000;
+/// Converting reads the `propagation` cell times per repetition.
+const TOUCH_READS: usize = 1_000;
 /// Ops per trace in the `versions` cell.
 const VERSIONS_OPS: usize = 1_100;
 /// Hard ceiling for `SharedSchema::evolve` against in-place apply at
@@ -709,6 +718,29 @@ fn arena_slots(schema: &Schema) -> (usize, usize) {
     (shadow.type_slots(), shadow.prop_slots())
 }
 
+/// Median per-object ns of the store work a migration touches, in one
+/// `propagation` run.
+#[derive(Clone, Copy)]
+struct TouchNs {
+    /// `create` on one changed type.
+    create: u128,
+    /// `drop_extent` of that type.
+    drop_extent: u128,
+    /// A `get` that converts a stale object.
+    get_converting: u128,
+}
+
+impl TouchNs {
+    /// `(name, ns)` for each operation.
+    fn named(self) -> [(&'static str, u128); 3] {
+        [
+            ("create", self.create),
+            ("drop_extent", self.drop_extent),
+            ("get_converting", self.get_converting),
+        ]
+    }
+}
+
 /// The `propagation` cell's result.
 struct PropagationRow {
     /// Objects in each run.
@@ -719,6 +751,16 @@ struct PropagationRow {
     ns: [u128; 2],
     /// `ns[1] / ns[0]`.
     ratio: f64,
+    /// Per-object touch costs in each run.
+    touch: [TouchNs; 2],
+}
+
+impl PropagationRow {
+    /// `(name, large/small ratio)` for each touch cost.
+    fn touch_ratios(&self) -> [(&'static str, f64); 3] {
+        let [small, large] = self.touch.map(TouchNs::named);
+        std::array::from_fn(|i| (small[i].0, large[i].1 as f64 / small[i].1.max(1) as f64))
+    }
 }
 
 /// The `propagation` cell: `on_schema_change` under lazy conversion for
@@ -731,7 +773,11 @@ struct PropagationRow {
 /// and leaves none to hold the extra objects. Each timed call is undone,
 /// untimed, by converting the changed extents back, so every repetition
 /// marks the same objects; the cell reports the median of [`ITERATIONS`]
-/// repetitions per size.
+/// repetitions per size. After each `on_schema_change`, the first
+/// [`TOUCH_READS`] stale objects of the changed types are read (each read
+/// converts), then [`TOUCH_CREATES`] objects are created on the changed
+/// type with the most instances, its extent is dropped, and as many
+/// objects as it held before are created again, untimed.
 fn measure_propagation(base: &Schema) -> PropagationRow {
     let (ops, steps) = (0..)
         .map(|k| {
@@ -786,32 +832,73 @@ fn measure_propagation(base: &Schema) -> PropagationRow {
     for s in steps.iter().filter(|s| s.drop_extent) {
         store.drop_extent(TypeId::from_index(s.type_index));
     }
+    let touched = *changed
+        .iter()
+        .max_by_key(|&&t| store.extent(t).len())
+        .expect("the migration changes a type");
+    let first_prop = |t: TypeId| post.derived(t).ok()?.iface.iter().next();
     let run = |store: &mut ObjectStore| {
         let mut times = Vec::new();
         let mut marked = 0;
+        let [mut create, mut drop, mut get] = [(); 3].map(|()| Vec::new());
         for _ in 0..ITERATIONS {
             let before = store.stats().marked_stale;
             let start = Instant::now();
             store.on_schema_change(&post, &changed);
             times.push(start.elapsed().as_nanos());
             marked = store.stats().marked_stale - before;
+            let reads: Vec<(Oid, PropId)> = changed
+                .iter()
+                .filter_map(|&t| Some((t, first_prop(t)?)))
+                .flat_map(|(t, p)| store.extent(t).into_iter().map(move |o| (o, p)))
+                .take(TOUCH_READS)
+                .collect();
+            let start = Instant::now();
+            for &(oid, p) in &reads {
+                std::hint::black_box(store.get(&post, oid, p).expect("a stale read converts"));
+            }
+            get.push(start.elapsed().as_nanos() / reads.len().max(1) as u128);
             for &t in &changed {
                 let oids: Vec<Oid> = store.extent(t).into_iter().collect();
                 for oid in oids {
                     store.convert(&post, oid).expect("a changed type is live");
                 }
             }
+            let held = store.extent(touched).len();
+            let start = Instant::now();
+            for _ in 0..TOUCH_CREATES {
+                store
+                    .create(&post, touched)
+                    .expect("a changed type is live");
+            }
+            create.push(start.elapsed().as_nanos() / TOUCH_CREATES as u128);
+            let start = Instant::now();
+            let dropped = store.drop_extent(touched).len();
+            drop.push(start.elapsed().as_nanos() / dropped as u128);
+            for _ in 0..held {
+                store
+                    .create(&post, touched)
+                    .expect("a changed type is live");
+            }
         }
-        times.sort_unstable();
-        (store.object_count(), marked, times[times.len() / 2])
+        let mid = |mut xs: Vec<u128>| {
+            xs.sort_unstable();
+            xs[xs.len() / 2]
+        };
+        let touch = TouchNs {
+            create: mid(create),
+            drop_extent: mid(drop),
+            get_converting: mid(get),
+        };
+        (store.object_count(), marked, mid(times), touch)
     };
-    let (small, marked, small_ns) = run(&mut store);
+    let (small, marked, small_ns, small_touch) = run(&mut store);
     for _ in 0..9 * PROPAGATION_OBJECTS {
         store
             .create(&post, preserving[next(preserving.len())])
             .expect("a preserving type is live");
     }
-    let (large, large_marked, large_ns) = run(&mut store);
+    let (large, large_marked, large_ns, large_touch) = run(&mut store);
     expect(
         marked > 0 && large_marked == marked,
         "both propagation runs mark the same objects stale",
@@ -821,6 +908,7 @@ fn measure_propagation(base: &Schema) -> PropagationRow {
         marked,
         ns: [small_ns, large_ns],
         ratio: large_ns as f64 / small_ns.max(1) as f64,
+        touch: [small_touch, large_touch],
     }
 }
 
@@ -1254,6 +1342,22 @@ fn main() {
             "on_schema_change over 10x the objects stays within {PROPAGATION_CEILING}x (hard ceiling)"
         ),
     );
+    for ((name, ratio), (small, large)) in prop
+        .touch_ratios()
+        .into_iter()
+        .zip(prop.touch[0].named().into_iter().zip(prop.touch[1].named()))
+    {
+        println!(
+            "propagation: {name} costs {} ns per object among {}, {} ns among {}: {ratio:.2}x",
+            small.1, prop.objects[0], large.1, prop.objects[1]
+        );
+        expect(
+            ratio <= PROPAGATION_CEILING,
+            &format!(
+                "{name} per object among 10x the objects stays within {PROPAGATION_CEILING}x (hard ceiling)"
+            ),
+        );
+    }
 
     // Published versions: staging (clone, edit, publish, release) against
     // the same edits in place, at two base sizes.
@@ -1415,13 +1519,17 @@ fn main() {
     json.push_str("  \"propagation\": {\n");
     let _ = writeln!(json, "    \"policy\": \"lazy\",");
     let _ = writeln!(json, "    \"marked_stale\": {},", prop.marked);
-    for (objects, ns) in prop.objects.iter().zip(prop.ns) {
-        let _ = writeln!(
-            json,
-            "    \"objects_{objects}\": {{\"on_schema_change_ns\": {ns}}},"
-        );
+    for ((objects, ns), touch) in prop.objects.iter().zip(prop.ns).zip(prop.touch) {
+        let mut row = format!("\"on_schema_change_ns\": {ns}");
+        for (name, ns) in touch.named() {
+            let _ = write!(row, ", \"{name}_ns_per_object\": {ns}");
+        }
+        let _ = writeln!(json, "    \"objects_{objects}\": {{{row}}},");
     }
     let _ = writeln!(json, "    \"ratio_10x_objects\": {:.2},", prop.ratio);
+    for (name, ratio) in prop.touch_ratios() {
+        let _ = writeln!(json, "    \"{name}_ratio_10x_objects\": {ratio:.2},");
+    }
     let _ = writeln!(json, "    \"ceiling\": {PROPAGATION_CEILING:.1}");
     json.push_str("  },\n");
     json.push_str("  \"versions\": {\n");

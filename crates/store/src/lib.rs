@@ -45,7 +45,7 @@ pub mod query;
 pub mod store;
 pub mod value;
 
-pub use object::{Conformance, ObjectRecord, Oid};
+pub use object::{Conformance, ObjectRecord, Oid, Slots};
 pub use persist::StoreSnapshotError;
 pub use propagation::{Policy, PropagationStats};
 pub use query::{Predicate, Select};

@@ -15,11 +15,9 @@
 //! Value encoding: `_` null, `b:true`, `i:42`, `r:2.5`, `s:"..."` (escaped),
 //! `o:7` (reference), `l:[v,v,...]` (list).
 
-use std::collections::BTreeMap;
-
 use axiombase_core::{PropId, TypeId};
 
-use crate::object::{Conformance, ObjectRecord, Oid};
+use crate::object::{Conformance, ObjectRecord, Oid, Slots};
 use crate::propagation::Policy;
 use crate::store::ObjectStore;
 use crate::value::Value;
@@ -245,6 +243,7 @@ impl ObjectStore {
                 [oid, "type", ty, conf, version] => {
                     let oid: u64 = oid.parse().map_err(|_| bad(ix, "bad oid".into()))?;
                     let ty: usize = ty.parse().map_err(|_| bad(ix, "bad type".into()))?;
+                    let ty = TypeId::try_from_index(ty).map_err(|e| bad(ix, e.to_string()))?;
                     let conf = match *conf {
                         "conforming" => Conformance::Conforming,
                         "stale" => Conformance::Stale,
@@ -252,21 +251,23 @@ impl ObjectStore {
                     };
                     let version: u64 =
                         version.parse().map_err(|_| bad(ix, "bad version".into()))?;
-                    (Oid::from_raw(oid), TypeId::from_index(ty), conf, version)
+                    (Oid::from_raw(oid), ty, conf, version)
                 }
                 _ => return Err(bad(ix, format!("bad object header {head:?}"))),
             };
-            let mut slots: BTreeMap<PropId, Value> = BTreeMap::new();
+            let mut slots = Vec::new();
             if !slots_str.trim().is_empty() {
                 for item in slots_str.split(", ") {
                     let (p, v) = item
                         .split_once('=')
                         .ok_or_else(|| bad(ix, format!("bad slot {item:?}")))?;
                     let p: usize = p.parse().map_err(|_| bad(ix, "bad prop id".into()))?;
-                    let v = decode_value(v).map_err(|e| bad(ix, e))?;
-                    slots.insert(PropId::from_index(p), v);
+                    let p = PropId::try_from_index(p).map_err(|e| bad(ix, e.to_string()))?;
+                    slots.push((p, decode_value(v).map_err(|e| bad(ix, e))?));
                 }
             }
+            // In any order; a repeated property keeps its last value.
+            let slots: Slots = slots.into_iter().collect();
             let mut rec = ObjectRecord::new(ty, slots, version);
             rec.conformance = conf;
             store.install_record(oid, rec).map_err(|e| bad(ix, e))?;

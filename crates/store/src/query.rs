@@ -97,7 +97,7 @@ impl ObjectStore {
     /// the propagation policy; under filtering, stale instances surface as
     /// errors, like any other access.
     pub fn select(&mut self, schema: &Schema, ty: TypeId, query: &Select) -> Result<Vec<Oid>> {
-        let scope: Vec<Oid> = self.deep_extent(schema, ty)?.into_iter().collect();
+        let scope = self.deep_extent(schema, ty)?;
         let mut out = Vec::new();
         'obj: for oid in scope {
             let obj_ty = self.type_of(oid)?;

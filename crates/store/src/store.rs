@@ -9,13 +9,24 @@
 //!
 //! Every access reads the type's interface as the schema's own `PropSet`
 //! row ([`Schema::derived`]), so no access materialises an interface.
+//!
+//! **Layout.** The object table hashes an [`Oid`] to its record, whose
+//! [`Slots`] are one vector in ascending property order; an extent is an
+//! ascending vector of oids. Finding a record costs one hash lookup, a
+//! slot read one binary search over the record's slots, and reconciling
+//! a record with its type's interface one merge of the two ascending
+//! sequences. The table is hashed rather than indexed by oid because a
+//! loaded store may name any `u64` identity: it allocates by the records
+//! it holds, and a deleted object leaves no hole.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use axiombase_core::analysis::PropagationPlan;
 use axiombase_core::{PropId, PropSet, Schema, SchemaError, TypeId};
 
-use crate::object::{Conformance, ObjectRecord, Oid};
+use crate::object::{Conformance, ObjectRecord, Oid, Slots};
 use crate::propagation::{Policy, PropagationStats};
 use crate::value::Value;
 
@@ -105,11 +116,74 @@ pub struct PlanStats {
     pub orphans_migrated: usize,
 }
 
+/// The object table's hash. A block of 64 consecutive identities keeps
+/// its order in the table: the block number goes through one keyed
+/// 128-bit multiply, folded to 64 bits, and the identity's low six bits
+/// sit below that and are mixed into the top seven bits, which the table
+/// compares first. Records created together therefore sit together, so a
+/// pass over them (marking a type stale, reading what a migration
+/// changed) touches the same memory however many other records the table
+/// holds. The keys are drawn per table from [`RandomState`], so no store
+/// file can choose identities that collide.
+#[derive(Debug, Clone)]
+struct OidHash {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for OidHash {
+    fn default() -> Self {
+        let key = |salt: u64| RandomState::new().hash_one(salt);
+        OidHash {
+            k0: key(0),
+            k1: key(1) | 1,
+        }
+    }
+}
+
+impl BuildHasher for OidHash {
+    type Hasher = OidHasher;
+
+    fn build_hasher(&self) -> OidHasher {
+        OidHasher {
+            keys: (self.k0, self.k1),
+            state: 0,
+        }
+    }
+}
+
+/// The hasher [`OidHash`] builds.
+#[derive(Debug)]
+struct OidHasher {
+    keys: (u64, u64),
+    state: u64,
+}
+
+impl Hasher for OidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let (block, low) = (n >> 6, n & 63);
+        let m = u128::from(self.state ^ block ^ self.keys.0) * u128::from(self.keys.1);
+        let b = (m as u64) ^ ((m >> 64) as u64);
+        self.state = (b << 6 | low) ^ (low << 57);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// An instance store with per-type extents and a change-propagation policy.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    objects: BTreeMap<Oid, ObjectRecord>,
-    extents: HashMap<TypeId, BTreeSet<Oid>>,
+    objects: HashMap<Oid, ObjectRecord, OidHash>,
+    /// Per type, its instances' oids, ascending.
+    extents: HashMap<TypeId, Vec<Oid>>,
     /// Per type, the oids that turned `Conforming` since the type was last
     /// marked stale. **Invariant:** every `Conforming` record of type `t`
     /// is listed under `t`. Entries may be stale (the record was deleted,
@@ -158,13 +232,12 @@ impl ObjectStore {
     /// Create an instance of `ty`, with one `Null` slot per interface
     /// property, and add it to the type's extent.
     pub fn create(&mut self, schema: &Schema, ty: TypeId) -> Result<Oid> {
-        let iface = &schema.derived(ty)?.iface;
-        let slots: BTreeMap<PropId, Value> = iface.iter().map(|p| (p, Value::Null)).collect();
+        let slots = Slots::nulls(&schema.derived(ty)?.iface);
         let oid = Oid::from_raw(self.next);
         self.next += 1;
         self.objects
             .insert(oid, ObjectRecord::new(ty, slots, schema.version()));
-        self.extents.entry(ty).or_default().insert(oid);
+        add_to_extent(&mut self.extents, ty, oid);
         list_conforming(&mut self.conforming, &self.extents, ty, oid);
         Ok(oid)
     }
@@ -175,9 +248,7 @@ impl ObjectStore {
             .objects
             .remove(&oid)
             .ok_or(StoreError::UnknownObject(oid))?;
-        if let Some(ext) = self.extents.get_mut(&rec.ty) {
-            ext.remove(&oid);
-        }
+        remove_from_extent(&mut self.extents, rec.ty, oid);
         Ok(())
     }
 
@@ -332,30 +403,29 @@ impl ObjectStore {
     // Extents
     // ------------------------------------------------------------------
 
-    /// The shallow extent of `ty`: objects created from exactly this type.
-    pub fn extent(&self, ty: TypeId) -> BTreeSet<Oid> {
+    /// The shallow extent of `ty`, ascending: objects created from
+    /// exactly this type.
+    pub fn extent(&self, ty: TypeId) -> Vec<Oid> {
         self.extents.get(&ty).cloned().unwrap_or_default()
     }
 
-    /// The deep extent of `ty`: instances of `ty` and of every subtype
-    /// (classes are "homogeneous up to inclusion polymorphism", §3.1).
-    pub fn deep_extent(&self, schema: &Schema, ty: TypeId) -> Result<BTreeSet<Oid>> {
+    /// The deep extent of `ty`, ascending: instances of `ty` and of every
+    /// subtype (classes are "homogeneous up to inclusion polymorphism",
+    /// §3.1).
+    pub fn deep_extent(&self, schema: &Schema, ty: TypeId) -> Result<Vec<Oid>> {
         let mut out = self.extent(ty);
         for sub in schema.all_subtypes(ty)? {
-            out.extend(self.extent(sub));
+            out.extend(self.extents.get(&sub).into_iter().flatten());
         }
+        out.sort_unstable();
         Ok(out)
     }
 
     /// Objects whose type is `ty`, removed wholesale — the instance-level
     /// effect of DT/DC: "The extent managed by a dropped class is also
-    /// dropped" (§3.3). Returns the deleted oids.
+    /// dropped" (§3.3). Returns the deleted oids, ascending.
     pub fn drop_extent(&mut self, ty: TypeId) -> Vec<Oid> {
-        let oids: Vec<Oid> = self
-            .extents
-            .remove(&ty)
-            .map(|extent| extent.into_iter().collect())
-            .unwrap_or_default();
+        let oids = self.extents.remove(&ty).unwrap_or_default();
         for oid in &oids {
             self.objects.remove(oid);
         }
@@ -374,19 +444,12 @@ impl ObjectStore {
             .get_mut(&oid)
             .ok_or(StoreError::UnknownObject(oid))?;
         let old_ty = rec.ty;
-        let mut slots: BTreeMap<PropId, Value> = BTreeMap::new();
-        for p in iface.iter() {
-            let v = rec.slots.remove(&p).unwrap_or(Value::Null);
-            slots.insert(p, v);
-        }
+        rec.slots.conform_to(iface);
         rec.ty = new_ty;
-        rec.slots = slots;
         rec.conformance = Conformance::Conforming;
         rec.conforms_to_version = schema.version();
-        if let Some(ext) = self.extents.get_mut(&old_ty) {
-            ext.remove(&oid);
-        }
-        self.extents.entry(new_ty).or_default().insert(oid);
+        remove_from_extent(&mut self.extents, old_ty, oid);
+        add_to_extent(&mut self.extents, new_ty, oid);
         list_conforming(&mut self.conforming, &self.extents, new_ty, oid);
         Ok(())
     }
@@ -444,7 +507,7 @@ impl ObjectStore {
             for oid in extent {
                 let rec = self.objects.get_mut(oid).expect("extent member exists");
                 for &(p, q) in &step.rekey_slots {
-                    if let Some(v) = rec.slots.remove(&PropId::from_index(p)) {
+                    if let Some(v) = rec.slots.remove(PropId::from_index(p)) {
                         rec.slots.insert(PropId::from_index(q), v);
                         stats.rekeyed += 1;
                     }
@@ -459,9 +522,11 @@ impl ObjectStore {
         Ok(stats)
     }
 
-    /// All live object identities.
+    /// All live object identities, ascending.
     pub fn iter_oids(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.objects.keys().copied()
+        let mut oids: Vec<Oid> = self.objects.keys().copied().collect();
+        oids.sort_unstable();
+        oids.into_iter()
     }
 
     /// The OID high-water mark (next identity to assign). Used by the
@@ -472,7 +537,7 @@ impl ObjectStore {
 
     pub(crate) fn set_next_oid(&mut self, next: u64) {
         // Never move the high-water mark below an existing identity.
-        let floor = self.objects.keys().next_back().map_or(0, |o| o.raw() + 1);
+        let floor = self.objects.keys().max().map_or(0, |o| o.raw() + 1);
         self.next = next.max(floor);
     }
 
@@ -482,7 +547,7 @@ impl ObjectStore {
         if self.objects.contains_key(&oid) {
             return Err(format!("duplicate oid {oid}"));
         }
-        self.extents.entry(rec.ty).or_default().insert(oid);
+        add_to_extent(&mut self.extents, rec.ty, oid);
         if rec.conformance == Conformance::Conforming {
             list_conforming(&mut self.conforming, &self.extents, rec.ty, oid);
         }
@@ -500,15 +565,9 @@ fn conform(
     version: u64,
     stats: &mut PropagationStats,
 ) -> bool {
-    let before = rec.slots.len();
-    rec.slots.retain(|&p, _| iface.contains(p));
-    stats.slots_dropped += (before - rec.slots.len()) as u64;
-    for p in iface.iter() {
-        if let std::collections::btree_map::Entry::Vacant(e) = rec.slots.entry(p) {
-            e.insert(Value::Null);
-            stats.slots_added += 1;
-        }
-    }
+    let (added, dropped) = rec.slots.conform_to(iface);
+    stats.slots_added += added;
+    stats.slots_dropped += dropped;
     rec.conforms_to_version = version;
     std::mem::replace(&mut rec.conformance, Conformance::Conforming) == Conformance::Stale
 }
@@ -520,17 +579,40 @@ fn conform(
 /// instance, and the next one waits for as many pushes again.
 fn list_conforming(
     lists: &mut HashMap<TypeId, Vec<Oid>>,
-    extents: &HashMap<TypeId, BTreeSet<Oid>>,
+    extents: &HashMap<TypeId, Vec<Oid>>,
     ty: TypeId,
     oid: Oid,
 ) {
     let list = lists.entry(ty).or_default();
     list.push(oid);
-    let extent = extents.get(&ty);
-    if list.len() > 2 * extent.map_or(0, BTreeSet::len) {
-        list.retain(|o| extent.is_some_and(|e| e.contains(o)));
+    let extent = extents.get(&ty).map_or(&[][..], Vec::as_slice);
+    if list.len() > 2 * extent.len() {
         list.sort_unstable();
         list.dedup();
+        list.retain(|o| extent.binary_search(o).is_ok());
+    }
+}
+
+/// Add `oid` to `ty`'s ascending extent. A new identity exceeds every
+/// stored one, so creation appends.
+fn add_to_extent(extents: &mut HashMap<TypeId, Vec<Oid>>, ty: TypeId, oid: Oid) {
+    let extent = extents.entry(ty).or_default();
+    match extent.last() {
+        Some(&last) if last >= oid => {
+            if let Err(at) = extent.binary_search(&oid) {
+                extent.insert(at, oid);
+            }
+        }
+        _ => extent.push(oid),
+    }
+}
+
+/// Remove `oid` from `ty`'s ascending extent.
+fn remove_from_extent(extents: &mut HashMap<TypeId, Vec<Oid>>, ty: TypeId, oid: Oid) {
+    if let Some(extent) = extents.get_mut(&ty) {
+        if let Ok(at) = extent.binary_search(&oid) {
+            extent.remove(at);
+        }
     }
 }
 
@@ -815,7 +897,7 @@ mod tests {
             .unwrap();
         assert_eq!((stats.converted, stats.rekeyed), (6, 6));
         for ((_, old), (_, new)) in before.iter().zip(records(&store)) {
-            assert_eq!(new.slots, BTreeMap::from([(x2, old.slots[&x].clone())]));
+            assert_eq!(new.slots, Slots::from_iter([(x2, old.slots[&x].clone())]));
         }
     }
 

@@ -69,6 +69,26 @@ fn mutate(text: &str, flips: &[(u16, u8)], trunc: u16, drop_line: u8, dup_line: 
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// An id past the `u32` id space is a typed refusal on its line, not a
+/// panic in the id constructor.
+#[test]
+fn ids_past_the_id_space_are_refused() {
+    for (line, want) in [
+        (
+            "object 1 type 4294967296 conforming 0 slots[]",
+            "type arena index 4294967296 exceeds the u32::MAX id space",
+        ),
+        (
+            "object 1 type 0 conforming 0 slots[4294967296=_]",
+            "property arena index 4294967296 exceeds the u32::MAX id space",
+        ),
+    ] {
+        let text = format!("store v1 policy lazy next 2\n{line}\n");
+        let e = ObjectStore::from_snapshot(&text).unwrap_err();
+        assert_eq!((e.line, e.detail.as_str()), (2, want), "{line}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use axiombase_core::analysis::impact::{self, ImpactLevel, PropagationPlan, TypeImpact};
 use axiombase_core::{EngineKind, History, LatticeConfig, PropId, RecordedOp, Schema, TypeId};
-use axiombase_store::{Conformance, ObjectStore, Oid, OrphanAction, Policy, Value};
+use axiombase_store::{Conformance, ObjectStore, Oid, OrphanAction, Policy, Slots, Value};
 use axiombase_workload::{generate_trace, LatticeGen, OpMix};
 
 /// Seeds per engine; 250 × 2 engines × 3 families = 1500 traces.
@@ -187,7 +187,7 @@ struct Tally {
 }
 
 /// Every object's type and slots, as stored.
-fn records(store: &ObjectStore) -> BTreeMap<Oid, (TypeId, BTreeMap<PropId, Value>)> {
+fn records(store: &ObjectStore) -> BTreeMap<Oid, (TypeId, Slots)> {
     store
         .iter_oids()
         .map(|oid| {
@@ -206,7 +206,7 @@ fn execute_plan(
     final_schema: &Schema,
     plan: &PropagationPlan,
     mut planned: ObjectStore,
-    birth: &BTreeMap<Oid, (TypeId, BTreeMap<PropId, Value>)>,
+    birth: &BTreeMap<Oid, (TypeId, Slots)>,
     eager: &ObjectStore,
     left: &BTreeMap<Oid, BTreeSet<PropId>>,
     at: &str,
