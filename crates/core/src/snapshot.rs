@@ -169,9 +169,12 @@ impl Inputs {
         let mut base = None;
         // One id buffer serves every list of the snapshot.
         let mut ids: Vec<u32> = Vec::new();
-        // An id names a line of the text, so no larger id can be a live
-        // reference: it is set aside, not allocated in its set.
-        let lines_in_text = text.bytes().filter(|&b| b == b'\n').count() + 1;
+        // An id names a line of the text, so an id past the last line
+        // cannot be a live reference: it is set aside, not allocated in
+        // its set. An id below the current line number names a line; the
+        // text's lines are counted only for a larger one.
+        let lines_in_text = std::cell::OnceCell::new();
+        let count_lines = || text.bytes().filter(|&b| b == b'\n').count() + 1;
         let mut unnamed: Vec<(usize, Unnamed)> = Vec::new();
 
         for (ix, raw) in lines {
@@ -228,8 +231,12 @@ impl Inputs {
                     props.push(PropRecord { name, alive });
                 }
                 "type" => {
+                    let names_a_line = |id: u32| {
+                        let id = id as usize;
+                        id < line_no || id < *lines_in_text.get_or_init(count_lines)
+                    };
                     let (slot, mark, far) =
-                        parse_type_line(rest, types.len(), &mut ids, lines_in_text).map_err(bad)?;
+                        parse_type_line(rest, types.len(), &mut ids, &names_a_line).map_err(bad)?;
                     if far.pe.is_some() || far.ne.is_some() {
                         unnamed.push((types.len(), far));
                     }
@@ -311,7 +318,7 @@ fn parse_type_line(
     rest: &str,
     expected_idx: usize,
     ids: &mut Vec<u32>,
-    lines_in_text: usize,
+    names_a_line: &impl Fn(u32) -> bool,
 ) -> Result<(TypeSlot, Mark, Unnamed), String> {
     // <idx> <alive|dead> <frozen|plain> <root|base|-> "name" pe[...] ne[...]
     let mut it = rest.splitn(5, ' ');
@@ -345,9 +352,9 @@ fn parse_type_line(
     let (pe_str, tail) = take_bracketed(tail.trim(), "pe").ok_or("missing pe[...]")?;
     let (ne_str, _tail) = take_bracketed(tail.trim(), "ne").ok_or("missing ne[...]")?;
     let mut far = Unnamed::default();
-    ids_naming_lines(pe_str, lines_in_text, ids, &mut far.pe)?;
+    ids_naming_lines(pe_str, names_a_line, ids, &mut far.pe)?;
     let pe = TypeSet::from_bits(ids);
-    ids_naming_lines(ne_str, lines_in_text, ids, &mut far.ne)?;
+    ids_naming_lines(ne_str, names_a_line, ids, &mut far.ne)?;
     let ne = PropSet::from_bits(ids);
     Ok((
         TypeSlot {
@@ -524,17 +531,17 @@ fn each_id(s: &str, mut push: impl FnMut(u32)) -> Result<(), String> {
     Ok(())
 }
 
-/// Read the id list `s` into `ids`, except each id of `lines_in_text` or
-/// more, of which `far` keeps the smallest.
+/// Read the id list `s` into `ids`, except each id that names no line of
+/// the text, of which `far` keeps the smallest.
 fn ids_naming_lines(
     s: &str,
-    lines_in_text: usize,
+    names_a_line: &impl Fn(u32) -> bool,
     ids: &mut Vec<u32>,
     far: &mut Option<u32>,
 ) -> Result<(), String> {
     ids.clear();
     each_id(s, |id| {
-        if (id as usize) < lines_in_text {
+        if names_a_line(id) {
             ids.push(id);
         } else {
             *far = Some(far.map_or(id, |f| f.min(id)));

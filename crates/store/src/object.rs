@@ -50,7 +50,7 @@ pub enum Conformance {
 /// An object's encapsulated state: one `(property, value)` pair per
 /// stored property, in ascending property order, in one vector sized to
 /// its contents. A lookup is a binary search; reconciling the slots with
-/// an interface row is one linear merge ([`Slots::conform_to`]).
+/// an interface row is one linear merge.
 #[derive(Clone, PartialEq, Default)]
 pub struct Slots(Vec<(PropId, Value)>);
 
