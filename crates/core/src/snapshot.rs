@@ -175,7 +175,8 @@ impl Inputs {
         // text's lines are counted only for a larger one.
         let lines_in_text = std::cell::OnceCell::new();
         let count_lines = || text.bytes().filter(|&b| b == b'\n').count() + 1;
-        let mut unnamed: Vec<(usize, Unnamed)> = Vec::new();
+        // Per type line, the ids it set aside.
+        let mut unnamed: Vec<Unnamed> = Vec::new();
 
         for (ix, raw) in lines {
             let line_no = ix + 1;
@@ -237,9 +238,7 @@ impl Inputs {
                     };
                     let (slot, mark, far) =
                         parse_type_line(rest, types.len(), &mut ids, &names_a_line).map_err(bad)?;
-                    if far.pe.is_some() || far.ne.is_some() {
-                        unnamed.push((types.len(), far));
-                    }
+                    unnamed.push(far);
                     let id = TypeId::from_index(types.len());
                     match mark {
                         Mark::Root => root = Some(id),
@@ -372,33 +371,29 @@ fn parse_type_line(
 /// Check what a load checks besides the line syntax: every live type's
 /// references, unique live names, acyclicity and the root/base markers.
 /// The name and reverse-subtype indexes are built on the way. An id the
-/// parser set aside (`unnamed`, by type index) is a dangling reference of
-/// its type, live or dead, and is refused where the sets' own ids would
-/// be: after every smaller id of its list.
+/// parser set aside (`unnamed`, one entry per type) is a dangling
+/// reference of its type, live or dead, and is refused where the sets'
+/// own ids would be: after every smaller id of its list.
 fn validate(
     config: LatticeConfig,
     engine: EngineKind,
     props: Vec<PropRecord>,
     types: Vec<TypeSlot>,
-    unnamed: &[(usize, Unnamed)],
+    unnamed: &[Unnamed],
     root: Option<TypeId>,
     base: Option<TypeId>,
 ) -> Result<Inputs, SnapshotError> {
     let dangling = |i: usize, what: &str, id: String| {
         SnapshotError::InvalidInputs(format!("type {i} references dead/missing {what} {id}"))
     };
-    let mut unnamed = unnamed.iter().peekable();
     let mut by_name = NameIndex::new();
-    for (i, t) in types.iter().enumerate() {
-        let far = unnamed.next_if(|(at, _)| *at == i).map(|(_, far)| far);
+    for (i, (t, far)) in types.iter().zip(unnamed).enumerate() {
         if !t.alive {
-            if let Some(far) = far {
-                if let Some(s) = far.pe {
-                    return Err(dangling(i, "supertype", format!("t{s}")));
-                }
-                if let Some(p) = far.ne {
-                    return Err(dangling(i, "property", format!("p{p}")));
-                }
+            if let Some(s) = far.pe {
+                return Err(dangling(i, "supertype", format!("t{s}")));
+            }
+            if let Some(p) = far.ne {
+                return Err(dangling(i, "property", format!("p{p}")));
             }
             continue;
         }
@@ -416,7 +411,7 @@ fn validate(
                 return Err(dangling(i, "supertype", s.to_string()));
             }
         }
-        if let Some(s) = far.and_then(|f| f.pe) {
+        if let Some(s) = far.pe {
             return Err(dangling(i, "supertype", format!("t{s}")));
         }
         for p in &t.ne {
@@ -424,7 +419,7 @@ fn validate(
                 return Err(dangling(i, "property", p.to_string()));
             }
         }
-        if let Some(p) = far.and_then(|f| f.ne) {
+        if let Some(p) = far.ne {
             return Err(dangling(i, "property", format!("p{p}")));
         }
     }

@@ -161,18 +161,16 @@ impl<'a> IntoIterator for &'a Slots {
 impl FromIterator<(PropId, Value)> for Slots {
     fn from_iter<I: IntoIterator<Item = (PropId, Value)>>(pairs: I) -> Self {
         let mut v: Vec<(PropId, Value)> = pairs.into_iter().collect();
-        if !v.windows(2).all(|w| w[0].0 < w[1].0) {
-            // Stable: equal keys keep their order, so the last one wins.
-            v.sort_by_key(|e| e.0);
-            let mut kept: Vec<(PropId, Value)> = Vec::with_capacity(v.len());
-            for (p, x) in v {
-                match kept.last_mut() {
-                    Some(last) if last.0 == p => last.1 = x,
-                    _ => kept.push((p, x)),
-                }
+        // Stable, so a run of equal keys keeps its order: each later pair
+        // hands its value to the one kept before it.
+        v.sort_by_key(|e| e.0);
+        v.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
             }
-            v = kept;
-        }
+            same
+        });
         v.shrink_to_fit();
         Slots(v)
     }
