@@ -410,3 +410,24 @@ fn analyze_json_escapes_control_characters_in_names() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn analyze_json_and_plan_renderings_match_goldens() {
+    let script = scripts_dir().join("sec5_drops.axb");
+    let p = script.to_str().unwrap();
+    for (golden, args) in [
+        // The whole script: allocation-order conflicts, each rendered with
+        // its witness permutation, and the plan check's interfering pairs.
+        ("golden_analyze_sec5.json", &["analyze", "--json", p][..]),
+        ("golden_analyze_sec5_plan.txt", &["analyze", "--plan", p]),
+        // The five drops: a wide plan with one witnessed order edge.
+        (
+            "golden_analyze_sec5_plan.json",
+            &["analyze", "--plan", "--json", "--tail", "5", p],
+        ),
+    ] {
+        let (code, stdout, stderr) = run_cli(args);
+        assert_eq!(code, 0, "{args:?}: {stdout}\n{stderr}");
+        check_golden(golden, &stdout);
+    }
+}

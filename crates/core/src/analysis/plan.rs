@@ -769,6 +769,60 @@ mod tests {
     }
 
     #[test]
+    fn order_edges_keep_the_first_witness_of_each_class_pair() {
+        // Three independence classes whose ops write different N_e cells of
+        // the types t1 and t3, so every class pair interferes at slot level
+        // through several op pairs: B = {1, 2, 3} gives q to t1 and t3 and
+        // drops it; A = {0, 4, 5} allocates p and gives it to t3 and t1;
+        // C = {6, 7} adds r to t1 and drops it. A's first op precedes B's,
+        // but A's later ops follow them, so the edge B -> A runs against
+        // the class order and its witness is the first pair the planner
+        // meets with A's op first: (4, 2), not the trace-first (1, 5).
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        let t1 = s.add_type("t1", [], []).unwrap();
+        let t3 = s.add_type("t3", [], []).unwrap();
+        let q = s.add_property("q");
+        let r = s.add_property("r");
+        let p = crate::ids::PropId::from_index(2);
+        let ops = vec![
+            RecordedOp::AddProperty { name: "p".into() },
+            RecordedOp::AddEssentialProperty { t: t1, p: q },
+            RecordedOp::AddEssentialProperty { t: t3, p: q },
+            RecordedOp::DropProperty { p: q },
+            RecordedOp::AddEssentialProperty { t: t3, p },
+            RecordedOp::AddEssentialProperty { t: t1, p },
+            RecordedOp::AddEssentialProperty { t: t1, p: r },
+            RecordedOp::DropEssentialProperty { t: t1, p: r },
+        ];
+        let analysis = analyze_trace(&s, &ops);
+        let classes: Vec<&[usize]> = analysis.classes.iter().map(|c| &c.ops[..]).collect();
+        assert_eq!(classes, [&[0, 4, 5][..], &[1, 2, 3], &[6, 7]]);
+        let plan = build_plan(&analysis);
+        let cert = &plan.certificate;
+        let staged: Vec<(usize, &[usize])> =
+            cert.classes.iter().map(|c| (c.stage, &c.ops[..])).collect();
+        assert_eq!(staged, [(0, &[1, 2, 3][..]), (1, &[0, 4, 5]), (2, &[6, 7])]);
+        let edge = |from_class, to_class, earlier_op, later_op, t: crate::ids::TypeId| OrderEdge {
+            from_class,
+            to_class,
+            earlier_op,
+            later_op,
+            slot: Slot::Type(t.index()),
+        };
+        assert_eq!(
+            cert.edges,
+            [
+                edge(0, 1, 2, 4, t3),
+                edge(0, 2, 1, 6, t1),
+                edge(1, 2, 5, 6, t1)
+            ]
+        );
+        let verdict = check(&s, &ops, cert).expect("the certificate re-verifies");
+        assert_eq!(verdict.interfering_pairs, 15);
+    }
+
+    #[test]
     fn checker_rejects_interfering_stage_mates() {
         let mut s = Schema::new(LatticeConfig::default());
         s.add_root_type("obj").unwrap();

@@ -42,11 +42,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use axiombase_core::analysis::{plan, Slot, SymbolicState};
+use axiombase_core::analysis::{plan, CommuteReason, Slot, SymbolicState};
 use axiombase_core::obs::{names, EvolveObs, MetricsRegistry};
 use axiombase_core::{
     analyze_trace, build_plan, EngineKind, LatticeConfig, MetricsSnapshot, PairVerdict, RecordedOp,
-    Schema,
+    Schema, TraceAnalysis,
 };
 use axiombase_workload::{generate_trace, LatticeGen, OpMix};
 
@@ -147,7 +147,7 @@ fn check_certified(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> u
 fn check_witnesses(
     base: &Schema,
     ops: &[RecordedOp],
-    analysis: &axiombase_core::TraceAnalysis,
+    analysis: &TraceAnalysis,
     seed: u64,
     tag: &str,
 ) -> usize {
@@ -193,6 +193,40 @@ fn check_witnesses(
         checked += 1;
     }
     checked
+}
+
+/// The pairs `analysis.pairs` holds with a verdict other than
+/// disjoint-footprints are exactly the pairs `a < b` whose ops are
+/// identical or whose footprints fail Bernstein's condition (brute force
+/// over every pair), in ascending order; and the three verdict counts
+/// cover all n(n−1)/2 pairs.
+fn check_judged_pairs(ops: &[RecordedOp], analysis: &TraceAnalysis, tag: &str) {
+    let n = ops.len();
+    let fps = &analysis.footprints;
+    let want: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+        .filter(|&(a, b)| ops[a] == ops[b] || !fps[a].disjoint(&fps[b]))
+        .collect();
+    let got: Vec<(usize, usize)> = analysis
+        .pairs
+        .iter()
+        .filter(|p| {
+            !matches!(
+                p.verdict,
+                PairVerdict::Commutes {
+                    reason: CommuteReason::DisjointFootprints,
+                    ..
+                }
+            )
+        })
+        .map(|p| (p.a, p.b))
+        .collect();
+    assert_eq!(got, want, "{tag}: judged pairs differ from the brute force");
+    assert_eq!(
+        analysis.commuting + analysis.conflicting + analysis.constrained,
+        n * n.saturating_sub(1) / 2,
+        "{tag}: the verdict counts do not cover every pair"
+    );
 }
 
 /// Family "random": a short recorded mix against a small random lattice.
@@ -248,6 +282,7 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> (bool, 
         return (false, 0);
     }
     let analysis = analyze_trace(base, ops);
+    check_judged_pairs(ops, &analysis, &format!("seed {seed} {tag}"));
     if analysis.certified {
         check_certified(base, ops, seed, tag);
     }
@@ -370,6 +405,7 @@ fn rescan_union_cyclic(base: &Schema, ops: &[RecordedOp]) -> bool {
 fn check_cycle_verdict(base: &Schema, ops: &[RecordedOp], tag: &str) -> bool {
     let cyclic = rescan_union_cyclic(base, ops);
     let analysis = analyze_trace(base, ops);
+    check_judged_pairs(ops, &analysis, tag);
     assert_eq!(
         analysis.union_acyclic, !cyclic,
         "{tag}: analyzer's union-graph verdict differs from the rescan"

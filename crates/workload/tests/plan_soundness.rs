@@ -30,13 +30,15 @@
 //! the one derivation after the batch must still land on the batch's
 //! fingerprint.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use axiombase_core::analysis::plan::{self, Slot};
+use axiombase_core::analysis::Cell;
 use axiombase_core::obs::{names, EvolveObs, MetricsRegistry};
 use axiombase_core::{
     analyze_trace, build_plan, EngineKind, EvolutionPlan, LatticeConfig, MetricsSnapshot,
-    RecordedOp, Schema,
+    RecordedOp, Schema, TraceAnalysis,
 };
 use axiombase_workload::{generate_trace, LatticeGen, OpMix};
 
@@ -102,6 +104,33 @@ fn run(
         .counters
         .retain(|name, _| name != names::ENGINE_COW_COPIES && !name.starts_with("plan."));
     (s.canonical_fingerprint(), s.version(), snapshot)
+}
+
+/// Slot-interfering op pairs (a shared slot with a write on at least one
+/// side), by brute force over every pair, on slot sets built here with
+/// `plan::slot_of` from the footprints.
+fn interfering_pairs_brute_force(analysis: &TraceAnalysis) -> usize {
+    let slots =
+        |cells: &BTreeSet<Cell>| -> BTreeSet<Slot> { cells.iter().map(plan::slot_of).collect() };
+    let reads: Vec<BTreeSet<Slot>> = analysis
+        .footprints
+        .iter()
+        .map(|f| slots(&f.reads))
+        .collect();
+    let writes: Vec<BTreeSet<Slot>> = analysis
+        .footprints
+        .iter()
+        .map(|f| slots(&f.writes))
+        .collect();
+    let n = reads.len();
+    (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| {
+            !writes[i].is_disjoint(&writes[j])
+                || !writes[i].is_disjoint(&reads[j])
+                || !reads[i].is_disjoint(&writes[j])
+        })
+        .count()
 }
 
 /// Family "random": a recorded mix against a small random lattice.
@@ -189,6 +218,11 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str) -> (usize,
     let verdict = plan::check(base, ops, &evo.certificate)
         .unwrap_or_else(|e| panic!("seed {seed} {tag}: built certificate refused: {e}"));
     assert_eq!(verdict.ops, ops.len());
+    assert_eq!(
+        verdict.interfering_pairs,
+        interfering_pairs_brute_force(&analysis),
+        "seed {seed} {tag}: interfering pairs differ from the brute-force count"
+    );
 
     // Claim 2: planned == sequential batched replay, metrics included.
     let (ref_fp, ref_version, ref_metrics) = run(base, ops, None, seed, tag);
