@@ -33,13 +33,14 @@
 //! the price of the evidence.
 //!
 //! The `migration` block prices the static analysis a 200-op migration
-//! pays before it commits: `analyze_trace`, `plan::check` of the plan
-//! built from it, `impact::analyze` and `impact::check`, each against one
-//! batched apply of the same trace (perfbench's size-neutral mix on the
-//! 1,000-type base), as a paired median of ratios. `analyze_trace` and
-//! `plan::check` carry a hard ceiling of [`MIGRATION_CEILING`]x, the two
-//! impact ratios one of [`MIGRATION_IMPACT_CEILING`]x. Its `aged` row
-//! runs the same four, on the same trace, against an aged base: the
+//! pays before it commits: `analyze_trace`, `build_plan` of its analysis,
+//! `plan::check` of that plan, `impact::analyze` and `impact::check`, each
+//! against one batched apply of the same trace (perfbench's size-neutral
+//! mix on the 1,000-type base), as a paired median of ratios.
+//! `analyze_trace`, `build_plan` and `plan::check` carry a hard ceiling of
+//! [`MIGRATION_CEILING`]x, the two impact ratios one of
+//! [`MIGRATION_IMPACT_CEILING`]x. Its `aged` row runs the same five, on
+//! the same trace, against an aged base: the
 //! 1,000-type base after [`AGING_MIGRATIONS`] size-neutral 200-op
 //! migrations that add types and properties and drop them again, so the
 //! live schema is the fresh base's exactly and the arena holds their
@@ -122,8 +123,8 @@ const SIZE_NEUTRAL_MIX: OpMix = OpMix {
     drop_prop: 3,
 };
 
-/// Hard ceiling for `analyze_trace` and `plan::check` against batched
-/// apply on the 200-op migration. Each pass captures the schema once
+/// Hard ceiling for `analyze_trace`, `build_plan` and `plan::check`
+/// against batched apply on the 200-op migration. Each pass captures the schema once
 /// as a copy-on-write version of its input spines and tests the union
 /// graph for cycles in O(initial + written edges); the quadratic rescan
 /// read ~18x here, whole-arena captures ~2.5x and ~2.1x, and the shared
@@ -639,12 +640,13 @@ struct MigrationRow {
 /// Seed of the `migration` cell's trace, on the fresh and the aged base.
 const MIGRATION_SEED: u64 = TRACE_SEED ^ 0x316;
 
-/// The `migration` cell: the four static analyses of the migration `ops`
+/// The `migration` cell: the five static analyses of the migration `ops`
 /// on `base`, each paired against batched apply. The certificates are
 /// verified once, untimed, before anything is timed.
 fn measure_migration(base: &Schema, ops: &[RecordedOp]) -> Vec<MigrationRow> {
     let ops = ops.to_vec();
-    let evo_plan = build_plan(&analyze_trace(base, &ops));
+    let analysis = analyze_trace(base, &ops);
+    let evo_plan = build_plan(&analysis);
     plan::check(base, &ops, &evo_plan.certificate).expect("the migration plan re-verifies");
     let ia = impact::analyze(base, &ops);
     impact::check(base, &ops, &ia.certificate).expect("the impact certificate re-verifies");
@@ -665,6 +667,9 @@ fn measure_migration(base: &Schema, ops: &[RecordedOp]) -> Vec<MigrationRow> {
     };
     row("analyze_trace", &mut || {
         assert_eq!(analyze_trace(base, &ops).len(), ops.len());
+    });
+    row("build_plan", &mut || {
+        assert_eq!(build_plan(&analysis).certificate.ops_len, ops.len());
     });
     row("plan_check", &mut || {
         assert!(plan::check(base, &ops, &evo_plan.certificate).is_ok());

@@ -281,8 +281,11 @@ pub fn merge(rest: &[&str]) -> i32 {
             if json {
                 let witness = match &c.verdict {
                     ConflictVerdict::Witnessed { kind, witness } => {
-                        let order: Vec<String> =
-                            witness.order.iter().map(|&x| (x + 1).to_string()).collect();
+                        let order: Vec<String> = witness
+                            .order()
+                            .iter()
+                            .map(|&x| (x + 1).to_string())
+                            .collect();
                         format!(
                             "\"verdict\": \"{}\", \"witness\": {{\"order\": [{}], \
                              \"prefix\": {}, \"note\": \"{}\"}}",
@@ -326,8 +329,11 @@ pub fn merge(rest: &[&str]) -> i32 {
                 );
                 match &c.verdict {
                     ConflictVerdict::Witnessed { kind, witness } => {
-                        let order: Vec<String> =
-                            witness.order.iter().map(|&x| (x + 1).to_string()).collect();
+                        let order: Vec<String> = witness
+                            .order()
+                            .iter()
+                            .map(|&x| (x + 1).to_string())
+                            .collect();
                         eprintln!("  verdict: {} conflict", kind.tag());
                         eprintln!(
                             "  witness permutation: [{}] (diverges within {} op(s))",

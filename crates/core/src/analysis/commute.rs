@@ -34,15 +34,25 @@
 //! concrete witness permutation (replaying it must diverge in fingerprint
 //! or reject an operation) or a conservative **order constraint** — an
 //! honest "could not certify", never claimed as a proven conflict.
+//!
+//! Only the pairs theorem 1 does not settle are judged one by one: the
+//! pairs of identical ops and the pairs the footprint pair index
+//! ([`footprint::interfering_pairs`]) finds sharing a cell with a write.
+//! [`PairAnalysis::pairs`] holds their verdicts; every other pair commutes
+//! by disjoint footprints, with a reference that depends only on the two
+//! op kinds ([`disjoint_verdict`]), and is counted, not stored.
 
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 use crate::axioms::Axiom;
 use crate::history::RecordedOp;
 use crate::lint::Reference;
 use crate::model::Schema;
 
-use super::footprint::{Cell, Footprint, SymbolicState, TracePass};
+use super::footprint::{self, Cell, Footprint, SymbolicState, TracePass};
 
 /// Largest row/cell writer group checked exhaustively (`k! ≤ 720`).
 const GROUP_CAP: usize = 6;
@@ -97,18 +107,31 @@ impl ConflictKind {
     }
 }
 
-/// A concrete witness that a pair is order-dependent: a full permutation
-/// of the trace and the prefix length after which replaying it must have
-/// diverged from the recorded order (different `fingerprint()`) or
-/// rejected an operation.
+/// A concrete witness that a pair is order-dependent: the trace with the
+/// pair exchanged, and the prefix length after which replaying it must
+/// have diverged from the recorded order (different `fingerprint()`) or
+/// rejected an operation. It keeps the pair and the trace length, not the
+/// permutation, which [`Witness::order`] builds on demand.
 #[derive(Debug, Clone)]
 pub struct Witness {
-    /// The witness permutation (indexes into the original trace).
-    pub order: Vec<usize>,
+    /// The two trace positions the permutation exchanges, ascending.
+    pub swapped: (usize, usize),
+    /// Length of the trace the permutation reorders.
+    pub len: usize,
     /// Replay this many ops of the permutation before comparing.
     pub prefix: usize,
     /// Human-readable account of the predicted divergence.
     pub note: String,
+}
+
+impl Witness {
+    /// The witness permutation (indexes into the original trace): the
+    /// identity with the swapped pair exchanged.
+    pub fn order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.swap(self.swapped.0, self.swapped.1);
+        order
+    }
 }
 
 /// The verdict for one unordered pair of trace positions.
@@ -164,13 +187,83 @@ pub struct PairReport {
 pub struct PairAnalysis {
     /// Per-op footprints against their pre-states.
     pub footprints: Vec<Footprint>,
-    /// All unordered pairs, lexicographic by `(a, b)`.
+    /// The judged pairs, lexicographic by `(a, b)`: those whose ops are
+    /// identical or whose footprints share a cell with a write on at least
+    /// one side. Every other pair commutes by disjoint footprints
+    /// ([`disjoint_verdict`]).
     pub pairs: Vec<PairReport>,
     /// Was the union edge graph acyclic (cycle guards vacuous in every
     /// order)?
     pub union_acyclic: bool,
     /// The shadow after the last op (final labels for rendering).
     pub last: SymbolicState,
+}
+
+impl PairAnalysis {
+    /// The verdict of the pair `(a, b)`, `a < b`, of the analysed trace
+    /// `ops`: the judged one, or [`disjoint_verdict`] for a pair
+    /// [`PairAnalysis::pairs`] does not hold.
+    pub fn verdict(&self, ops: &[RecordedOp], a: usize, b: usize) -> Cow<'_, PairVerdict> {
+        match self.pairs.binary_search_by_key(&(a, b), |p| (p.a, p.b)) {
+            Ok(i) => Cow::Borrowed(&self.pairs[i].verdict),
+            Err(_) => Cow::Owned(disjoint_verdict(&ops[a], &ops[b])),
+        }
+    }
+}
+
+/// The verdict of two ops whose footprints are disjoint (Bernstein's
+/// condition): they commute, with a reference that depends only on the
+/// two op kinds.
+pub fn disjoint_verdict(a: &RecordedOp, b: &RecordedOp) -> PairVerdict {
+    let edge = |op: &RecordedOp| {
+        matches!(
+            op,
+            RecordedOp::AddEssentialSupertype { .. } | RecordedOp::DropEssentialSupertype { .. }
+        )
+    };
+    let propop = |op: &RecordedOp| {
+        matches!(
+            op,
+            RecordedOp::AddEssentialProperty { .. } | RecordedOp::DropEssentialProperty { .. }
+        )
+    };
+    let reference = if edge(a) && edge(b) {
+        Reference::Axiom(Axiom::Supertypes)
+    } else if propop(a) && propop(b) {
+        Reference::Axiom(Axiom::Nativeness)
+    } else {
+        Reference::Claim("disjoint designer-input footprints (Bernstein's condition)")
+    };
+    PairVerdict::Commutes {
+        reason: CommuteReason::DisjointFootprints,
+        reference,
+    }
+}
+
+/// The pairs `a < b` of identical ops, ascending.
+fn identical_pairs(ops: &[RecordedOp]) -> Vec<(usize, usize)> {
+    let mut by_hash: Vec<(u64, usize)> = ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| {
+            let mut h = DefaultHasher::new();
+            op.hash(&mut h);
+            (h.finish(), i)
+        })
+        .collect();
+    by_hash.sort_unstable();
+    let mut pairs = Vec::new();
+    for run in by_hash.chunk_by(|x, y| x.0 == y.0) {
+        for (k, &(_, a)) in run.iter().enumerate() {
+            for &(_, b) in &run[k + 1..] {
+                if ops[a] == ops[b] {
+                    pairs.push((a, b));
+                }
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
 }
 
 /// A `P_e`-row step, symbolically.
@@ -352,8 +445,6 @@ where
 /// Hash a row outcome for uniformity comparison (`None` = rejection gets
 /// its own bucket).
 fn hash_row(row: Option<BTreeSet<usize>>) -> Option<u64> {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
     row.map(|r| {
         let mut h = DefaultHasher::new();
         r.hash(&mut h);
@@ -361,8 +452,11 @@ fn hash_row(row: Option<BTreeSet<usize>>) -> Option<u64> {
     })
 }
 
-/// Run the full pairwise analysis: one [`TracePass`] (one capture of
-/// `initial`), then the writer-group checks and every pair's verdict.
+/// Run the pairwise analysis: one [`TracePass`] (one capture of
+/// `initial`), then the writer-group checks and the verdict of every
+/// judged pair — the identical-op pairs and the pairs the footprint pair
+/// index ([`footprint::interfering_pairs`]) finds. Every other pair
+/// commutes by disjoint footprints and is not stored.
 pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
     // Forward pass: footprints against pre-states, plus the base value of
     // every row/cell a writer group touches.
@@ -461,15 +555,19 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
         checked_cells.insert(cell, group);
     }
 
-    // Pair verdicts.
-    let n = ops.len();
-    let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let verdict = pair_verdict(ops, &footprints, a, b, &checked_rows, &checked_cells);
-            pairs.push(PairReport { a, b, verdict });
-        }
-    }
+    // Verdicts of the judged pairs.
+    let mut judged = footprint::interfering_pairs(footprints.iter().map(|f| (&f.reads, &f.writes)));
+    judged.extend(identical_pairs(ops));
+    judged.sort_unstable();
+    judged.dedup();
+    let pairs = judged
+        .into_iter()
+        .map(|(a, b)| PairReport {
+            a,
+            b,
+            verdict: pair_verdict(ops, &footprints, a, b, &checked_rows, &checked_cells),
+        })
+        .collect();
 
     PairAnalysis {
         footprints,
@@ -479,12 +577,11 @@ pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
     }
 }
 
-/// Build the swap witness permutation for positions `a < b`.
+/// The swap witness for positions `a < b` of an `n`-op trace.
 fn swap_witness(n: usize, a: usize, b: usize, prefix: usize, note: String) -> Witness {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.swap(a, b);
     Witness {
-        order,
+        swapped: (a, b),
+        len: n,
         prefix,
         note,
     }
@@ -530,6 +627,8 @@ fn group_pair_verdict(
     }
 }
 
+/// The verdict of a judged pair `a < b`: identical ops, or footprints
+/// that share a cell with a write.
 fn pair_verdict(
     ops: &[RecordedOp],
     footprints: &[Footprint],
@@ -543,32 +642,6 @@ fn pair_verdict(
         return PairVerdict::Commutes {
             reason: CommuteReason::IdenticalOps,
             reference: Reference::Claim("exchanging identical operations is the identity"),
-        };
-    }
-    if footprints[a].disjoint(&footprints[b]) {
-        let edge = |op: &RecordedOp| {
-            matches!(
-                op,
-                RecordedOp::AddEssentialSupertype { .. }
-                    | RecordedOp::DropEssentialSupertype { .. }
-            )
-        };
-        let propop = |op: &RecordedOp| {
-            matches!(
-                op,
-                RecordedOp::AddEssentialProperty { .. } | RecordedOp::DropEssentialProperty { .. }
-            )
-        };
-        let reference = if edge(&ops[a]) && edge(&ops[b]) {
-            Reference::Axiom(Axiom::Supertypes)
-        } else if propop(&ops[a]) && propop(&ops[b]) {
-            Reference::Axiom(Axiom::Nativeness)
-        } else {
-            Reference::Claim("disjoint designer-input footprints (Bernstein's condition)")
-        };
-        return PairVerdict::Commutes {
-            reason: CommuteReason::DisjointFootprints,
-            reference,
         };
     }
 

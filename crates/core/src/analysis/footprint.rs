@@ -102,6 +102,79 @@ impl Footprint {
     }
 }
 
+/// The pair index: given each op's read and write sets over an ordered
+/// key, every op pair `(a, b)` with `a < b` that shares a key with a write
+/// on at least one side — exactly the pairs that fail Bernstein's
+/// condition — in ascending order.
+///
+/// Each key some op writes gets two bit rows over the ops: the ops that
+/// touch it and the ops that write it (a key no op writes joins no pair).
+/// Op `a`'s partners are then the union of the touch rows of the keys it
+/// writes and the write rows of the keys it only reads, so the index
+/// costs one sort of the accesses and one row union per access, never a
+/// test per pair.
+pub fn interfering_pairs<'k, K, R, W>(ops: impl IntoIterator<Item = (R, W)>) -> Vec<(usize, usize)>
+where
+    K: Ord + 'k,
+    R: IntoIterator<Item = &'k K>,
+    W: IntoIterator<Item = &'k K>,
+{
+    let mut accesses: Vec<(&K, usize, bool)> = Vec::new();
+    let mut n = 0;
+    for (op, (reads, writes)) in ops.into_iter().enumerate() {
+        accesses.extend(reads.into_iter().map(|k| (k, op, false)));
+        accesses.extend(writes.into_iter().map(|k| (k, op, true)));
+        n = op + 1;
+    }
+    accesses.sort_unstable_by(|x, y| x.0.cmp(y.0));
+    let words = n.div_ceil(64);
+    // Per written key, its touch row then its write row; per access to a
+    // written key, (op, the row it unions into op's partners).
+    let mut rows: Vec<u64> = Vec::new();
+    let mut touches: Vec<(usize, usize)> = Vec::new();
+    for group in accesses.chunk_by(|x, y| x.0 == y.0) {
+        if !group.iter().any(|&(_, _, write)| write) {
+            continue;
+        }
+        let touch = rows.len();
+        rows.resize(touch + 2 * words, 0);
+        for &(_, op, write) in group {
+            let bit = 1u64 << (op % 64);
+            rows[touch + op / 64] |= bit;
+            if write {
+                rows[touch + words + op / 64] |= bit;
+            }
+            touches.push((op, if write { touch } else { touch + words }));
+        }
+    }
+    touches.sort_unstable();
+    let mut pairs = Vec::new();
+    let mut partners = vec![0u64; words];
+    for group in touches.chunk_by(|x, y| x.0 == y.0) {
+        let a = group[0].0;
+        // Only later ops pair with `a`: start at the word holding a + 1.
+        let from = (a + 1) / 64;
+        let later = &mut partners[from..];
+        later.fill(0);
+        for &(_, row) in group {
+            for (word, bits) in later.iter_mut().zip(&rows[row + from..row + words]) {
+                *word |= bits;
+            }
+        }
+        if let Some(first) = later.first_mut() {
+            *first &= u64::MAX << ((a + 1) % 64);
+        }
+        for (w, &word) in later.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                pairs.push((a, (from + w) * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+    }
+    pairs
+}
+
 /// A pure shadow of the designer inputs: everything the operation guards
 /// read and the operation edits touch, and nothing the engine derives.
 /// Stepping it through a recorded (i.e. known-successful) trace mirrors
@@ -981,6 +1054,70 @@ mod tests {
         }
         // The captured schema never saw a write.
         assert_eq!(schema.fingerprint(), thousand().fingerprint());
+    }
+
+    /// Read and write key sets for `n` ops. Case 0 draws a few keys per
+    /// op; case 1 adds one key every op writes; in case 2 every op reads
+    /// keys no op writes and writes only a key of its own, beside every
+    /// fifth op's drawn keys; in case 3 every third op has an empty
+    /// footprint.
+    fn pair_index_case(n: usize, case: u32) -> Vec<(BTreeSet<u32>, BTreeSet<u32>)> {
+        let mut x = 0x9e37_79b9_7f4a_7c15 ^ (n as u64) ^ (u64::from(case) << 32);
+        let mut draw = |k: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % k
+        };
+        (0..n)
+            .map(|op| {
+                let mut reads: BTreeSet<u32> = (0..draw(4)).map(|_| draw(48) as u32).collect();
+                let mut writes: BTreeSet<u32> = (0..draw(3)).map(|_| draw(48) as u32).collect();
+                match case {
+                    1 => {
+                        writes.insert(999);
+                    }
+                    2 => {
+                        if op % 5 != 0 {
+                            reads.clear();
+                            writes.clear();
+                        }
+                        reads.extend([500, 501]);
+                        writes.insert(1000 + op as u32);
+                    }
+                    3 if op % 3 == 0 => {
+                        reads.clear();
+                        writes.clear();
+                    }
+                    _ => {}
+                }
+                (reads, writes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pair_index_equals_the_brute_force() {
+        for n in [0usize, 1, 63, 64, 65, 130, 200] {
+            for case in 0..4 {
+                let ops = pair_index_case(n, case);
+                let shares = |a: &BTreeSet<u32>, b: &BTreeSet<u32>| !a.is_disjoint(b);
+                let want: Vec<(usize, usize)> = (0..n)
+                    .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+                    .filter(|&(a, b)| {
+                        let ((ra, wa), (rb, wb)) = (&ops[a], &ops[b]);
+                        shares(wa, wb) || shares(wa, rb) || shares(ra, wb)
+                    })
+                    .collect();
+                let got = interfering_pairs(ops.iter().map(|(r, w)| (r, w)));
+                assert_eq!(got, want, "{n} ops, case {case}");
+                match case {
+                    1 => assert_eq!(got.len(), n * n.saturating_sub(1) / 2),
+                    2 => assert!(got.iter().all(|&(a, b)| a % 5 == 0 && b % 5 == 0)),
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

@@ -148,12 +148,9 @@ pub fn certify(
     let merged = merged_trace(a, b);
     let analysis = commute::analyze_pairs(base, &merged);
     let mut proofs = Vec::with_capacity(a.len() * b.len());
-    for pair in &analysis.pairs {
-        if pair.a >= a.len() || pair.b < a.len() {
-            continue; // intra-branch pair: recorded order is preserved
-        }
-        let (a_index, b_index) = (pair.a, pair.b - a.len());
-        match &pair.verdict {
+    for (a_index, b_index) in cross_pairs(a.len(), b.len()) {
+        let (i, j) = (a_index, a.len() + b_index);
+        match &*analysis.verdict(&merged, i, j) {
             // A pair of *identical* ops commutes as a permutation claim
             // (swapping equal ops is a no-op), but a merge must apply
             // BOTH: the second application of a drop/add is rejected by
@@ -166,10 +163,10 @@ pub fn certify(
                 return Err(Box::new(MergeConflict {
                     a_index,
                     b_index,
-                    a_kind: merged[pair.a].kind_name(),
-                    b_kind: merged[pair.b].kind_name(),
-                    a_footprint: analysis.footprints[pair.a].clone(),
-                    b_footprint: analysis.footprints[pair.b].clone(),
+                    a_kind: merged[i].kind_name(),
+                    b_kind: merged[j].kind_name(),
+                    a_footprint: analysis.footprints[i].clone(),
+                    b_footprint: analysis.footprints[j].clone(),
                     verdict: ConflictVerdict::Constraint {
                         note: "both branches recorded the identical operation; \
                                a sequential merge would apply it twice"
@@ -186,10 +183,10 @@ pub fn certify(
                 return Err(Box::new(MergeConflict {
                     a_index,
                     b_index,
-                    a_kind: merged[pair.a].kind_name(),
-                    b_kind: merged[pair.b].kind_name(),
-                    a_footprint: analysis.footprints[pair.a].clone(),
-                    b_footprint: analysis.footprints[pair.b].clone(),
+                    a_kind: merged[i].kind_name(),
+                    b_kind: merged[j].kind_name(),
+                    a_footprint: analysis.footprints[i].clone(),
+                    b_footprint: analysis.footprints[j].clone(),
                     verdict: ConflictVerdict::Witnessed {
                         kind: *kind,
                         witness: witness.clone(),
@@ -200,10 +197,10 @@ pub fn certify(
                 return Err(Box::new(MergeConflict {
                     a_index,
                     b_index,
-                    a_kind: merged[pair.a].kind_name(),
-                    b_kind: merged[pair.b].kind_name(),
-                    a_footprint: analysis.footprints[pair.a].clone(),
-                    b_footprint: analysis.footprints[pair.b].clone(),
+                    a_kind: merged[i].kind_name(),
+                    b_kind: merged[j].kind_name(),
+                    a_footprint: analysis.footprints[i].clone(),
+                    b_footprint: analysis.footprints[j].clone(),
                     verdict: ConflictVerdict::Constraint { note: note.clone() },
                 }))
             }
@@ -261,11 +258,7 @@ pub fn check(
     let merged = merged_trace(a, b);
     let analysis = commute::analyze_pairs(base, &merged);
     let mut next = 0usize;
-    for pair in &analysis.pairs {
-        if pair.a >= a.len() || pair.b < a.len() {
-            continue;
-        }
-        let (a_index, b_index) = (pair.a, pair.b - a.len());
+    for (a_index, b_index) in cross_pairs(a.len(), b.len()) {
         let proof = &cert.proofs[next];
         next += 1;
         if proof.a_index != a_index || proof.b_index != b_index {
@@ -274,7 +267,7 @@ pub fn check(
                 proof.a_index, proof.b_index
             ));
         }
-        match &pair.verdict {
+        match &*analysis.verdict(&merged, a_index, a.len() + b_index) {
             PairVerdict::Commutes {
                 reason: CommuteReason::IdenticalOps,
                 ..
@@ -309,6 +302,12 @@ pub fn check(
         }
     }
     Ok(MergeCheck { cross_pairs: next })
+}
+
+/// Every cross pair `(a_index, b_index)` of suffixes of `a_len` and
+/// `b_len` ops, lexicographic.
+fn cross_pairs(a_len: usize, b_len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..a_len).flat_map(move |i| (0..b_len).map(move |j| (i, j)))
 }
 
 /// The merged trace `a ++ b` the certifier and checker both analyse.
@@ -388,7 +387,7 @@ mod tests {
             panic!("expected witnessed conflict: {:?}", conflict.verdict);
         };
         assert_eq!(*kind, ConflictKind::Certain);
-        assert_eq!(witness.order, vec![1, 0]);
+        assert_eq!(witness.order(), vec![1, 0]);
         assert_eq!(witness.prefix, 2);
     }
 

@@ -74,7 +74,10 @@ pub struct TraceAnalysis {
     pub footprints: Vec<Footprint>,
     /// Per-op kind names (from [`RecordedOp::kind_name`]).
     pub kinds: Vec<&'static str>,
-    /// All unordered pair verdicts.
+    /// The judged pair verdicts, lexicographic by `(a, b)`: the pairs with
+    /// identical ops or with footprints that share a cell with a write.
+    /// Every other pair commutes by disjoint footprints and is counted,
+    /// not stored (see [`commute::PairAnalysis::pairs`]).
     pub pairs: Vec<PairReport>,
     /// The independence partition.
     pub classes: Vec<IndependenceClass>,
@@ -83,7 +86,7 @@ pub struct TraceAnalysis {
     pub union_acyclic: bool,
     /// Whole-trace certificate: every pair commutes.
     pub certified: bool,
-    /// Pairs certified commuting.
+    /// Pairs certified commuting, the unstored disjoint ones included.
     pub commuting: usize,
     /// Pairs that are certified conflicts (witnessed).
     pub conflicting: usize,
@@ -91,6 +94,11 @@ pub struct TraceAnalysis {
     pub constrained: usize,
     /// Final arena labels for rendering, shared with the final shadow.
     pub labels: Labels,
+}
+
+/// Unordered pairs of `n` ops: n(n−1)/2.
+fn pair_count(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
 }
 
 /// `n!` as a decimal string (saturating at u128).
@@ -135,7 +143,8 @@ pub fn analyze_trace(initial: &Schema, ops: &[RecordedOp]) -> TraceAnalysis {
         }
         r
     }
-    let mut commuting = 0;
+    let disjoint = pair_count(n) - pairs.len();
+    let mut commuting = disjoint;
     let mut conflicting = 0;
     let mut constrained = 0;
     for pair in &pairs {
@@ -191,6 +200,11 @@ impl TraceAnalysis {
         self.kinds.is_empty()
     }
 
+    /// Unordered pairs of the trace, judged or not: n(n−1)/2.
+    pub fn pair_count(&self) -> usize {
+        pair_count(self.len())
+    }
+
     /// The first certified conflict, if any.
     pub fn first_conflict(&self) -> Option<&PairReport> {
         self.pairs.iter().find(|p| p.verdict.conflicts())
@@ -206,6 +220,10 @@ impl TraceAnalysis {
     /// conflicts.
     fn verdict_histogram(&self) -> BTreeMap<&'static str, usize> {
         let mut hist: BTreeMap<&'static str, usize> = BTreeMap::new();
+        let disjoint = self.pair_count() - self.pairs.len();
+        if disjoint > 0 {
+            hist.insert(CommuteReason::DisjointFootprints.tag(), disjoint);
+        }
         for p in &self.pairs {
             let tag = match &p.verdict {
                 PairVerdict::Commutes { reason, .. } => reason.tag(),
@@ -243,7 +261,7 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "pairs: {} total — {} commute, {} conflict, {} order-constrained",
-            self.pairs.len(),
+            self.pair_count(),
             self.commuting,
             self.conflicting,
             self.constrained
@@ -288,8 +306,11 @@ impl TraceAnalysis {
                         pair.b + 1,
                         kind.tag()
                     );
-                    let order: Vec<String> =
-                        witness.order.iter().map(|&x| (x + 1).to_string()).collect();
+                    let order: Vec<String> = witness
+                        .order()
+                        .iter()
+                        .map(|&x| (x + 1).to_string())
+                        .collect();
                     let _ = writeln!(
                         out,
                         "  witness permutation: [{}] (diverges within {} op(s))",
@@ -338,8 +359,11 @@ impl TraceAnalysis {
             .map(|p| {
                 let (verdict, extra) = match &p.verdict {
                     PairVerdict::Conflicts { kind, witness } => {
-                        let order: Vec<String> =
-                            witness.order.iter().map(|&x| (x + 1).to_string()).collect();
+                        let order: Vec<String> = witness
+                            .order()
+                            .iter()
+                            .map(|&x| (x + 1).to_string())
+                            .collect();
                         (
                             kind.tag(),
                             format!(
@@ -387,7 +411,7 @@ impl TraceAnalysis {
              \"details\":[{}]}},\
              \"classes\":[{}],\"union_acyclic\":{},\"certified\":{},\"permutations\":\"{}\"}}",
             ops.join(","),
-            self.pairs.len(),
+            self.pair_count(),
             self.commuting,
             self.conflicting,
             self.constrained,
@@ -477,7 +501,7 @@ mod tests {
             panic!("expected conflict");
         };
         assert_eq!(*kind, ConflictKind::Certain);
-        assert_eq!(witness.order, vec![1, 0]);
+        assert_eq!(witness.order(), vec![1, 0]);
         assert_eq!(analysis.classes.len(), 1);
     }
 
@@ -505,10 +529,9 @@ mod tests {
             }
         ));
         // prop vs type: independent arenas → commute.
-        assert!(analysis
-            .pairs
-            .iter()
-            .any(|p| p.a == 0 && p.b == 2 && p.verdict.commutes()));
+        assert!(commute::analyze_pairs(&s, &ops)
+            .verdict(&ops, 0, 2)
+            .commutes());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::history::RecordedOp;
 use crate::json_escape;
 use crate::model::Schema;
 
-use super::footprint::{self, Cell, Labels};
+use super::footprint::{self, Cell, Footprint, Labels};
 use super::TraceAnalysis;
 
 /// One unit of designer-input state as a plan certificate counts it.
@@ -132,14 +132,6 @@ impl PlanClass {
     /// First (smallest) member position; orders classes deterministically.
     pub fn first_op(&self) -> usize {
         self.ops.first().copied().unwrap_or(usize::MAX)
-    }
-
-    /// Slot-level Bernstein condition on the claims: neither class
-    /// reads or writes a slot the other writes.
-    pub fn independent_of(&self, other: &PlanClass) -> bool {
-        self.writes.is_disjoint(&other.writes)
-            && self.writes.is_disjoint(&other.reads)
-            && self.reads.is_disjoint(&other.writes)
     }
 }
 
@@ -329,8 +321,26 @@ impl EvolutionPlan {
     }
 }
 
+/// Per-op read and write slot sets of `footprints`.
+fn slot_footprints(footprints: &[Footprint]) -> (Vec<BTreeSet<Slot>>, Vec<BTreeSet<Slot>>) {
+    let slots = |cells: &BTreeSet<Cell>| cells.iter().map(slot_of).collect();
+    footprints
+        .iter()
+        .map(|f| (slots(&f.reads), slots(&f.writes)))
+        .unzip()
+}
+
+/// Every slot-interfering op pair (a shared slot with at least one side
+/// writing), ascending: the footprint pair index over slots.
+fn slot_interfering_pairs(
+    reads: &[BTreeSet<Slot>],
+    writes: &[BTreeSet<Slot>],
+) -> Vec<(usize, usize)> {
+    footprint::interfering_pairs(reads.iter().zip(writes))
+}
+
 /// First shared slot between op `i` and op `j` with at least one side
-/// writing, if any — the slot-level interference test.
+/// writing, if any: the slot an order edge names for its witness pair.
 fn interferes(
     reads: &[BTreeSet<Slot>],
     writes: &[BTreeSet<Slot>],
@@ -368,38 +378,37 @@ fn interferes(
 /// planner holds no authority of its own.
 pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
     let n = analysis.footprints.len();
-    let op_reads: Vec<BTreeSet<Slot>> = analysis
-        .footprints
-        .iter()
-        .map(|f| f.reads.iter().map(slot_of).collect())
-        .collect();
-    let op_writes: Vec<BTreeSet<Slot>> = analysis
-        .footprints
-        .iter()
-        .map(|f| f.writes.iter().map(slot_of).collect())
-        .collect();
+    let (op_reads, op_writes) = slot_footprints(&analysis.footprints);
+    // Only a slot-interfering op pair can order two classes.
+    let interfering = slot_interfering_pairs(&op_reads, &op_writes);
 
     // Seed groups from the independence partition; merge any cyclic
     // residue of the interference order graph.
     let mut groups: Vec<Vec<usize>> = analysis.classes.iter().map(|c| c.ops.clone()).collect();
+    let mut owner = vec![0usize; n];
     let (groups, fwd) = loop {
         let m = groups.len();
-        // Directed interference edges between groups, keyed (earlier,
-        // later) by the trace order of the first interfering pair found;
-        // a pair of groups may contribute edges in *both* directions.
-        let mut fwd: BTreeMap<(usize, usize), (usize, usize, Slot)> = BTreeMap::new();
-        for a in 0..m {
-            for b in (a + 1)..m {
-                for &i in &groups[a] {
-                    for &j in &groups[b] {
-                        let Some(slot) = interferes(&op_reads, &op_writes, i, j) else {
-                            continue;
-                        };
-                        let (ga, gb) = if i < j { (a, b) } else { (b, a) };
-                        fwd.entry((ga, gb)).or_insert((i.min(j), i.max(j), slot));
-                    }
-                }
+        for (g, ops) in groups.iter().enumerate() {
+            for &i in ops {
+                owner[i] = g;
             }
+        }
+        // Directed interference edges between groups, keyed (earlier,
+        // later); a pair of groups may contribute edges in *both*
+        // directions. Each keeps as its witness the least interfering op
+        // pair in (op of the lower-index group, op of the higher) order:
+        // the first a scan of the group pairs, each group in trace
+        // order, meets.
+        let mut fwd: BTreeMap<(usize, usize), (usize, usize)> = BTreeMap::new();
+        for &(i, j) in &interfering {
+            let (gi, gj) = (owner[i], owner[j]);
+            if gi == gj {
+                continue;
+            }
+            let witness = if gi < gj { (i, j) } else { (j, i) };
+            fwd.entry((gi, gj))
+                .and_modify(|w| *w = (*w).min(witness))
+                .or_insert(witness);
         }
         // Kahn's algorithm on the group graph: a full topological order
         // means the edges are satisfiable by staging alone.
@@ -501,12 +510,12 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         .collect();
     let mut edges: Vec<OrderEdge> = fwd
         .into_iter()
-        .map(|((a, b), (earlier_op, later_op, slot))| OrderEdge {
+        .map(|((a, b), (x, y))| OrderEdge {
             from_class: pos[a],
             to_class: pos[b],
-            earlier_op,
-            later_op,
-            slot,
+            earlier_op: x.min(y),
+            later_op: x.max(y),
+            slot: interferes(&op_reads, &op_writes, x, y).expect("the witness pair interferes"),
         })
         .collect();
     edges.sort_by_key(|e| (e.from_class, e.to_class));
@@ -637,14 +646,7 @@ pub fn check(
     // Re-derive the real footprints from the shared, trusted kernel —
     // nothing the planner computed is reused.
     let fps = footprint::TracePass::run(initial, ops, |_, _, _| {}).footprints;
-    let op_reads: Vec<BTreeSet<Slot>> = fps
-        .iter()
-        .map(|f| f.reads.iter().map(slot_of).collect())
-        .collect();
-    let op_writes: Vec<BTreeSet<Slot>> = fps
-        .iter()
-        .map(|f| f.writes.iter().map(slot_of).collect())
-        .collect();
+    let (op_reads, op_writes) = slot_footprints(&fps);
 
     // Obligation 2: claimed footprints cover the real ones.
     for i in 0..n {
@@ -667,41 +669,39 @@ pub fn check(
         }
     }
 
-    // Obligation 3: intra-stage non-interference on the claims.
-    for (a, ca) in cert.classes.iter().enumerate() {
-        for (b, cb) in cert.classes.iter().enumerate().skip(a + 1) {
-            if ca.stage != cb.stage {
-                continue;
-            }
-            if !ca.independent_of(cb) {
-                return Err(format!(
-                    "classes {} and {} share stage {} but their claimed slot footprints \
-                     interfere",
-                    a + 1,
-                    b + 1,
-                    ca.stage + 1
-                ));
-            }
+    // Obligation 3: intra-stage non-interference on the claims, over one
+    // pair index of each stage's claims; the first refusal is the least
+    // interfering class pair of any stage.
+    let mut clash: Option<(usize, usize)> = None;
+    for stage in cert.stage_table() {
+        let claims = stage
+            .iter()
+            .map(|&c| (&cert.classes[c].reads, &cert.classes[c].writes));
+        if let Some(&(x, y)) = footprint::interfering_pairs(claims).first() {
+            let pair = (stage[x], stage[y]);
+            clash = Some(clash.map_or(pair, |first| first.min(pair)));
         }
+    }
+    if let Some((a, b)) = clash {
+        return Err(format!(
+            "classes {} and {} share stage {} but their claimed slot footprints interfere",
+            a + 1,
+            b + 1,
+            cert.classes[a].stage + 1
+        ));
     }
 
     // Obligation 4: every slot-interfering pair (a shared slot with a
     // write) keeps trace order.
-    let mut interfering = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if interferes(&op_reads, &op_writes, i, j).is_none() {
-                continue;
-            }
-            interfering += 1;
-            let (ci, cj) = (owner[i], owner[j]);
-            if ci != cj && cert.classes[ci].stage >= cert.classes[cj].stage {
-                return Err(format!(
-                    "ops {} and {} interfere but the plan does not keep their trace order",
-                    i + 1,
-                    j + 1
-                ));
-            }
+    let interfering = slot_interfering_pairs(&op_reads, &op_writes);
+    for &(i, j) in &interfering {
+        let (ci, cj) = (owner[i], owner[j]);
+        if ci != cj && cert.classes[ci].stage >= cert.classes[cj].stage {
+            return Err(format!(
+                "ops {} and {} interfere but the plan does not keep their trace order",
+                i + 1,
+                j + 1
+            ));
         }
     }
 
@@ -710,7 +710,7 @@ pub fn check(
         classes: cert.classes.len(),
         stages: cert.stage_count(),
         max_parallelism: cert.max_parallelism(),
-        interfering_pairs: interfering,
+        interfering_pairs: interfering.len(),
     })
 }
 

@@ -25,7 +25,7 @@ use crate::model::Schema;
 use crate::snapshot::{Inputs, SnapshotError};
 
 /// One recorded (successful) schema operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordedOp {
     /// `add_property`.
     AddProperty {

@@ -477,7 +477,7 @@ mod tests {
         let ConflictVerdict::Witnessed { witness, .. } = &conflict.verdict else {
             panic!("expected witness: {:?}", conflict.verdict);
         };
-        assert_eq!(witness.order, vec![1, 0]);
+        assert_eq!(witness.order(), vec![1, 0]);
         // A rejected merge modified nothing.
         assert_eq!(alpha.seq(), seq_before);
     }

@@ -18,7 +18,7 @@
 //!    identical [`MetricsSnapshot`] for every order — the certificate
 //!    covers cost determinism, not just the final schema.
 //! 2. Every `Conflicts` verdict must come with a witness that *works*:
-//!    replaying `witness.order` for `witness.prefix` ops either rejects an
+//!    replaying `witness.order()` for `witness.prefix` ops either rejects an
 //!    op or lands on a different identity-sensitive `fingerprint()` than
 //!    the recorded order's same-length prefix.
 //!
@@ -173,14 +173,15 @@ fn check_witnesses(
             continue;
         };
         let k = witness.prefix;
+        let order = witness.order();
         assert!(
-            k <= witness.order.len(),
+            k <= order.len(),
             "seed {seed} {tag}: witness prefix out of range"
         );
         let identity: Vec<usize> = (0..k).collect();
         let recorded = fp_prefix(&identity)
             .unwrap_or_else(|| panic!("seed {seed} {tag}: recorded prefix must replay"));
-        match fp_prefix(&witness.order[..k]) {
+        match fp_prefix(&order[..k]) {
             // A rejection under the permuted order is itself the
             // divergence the witness promised.
             None => {}

@@ -326,7 +326,7 @@ fn sec5_orion_pair_is_rejected_with_reproducible_witness() {
         panic!("expected a concrete witness: {:?}", conflict.verdict);
     };
     assert_eq!(
-        witness.order,
+        witness.order(),
         vec![1, 0],
         "the swapped order is the witness"
     );
