@@ -36,15 +36,16 @@
 //! honest "could not certify", never claimed as a proven conflict.
 //!
 //! Only the pairs theorem 1 does not settle are judged one by one: the
-//! pairs of identical ops and the pairs the footprint pair index
-//! ([`footprint::interfering_pairs`]) finds sharing a cell with a write.
+//! pairs of identical ops and the pairs the footprint kernel's pair index
+//! (`footprint::interfering_pairs`) finds sharing a cell with a write.
 //! [`PairAnalysis::pairs`] holds their verdicts; every other pair commutes
 //! by disjoint footprints, with a reference that depends only on the two
-//! op kinds ([`disjoint_verdict`]), and is counted, not stored.
+//! op kinds, and is counted, not stored ([`PairAnalysis::verdict`] gives
+//! any pair's verdict).
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 use crate::axioms::Axiom;
@@ -114,10 +115,10 @@ impl ConflictKind {
 /// permutation, which [`Witness::order`] builds on demand.
 #[derive(Debug, Clone)]
 pub struct Witness {
-    /// The two trace positions the permutation exchanges, ascending.
-    pub swapped: (usize, usize),
+    /// The two trace positions the permutation exchanges, `a < b < len`.
+    swapped: (usize, usize),
     /// Length of the trace the permutation reorders.
-    pub len: usize,
+    len: usize,
     /// Replay this many ops of the permutation before comparing.
     pub prefix: usize,
     /// Human-readable account of the predicted divergence.
@@ -190,7 +191,7 @@ pub struct PairAnalysis {
     /// The judged pairs, lexicographic by `(a, b)`: those whose ops are
     /// identical or whose footprints share a cell with a write on at least
     /// one side. Every other pair commutes by disjoint footprints
-    /// ([`disjoint_verdict`]).
+    /// ([`PairAnalysis::verdict`]).
     pub pairs: Vec<PairReport>,
     /// Was the union edge graph acyclic (cycle guards vacuous in every
     /// order)?
@@ -201,8 +202,8 @@ pub struct PairAnalysis {
 
 impl PairAnalysis {
     /// The verdict of the pair `(a, b)`, `a < b`, of the analysed trace
-    /// `ops`: the judged one, or [`disjoint_verdict`] for a pair
-    /// [`PairAnalysis::pairs`] does not hold.
+    /// `ops`: the judged one, or commuting by disjoint footprints for a
+    /// pair [`PairAnalysis::pairs`] does not hold.
     pub fn verdict(&self, ops: &[RecordedOp], a: usize, b: usize) -> Cow<'_, PairVerdict> {
         match self.pairs.binary_search_by_key(&(a, b), |p| (p.a, p.b)) {
             Ok(i) => Cow::Borrowed(&self.pairs[i].verdict),
@@ -214,7 +215,7 @@ impl PairAnalysis {
 /// The verdict of two ops whose footprints are disjoint (Bernstein's
 /// condition): they commute, with a reference that depends only on the
 /// two op kinds.
-pub fn disjoint_verdict(a: &RecordedOp, b: &RecordedOp) -> PairVerdict {
+fn disjoint_verdict(a: &RecordedOp, b: &RecordedOp) -> PairVerdict {
     let edge = |op: &RecordedOp| {
         matches!(
             op,
@@ -242,26 +243,18 @@ pub fn disjoint_verdict(a: &RecordedOp, b: &RecordedOp) -> PairVerdict {
 
 /// The pairs `a < b` of identical ops, ascending.
 fn identical_pairs(ops: &[RecordedOp]) -> Vec<(usize, usize)> {
-    let mut by_hash: Vec<(u64, usize)> = ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let mut h = DefaultHasher::new();
-            op.hash(&mut h);
-            (h.finish(), i)
+    let mut positions: HashMap<&RecordedOp, Vec<usize>> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        positions.entry(op).or_default().push(i);
+    }
+    let mut pairs: Vec<(usize, usize)> = positions
+        .values()
+        .flat_map(|at| {
+            at.iter()
+                .enumerate()
+                .flat_map(move |(k, &a)| at[k + 1..].iter().map(move |&b| (a, b)))
         })
         .collect();
-    by_hash.sort_unstable();
-    let mut pairs = Vec::new();
-    for run in by_hash.chunk_by(|x, y| x.0 == y.0) {
-        for (k, &(_, a)) in run.iter().enumerate() {
-            for &(_, b) in &run[k + 1..] {
-                if ops[a] == ops[b] {
-                    pairs.push((a, b));
-                }
-            }
-        }
-    }
     pairs.sort_unstable();
     pairs
 }
@@ -454,9 +447,9 @@ fn hash_row(row: Option<BTreeSet<usize>>) -> Option<u64> {
 
 /// Run the pairwise analysis: one [`TracePass`] (one capture of
 /// `initial`), then the writer-group checks and the verdict of every
-/// judged pair — the identical-op pairs and the pairs the footprint pair
-/// index ([`footprint::interfering_pairs`]) finds. Every other pair
-/// commutes by disjoint footprints and is not stored.
+/// judged pair — the identical-op pairs and the pairs the footprint
+/// kernel's pair index finds. Every other pair commutes by disjoint
+/// footprints and is not stored.
 pub fn analyze_pairs(initial: &Schema, ops: &[RecordedOp]) -> PairAnalysis {
     // Forward pass: footprints against pre-states, plus the base value of
     // every row/cell a writer group touches.

@@ -113,7 +113,9 @@ impl Footprint {
 /// writes and the write rows of the keys it only reads, so the index
 /// costs one sort of the accesses and one row union per access, never a
 /// test per pair.
-pub fn interfering_pairs<'k, K, R, W>(ops: impl IntoIterator<Item = (R, W)>) -> Vec<(usize, usize)>
+pub(crate) fn interfering_pairs<'k, K, R, W>(
+    ops: impl IntoIterator<Item = (R, W)>,
+) -> Vec<(usize, usize)>
 where
     K: Ord + 'k,
     R: IntoIterator<Item = &'k K>,

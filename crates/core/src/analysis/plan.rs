@@ -330,15 +330,6 @@ fn slot_footprints(footprints: &[Footprint]) -> (Vec<BTreeSet<Slot>>, Vec<BTreeS
         .unzip()
 }
 
-/// Every slot-interfering op pair (a shared slot with at least one side
-/// writing), ascending: the footprint pair index over slots.
-fn slot_interfering_pairs(
-    reads: &[BTreeSet<Slot>],
-    writes: &[BTreeSet<Slot>],
-) -> Vec<(usize, usize)> {
-    footprint::interfering_pairs(reads.iter().zip(writes))
-}
-
 /// First shared slot between op `i` and op `j` with at least one side
 /// writing, if any: the slot an order edge names for its witness pair.
 fn interferes(
@@ -379,8 +370,9 @@ fn interferes(
 pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
     let n = analysis.footprints.len();
     let (op_reads, op_writes) = slot_footprints(&analysis.footprints);
-    // Only a slot-interfering op pair can order two classes.
-    let interfering = slot_interfering_pairs(&op_reads, &op_writes);
+    // Only a slot-interfering op pair (a shared slot with a write) can
+    // order two classes.
+    let interfering = footprint::interfering_pairs(op_reads.iter().zip(&op_writes));
 
     // Seed groups from the independence partition; merge any cyclic
     // residue of the interference order graph.
@@ -693,7 +685,7 @@ pub fn check(
 
     // Obligation 4: every slot-interfering pair (a shared slot with a
     // write) keeps trace order.
-    let interfering = slot_interfering_pairs(&op_reads, &op_writes);
+    let interfering = footprint::interfering_pairs(op_reads.iter().zip(&op_writes));
     for &(i, j) in &interfering {
         let (ci, cj) = (owner[i], owner[j]);
         if ci != cj && cert.classes[ci].stage >= cert.classes[cj].stage {
