@@ -124,14 +124,17 @@ const SIZE_NEUTRAL_MIX: OpMix = OpMix {
 };
 
 /// Hard ceiling for `analyze_trace`, `build_plan` and `plan::check`
-/// against batched apply on the 200-op migration. Each pass captures the schema once
-/// as a copy-on-write version of its input spines and tests the union
-/// graph for cycles in O(initial + written edges); the quadratic rescan
-/// read ~18x here, whole-arena captures ~2.5x and ~2.1x, and the shared
-/// spines ~1.9x and ~1.5x. Set at the smallest half-step value that every
-/// run of the cell on the shared spines cleared with a 1.5x margin
-/// (`analyze_trace` read 1.76x–1.90x over seven runs).
-const MIGRATION_CEILING: f64 = 3.0;
+/// against batched apply on the 200-op migration. Each pass captures the
+/// schema once as a copy-on-write version of its input spines and tests
+/// the union graph for cycles in O(initial + written edges); the
+/// quadratic rescan read ~18x here for `analyze_trace` and `plan::check`,
+/// whole-arena captures ~2.5x and ~2.1x, and the shared spines ~1.9x and
+/// ~1.5x. The footprint pair index, which leaves only the pairs that share
+/// a written cell or slot to judge, takes the three to 0.58x–0.66x,
+/// 0.26x–0.36x and 0.55x–0.60x (four runs). Set at the smallest half-step
+/// value that every one of those runs cleared with a 1.5x margin (3.0
+/// before the index).
+const MIGRATION_CEILING: f64 = 1.0;
 /// Hard ceiling for `impact::analyze` and `impact::check` against batched
 /// apply on the 200-op migration (4.3x–4.8x with shared spines; the
 /// interface fold of the live lattice and the schema fingerprint
