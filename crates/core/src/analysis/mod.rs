@@ -200,11 +200,6 @@ impl TraceAnalysis {
         self.kinds.is_empty()
     }
 
-    /// Unordered pairs of the trace, judged or not: n(n−1)/2.
-    pub fn pair_count(&self) -> usize {
-        pair_count(self.len())
-    }
-
     /// The first certified conflict, if any.
     pub fn first_conflict(&self) -> Option<&PairReport> {
         self.pairs.iter().find(|p| p.verdict.conflicts())
@@ -220,7 +215,7 @@ impl TraceAnalysis {
     /// conflicts.
     fn verdict_histogram(&self) -> BTreeMap<&'static str, usize> {
         let mut hist: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let disjoint = self.pair_count() - self.pairs.len();
+        let disjoint = pair_count(self.len()) - self.pairs.len();
         if disjoint > 0 {
             hist.insert(CommuteReason::DisjointFootprints.tag(), disjoint);
         }
@@ -261,7 +256,7 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "pairs: {} total — {} commute, {} conflict, {} order-constrained",
-            self.pair_count(),
+            pair_count(self.len()),
             self.commuting,
             self.conflicting,
             self.constrained
@@ -411,7 +406,7 @@ impl TraceAnalysis {
              \"details\":[{}]}},\
              \"classes\":[{}],\"union_acyclic\":{},\"certified\":{},\"permutations\":\"{}\"}}",
             ops.join(","),
-            self.pair_count(),
+            pair_count(self.len()),
             self.commuting,
             self.conflicting,
             self.constrained,
