@@ -1154,6 +1154,26 @@ mod tests {
     }
 
     #[test]
+    fn obligation_added_slots_follow_property_names() {
+        let mut s = base();
+        let person = s.add_type("person", [], []).unwrap();
+        let zeta = s.add_property("zeta");
+        let alpha = s.add_property("alpha");
+        let mid = s.add_property("mid");
+        let ops: Vec<RecordedOp> = [zeta, alpha, mid]
+            .into_iter()
+            .map(|p| RecordedOp::AddEssentialProperty { t: person, p })
+            .collect();
+        let ia = analyze(&s, &ops);
+        // Arena order is zeta, alpha, mid; the net delta lists arrivals by
+        // name, as `split_delta` matches them.
+        let o = &ia.certificate.obligations[0];
+        assert_eq!(o.added, vec![alpha.index(), mid.index(), zeta.index()]);
+        assert_eq!(ia.plan.steps[0].add_slots, o.added);
+        check(&s, &ops, &ia.certificate).expect("accepted");
+    }
+
+    #[test]
     fn add_essential_property_already_inherited_is_preserving() {
         let mut s = base();
         let person = s.add_type("person", [], []).unwrap();

@@ -347,3 +347,153 @@ pub fn optimize_trace(initial: &Schema, ops: &[RecordedOp]) -> OptimizedTrace {
         ops: current,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::LatticeConfig;
+    use crate::ids::{PropId, TypeId};
+
+    /// ⊤ `obj`; `a` and `b` under it; `c` under `a` alone, `d` under both;
+    /// `x` essential on `c` and `d`, `y` on nothing.
+    fn lattice() -> (Schema, [TypeId; 4], [PropId; 2]) {
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        let a = s.add_type("a", [], []).unwrap();
+        let b = s.add_type("b", [], []).unwrap();
+        let x = s.add_property("x");
+        let y = s.add_property("y");
+        let c = s.add_type("c", [a], [x]).unwrap();
+        let d = s.add_type("d", [a, b], [x]).unwrap();
+        (s, [a, b, c, d], [x, y])
+    }
+
+    /// The rewrites `optimize_trace` reports, as comparable tuples.
+    fn rewrites(
+        s: &Schema,
+        ops: &[RecordedOp],
+    ) -> Vec<(RewriteKind, Vec<usize>, Reference, String)> {
+        let optimized = optimize_trace(s, ops);
+        assert!(crate::history::traces_equivalent(s, ops, &optimized.ops));
+        optimized
+            .rewrites
+            .into_iter()
+            .map(|r| (r.kind, r.removed, r.reference, r.note))
+            .collect()
+    }
+
+    #[test]
+    fn each_cancelling_direction_reports_its_pair() {
+        let (s, [a, b, c, d], [x, y]) = lattice();
+        let nativeness = Reference::Axiom(Axiom::Nativeness);
+        let supertypes = Reference::Axiom(Axiom::Supertypes);
+        // An op on another cell in between does not block the pair.
+        let add_drop_bit = [
+            RecordedOp::AddEssentialProperty { t: c, p: y },
+            RecordedOp::AddEssentialProperty { t: a, p: y },
+            RecordedOp::DropEssentialProperty { t: c, p: y },
+        ];
+        assert_eq!(
+            rewrites(&s, &add_drop_bit),
+            [(
+                RewriteKind::CancellingPropPair,
+                vec![0, 2],
+                nativeness,
+                "ops 1 and 3 add and drop the same N_e bit with no intervening access".to_owned()
+            )]
+        );
+        let drop_restore_bit = [
+            RecordedOp::DropEssentialProperty { t: c, p: x },
+            RecordedOp::AddEssentialProperty { t: c, p: x },
+        ];
+        assert_eq!(
+            rewrites(&s, &drop_restore_bit),
+            [(
+                RewriteKind::CancellingPropPair,
+                vec![0, 1],
+                nativeness,
+                "ops 1 and 2 drop and restore the same N_e bit with no intervening access"
+                    .to_owned()
+            )]
+        );
+        let add_drop_edge = [
+            RecordedOp::AddEssentialSupertype { t: c, s: b },
+            RecordedOp::DropEssentialSupertype { t: c, s: b },
+        ];
+        assert_eq!(
+            rewrites(&s, &add_drop_edge),
+            [(
+                RewriteKind::CancellingEdgePair,
+                vec![0, 1],
+                supertypes,
+                "ops 1 and 2 add and drop the same essential edge with no intervening \
+                 access to P_e"
+                    .to_owned()
+            )]
+        );
+        let drop_restore_edge = [
+            RecordedOp::DropEssentialSupertype { t: d, s: b },
+            RecordedOp::AddEssentialSupertype { t: d, s: b },
+        ];
+        assert_eq!(
+            rewrites(&s, &drop_restore_edge),
+            [(
+                RewriteKind::CancellingEdgePair,
+                vec![0, 1],
+                supertypes,
+                "ops 1 and 2 drop and restore the same essential edge with no intervening \
+                 access to P_e"
+                    .to_owned()
+            )]
+        );
+    }
+
+    #[test]
+    fn an_access_in_between_blocks_the_pair() {
+        let (s, [_, b, c, _], [_, y]) = lattice();
+        let ops = [
+            RecordedOp::AddEssentialSupertype { t: c, s: b },
+            RecordedOp::AddEssentialProperty { t: c, p: y },
+            RecordedOp::DropType { t: b },
+            RecordedOp::DropEssentialProperty { t: c, p: y },
+        ];
+        // The type drop reads and writes `P_e(c)`, so only the N_e pair goes.
+        assert_eq!(
+            rewrites(&s, &ops),
+            [(
+                RewriteKind::CancellingPropPair,
+                vec![1, 3],
+                Reference::Axiom(Axiom::Nativeness),
+                "ops 2 and 4 add and drop the same N_e bit with no intervening access".to_owned()
+            )]
+        );
+    }
+
+    #[test]
+    fn a_re_declaration_is_idempotent() {
+        let (s, [_, _, c, _], [x, _]) = lattice();
+        let ops = [RecordedOp::AddEssentialProperty { t: c, p: x }];
+        assert_eq!(
+            rewrites(&s, &ops),
+            [(
+                RewriteKind::IdempotentReAdd,
+                vec![0],
+                Reference::Axiom(Axiom::Nativeness),
+                "op 1 re-declares an already-essential property".to_owned()
+            )]
+        );
+    }
+
+    #[test]
+    fn a_last_edge_drop_and_its_re_add_are_kept() {
+        // Dropping `c`'s only edge relinks it to ⊤, which re-adding the
+        // edge does not undo: the pair is not an identity.
+        let (s, [a, _, c, _], _) = lattice();
+        let ops = [
+            RecordedOp::DropEssentialSupertype { t: c, s: a },
+            RecordedOp::AddEssentialSupertype { t: c, s: a },
+        ];
+        assert!(rewrites(&s, &ops).is_empty());
+        assert!(!crate::history::traces_equivalent(&s, &ops, &[]));
+    }
+}
