@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::bits::{IdxSet, PropSet, TypeSet};
+use crate::bits::{PropSet, TypeSet};
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
 use crate::model::{PropRecord, Schema, Spine, TypeSlot};
@@ -201,7 +201,7 @@ pub struct SymbolicState {
     /// Live holders index: `holders[p]` = live types with `p ∈ N_e`, built
     /// on first use and stepped from then on. A property drop clears
     /// exactly these cells.
-    holders: OnceCell<Vec<IdxSet>>,
+    holders: OnceCell<Vec<TypeSet>>,
     /// The captured version, never stepped.
     initial: Arc<Initial>,
 }
@@ -224,16 +224,16 @@ struct Initial {
     /// Property slots at capture.
     props: usize,
     /// The captured live holders index, built on first use.
-    holders: OnceLock<Vec<IdxSet>>,
+    holders: OnceLock<Vec<TypeSet>>,
 }
 
 /// The live holders index of a type arena over `props` property slots.
-fn holders_of_arena(types: &Spine<TypeSlot>, props: usize) -> Vec<IdxSet> {
-    let mut holders = vec![IdxSet::new(); props];
+fn holders_of_arena(types: &Spine<TypeSlot>, props: usize) -> Vec<TypeSet> {
+    let mut holders = vec![TypeSet::new(); props];
     for (t, slot) in types.iter().enumerate().filter(|(_, s)| s.alive) {
         for p in slot.ne.iter() {
             if let Some(set) = holders.get_mut(p.index()) {
-                set.insert(t);
+                set.insert(TypeId::from_index(t));
             }
         }
     }
@@ -357,7 +357,7 @@ impl SymbolicState {
             .get_or_init(|| holders_of_arena(&self.types, self.props.len()))
             .get(p)
             .into_iter()
-            .flat_map(IdxSet::iter)
+            .flat_map(|row| row.iter().map(TypeId::index))
     }
 
     /// Live types with `p ∈ N_e` in the *captured* state.
@@ -368,7 +368,7 @@ impl SymbolicState {
             .get_or_init(|| holders_of_arena(&initial.types, initial.props))
             .get(p)
             .into_iter()
-            .flat_map(IdxSet::iter)
+            .flat_map(|row| row.iter().map(TypeId::index))
     }
 
     /// The names of every arena slot in this state, shared, not copied.
@@ -398,7 +398,7 @@ impl SymbolicState {
     }
 
     /// The holders index, built now if no read has built it yet.
-    fn holders_mut(&mut self) -> &mut Vec<IdxSet> {
+    fn holders_mut(&mut self) -> &mut Vec<TypeSet> {
         if self.holders.get().is_none() {
             let built = holders_of_arena(&self.types, self.props.len());
             let _ = self.holders.set(built);
@@ -414,7 +414,7 @@ impl SymbolicState {
         if let Some(holders) = self.holders.get_mut() {
             for p in ne.iter() {
                 if let Some(set) = holders.get_mut(p.index()) {
-                    set.insert(id);
+                    set.insert(TypeId::from_index(id));
                 }
             }
         }
@@ -461,7 +461,7 @@ impl SymbolicState {
                     },
                 );
                 if let Some(holders) = self.holders.get_mut() {
-                    holders.push(IdxSet::new());
+                    holders.push(TypeSet::new());
                 }
             }
             RecordedOp::RenameProperty { p, name } => {
@@ -470,7 +470,7 @@ impl SymbolicState {
             RecordedOp::DropProperty { p } => {
                 let pi = p.index();
                 for t in std::mem::take(&mut self.holders_mut()[pi]).iter() {
-                    self.slot_mut(t).ne.remove(*p);
+                    self.slot_mut(t.index()).ne.remove(*p);
                 }
                 self.props.make_mut(&None, pi).alive = false;
             }
@@ -523,7 +523,7 @@ impl SymbolicState {
                 if let Some(holders) = self.holders.get_mut() {
                     for p in ne.iter() {
                         if let Some(set) = holders.get_mut(p.index()) {
-                            set.remove(ti);
+                            set.remove(*t);
                         }
                     }
                 }
@@ -544,13 +544,13 @@ impl SymbolicState {
             RecordedOp::AddEssentialProperty { t, p } => {
                 self.slot_mut(t.index()).ne.insert(*p);
                 if let Some(holders) = self.holders.get_mut() {
-                    holders[p.index()].insert(t.index());
+                    holders[p.index()].insert(*t);
                 }
             }
             RecordedOp::DropEssentialProperty { t, p } => {
                 self.slot_mut(t.index()).ne.remove(*p);
                 if let Some(holders) = self.holders.get_mut() {
-                    holders[p.index()].remove(t.index());
+                    holders[p.index()].remove(*t);
                 }
             }
         }
@@ -910,10 +910,12 @@ fn union_graph_cyclic(last: &SymbolicState, written: &BTreeMap<usize, TypeSet>) 
             .map(TypeId::index)
             .chain(last.root.filter(|&r| r != t))
     };
-    // Iterative three-colour DFS.
-    let n = last.type_slots();
-    let mut colour = vec![0u8; n];
-    for start in 0..n {
+    // Iterative three-colour DFS from the written rows alone: the captured
+    // graph is acyclic, and ⊤'s row holds no edge unless the trace writes
+    // it (so no edge into ⊤ closes a cycle), hence every cycle of the
+    // union graph runs through a written row.
+    let mut colour = vec![0u8; last.type_slots()];
+    for &start in written.keys() {
         if colour[start] != 0 {
             continue;
         }
@@ -1163,5 +1165,42 @@ mod tests {
             // The property drops read the captured holders too.
             assert_eq!(sim.initial_holders_of(3).count(), 1);
         }
+    }
+
+    #[test]
+    fn union_cycles_are_found_from_the_written_rows_among_dead_slots() {
+        let mut s = Schema::new(LatticeConfig::default());
+        s.add_root_type("obj").unwrap();
+        // 600 dead slots below and above the live types.
+        let dead = |s: &mut Schema, tag: &str| {
+            for i in 0..300 {
+                let t = s.add_type(format!("{tag}{i}"), [], []).unwrap();
+                s.drop_type(t).unwrap();
+            }
+        };
+        dead(&mut s, "early");
+        let a = s.add_type("a", [], []).unwrap();
+        let b = s.add_type("b", [], []).unwrap();
+        let c = s.add_type("c", [a], []).unwrap();
+        let d = s.add_type("d", [c], []).unwrap();
+        dead(&mut s, "late");
+        let acyclic = |ops: &[RecordedOp]| {
+            // A trace is equivalent to itself only if it replays.
+            assert!(crate::history::traces_equivalent(&s, ops, ops));
+            TracePass::run(&s, ops, |_, _, _| {}).union_acyclic
+        };
+        // `c` leaves `a`, then `a` goes under `d`: the union holds
+        // a → d → c → a, through the unwritten row of `d`.
+        let cyclic = [
+            RecordedOp::DropEssentialSupertype { t: c, s: a },
+            RecordedOp::AddEssentialSupertype { t: a, s: d },
+        ];
+        assert!(!acyclic(&cyclic));
+        // `c` leaves `a` for `b`: no row ever points back.
+        let moved = [
+            RecordedOp::DropEssentialSupertype { t: c, s: a },
+            RecordedOp::AddEssentialSupertype { t: c, s: b },
+        ];
+        assert!(acyclic(&moved));
     }
 }

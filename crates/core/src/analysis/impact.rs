@@ -26,8 +26,8 @@
 //!
 //! Affected extents are found through the structural reverse-subtype
 //! index: an input edit to type `t` can only change interfaces in the
-//! down-set of `t` (`I` is inherited along `H`), walked as dense
-//! [`IdxSet`] rows. In pointed configurations `⊥ = T_null` is excluded
+//! down-set of `t` (`I` is inherited along `H`), walked as a dense
+//! [`TypeSet`]. In pointed configurations `⊥ = T_null` is excluded
 //! throughout — its sole instance is the undefined object, so it has no
 //! storable extent (and its `P_e` row churns on every type creation).
 //!
@@ -35,7 +35,10 @@
 //! [`PropagationPlan`], and — following the repo's certificate discipline
 //! ([`super::plan::check`], [`super::merge::check`]) — an independent
 //! [`check`] that trusts *nothing* inside the certificate: it re-derives
-//! every verdict and obligation from the raw trace and compares.
+//! every delta and obligation from the raw trace and compares. The
+//! certificate stores only those primary facts; an op's level and affected
+//! set, and an obligation's strategies and guard, are derived from them on
+//! demand, so they cannot disagree with what they are derived from.
 //!
 //! **Cost.** Each of [`analyze`] and [`check`] captures the schema once
 //! (a copy-on-write version of its input spines: one pointer per 64-slot
@@ -51,8 +54,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::bits::IdxSet;
+use crate::bits::{PropSet, TypeSet};
 use crate::history::RecordedOp;
+use crate::ids::{PropId, TypeId};
 use crate::json_escape;
 use crate::model::Schema;
 
@@ -113,15 +117,30 @@ impl TypeImpact {
     }
 }
 
-/// Verdict for one trace position: the join over its per-type deltas.
+/// Verdict for one trace position: its per-type deltas, from which the
+/// level and the affected set follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpImpact {
-    /// Maximum level over [`OpImpact::deltas`] (`Preserving` when empty).
-    pub level: ImpactLevel,
-    /// Types with a non-preserving delta at this op (arena indexes).
-    pub affected: IdxSet,
     /// The non-preserving per-type deltas, ascending by type index.
     pub deltas: Vec<TypeImpact>,
+}
+
+impl OpImpact {
+    /// The join of the per-type levels (`Preserving` when no type is
+    /// affected).
+    pub fn level(&self) -> ImpactLevel {
+        self.deltas
+            .iter()
+            .map(TypeImpact::level)
+            .max()
+            .unwrap_or(ImpactLevel::Preserving)
+    }
+
+    /// Types with a non-preserving delta at this op (arena indexes,
+    /// ascending).
+    pub fn affected(&self) -> impl Iterator<Item = usize> + '_ {
+        self.deltas.iter().map(|d| d.type_index)
+    }
 }
 
 /// Which conversion strategies remain admissible for one obligation.
@@ -195,8 +214,8 @@ impl Strategies {
 pub struct ConversionObligation {
     /// Type arena index.
     pub type_index: usize,
-    /// Level of the net birth→final conversion (drives strategies and
-    /// the guard).
+    /// Level of the net birth→final conversion (drives
+    /// [`Self::strategies`] and [`Self::guard_required`]).
     pub level: ImpactLevel,
     /// Join of the per-op levels for this type (sequential severity;
     /// always ≥ [`Self::level`]).
@@ -212,11 +231,19 @@ pub struct ConversionObligation {
     pub lost: Vec<usize>,
     /// Did the type die during the trace?
     pub extent_lost: bool,
-    /// Admissible strategies for [`ConversionObligation::level`].
-    pub strategies: Strategies,
+}
+
+impl ConversionObligation {
+    /// Admissible strategies for [`Self::level`].
+    pub fn strategies(&self) -> Strategies {
+        Strategies::for_level(self.level)
+    }
+
     /// Destructive obligations must be guarded by a snapshot/branch
     /// point before the destructive op runs.
-    pub guard_required: bool,
+    pub fn guard_required(&self) -> bool {
+        self.level == ImpactLevel::Destructive
+    }
 }
 
 /// Self-contained result of one impact analysis, bound to the initial
@@ -244,15 +271,20 @@ impl ImpactCertificate {
     pub fn level_counts(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
         for op in &self.ops {
-            counts[op.level as usize] += 1;
+            counts[op.level() as usize] += 1;
         }
         counts
     }
 
     /// Obligations that require a guard (destructive fold level).
     pub fn guarded_obligations(&self) -> usize {
-        self.obligations.iter().filter(|o| o.guard_required).count()
+        guarded(&self.obligations)
     }
+}
+
+/// How many of `obligations` require a guard.
+fn guarded(obligations: &[ConversionObligation]) -> usize {
+    obligations.iter().filter(|o| o.guard_required()).count()
 }
 
 /// One concrete conversion strategy a plan recommends.
@@ -322,7 +354,7 @@ impl PropagationPlan {
                     ImpactLevel::Refining => Strategy::Lazy,
                     ImpactLevel::Destructive => Strategy::Eager,
                 },
-                guarded: o.guard_required,
+                guarded: o.guard_required(),
                 add_slots: o.added.clone(),
                 rekey_slots: o.rekeyed.clone(),
                 drop_slots: o.lost.clone(),
@@ -374,10 +406,10 @@ struct Derived {
 /// type below the edit — the difference between microseconds and
 /// milliseconds per destructive op on a thousand-type lattice.
 struct IfaceRows {
-    /// `rows[t]` = property arena indexes in `I(t)`; empty for dead
-    /// types and for ⊥ (whose row is never read — nothing sits below it
-    /// and it holds no storable extent).
-    rows: Vec<IdxSet>,
+    /// `rows[t]` = the properties in `I(t)`; empty for dead types and
+    /// for ⊥ (whose row is never read — nothing sits below it and it
+    /// holds no storable extent).
+    rows: Vec<PropSet>,
 }
 
 /// Is `t` a live type other than ⊥ — a type with a storable extent?
@@ -392,9 +424,9 @@ impl IfaceRows {
         let rows = (0..sim.type_slots())
             .map(|t| {
                 if storable(sim, t) {
-                    IdxSet::from(&initial.derived[t].iface)
+                    initial.derived[t].iface.clone()
                 } else {
-                    IdxSet::new()
+                    PropSet::new()
                 }
             })
             .collect();
@@ -402,8 +434,8 @@ impl IfaceRows {
     }
 
     /// `N_e(t)` united with the rows of `t`'s live parents.
-    fn fold_row(&self, sim: &SymbolicState, t: usize) -> IdxSet {
-        let mut row: IdxSet = sim.properties(t).collect();
+    fn fold_row(&self, sim: &SymbolicState, t: usize) -> PropSet {
+        let mut row: PropSet = sim.properties(t).map(PropId::from_index).collect();
         for s in sim.supertypes(t) {
             if sim.is_live(s) {
                 if let Some(parent) = self.rows.get(s) {
@@ -422,7 +454,7 @@ impl IfaceRows {
             let row = if storable(sim, t) {
                 self.fold_row(sim, t)
             } else {
-                IdxSet::new()
+                PropSet::new()
             };
             self.rows.push(row);
         }
@@ -440,7 +472,7 @@ impl IfaceRows {
         &mut self,
         sim: &SymbolicState,
         direct: &[usize],
-    ) -> BTreeMap<usize, IdxSet> {
+    ) -> BTreeMap<usize, PropSet> {
         let mut changed = BTreeMap::new();
         let mut queue: Vec<usize> = direct.to_vec();
         while let Some(u) = queue.pop() {
@@ -474,7 +506,7 @@ enum RowRule {
     /// A new essential `p` or supertype edge `s` at `t`: `reach` (`{p}`,
     /// or `I(s)` before the step) joins every row of `below`, the
     /// storable types of `↓t` in ascending order.
-    Grow { below: Vec<usize>, reach: IdxSet },
+    Grow { below: Vec<usize>, reach: PropSet },
     /// A dropped edge, essential, property or type: re-fold the `seeds`
     /// rows the op edits and walk each actual change down
     /// ([`IfaceRows::propagate_removal`]). Ops that only allocate, rename
@@ -484,13 +516,13 @@ enum RowRule {
 
 impl RowRule {
     fn of(sim: &SymbolicState, iface: &IfaceRows, op: &RecordedOp) -> RowRule {
-        let grow = |t: usize, reach: IdxSet| RowRule::Grow {
+        let grow = |t: usize, reach: PropSet| RowRule::Grow {
             below: down_set(sim, t),
             reach,
         };
         match op {
             RecordedOp::AddEssentialProperty { t, p } => {
-                grow(t.index(), std::iter::once(p.index()).collect())
+                grow(t.index(), std::iter::once(*p).collect())
             }
             RecordedOp::AddEssentialSupertype { t, s } => {
                 grow(t.index(), iface.rows[s.index()].clone())
@@ -518,36 +550,43 @@ impl RowRule {
 /// only these interfaces (`I` is inherited along `H`), walked over the
 /// structural reverse-subtype index.
 fn down_set(sim: &SymbolicState, t: usize) -> Vec<usize> {
-    let mut below: IdxSet = std::iter::once(t).collect();
+    let mut below: TypeSet = std::iter::once(TypeId::from_index(t)).collect();
     let mut work = vec![t];
     while let Some(u) = work.pop() {
         for c in sim.subtypes(u) {
-            if below.insert(c) {
+            if below.insert(TypeId::from_index(c)) {
                 work.push(c);
             }
         }
     }
-    below.iter().filter(|&u| storable(sim, u)).collect()
+    below
+        .iter()
+        .map(TypeId::index)
+        .filter(|&u| storable(sim, u))
+        .collect()
 }
 
-/// Match departing slots against arriving ones by (post-state) property
-/// name, FIFO over ascending indexes: each match is a re-key a conversion
-/// function can honour; leftovers on the departing side are real losses.
-/// `arriving` and `departing` must be ascending (a raw interface diff).
+/// The net delta from the `birth` row to the `fin` row: departing slots
+/// are matched against arriving ones by (post-state) property name, FIFO
+/// over ascending indexes. Each match is a re-key a conversion function
+/// can honour; leftovers on the departing side are real losses.
 fn split_delta(
     sim: &SymbolicState,
-    arriving: &[usize],
-    departing: &[usize],
+    birth: &PropSet,
+    fin: &PropSet,
 ) -> (Vec<usize>, Vec<(usize, usize)>, Vec<usize>) {
+    let (mut arriving, mut departing) = (fin.clone(), birth.clone());
+    arriving.subtract(birth);
+    departing.subtract(fin);
     let mut arrivals: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for &q in arriving {
+    for q in arriving.iter().map(PropId::index) {
         if let Some(name) = sim.prop_name(q) {
             arrivals.entry(name).or_default().push(q);
         }
     }
     let mut rekeyed = Vec::new();
     let mut lost = Vec::new();
-    for &p in departing {
+    for p in departing.iter().map(PropId::index) {
         let name = sim.prop_name(p).unwrap_or("");
         match arrivals.get_mut(name) {
             Some(queue) if !queue.is_empty() => rekeyed.push((p, queue.remove(0))),
@@ -580,7 +619,7 @@ struct Fold {
     extent_lost: bool,
     /// The interface its instances were born under: the row at capture,
     /// or right after creation for a trace-minted type.
-    birth: IdxSet,
+    birth: PropSet,
 }
 
 /// Walk the trace once over a symbolic shadow, classifying each op
@@ -602,11 +641,9 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         // A type-creating op grew the arena: fold the newborn's row.
         iface.grow(&sim);
 
-        let mut affected = IdxSet::new();
         let mut deltas: Vec<TypeImpact> = Vec::new();
-        let mut record = |delta: TypeImpact, pre_row: &dyn Fn() -> IdxSet| {
+        let mut record = |delta: TypeImpact, pre_row: &dyn Fn() -> PropSet| {
             let (t, level) = (delta.type_index, delta.level());
-            affected.insert(t);
             fold.entry(t)
                 .and_modify(|f| {
                     if level > f.level {
@@ -636,7 +673,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                     record(
                         TypeImpact {
                             type_index: t,
-                            added: added.iter().collect(),
+                            added: added.iter().map(PropId::index).collect(),
                             lost: Vec::new(),
                             extent_lost: false,
                         },
@@ -658,7 +695,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                     } else {
                         let mut lost = pre_row.clone();
                         lost.subtract(&iface.rows[t]);
-                        lost.iter().collect()
+                        lost.iter().map(PropId::index).collect()
                     };
                     record(
                         TypeImpact {
@@ -672,16 +709,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
                 }
             }
         }
-        let level = deltas
-            .iter()
-            .map(TypeImpact::level)
-            .max()
-            .unwrap_or(ImpactLevel::Preserving);
-        op_impacts.push(OpImpact {
-            level,
-            affected,
-            deltas,
-        });
+        op_impacts.push(OpImpact { deltas });
     }
 
     // Fold the per-type state into obligations: the *net* slot delta
@@ -693,10 +721,7 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
         let (added, rekeyed, lost) = if f.extent_lost {
             (Vec::new(), Vec::new(), Vec::new())
         } else {
-            let fin = &iface.rows[t];
-            let arriving: Vec<usize> = fin.iter().filter(|&q| !f.birth.contains(q)).collect();
-            let departing: Vec<usize> = f.birth.iter().filter(|&q| !fin.contains(q)).collect();
-            split_delta(&sim, &arriving, &departing)
+            split_delta(&sim, &f.birth, &iface.rows[t])
         };
         let level = if f.extent_lost {
             ImpactLevel::Destructive
@@ -712,8 +737,6 @@ fn derive(initial: &Schema, ops: &[RecordedOp]) -> Derived {
             rekeyed,
             lost,
             extent_lost: f.extent_lost,
-            strategies: Strategies::for_level(level),
-            guard_required: level == ImpactLevel::Destructive,
         });
     }
 
@@ -742,10 +765,11 @@ pub fn analyze(initial: &Schema, ops: &[RecordedOp]) -> ImpactAnalysis {
 }
 
 /// Independently re-verify an [`ImpactCertificate`] against the raw
-/// trace. Trusts nothing inside the certificate: every verdict, delta,
-/// and obligation is re-derived from `initial` and `ops` on a fresh
-/// symbolic shadow and compared field-for-field. Any mismatch refuses
-/// the certificate with the first violation found.
+/// trace. Trusts nothing inside the certificate: every delta, obligation
+/// and label is re-derived from `initial` and `ops` on a fresh symbolic
+/// shadow and compared field-for-field (each op's level and affected set
+/// are functions of its deltas). Any mismatch refuses the certificate
+/// with the first violation found.
 pub fn check(
     initial: &Schema,
     ops: &[RecordedOp],
@@ -786,22 +810,6 @@ pub fn check(
 
     let derived = derive(initial, ops);
     for (i, (got, want)) in cert.ops.iter().zip(&derived.ops).enumerate() {
-        if got.level != want.level {
-            return Err(format!(
-                "op {} re-derives as {} but the certificate claims {}",
-                i + 1,
-                want.level.tag(),
-                got.level.tag()
-            ));
-        }
-        if got.affected != want.affected {
-            return Err(format!(
-                "op {} affected set diverges from the re-derivation ({} vs {} type(s))",
-                i + 1,
-                got.affected.len(),
-                want.affected.len()
-            ));
-        }
         if got.deltas != want.deltas {
             return Err(format!(
                 "op {} per-type deltas diverge from the re-derivation",
@@ -834,11 +842,7 @@ pub fn check(
     Ok(ImpactCheck {
         ops: ops.len(),
         obligations: derived.obligations.len(),
-        guarded: derived
-            .obligations
-            .iter()
-            .filter(|o| o.guard_required)
-            .count(),
+        guarded: guarded(&derived.obligations),
     })
 }
 
@@ -887,14 +891,10 @@ impl ImpactAnalysis {
                 "  op {:>3} {:<28} {:<11}",
                 i + 1,
                 cert.kinds[i],
-                op.level.tag()
+                op.level().tag()
             );
-            if !op.affected.is_empty() {
-                let names: Vec<String> = op
-                    .affected
-                    .iter()
-                    .map(|t| cert.labels.type_label(t))
-                    .collect();
+            if !op.deltas.is_empty() {
+                let names: Vec<String> = op.affected().map(|t| cert.labels.type_label(t)).collect();
                 let _ = write!(line, " affected {{{}}}", names.join(", "));
             }
             let _ = writeln!(out, "{}", line.trim_end());
@@ -914,8 +914,8 @@ impl ImpactAnalysis {
             if !delta.is_empty() {
                 let _ = write!(line, " — {delta}");
             }
-            let _ = write!(line, "; strategies {{{}}}", o.strategies.list());
-            if o.guard_required {
+            let _ = write!(line, "; strategies {{{}}}", o.strategies().list());
+            if o.guard_required() {
                 let _ = write!(line, "; GUARD REQUIRED");
             }
             let _ = writeln!(out, "{line}");
@@ -978,15 +978,14 @@ impl ImpactAnalysis {
             .enumerate()
             .map(|(i, op)| {
                 let affected: Vec<String> = op
-                    .affected
-                    .iter()
+                    .affected()
                     .map(|t| format!("\"{}\"", json_escape(&cert.labels.type_label(t))))
                     .collect();
                 format!(
                     "{{\"index\":{},\"kind\":\"{}\",\"level\":\"{}\",\"affected\":[{}]}}",
                     i + 1,
                     cert.kinds[i],
-                    op.level.tag(),
+                    op.level().tag(),
                     affected.join(",")
                 )
             })
@@ -996,7 +995,7 @@ impl ImpactAnalysis {
             .iter()
             .map(|o| {
                 let strategies: Vec<String> = o
-                    .strategies
+                    .strategies()
                     .list()
                     .split(", ")
                     .filter(|s| !s.is_empty())
@@ -1017,7 +1016,7 @@ impl ImpactAnalysis {
                     prop_list(&o.lost),
                     o.extent_lost,
                     strategies.join(","),
-                    o.guard_required
+                    o.guard_required()
                 )
             })
             .collect();
@@ -1081,7 +1080,7 @@ mod tests {
             .certificate
             .ops
             .iter()
-            .all(|o| o.level == ImpactLevel::Preserving));
+            .all(|o| o.level() == ImpactLevel::Preserving));
         assert!(ia.certificate.obligations.is_empty());
         assert!(ia.plan.steps.is_empty());
         check(&s, &ops, &ia.certificate).expect("clean certificate accepted");
@@ -1095,15 +1094,19 @@ mod tests {
         let age = s.add_property("age");
         let ops = vec![RecordedOp::AddEssentialProperty { t: person, p: age }];
         let ia = analyze(&s, &ops);
-        assert_eq!(ia.certificate.ops[0].level, ImpactLevel::Extending);
-        assert!(ia.certificate.ops[0].affected.contains(person.index()));
-        assert!(ia.certificate.ops[0].affected.contains(student.index()));
+        assert_eq!(ia.certificate.ops[0].level(), ImpactLevel::Extending);
+        assert!(ia.certificate.ops[0]
+            .affected()
+            .any(|t| t == person.index()));
+        assert!(ia.certificate.ops[0]
+            .affected()
+            .any(|t| t == student.index()));
         assert_eq!(ia.certificate.obligations.len(), 2);
         for o in &ia.certificate.obligations {
             assert_eq!(o.level, ImpactLevel::Extending);
             assert_eq!(o.added, vec![age.index()]);
-            assert!(o.strategies.screening && o.strategies.eager && o.strategies.lazy);
-            assert!(!o.guard_required);
+            assert!(o.strategies().screening && o.strategies().eager && o.strategies().lazy);
+            assert!(!o.guard_required());
         }
         assert_eq!(ia.plan.steps.len(), 2);
         assert_eq!(ia.plan.steps[0].strategy, Strategy::Screening);
@@ -1118,13 +1121,15 @@ mod tests {
         let student = s.add_type("student", [person], []).unwrap();
         let ops = vec![RecordedOp::DropProperty { p: name }];
         let ia = analyze(&s, &ops);
-        assert_eq!(ia.certificate.ops[0].level, ImpactLevel::Destructive);
-        assert!(ia.certificate.ops[0].affected.contains(student.index()));
+        assert_eq!(ia.certificate.ops[0].level(), ImpactLevel::Destructive);
+        assert!(ia.certificate.ops[0]
+            .affected()
+            .any(|t| t == student.index()));
         for o in &ia.certificate.obligations {
             assert_eq!(o.level, ImpactLevel::Destructive);
             assert_eq!(o.lost, vec![name.index()]);
-            assert!(o.guard_required);
-            assert!(!o.strategies.screening && o.strategies.eager && !o.strategies.lazy);
+            assert!(o.guard_required());
+            assert!(!o.strategies().screening && o.strategies().eager && !o.strategies().lazy);
         }
         assert_eq!(ia.plan.steps[0].strategy, Strategy::Eager);
         assert!(ia.plan.steps[0].guarded);
@@ -1184,7 +1189,7 @@ mod tests {
             p: name,
         }];
         let ia = analyze(&s, &ops);
-        assert_eq!(ia.certificate.ops[0].level, ImpactLevel::Preserving);
+        assert_eq!(ia.certificate.ops[0].level(), ImpactLevel::Preserving);
         assert!(ia.certificate.ops[0].deltas.is_empty());
         assert!(ia.certificate.obligations.is_empty());
         check(&s, &ops, &ia.certificate).expect("accepted");
@@ -1203,7 +1208,7 @@ mod tests {
         let ops = vec![RecordedOp::AddEssentialSupertype { t: top, s: named }];
         let ia = analyze(&s, &ops);
         let op = &ia.certificate.ops[0];
-        assert_eq!(op.level, ImpactLevel::Extending);
+        assert_eq!(op.level(), ImpactLevel::Extending);
         // `bottom` sits below both arms but gets one delta; `right` and
         // `bottom` already hold `y`, so only `x` arrives there.
         let got: Vec<(usize, Vec<usize>)> = op
@@ -1257,8 +1262,8 @@ mod tests {
             },
         ];
         let ia = analyze(&s, &ops);
-        assert_eq!(ia.certificate.ops[0].level, ImpactLevel::Destructive);
-        assert_eq!(ia.certificate.ops[2].level, ImpactLevel::Extending);
+        assert_eq!(ia.certificate.ops[0].level(), ImpactLevel::Destructive);
+        assert_eq!(ia.certificate.ops[2].level(), ImpactLevel::Extending);
         let o = &ia.certificate.obligations[0];
         // The net birth→final conversion is a re-key (refining), but the
         // sequential join records that applying the ops one at a time
@@ -1268,8 +1273,8 @@ mod tests {
         assert_eq!(o.level, ImpactLevel::Refining);
         assert_eq!(o.trace_level, ImpactLevel::Destructive);
         assert_eq!(o.first_op, 0);
-        assert!(!o.strategies.screening && o.strategies.eager && o.strategies.lazy);
-        assert!(!o.guard_required);
+        assert!(!o.strategies().screening && o.strategies().eager && o.strategies().lazy);
+        assert!(!o.guard_required());
         let step = &ia.plan.steps[0];
         assert_eq!(step.strategy, Strategy::Lazy);
         assert_eq!(step.rekey_slots, vec![(x.index(), minted.index())]);
@@ -1302,7 +1307,7 @@ mod tests {
             .certificate
             .ops
             .iter()
-            .all(|o| !o.affected.contains(base_ix)));
+            .all(|o| !o.affected().any(|t| t == base_ix)));
         check(&s, &ops, &ia.certificate).expect("accepted");
     }
 
@@ -1323,23 +1328,37 @@ mod tests {
         bad.initial_fingerprint ^= 1;
         assert!(check(&s, &ops, &bad).unwrap_err().contains("fingerprint"));
 
+        // A delta that no longer loses its slot, or that names another
+        // type, is refused; so is a dropped delta.
         let mut bad = ia.certificate.clone();
-        bad.ops[1].level = ImpactLevel::Extending;
+        bad.ops[1].deltas[0].lost.clear();
         assert!(check(&s, &ops, &bad)
             .unwrap_err()
-            .contains("re-derives as destructive"));
+            .contains("op 2 per-type deltas"));
 
         let mut bad = ia.certificate.clone();
-        bad.ops[1].affected = IdxSet::new();
-        assert!(check(&s, &ops, &bad).unwrap_err().contains("affected"));
+        bad.ops[1].deltas[0].type_index = 0;
+        assert!(check(&s, &ops, &bad)
+            .unwrap_err()
+            .contains("op 2 per-type deltas"));
+
+        let mut bad = ia.certificate.clone();
+        bad.ops[0].deltas.clear();
+        assert!(check(&s, &ops, &bad)
+            .unwrap_err()
+            .contains("op 1 per-type deltas"));
 
         let mut bad = ia.certificate.clone();
         bad.obligations.pop();
         assert!(check(&s, &ops, &bad).unwrap_err().contains("obligation"));
 
+        // An obligation claiming a lower level (and so other strategies
+        // and no guard) is refused.
         let mut bad = ia.certificate.clone();
-        bad.obligations[0].strategies.screening = true;
-        assert!(check(&s, &ops, &bad).unwrap_err().contains("diverges"));
+        bad.obligations[0].level = ImpactLevel::Extending;
+        assert!(check(&s, &ops, &bad)
+            .unwrap_err()
+            .contains("(claimed extending, re-derived destructive)"));
 
         let mut bad = ia.certificate.clone();
         bad.op_count = 1;

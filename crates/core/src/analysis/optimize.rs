@@ -97,9 +97,51 @@ fn range_touches(
         .any(|f| f.reads.contains(cell) || f.writes.contains(cell))
 }
 
+/// The cancellation table. Per edit that a later op can undo: the cell it
+/// edits, the op that undoes it, the rewrite's kind and axiom, and what
+/// the pair does (the note after "ops i and j"). MT-AB and MT-DB toggle one
+/// `N_e` bit, MT-ASR and MT-DSR one `P_e` edge; other ops have no row.
+fn cancellation(op: &RecordedOp) -> Option<(Cell, RecordedOp, RewriteKind, Axiom, &'static str)> {
+    use RecordedOp::{
+        AddEssentialProperty as AddProp, AddEssentialSupertype as AddEdge,
+        DropEssentialProperty as DropProp, DropEssentialSupertype as DropEdge,
+    };
+    use RewriteKind::{CancellingEdgePair as EdgePair, CancellingPropPair as PropPair};
+    Some(match *op {
+        AddProp { t, p } => (
+            Cell::NeCell(t.index(), p.index()),
+            DropProp { t, p },
+            PropPair,
+            Axiom::Nativeness,
+            "add and drop the same N_e bit with no intervening access",
+        ),
+        DropProp { t, p } => (
+            Cell::NeCell(t.index(), p.index()),
+            AddProp { t, p },
+            PropPair,
+            Axiom::Nativeness,
+            "drop and restore the same N_e bit with no intervening access",
+        ),
+        AddEdge { t, s } => (
+            Cell::PeRow(t.index()),
+            DropEdge { t, s },
+            EdgePair,
+            Axiom::Supertypes,
+            "add and drop the same essential edge with no intervening access to P_e",
+        ),
+        DropEdge { t, s } => (
+            Cell::PeRow(t.index()),
+            AddEdge { t, s },
+            EdgePair,
+            Axiom::Supertypes,
+            "drop and restore the same essential edge with no intervening access to P_e",
+        ),
+        _ => return None,
+    })
+}
+
 /// Find one applicable rewrite in `ops` (current trace), or `None`.
 /// `orig` maps current positions to original trace indexes.
-#[allow(clippy::too_many_lines)]
 fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<TraceRewrite> {
     // Forward symbolic pass: pre-states and footprints.
     let mut sim = SymbolicState::capture(initial);
@@ -205,117 +247,39 @@ fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<
                     note: format!("op {} re-freezes a frozen type", orig[i] + 1),
                 });
             }
-            RecordedOp::AddEssentialProperty { t, p } => {
-                let (ti, pi) = (t.index(), p.index());
-                if st.has_property(ti, pi) {
-                    return Some(TraceRewrite {
-                        kind: RewriteKind::IdempotentReAdd,
-                        removed: vec![orig[i]],
-                        reference: Reference::Axiom(Axiom::Nativeness),
-                        note: format!(
-                            "op {} re-declares an already-essential property",
-                            orig[i] + 1
-                        ),
-                    });
-                }
-                // Cancelled by the next access to the same cell being MT-DB?
-                if let Some(j) = ((i + 1)..ops.len()).find(|&j| {
-                    let cell = Cell::NeCell(ti, pi);
-                    fps[j].reads.contains(&cell) || fps[j].writes.contains(&cell)
-                }) {
-                    if matches!(&ops[j], RecordedOp::DropEssentialProperty { t: t2, p: p2 }
-                        if t2.index() == ti && p2.index() == pi)
-                    {
-                        return Some(TraceRewrite {
-                            kind: RewriteKind::CancellingPropPair,
-                            removed: vec![orig[i], orig[j]],
-                            reference: Reference::Axiom(Axiom::Nativeness),
-                            note: format!(
-                                "ops {} and {} add and drop the same N_e bit with no \
-                                 intervening access",
-                                orig[i] + 1,
-                                orig[j] + 1
-                            ),
-                        });
-                    }
-                }
+            RecordedOp::AddEssentialProperty { t, p } if st.has_property(t.index(), p.index()) => {
+                return Some(TraceRewrite {
+                    kind: RewriteKind::IdempotentReAdd,
+                    removed: vec![orig[i]],
+                    reference: Reference::Axiom(Axiom::Nativeness),
+                    note: format!(
+                        "op {} re-declares an already-essential property",
+                        orig[i] + 1
+                    ),
+                });
             }
-            RecordedOp::DropEssentialProperty { t, p } => {
-                let (ti, pi) = (t.index(), p.index());
-                if let Some(j) = ((i + 1)..ops.len()).find(|&j| {
-                    let cell = Cell::NeCell(ti, pi);
-                    fps[j].reads.contains(&cell) || fps[j].writes.contains(&cell)
-                }) {
-                    if matches!(&ops[j], RecordedOp::AddEssentialProperty { t: t2, p: p2 }
-                        if t2.index() == ti && p2.index() == pi)
-                    {
-                        return Some(TraceRewrite {
-                            kind: RewriteKind::CancellingPropPair,
-                            removed: vec![orig[i], orig[j]],
-                            reference: Reference::Axiom(Axiom::Nativeness),
-                            note: format!(
-                                "ops {} and {} drop and restore the same N_e bit with no \
-                                 intervening access",
-                                orig[i] + 1,
-                                orig[j] + 1
-                            ),
-                        });
-                    }
-                }
-            }
-            RecordedOp::AddEssentialSupertype { t, s } => {
-                let (ti, si) = (t.index(), s.index());
-                if let Some(j) = ((i + 1)..ops.len()).find(|&j| {
-                    let cell = Cell::PeRow(ti);
-                    fps[j].reads.contains(&cell) || fps[j].writes.contains(&cell)
-                }) {
-                    if matches!(&ops[j], RecordedOp::DropEssentialSupertype { t: t2, s: s2 }
-                        if t2.index() == ti && s2.index() == si)
-                    {
-                        return Some(TraceRewrite {
-                            kind: RewriteKind::CancellingEdgePair,
-                            removed: vec![orig[i], orig[j]],
-                            reference: Reference::Axiom(Axiom::Supertypes),
-                            note: format!(
-                                "ops {} and {} add and drop the same essential edge with no \
-                                 intervening access to P_e",
-                                orig[i] + 1,
-                                orig[j] + 1
-                            ),
-                        });
-                    }
-                }
-            }
-            RecordedOp::DropEssentialSupertype { t, s } => {
-                let (ti, si) = (t.index(), s.index());
-                // Relink safety: restoring only reverses the drop when the
-                // drop did not relink (row kept ≥ 1 other member).
-                let row_len = st.supertypes(ti).count();
-                if row_len < 2 {
-                    continue;
-                }
-                if let Some(j) = ((i + 1)..ops.len()).find(|&j| {
-                    let cell = Cell::PeRow(ti);
-                    fps[j].reads.contains(&cell) || fps[j].writes.contains(&cell)
-                }) {
-                    if matches!(&ops[j], RecordedOp::AddEssentialSupertype { t: t2, s: s2 }
-                        if t2.index() == ti && s2.index() == si)
-                    {
-                        return Some(TraceRewrite {
-                            kind: RewriteKind::CancellingEdgePair,
-                            removed: vec![orig[i], orig[j]],
-                            reference: Reference::Axiom(Axiom::Supertypes),
-                            note: format!(
-                                "ops {} and {} drop and restore the same essential edge with \
-                                 no intervening access to P_e",
-                                orig[i] + 1,
-                                orig[j] + 1
-                            ),
-                        });
-                    }
-                }
+            // Relink safety: a drop that empties its row may relink it to
+            // ⊤, which restoring the edge does not undo, so it never cancels.
+            RecordedOp::DropEssentialSupertype { t, .. }
+                if st.supertypes(t.index()).count() < 2 =>
+            {
+                continue;
             }
             _ => {}
+        }
+        // The cancellation rule: an edit whose cell is next accessed by
+        // the op that undoes it cancels with that op.
+        let Some((cell, inverse, kind, axiom, note)) = cancellation(op) else {
+            continue;
+        };
+        let next = ((i + 1)..ops.len()).find(|&j| range_touches(&fps, j..j + 1, &cell));
+        if let Some(j) = next.filter(|&j| ops[j] == inverse) {
+            return Some(TraceRewrite {
+                kind,
+                removed: vec![orig[i], orig[j]],
+                reference: Reference::Axiom(axiom),
+                note: format!("ops {} and {} {note}", orig[i] + 1, orig[j] + 1),
+            });
         }
     }
     None

@@ -577,129 +577,6 @@ typed_bitset!(
     PropId::to_u32
 );
 
-/// A dense set of `usize` arena rows — the analysis layer's index sets
-/// (footprint reach, derivation frontiers). Rows are arena indexes and
-/// therefore bounded by the same `u32` id space as the typed sets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IdxSet(RawBitSet);
-
-#[inline]
-fn idx_bit(i: usize) -> u32 {
-    debug_assert!(i <= MAX_ARENA_INDEX, "arena row {i} exceeds the id space");
-    i as u32
-}
-
-impl IdxSet {
-    /// The empty set.
-    #[inline]
-    pub const fn new() -> IdxSet {
-        IdxSet(RawBitSet::new())
-    }
-
-    /// The full set `{0, …, n-1}`.
-    pub fn full(n: usize) -> IdxSet {
-        (0..n).collect()
-    }
-
-    /// Number of elements (O(1)).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Is the set empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        i <= MAX_ARENA_INDEX && self.0.contains(idx_bit(i))
-    }
-
-    /// Insert; returns `true` if newly added.
-    #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
-        self.0.insert(idx_bit(i))
-    }
-
-    /// Remove; returns `true` if it was present.
-    #[inline]
-    pub fn remove(&mut self, i: usize) -> bool {
-        self.0.remove(idx_bit(i))
-    }
-
-    /// Word-parallel `self ∪= other`.
-    #[inline]
-    pub fn union_with(&mut self, other: &IdxSet) {
-        self.0.union_with(&other.0);
-    }
-
-    /// Word-parallel `self −= other` (set difference).
-    #[inline]
-    pub fn subtract(&mut self, other: &IdxSet) {
-        self.0.subtract(&other.0);
-    }
-
-    /// Word-parallel subset test.
-    #[inline]
-    pub fn is_subset(&self, other: &IdxSet) -> bool {
-        self.0.is_subset(&other.0)
-    }
-
-    /// Word-parallel disjointness test.
-    #[inline]
-    pub fn is_disjoint(&self, other: &IdxSet) -> bool {
-        self.0.is_disjoint(&other.0)
-    }
-
-    /// Smallest shared element, if any.
-    #[inline]
-    pub fn first_common(&self, other: &IdxSet) -> Option<usize> {
-        self.0.first_common(&other.0).map(|b| b as usize)
-    }
-
-    /// Ascending iterator.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().map(|b| b as usize)
-    }
-}
-
-impl FromIterator<usize> for IdxSet {
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> IdxSet {
-        let mut s = IdxSet::new();
-        for i in iter {
-            s.insert(i);
-        }
-        s
-    }
-}
-
-impl Extend<usize> for IdxSet {
-    fn extend<I: IntoIterator<Item = usize>>(&mut self, iter: I) {
-        for i in iter {
-            self.insert(i);
-        }
-    }
-}
-
-impl From<&PropSet> for IdxSet {
-    /// The same bits as property arena rows: a copy of the word span.
-    fn from(set: &PropSet) -> IdxSet {
-        IdxSet(set.0.clone())
-    }
-}
-
-impl<'a> IntoIterator for &'a IdxSet {
-    type Item = usize;
-    type IntoIter = std::iter::Map<RawIter<'a>, fn(u32) -> usize>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().map(|b| b as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,36 +740,44 @@ mod tests {
         assert_eq!(order, [1, 5, 63, 64]);
     }
 
-    #[test]
-    fn idx_set_full_and_ops() {
-        let f = IdxSet::full(130);
-        assert_eq!(f.len(), 130);
-        assert!(f.contains(0) && f.contains(129) && !f.contains(130));
-        let small: IdxSet = [7usize, 128].into_iter().collect();
-        assert!(small.is_subset(&f));
-        assert!(!f.is_subset(&small));
-        assert_eq!(small.first_common(&f), Some(7));
-        let far: IdxSet = [4096usize].into_iter().collect();
-        assert!(far.is_disjoint(&f));
+    fn props(ixs: &[usize]) -> PropSet {
+        ixs.iter().map(|&i| PropId::from_index(i)).collect()
     }
 
     #[test]
-    fn idx_set_subtract_matches_set_difference() {
+    fn prop_set_word_span_ops() {
+        let f = props(&(0..130).collect::<Vec<_>>());
+        assert_eq!(f.len(), 130);
+        assert!(f.contains(PropId::from_index(0)) && f.contains(PropId::from_index(129)));
+        assert!(!f.contains(PropId::from_index(130)));
+        let small = props(&[7, 128]);
+        assert!(small.is_subset(&f));
+        assert!(!f.is_subset(&small));
+        assert_eq!(small.first_common(&f), Some(PropId::from_index(7)));
+        let far = props(&[4096]);
+        assert!(far.is_disjoint(&f));
+        let mut u = small.clone();
+        u.union_with(&far);
+        assert_eq!(u, props(&[7, 128, 4096]));
+    }
+
+    #[test]
+    fn prop_set_subtract_matches_set_difference() {
         // Straddles a word boundary and subtracts a superset-span set.
-        let a: IdxSet = [1usize, 63, 64, 200].into_iter().collect();
-        let b: IdxSet = [63usize, 64, 4100].into_iter().collect();
+        let a = props(&[1, 63, 64, 200]);
+        let b = props(&[63, 64, 4100]);
         let mut d = a.clone();
         d.subtract(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), [1, 200]);
+        assert_eq!(d, props(&[1, 200]));
         // Subtracting a disjoint set is the identity; subtracting self empties.
         let mut e = a.clone();
-        e.subtract(&IdxSet::new());
+        e.subtract(&PropSet::new());
         assert_eq!(e, a);
         e.subtract(&a);
         assert!(e.is_empty());
         assert_eq!(
             e,
-            IdxSet::new(),
+            PropSet::new(),
             "difference must re-trim to canonical empty"
         );
     }

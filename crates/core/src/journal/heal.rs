@@ -237,12 +237,6 @@ impl DurabilityState {
             DurabilityState::Quarantined => "quarantined",
         }
     }
-
-    /// Is the journal accepting appends in this state (possibly after a
-    /// cooldown check)?
-    pub fn is_writable(self) -> bool {
-        !matches!(self, DurabilityState::Degraded)
-    }
 }
 
 impl std::fmt::Display for DurabilityState {

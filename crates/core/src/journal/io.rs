@@ -184,34 +184,6 @@ struct MemState {
     visible: BTreeMap<PathBuf, usize>,
     /// The namespace as of the last `fsync_dir` — what a crash reverts to.
     durable: BTreeMap<PathBuf, usize>,
-    /// Device capacity in visible bytes (`None` = unlimited). Writes and
-    /// appends that would exceed it fail with
-    /// [`io::ErrorKind::StorageFull`] (`ENOSPC`) and no partial effect.
-    disk_budget: Option<usize>,
-}
-
-impl MemState {
-    fn visible_bytes(&self) -> usize {
-        self.visible
-            .values()
-            .map(|&i| self.inodes[i].data.len())
-            .sum()
-    }
-
-    fn check_budget(&self, grow_by: usize) -> io::Result<()> {
-        if let Some(budget) = self.disk_budget {
-            if self.visible_bytes() + grow_by > budget {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    format!(
-                        "mem: disk full ({} + {grow_by} > {budget} byte(s))",
-                        self.visible_bytes()
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// In-memory filesystem with explicit crash semantics (see [`CrashKeep`]).
@@ -248,20 +220,6 @@ impl MemIo {
         st.visible.get(path).map(|&i| st.inodes[i].data.len())
     }
 
-    /// Cap the device at `bytes` visible bytes (`None` = unlimited).
-    /// Once full, writes and appends fail with
-    /// [`io::ErrorKind::StorageFull`] until something is removed or
-    /// truncated — exactly the `ENOSPC`-until-checkpoint-GC shape the
-    /// durability machine retries through.
-    pub fn set_disk_budget(&self, bytes: Option<usize>) {
-        self.state.lock().disk_budget = bytes;
-    }
-
-    /// Current visible bytes across all files (test helper).
-    pub fn visible_bytes(&self) -> usize {
-        self.state.lock().visible_bytes()
-    }
-
     /// XOR one visible byte of `path` (test helper for corruption tests).
     /// Panics if the file or offset does not exist — tests only.
     pub fn corrupt(&self, path: &Path, offset: usize, xor: u8) {
@@ -295,15 +253,12 @@ impl JournalIo for MemIo {
         let mut st = self.state.lock();
         match st.visible.get(path).copied() {
             Some(i) => {
-                let old = st.inodes[i].data.len();
-                st.check_budget(data.len().saturating_sub(old))?;
                 st.inodes[i] = MemFile {
                     data: data.to_vec(),
                     synced: 0,
                 };
             }
             None => {
-                st.check_budget(data.len())?;
                 let i = st.inodes.len();
                 st.inodes.push(MemFile {
                     data: data.to_vec(),
@@ -317,7 +272,6 @@ impl JournalIo for MemIo {
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         let mut st = self.state.lock();
-        st.check_budget(data.len())?;
         match st.visible.get(path).copied() {
             Some(i) => st.inodes[i].data.extend_from_slice(data),
             None => {

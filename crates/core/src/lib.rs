@@ -90,7 +90,7 @@ pub use analysis::{
     PairVerdict, PlanCertificate, PlanCheck, PropagationPlan, TraceAnalysis,
 };
 pub use axioms::{Axiom, AxiomViolation};
-pub use bits::{IdxSet, PropSet, TypeSet};
+pub use bits::{PropSet, TypeSet};
 pub use concurrent::SharedSchema;
 pub use config::{LatticeConfig, Pointedness, Rootedness};
 pub use conflicts::{NameConflict, Resolution};

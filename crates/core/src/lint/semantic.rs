@@ -10,6 +10,7 @@
 use super::{Diagnostic, FixIt, Location, Reference, RuleId, Severity};
 use crate::analysis::{self, ImpactAnalysis, ImpactLevel};
 use crate::history::RecordedOp;
+use crate::ids::{PropId, TypeId};
 use crate::model::Schema;
 
 /// L7 — operations the static optimizer proves removable.
@@ -128,17 +129,12 @@ pub(super) fn redundant_drop_ordering(
 /// against the guarded copy.
 pub(super) fn destructive_op_unguarded(ia: &ImpactAnalysis, out: &mut Vec<Diagnostic>) {
     for (i, op) in ia.certificate.ops.iter().enumerate() {
-        if op.level != ImpactLevel::Destructive {
+        if op.level() != ImpactLevel::Destructive {
             continue;
         }
-        let types: Vec<crate::ids::TypeId> = op
-            .affected
-            .iter()
-            .map(crate::ids::TypeId::from_index)
-            .collect();
+        let types: Vec<TypeId> = op.affected().map(TypeId::from_index).collect();
         let names: Vec<String> = op
-            .affected
-            .iter()
+            .affected()
             .map(|t| ia.certificate.labels.type_label(t))
             .collect();
         let extent = op.deltas.iter().any(|d| d.extent_lost);
@@ -192,7 +188,7 @@ pub(super) fn convertible_as_extending(ia: &ImpactAnalysis, out: &mut Vec<Diagno
         if o.trace_level != ImpactLevel::Destructive || o.level >= ImpactLevel::Destructive {
             continue;
         }
-        let ty = crate::ids::TypeId::from_index(o.type_index);
+        let ty = TypeId::from_index(o.type_index);
         let name = ia.certificate.labels.type_label(o.type_index);
         let rekeys: Vec<String> = o
             .rekeyed
@@ -207,7 +203,7 @@ pub(super) fn convertible_as_extending(ia: &ImpactAnalysis, out: &mut Vec<Diagno
             props: o
                 .rekeyed
                 .iter()
-                .map(|&(p, _)| crate::ids::PropId::from_index(p))
+                .map(|&(p, _)| PropId::from_index(p))
                 .collect(),
             reference: Reference::Claim(
                 "§5: behaviour-preserving rewrites — the net schema change, not the \
@@ -356,7 +352,7 @@ mod tests {
         let mut s = base();
         let a = s.add_type("a", [], []).unwrap();
         let p = s.define_property_on(a, "x").unwrap();
-        let minted = crate::ids::PropId::from_index(s.prop_count());
+        let minted = PropId::from_index(s.prop_count());
         let ops = vec![
             RecordedOp::DropProperty { p },
             RecordedOp::AddProperty { name: "x".into() },

@@ -340,7 +340,7 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
 
         // Propagate to the survivors exactly as a deployment would: the
         // certificate's affected set is the notification list.
-        let affected: Vec<TypeId> = opi.affected.iter().map(TypeId::from_index).collect();
+        let affected: Vec<TypeId> = opi.affected().map(TypeId::from_index).collect();
         store.on_schema_change(&schema, &affected);
 
         for (oid, (ty, old)) in &pre {
@@ -367,7 +367,7 @@ fn one_trace(base: &Schema, ops: &[RecordedOp], seed: u64, tag: &str, tally: &mu
                 )
             });
             assert!(
-                opi.affected.contains(ty.index()),
+                opi.affected().any(|t| t == ty.index()),
                 "seed {seed} {tag} op {i}"
             );
 
@@ -526,10 +526,10 @@ fn tampered_certificates_are_refused() {
         .certificate
         .ops
         .iter()
-        .position(|o| o.level != ImpactLevel::Preserving)
+        .position(|o| o.level() != ImpactLevel::Preserving)
     {
         let mut bad = ia.certificate.clone();
-        bad.ops[ix].level = ImpactLevel::Preserving;
+        bad.ops[ix].deltas[0].extent_lost ^= true;
         assert!(impact::check(&base, &ops, &bad).is_err());
 
         let mut bad = ia.certificate.clone();
