@@ -124,8 +124,10 @@ impl BatchState {
 
 /// End a batch: one full derivation for a batch over underived inputs,
 /// else one recomputation over the seeds its operations absorbed (none if
-/// no operation asked for one).
+/// no operation asked for one). The batch's operations left the
+/// fingerprint memo alone, so it is cleared here.
 pub(crate) fn finish_batch(schema: &mut Schema, st: &BatchState) {
+    schema.fingerprint_memo.take();
     if st.underived {
         recompute_all(schema);
     } else if st.dirty {
@@ -136,6 +138,7 @@ pub(crate) fn finish_batch(schema: &mut Schema, st: &BatchState) {
 
 /// Recompute the whole lattice with the configured engine.
 pub(crate) fn recompute_all(schema: &mut Schema) {
+    schema.fingerprint_memo.take();
     schema.derived = Spine::repeat(schema.types.len(), DerivedType::default());
     let order = topo_order(&schema.types).expect(ACYCLIC_MSG);
     let (types, derived, obs) = (&schema.types, &mut schema.derived, &schema.obs);
@@ -162,6 +165,7 @@ pub(crate) fn recompute_all(schema: &mut Schema) {
 /// the reverse-subtype index downward from the seeds; see the module docs
 /// of `incremental` for why that covers every affected type.
 pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind: ChangeKind) {
+    schema.fingerprint_memo.take();
     match schema.engine {
         EngineKind::Naive => recompute_all(schema),
         EngineKind::Incremental => {

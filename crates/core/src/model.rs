@@ -31,8 +31,10 @@
 
 mod sharing;
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::bits::{PropSet, TypeSet};
 use crate::config::LatticeConfig;
@@ -137,6 +139,13 @@ pub struct Schema {
     /// helpers report recompute scopes, affected-set sizes, lattice depth,
     /// and actual leaf, cell and shard copies into its metrics registry.
     pub(crate) obs: Option<Arc<EvolveObs>>,
+    /// [`Schema::fingerprint`] of this version, once something asked for
+    /// it. Outside a batch, every successful mutation clears it
+    /// (`bump_version`), and so does every derivation
+    /// (`engine::recompute_all`, `engine::recompute_after_many`). A batch
+    /// neither reads nor sets it, and its end clears it
+    /// (`engine::finish_batch`, which a mid-batch clone runs too).
+    pub(crate) fingerprint_memo: OnceLock<u64>,
 }
 
 impl Clone for Schema {
@@ -159,6 +168,7 @@ impl Clone for Schema {
             // a fresh, internally consistent version of its own.
             batch: None,
             obs: self.obs.clone(),
+            fingerprint_memo: self.fingerprint_memo.clone(),
         };
         // If the source was cloned *mid-batch* (recomputation deferred,
         // seeds outstanding), the clone must finalize that work itself:
@@ -199,6 +209,7 @@ impl Schema {
             stats: EngineStats::default(),
             batch: None,
             obs: None,
+            fingerprint_memo: OnceLock::new(),
         }
     }
 
@@ -467,9 +478,27 @@ impl Schema {
     /// (length prefix, then ascending `u32` ids), so fingerprints are
     /// byte-identical across the representation change — the committed
     /// goldens pin this.
+    ///
+    /// A version hashes once: the value is kept until the schema next
+    /// changes. Mid-batch, while derived rows are stale, the rows are
+    /// hashed as they stand and nothing is kept.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        if self.batch.is_some() {
+            return self.hash_fingerprint();
+        }
+        let fp = *self
+            .fingerprint_memo
+            .get_or_init(|| self.hash_fingerprint());
+        debug_assert_eq!(fp, self.hash_fingerprint(), "stale fingerprint memo");
+        fp
+    }
+
+    /// The fingerprint's fold: for each live type in ascending id order,
+    /// its name (bytes, then `0xff`), then `P_e`, `N_e`, `P`, `PL`, `N`
+    /// and `H` (each a `usize` length, then its `u32` ids), all through
+    /// `Hash` into one `DefaultHasher` behind a [`BufferedHasher`].
+    fn hash_fingerprint(&self) -> u64 {
+        let mut h = BufferedHasher::new();
         for t in self.iter_types() {
             let slot = &self.types[t.index()];
             slot.name.hash(&mut h);
@@ -491,7 +520,6 @@ impl Schema {
     /// simulation) that are structurally identical up to renaming of ids
     /// get equal canonical fingerprints.
     pub fn canonical_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
         let tname = |t: TypeId| self.types[t.index()].name.clone();
         let pname = |p: PropId| self.props[p.index()].name.clone();
         let tset = |set: &TypeSet| {
@@ -521,7 +549,7 @@ impl Schema {
             })
             .collect();
         records.sort();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = DefaultHasher::new();
         records.hash(&mut h);
         h.finish()
     }
@@ -626,6 +654,52 @@ impl Schema {
 
     pub(crate) fn bump_version(&mut self) {
         self.version += 1;
+        // Mid-batch the memo is left alone: the batch's end clears it.
+        if self.batch.is_none() {
+            self.fingerprint_memo.take();
+        }
+    }
+}
+
+/// A `DefaultHasher` fed through a fixed-size buffer: the hash of a byte
+/// stream does not depend on how the stream is split into `write`s, so
+/// this hashes to exactly what one `write` per field would, with one
+/// hasher call per buffer instead of one per id.
+struct BufferedHasher {
+    inner: DefaultHasher,
+    buf: [u8; 512],
+    len: usize,
+}
+
+impl BufferedHasher {
+    fn new() -> Self {
+        BufferedHasher {
+            inner: DefaultHasher::new(),
+            buf: [0; 512],
+            len: 0,
+        }
+    }
+}
+
+impl Hasher for BufferedHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.inner.write(&self.buf[..self.len]);
+            self.len = 0;
+            if bytes.len() > self.buf.len() {
+                self.inner.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.inner.clone();
+        h.write(&self.buf[..self.len]);
+        h.finish()
     }
 }
 

@@ -464,6 +464,7 @@ fn validate(
         live_props: Default::default(),
         batch: None,
         obs: None,
+        fingerprint_memo: Default::default(),
     };
     schema.live = schema
         .types

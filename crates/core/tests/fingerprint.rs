@@ -11,11 +11,19 @@
 //! ids on either side of a 64-bit word boundary (63, 64 and 65), names
 //! with multibyte and escaped characters, and random lattices under
 //! random traces.
+//!
+//! A version keeps its fingerprint once asked for it, so
+//! `the_memo_follows_every_change` asks before every kind of change and
+//! compares against the fold after it: an op, a rejected op, batches
+//! (one that derives, one that ends without deriving, one that fails
+//! midway), mid-batch clones, `set_engine`, a snapshot load and
+//! `History::undo_to`. Debug builds also check every memo they return
+//! against a fresh hash.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use axiombase_core::{EngineKind, LatticeConfig, Schema, TypeId};
+use axiombase_core::{EngineKind, History, LatticeConfig, Schema, TypeId};
 use axiombase_workload::{apply_random_ops, LatticeGen, OpMix};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::Incremental];
@@ -131,5 +139,88 @@ fn random_lattices_under_random_traces_match() {
                 assert_reference(&s, &format!("{label}, after traces"));
             }
         }
+    }
+}
+
+#[test]
+fn the_memo_follows_every_change() {
+    for engine in ENGINES {
+        let label = |what: &str| format!("{engine:?}: after {what}");
+        let mut s = boundary(engine);
+        let root = s.root().unwrap();
+        let w = s.type_by_name("W").unwrap();
+        let t63 = TypeId::from_index(63);
+        let p0 = s.iter_props().next().unwrap();
+
+        // A rename derives nothing: only the version bump can clear.
+        s.fingerprint();
+        s.rename_type(w, "W·1").unwrap();
+        assert_reference(&s, &label("a rename"));
+        s.fingerprint();
+        s.add_essential_property(t63, p0).unwrap();
+        assert_reference(&s, &label("an op that derives"));
+        s.fingerprint();
+        assert!(s.add_essential_supertype(root, w).is_err());
+        assert_reference(&s, &label("a rejected op"));
+
+        s.fingerprint();
+        s.evolve_batch(|s| {
+            s.drop_essential_property(t63, p0)?;
+            s.drop_essential_supertype(w, TypeId::from_index(64))
+        })
+        .unwrap();
+        assert_reference(&s, &label("a batch"));
+        s.fingerprint();
+        s.evolve_batch(|s| s.rename_type(w, "W·2")).unwrap();
+        assert_reference(&s, &label("a batch that ends without deriving"));
+        s.fingerprint();
+        let failed = s.evolve_batch(|s| {
+            s.rename_type(w, "W·3")?;
+            s.add_essential_property(t63, p0)?;
+            s.add_essential_supertype(root, w)
+        });
+        assert!(failed.is_err());
+        assert_reference(&s, &label("a batch that fails midway"));
+
+        s.fingerprint();
+        s.evolve_batch(|s| {
+            s.rename_type(w, "W·4")?;
+            assert_reference(&s.clone(), &label("a mid-batch clone of a rename"));
+            s.drop_essential_property(t63, p0)?;
+            // Mid-batch the rows are stale and the hash reads them as
+            // they stand; the clone derives its own.
+            s.fingerprint();
+            assert_reference(&s.clone(), &label("a mid-batch clone of an edit"));
+            Ok(())
+        })
+        .unwrap();
+        assert_reference(&s, &label("the batch those clones came from"));
+
+        s.fingerprint();
+        let plain = s.clone();
+        assert_eq!(plain.fingerprint(), s.fingerprint());
+        assert_reference(&plain, &label("a plain clone"));
+
+        s.fingerprint();
+        let other = match engine {
+            EngineKind::Naive => EngineKind::Incremental,
+            EngineKind::Incremental => EngineKind::Naive,
+        };
+        s.set_engine(other);
+        assert_reference(&s, &label("set_engine"));
+
+        let loaded = Schema::from_snapshot(&s.to_snapshot()).unwrap();
+        assert_reference(&loaded, &label("a snapshot load"));
+        assert_eq!(loaded.fingerprint(), s.fingerprint());
+
+        let mut h = History::from_schema(boundary(engine));
+        let v0 = h.schema().fingerprint();
+        let w = h.schema().type_by_name("W").unwrap();
+        h.rename_type(w, "W·5").unwrap();
+        h.drop_type(w).unwrap();
+        h.schema().fingerprint();
+        h.undo_to(0).unwrap();
+        assert_reference(h.schema(), &label("History::undo_to"));
+        assert_eq!(h.schema().fingerprint(), v0);
     }
 }

@@ -8,10 +8,11 @@
 //! The generator is written against the [`EvolveSink`] trait so the same
 //! seeded decision stream can either mutate a [`Schema`] directly
 //! ([`apply_random_ops`]) or be *recorded* as a replayable
-//! [`RecordedOp`] trace ([`generate_trace`]) — the recovery tests use the
-//! recorded form as the oracle for crash-point sweeps: the recorded ops are
-//! exactly the successful operations, in order, so any prefix of the trace
-//! is a valid evolution path.
+//! [`RecordedOp`] trace ([`generate_trace`], in one batch, or
+//! [`record_random_ops`], op by op into a [`History`]) — the recovery
+//! tests use the recorded form as the oracle for crash-point sweeps: the
+//! recorded ops are exactly the successful operations, in order, so any
+//! prefix of the trace is a valid evolution path.
 
 use axiombase_core::history::History;
 use axiombase_core::{PropId, RecordedOp, Schema, SchemaError, TypeId};
@@ -182,15 +183,81 @@ pub fn record_random_ops(history: &mut History, n: usize, mix: OpMix, seed: u64)
 /// an `n`-op seeded run, in order. Replaying any prefix of the returned
 /// ops onto a copy of `base` is a valid evolution path — the oracle the
 /// crash-recovery tests compare against.
+///
+/// The run is one [`Schema::evolve_batch`] on a copy of `base`, so the
+/// schema is derived once, after the last op, and the ops are recorded
+/// as [`History`] would record them. Every pick and every verdict reads
+/// inputs only (see [`apply_random_ops_batched`]), so the trace and the
+/// stats are exactly what [`record_random_ops`] records op by op.
 pub fn generate_trace(
     base: &Schema,
     n: usize,
     mix: OpMix,
     seed: u64,
 ) -> (Vec<RecordedOp>, TraceStats) {
-    let mut h = History::from_schema(base.clone());
-    let stats = record_random_ops(&mut h, n, mix, seed);
-    (h.ops().to_vec(), stats)
+    base.clone()
+        .evolve_batch(|schema| {
+            let mut rec = Recorder {
+                schema,
+                ops: Vec::new(),
+            };
+            let stats = run_random_ops(&mut rec, n, mix, seed);
+            Ok((rec.ops, stats))
+        })
+        .expect("trace generation classifies rejections instead of failing")
+}
+
+/// Mutates a schema in place and records each successful operation as
+/// the [`RecordedOp`] that [`History`] records for it.
+struct Recorder<'a> {
+    schema: &'a mut Schema,
+    ops: Vec<RecordedOp>,
+}
+
+impl Recorder<'_> {
+    /// Apply `op`, and record it if it applied.
+    fn apply(&mut self, op: RecordedOp) -> Result<(), SchemaError> {
+        op.apply(self.schema)?;
+        self.ops.push(op);
+        Ok(())
+    }
+}
+
+impl EvolveSink for Recorder<'_> {
+    fn schema(&self) -> &Schema {
+        self.schema
+    }
+    fn add_type(&mut self, name: String, supers: Vec<TypeId>) -> Result<(), SchemaError> {
+        self.apply(RecordedOp::AddType {
+            name,
+            supers,
+            props: Vec::new(),
+        })
+    }
+    fn drop_type(&mut self, t: TypeId) -> Result<(), SchemaError> {
+        self.apply(RecordedOp::DropType { t })
+    }
+    fn add_edge(&mut self, t: TypeId, s: TypeId) -> Result<(), SchemaError> {
+        self.apply(RecordedOp::AddEssentialSupertype { t, s })
+    }
+    fn drop_edge(&mut self, t: TypeId, s: TypeId) -> Result<(), SchemaError> {
+        self.apply(RecordedOp::DropEssentialSupertype { t, s })
+    }
+    fn add_property(&mut self, name: String) -> PropId {
+        let p = self.schema.add_property(name.clone());
+        self.ops.push(RecordedOp::AddProperty { name });
+        p
+    }
+    fn add_essential_property(&mut self, t: TypeId, p: PropId) -> Result<(), SchemaError> {
+        // Recorded only when `N_e` changed, as `History` does.
+        if self.schema.add_essential_property(t, p)? {
+            self.ops.push(RecordedOp::AddEssentialProperty { t, p });
+        }
+        Ok(())
+    }
+    fn drop_essential_property(&mut self, t: TypeId, p: PropId) -> Result<(), SchemaError> {
+        self.apply(RecordedOp::DropEssentialProperty { t, p })
+    }
 }
 
 /// Apply the same seeded trace as [`apply_random_ops`], but inside a single
