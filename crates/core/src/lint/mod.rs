@@ -33,7 +33,7 @@
 //! | L3 | name-conflict hazard (homonyms visible at a type) | §3.1/§5 |
 //! | L4 | disconnected type / dangling property | §2 |
 //! | L5 | order-dependent drop-subtype sequence under Orion | §5 |
-//! | L6 | churn / no-op operations in a trace | §5 |
+//! | L6 | churn: add-then-drop pairs, drops of unreferenced properties | §2 |
 //! | L7 | dead ops the trace optimizer proves removable | §5 |
 //! | L8 | redundant ordering constraints between certified-commuting drops | §5 |
 //! | L10 | destructive op with no preceding snapshot/branch guard | §3.3 |
@@ -68,8 +68,8 @@ pub enum RuleId {
     /// L5 — a drop-subtype sequence whose Orion (OP4 relink) semantics
     /// diverge between orderings; the axiomatic result is order-independent.
     OrderDependenceHazard,
-    /// L6 — operations with no structural effect, or add-then-drop pairs
-    /// with no intervening use.
+    /// L6 — add-then-drop pairs with no intervening use, and drops of
+    /// properties no `N_e` references.
     ChurnNoOp,
     /// L7 — operations the static trace optimizer proves removable, with
     /// a differential replay-equivalence guarantee (`core::analysis`).

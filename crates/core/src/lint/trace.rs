@@ -130,20 +130,22 @@ fn orion_sim(base: &Schema, drops: &[(TypeId, TypeId)]) -> Option<u64> {
     Some(schema.fingerprint())
 }
 
-/// L6 — churn: operations with no structural effect, and add-then-drop
-/// pairs with no intervening use.
+/// L6 — churn: add-then-drop pairs with no intervening use, and drops of
+/// properties no `N_e` references.
 ///
-/// All evolution is an edit of `P_e`/`N_e` (§2); an operation that leaves
-/// the inputs and every derived term of Table 1 unchanged — a rename to the
-/// same name, freezing a frozen type, dropping a property no `N_e` ever
-/// referenced — is pure log noise. So is creating a type or property and
-/// dropping it again without any operation in between ever using it.
-/// (`AddProperty` alone is *not* flagged: "behaviors don't become part of
-/// the schema until after they are added as essential behaviors of some
-/// type" — staging a property before wiring it up is the intended §2
-/// workflow.) Informational severity: histories are append-only, so there
-/// is nothing to fix in place, but generators and migration scripts that
-/// produce churn are worth tightening.
+/// All evolution is an edit of `P_e`/`N_e` (§2). Creating a type or
+/// property and dropping it again without any operation in between ever
+/// using it is pure log noise; so is dropping a property no `N_e`
+/// references, which leaves the inputs and every derived term of Table 1
+/// unchanged. (`AddProperty` alone is *not* flagged: "behaviors don't
+/// become part of the schema until after they are added as essential
+/// behaviors of some type" — staging a property before wiring it up is
+/// the intended §2 workflow.) Renames to the current name and freezes of
+/// a frozen type are no-ops too, but L7 reports them, with the trace
+/// optimizer's proof that removing them is safe, so L6 leaves them to it.
+/// Informational severity: histories are append-only, so there is nothing
+/// to fix in place, but generators and migration scripts that produce
+/// churn are worth tightening.
 pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
     let mut schema = initial.clone();
     // Where each in-trace type/property was created, for pair detection.
@@ -171,34 +173,6 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
                     Err(_) => return,
                 }
                 continue;
-            }
-            // Fingerprints ignore labels and freeze flags; compare the
-            // before-state directly.
-            RecordedOp::RenameType { t, name }
-                if schema.type_name(*t).ok() == Some(name.as_str()) =>
-            {
-                out.push(churn(
-                    Location::Op(i),
-                    format!("op {}: renames type {name} to its current name", i + 1),
-                ));
-            }
-            RecordedOp::RenameProperty { p, name }
-                if schema.prop_name(*p).ok() == Some(name.as_str()) =>
-            {
-                out.push(churn(
-                    Location::Op(i),
-                    format!("op {}: renames property {name} to its current name", i + 1),
-                ));
-            }
-            RecordedOp::FreezeType { t } if schema.is_frozen(*t) => {
-                out.push(churn(
-                    Location::Op(i),
-                    format!(
-                        "op {}: freezes {}, which is already frozen",
-                        i + 1,
-                        tn(&schema, *t)
-                    ),
-                ));
             }
             RecordedOp::DropType { t } => {
                 if let Some(&j) = created_types.get(t) {

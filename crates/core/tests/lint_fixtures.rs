@@ -152,6 +152,35 @@ fn l6_churn_no_op() {
 }
 
 #[test]
+fn no_op_ops_are_reported_once() {
+    // The script `type add A`, `type add B under A`, `type rename B B`,
+    // `type freeze A`, `type freeze A` on a rooted schema: ops 4 and 6
+    // change nothing. L7 reports each with the optimizer's proof that it
+    // is removable; L6 does not report them again.
+    let mut h = History::new(LatticeConfig::default());
+    let root = h.add_root_type("T_object").unwrap();
+    let a = h.add_type("A", [root], []).unwrap();
+    let b = h.add_type("B", [a], []).unwrap();
+    h.rename_type(b, "B").unwrap();
+    h.freeze_type(a).unwrap();
+    h.freeze_type(a).unwrap();
+
+    let diags = lint_history(&h);
+    for no_op in [3, 5] {
+        let at: Vec<_> = diags
+            .iter()
+            .filter(|d| d.location == Location::Op(no_op))
+            .collect();
+        assert_eq!(at.len(), 1, "op {}: {diags:?}", no_op + 1);
+        assert_eq!(at[0].rule, RuleId::DeadOp);
+    }
+    assert!(
+        diags.iter().all(|d| d.rule != RuleId::ChurnNoOp),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn l10_destructive_op_unguarded() {
     // Dropping `serial` destroys stored values on every holder — Device
     // and its subtype Sensor — with nothing guarding the instances.
