@@ -679,14 +679,29 @@ impl BufferedHasher {
             len: 0,
         }
     }
+
+    fn flush(&mut self) {
+        self.inner.write(&self.buf[..self.len]);
+        self.len = 0;
+    }
+
+    /// Append one integer's bytes. Their count is a compile-time
+    /// constant, so an id costs one store; through the slice `write`
+    /// alone, the buffered fold ran slower than one `write` per id.
+    #[inline]
+    fn push<const N: usize>(&mut self, bytes: [u8; N]) {
+        if self.len + N > self.buf.len() {
+            self.flush();
+        }
+        self.buf[self.len..self.len + N].copy_from_slice(&bytes);
+        self.len += N;
+    }
 }
 
 impl Hasher for BufferedHasher {
-    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         if self.len + bytes.len() > self.buf.len() {
-            self.inner.write(&self.buf[..self.len]);
-            self.len = 0;
+            self.flush();
             if bytes.len() > self.buf.len() {
                 self.inner.write(bytes);
                 return;
@@ -694,6 +709,23 @@ impl Hasher for BufferedHasher {
         }
         self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
         self.len += bytes.len();
+    }
+
+    // The same bytes as the provided methods (`to_ne_bytes`), appended
+    // at a fixed size.
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.push(i.to_ne_bytes());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.push(i.to_ne_bytes());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.push(i.to_ne_bytes());
     }
 
     fn finish(&self) -> u64 {

@@ -89,9 +89,10 @@ pub struct TraceStats {
     pub skipped: usize,
 }
 
-/// Where the trace generator sends its operations: either a plain
-/// [`Schema`] (mutate in place) or a [`History`] (mutate *and* record).
-/// Both targets see identical guard reads, so the seeded decision stream —
+/// Where the trace generator sends its operations: a plain [`Schema`]
+/// (mutate in place), a [`History`] (mutate *and* record), or
+/// [`generate_trace`]'s recorder (mutate in one batch and record). Every
+/// target sees identical guard reads, so the seeded decision stream —
 /// and therefore the resulting schema — is the same either way.
 pub trait EvolveSink {
     /// The schema the generator's pick/guard logic reads.
