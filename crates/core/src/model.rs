@@ -664,7 +664,7 @@ impl Schema {
 /// A `DefaultHasher` fed through a fixed-size buffer: the hash of a byte
 /// stream does not depend on how the stream is split into `write`s, so
 /// this hashes to exactly what one `write` per field would, with one
-/// hasher call per buffer instead of one per id.
+/// hasher call per buffer and per name instead of one per id.
 struct BufferedHasher {
     inner: DefaultHasher,
     buf: [u8; 512],
@@ -686,8 +686,8 @@ impl BufferedHasher {
     }
 
     /// Append one integer's bytes. Their count is a compile-time
-    /// constant, so an id costs one store; through the slice `write`
-    /// alone, the buffered fold ran slower than one `write` per id.
+    /// constant, so an id costs one store (with a copy of run-time
+    /// length, the buffered fold ran slower than one `write` per id).
     #[inline]
     fn push<const N: usize>(&mut self, bytes: [u8; N]) {
         if self.len + N > self.buf.len() {
@@ -699,16 +699,10 @@ impl BufferedHasher {
 }
 
 impl Hasher for BufferedHasher {
+    /// A name's bytes: once per type, so they go straight through.
     fn write(&mut self, bytes: &[u8]) {
-        if self.len + bytes.len() > self.buf.len() {
-            self.flush();
-            if bytes.len() > self.buf.len() {
-                self.inner.write(bytes);
-                return;
-            }
-        }
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
+        self.flush();
+        self.inner.write(bytes);
     }
 
     // The same bytes as the provided methods (`to_ne_bytes`), appended
