@@ -82,7 +82,7 @@ use axiombase_core::journal::io::MemIo;
 use axiombase_core::obs::names;
 use axiombase_core::{
     analyze_trace, build_plan, EngineKind, EvolutionPlan, EvolveObs, JournalOptions,
-    JournaledSchema, LatticeConfig, MetricsRegistry, MetricsSnapshot, PlanApply, PropId,
+    JournaledSchema, LatticeConfig, MetricsRegistry, MetricsSnapshot, PlanCheck, PropId,
     RecordedOp, Schema, SharedSchema, TypeId,
 };
 use axiombase_store::{ObjectStore, Oid, Policy};
@@ -419,7 +419,7 @@ struct PlanCells {
     mean_ratio: f64,
     plan_fp: u64,
     batch_fp: u64,
-    report: PlanApply,
+    report: PlanCheck,
 }
 
 /// Median of paired per-iteration ratios. The reported cells are

@@ -44,7 +44,7 @@
 //! When the trace contains two or more essential-supertype drops the
 //! report also re-derives the §5 contrast statically: the same drop list
 //! under Orion's OP4 relink semantics, with a concrete divergent pair
-//! when one exists ([`axiombase_orion::contrast_drop_orders`]).
+//! when one exists ([`analysis::contrast_drop_orders`]).
 
 use std::path::Path;
 
@@ -362,7 +362,7 @@ pub fn run(args: &[&str]) -> i32 {
         }
 
         if let Some((pre, drops)) = drop_context(&initial, &ops) {
-            let report = axiombase_orion::contrast_drop_orders(&pre, &drops);
+            let report = analysis::contrast_drop_orders(&pre, &drops);
             if opts.json {
                 let witness = match report.first_witness() {
                     Some(w) => format!("{{\"a\":{},\"b\":{}}}", w.a + 1, w.b + 1),

@@ -83,7 +83,7 @@ pub fn run(args: &[&str]) -> i32 {
         let plan = analysis::plan::build_plan(&analysis);
         match schema.apply_plan(&ops, &plan) {
             Ok(done) => {
-                report_ok(&opts, &schema, done.applied, Some(&done));
+                report_ok(&opts, &schema, done.ops, Some(&done));
                 0
             }
             Err(e) => {
@@ -98,7 +98,7 @@ fn report_ok(
     opts: &Options,
     schema: &Schema,
     applied: usize,
-    plan: Option<&axiombase_core::PlanApply>,
+    plan: Option<&axiombase_core::PlanCheck>,
 ) {
     let fp = schema.canonical_fingerprint();
     if opts.json {

@@ -34,33 +34,7 @@ use axiombase_core::{
     json_escape, EvolveObs, EvolveTracer, LatticeConfig, MetricsRegistry, RecoveryMode, Schema,
 };
 
-/// Parse `DIR [flags...]` where only the listed flags are accepted.
-/// Returns `(dir, flag_set)` or a usage message.
-fn parse_args<'a>(
-    rest: &[&'a str],
-    allowed: &[&str],
-    usage: &str,
-) -> Result<(&'a str, Vec<&'a str>), String> {
-    let mut dir = None;
-    let mut flags = Vec::new();
-    for a in rest {
-        if a.starts_with("--") {
-            if allowed.contains(a) {
-                flags.push(*a);
-            } else {
-                return Err(format!("unknown flag {a}\nusage: {usage}"));
-            }
-        } else if dir.is_none() {
-            dir = Some(*a);
-        } else {
-            return Err(format!("unexpected argument {a}\nusage: {usage}"));
-        }
-    }
-    match dir {
-        Some(d) => Ok((d, flags)),
-        None => Err(format!("usage: {usage}")),
-    }
-}
+use crate::versioned_cmd::parse;
 
 /// `axiombase journal-init DIR [SNAPSHOT|SCRIPT]` — create a fresh
 /// journal. With a snapshot file, the first checkpoint carries that
@@ -164,9 +138,11 @@ pub fn init(rest: &[&str]) -> i32 {
 /// prints the structured span events recovery replay emitted.
 pub fn recover(rest: &[&str]) -> i32 {
     let usage = "axiombase recover DIR [--salvage|--quarantine] [--json] [--trace-spans]";
-    let (dir, flags) = match parse_args(
+    let (pos, flags, _) = match parse(
         rest,
+        1,
         &["--salvage", "--quarantine", "--json", "--trace-spans"],
+        &[],
         usage,
     ) {
         Ok(x) => x,
@@ -175,6 +151,7 @@ pub fn recover(rest: &[&str]) -> i32 {
             return 2;
         }
     };
+    let dir = pos[0];
     if flags.contains(&"--salvage") && flags.contains(&"--quarantine") {
         eprintln!("--salvage and --quarantine are mutually exclusive\nusage: {usage}");
         return 2;
@@ -239,13 +216,14 @@ pub fn recover(rest: &[&str]) -> i32 {
 /// keeps getting structured output from a broken deployment.
 pub fn stats(rest: &[&str]) -> i32 {
     let usage = "axiombase stats DIR [--salvage] [--json]";
-    let (dir, flags) = match parse_args(rest, &["--salvage", "--json"], usage) {
+    let (pos, flags, _) = match parse(rest, 1, &["--salvage", "--json"], &[], usage) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
+    let dir = pos[0];
     let mode = if flags.contains(&"--salvage") {
         RecoveryMode::Salvage
     } else {
@@ -296,13 +274,14 @@ pub fn stats(rest: &[&str]) -> i32 {
 /// recovery reaches — and 1 otherwise.
 pub fn doctor(rest: &[&str]) -> i32 {
     let usage = "axiombase doctor DIR [--json]";
-    let (dir, flags) = match parse_args(rest, &["--json"], usage) {
+    let (pos, flags, _) = match parse(rest, 1, &["--json"], &[], usage) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
+    let dir = pos[0];
     let health = Journal::diagnose(Path::new(dir), &StdIo);
     if flags.contains(&"--json") {
         println!("{}", health.to_json());
@@ -320,13 +299,14 @@ pub fn doctor(rest: &[&str]) -> i32 {
 /// fresh checkpoint at the recovered sequence and prune obsolete files.
 pub fn checkpoint(rest: &[&str]) -> i32 {
     let usage = "axiombase checkpoint DIR [--json]";
-    let (dir, flags) = match parse_args(rest, &["--json"], usage) {
+    let (pos, flags, _) = match parse(rest, 1, &["--json"], &[], usage) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
+    let dir = pos[0];
     let (mut journal, schema, report) =
         match Journal::open(Path::new(dir), Arc::new(StdIo), RecoveryMode::Strict) {
             Ok(x) => x,
@@ -363,13 +343,14 @@ pub fn checkpoint(rest: &[&str]) -> i32 {
 /// stopped — torn, corrupt, a sequence gap — reported but left untouched.
 pub fn log(rest: &[&str]) -> i32 {
     let usage = "axiombase log DIR [--json]";
-    let (dir, flags) = match parse_args(rest, &["--json"], usage) {
+    let (pos, flags, _) = match parse(rest, 1, &["--json"], &[], usage) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
+    let dir = pos[0];
     let ins = match Journal::inspect(Path::new(dir), &StdIo) {
         Ok(x) => x,
         Err(e) => {

@@ -28,11 +28,12 @@ use axiombase_core::journal::Journal;
 use axiombase_core::{json_escape, Branch, JournalOptions, MergeError, RecoveryMode};
 
 /// Parsed arguments: `(positionals, boolean flags, valued flags)`.
-type ParsedArgs<'a> = (Vec<&'a str>, Vec<&'a str>, Vec<(&'a str, &'a str)>);
+pub(crate) type ParsedArgs<'a> = (Vec<&'a str>, Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
 /// Parse `DIR [EXTRA] [flags...]` where `valued` flags consume the next
 /// argument. Returns `(positionals, flags, values)` or a usage message.
-fn parse<'a>(
+/// The journal subcommands parse their `DIR [flags...]` with it too.
+pub(crate) fn parse<'a>(
     rest: &[&'a str],
     positional: usize,
     allowed: &[&str],

@@ -9,21 +9,26 @@
 //!
 //! This module re-derives that contrast **statically**. Both semantics
 //! are evaluated symbolically on a captured copy of the `P_e` rows — no
-//! [`OrionSchema`](crate::OrionSchema) is mutated, no axiomatic engine
-//! runs, nothing is executed. For every unordered pair of drops the two
-//! orders are evaluated under both semantics; a pair whose Orion rows
-//! diverge (or where one order is rejected and the other is not) is an
-//! order-dependence witness, with the differing rows spelled out.
+//! schema is mutated, no engine runs, nothing is executed. For every
+//! unordered pair of drops the two orders are evaluated under both
+//! semantics; a pair whose Orion rows diverge (or where one order is
+//! rejected and the other is not) is an order-dependence witness, with
+//! the differing rows spelled out.
 //!
 //! The axiomatic side is evaluated with the same machinery purely as a
-//! cross-check: it converges on every pair (the claim
-//! `core::analysis` certifies from footprints, and which the bounded
-//! model checker verifies exhaustively on small schemas).
+//! cross-check: it converges on every pair (the claim the commutativity
+//! engine certifies from footprints, and which the bounded model checker
+//! verifies exhaustively on small schemas).
+//!
+//! The same OP4 evaluator judges lint L5's adjacent drop pairs, on the
+//! `P_e` rows of the symbolic shadow's pre-state.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use axiombase_core::{Schema, TypeId};
+use super::footprint::SymbolicState;
+use crate::ids::TypeId;
+use crate::model::Schema;
 
 /// Which drop semantics a symbolic evaluation follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,10 +261,32 @@ pub fn contrast_drop_orders(schema: &Schema, drops: &[(TypeId, TypeId)]) -> Cont
     }
 }
 
+/// Do both orders of the OP4 drop pair `a`, `b` apply to `state`'s `P_e`
+/// rows and land on different rows? The evaluator reads the rows of the
+/// at most four types the pair touches: each drop writes `P_e(t)` and
+/// reads `P_e(s)`, so no other row can tell the two orders apart.
+pub(crate) fn op4_orders_diverge(
+    state: &SymbolicState,
+    a: (TypeId, TypeId),
+    b: (TypeId, TypeId),
+) -> bool {
+    let rows: Rows = [a.0, a.1, b.0, b.1]
+        .into_iter()
+        .filter(|t| state.is_live(t.index()))
+        .map(|t| {
+            let pe = state.supertypes(t.index()).map(TypeId::from_index);
+            (t, pe.collect())
+        })
+        .collect();
+    let root = state.root().map(TypeId::from_index);
+    let orion = |drops: &[(TypeId, TypeId)]| eval_order(&rows, root, drops, DropSemantics::Orion);
+    matches!((orion(&[a, b]), orion(&[b, a])), (Ok(ab), Ok(ba)) if ab != ba)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axiombase_core::LatticeConfig;
+    use crate::config::LatticeConfig;
 
     /// The §5 fixture: C ⊑ {A, B}; under OP4 the second drop is a
     /// last-edge relink to the *remaining* parent's superclasses, so the

@@ -13,6 +13,9 @@
 //!   conflicts, and honest order constraints for everything else;
 //! - [`optimize`] — semantics-preserving trace rewrites (dead and
 //!   idempotent ops, cancelling pairs, superseded renames);
+//! - [`contrast`] — §5's contrast of axiomatic and Orion OP4 drop
+//!   orders, evaluated symbolically on `P_e` rows (lint L5 judges its
+//!   drop pairs with the same OP4 evaluator);
 //! - [`mc`] — the bounded model checker (the one deliberately *dynamic*
 //!   resident: it enumerates every small essential-input schema and
 //!   machine-checks the nine axioms, engine agreement, and drop-edge
@@ -33,6 +36,7 @@
 //! commute, and the planner seeds its classes from them.
 
 pub mod commute;
+pub mod contrast;
 pub mod footprint;
 pub mod impact;
 pub mod mc;
@@ -48,6 +52,7 @@ use crate::json_escape;
 use crate::model::Schema;
 
 pub use commute::{CommuteReason, ConflictKind, PairReport, PairVerdict, Witness};
+pub use contrast::{contrast_drop_orders, ContrastPair, ContrastReport, DropSemantics};
 pub use footprint::{Cell, Footprint, Labels, SymbolicState};
 pub use impact::{
     ConversionObligation, ImpactAnalysis, ImpactCertificate, ImpactCheck, ImpactLevel, OpImpact,

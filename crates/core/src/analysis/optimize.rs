@@ -19,7 +19,7 @@ use crate::history::RecordedOp;
 use crate::lint::Reference;
 use crate::model::Schema;
 
-use super::footprint::{footprint, Cell, SymbolicState};
+use super::footprint::{Cell, Footprint, TracePass};
 
 /// What a rewrite did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +87,7 @@ impl OptimizedTrace {
 }
 
 /// Does any op in `ops[range]` read or write `cell`?
-fn range_touches(
-    footprints: &[super::footprint::Footprint],
-    range: std::ops::Range<usize>,
-    cell: &Cell,
-) -> bool {
+fn range_touches(footprints: &[Footprint], range: std::ops::Range<usize>, cell: &Cell) -> bool {
     footprints[range]
         .iter()
         .any(|f| f.reads.contains(cell) || f.writes.contains(cell))
@@ -143,15 +139,10 @@ fn cancellation(op: &RecordedOp) -> Option<(Cell, RecordedOp, RewriteKind, Axiom
 /// Find one applicable rewrite in `ops` (current trace), or `None`.
 /// `orig` maps current positions to original trace indexes.
 fn find_rewrite(initial: &Schema, ops: &[RecordedOp], orig: &[usize]) -> Option<TraceRewrite> {
-    // Forward symbolic pass: pre-states and footprints.
-    let mut sim = SymbolicState::capture(initial);
-    let mut fps = Vec::with_capacity(ops.len());
+    // The one forward pass: pre-states and footprints. No rule below
+    // reads the cycle-guard cell the pass may add.
     let mut states = Vec::with_capacity(ops.len());
-    for op in ops {
-        fps.push(footprint(op, &sim));
-        states.push(sim.clone());
-        sim.step(op);
-    }
+    let fps = TracePass::run(initial, ops, |_, _, pre| states.push(pre.clone())).footprints;
 
     for (i, op) in ops.iter().enumerate() {
         let st = &states[i];

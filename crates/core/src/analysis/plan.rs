@@ -378,7 +378,7 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
     // residue of the interference order graph.
     let mut groups: Vec<Vec<usize>> = analysis.classes.iter().map(|c| c.ops.clone()).collect();
     let mut owner = vec![0usize; n];
-    let (groups, fwd) = loop {
+    let (groups, fwd, stage) = loop {
         let m = groups.len();
         for (g, ops) in groups.iter().enumerate() {
             for &i in ops {
@@ -403,29 +403,35 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
                 .or_insert(witness);
         }
         // Kahn's algorithm on the group graph: a full topological order
-        // means the edges are satisfiable by staging alone.
+        // means the edges are satisfiable by staging alone. The same pass
+        // stages each group at its longest-path level, which does not
+        // depend on the order groups leave the queue. Every pair of
+        // classes that must keep their order already carries an order
+        // edge (a slot witness), so levelling alone yields stages whose
+        // classes are pairwise independent.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut in_degree = vec![0usize; m];
         for &(a, b) in fwd.keys() {
             adj[a].push(b);
             in_degree[b] += 1;
         }
-        let mut ready: BTreeSet<usize> = (0..m).filter(|&g| in_degree[g] == 0).collect();
+        let mut ready: Vec<usize> = (0..m).filter(|&g| in_degree[g] == 0).collect();
         let mut popped = vec![false; m];
+        let mut stage = vec![0usize; m];
         let mut count = 0usize;
-        while let Some(&g) = ready.iter().next() {
-            ready.remove(&g);
+        while let Some(g) = ready.pop() {
             popped[g] = true;
             count += 1;
             for &h in &adj[g] {
+                stage[h] = stage[h].max(stage[g] + 1);
                 in_degree[h] -= 1;
-                if in_degree[h] == 0 && !popped[h] {
-                    ready.insert(h);
+                if in_degree[h] == 0 {
+                    ready.push(h);
                 }
             }
         }
         if count == m {
-            break (groups, fwd);
+            break (groups, fwd, stage);
         }
         // Order-cycle: merge the whole cyclic residue into one class that
         // runs its members sequentially in trace order. Conservative (it
@@ -445,38 +451,9 @@ pub fn build_plan(analysis: &TraceAnalysis) -> EvolutionPlan {
         groups = keep;
     };
 
-    // Stage assignment: longest-path level over the DAG. Every pair of
-    // classes that must keep their order already carries an order edge
-    // (a slot witness), so levelling alone yields stages whose classes
-    // are pairwise independent.
+    // Assemble classes sorted by (stage, first op) and remap edges.
     let m = groups.len();
     let group_first: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut in_degree = vec![0usize; m];
-    for &(a, b) in fwd.keys() {
-        adj[a].push(b);
-        in_degree[b] += 1;
-    }
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = (0..m)
-        .filter(|&g| in_degree[g] == 0)
-        .map(|g| Reverse((group_first[g], g)))
-        .collect();
-    let mut stage = vec![0usize; m];
-    let mut min_stage = vec![0usize; m];
-    while let Some(Reverse((_, g))) = heap.pop() {
-        stage[g] = min_stage[g];
-        for &h in &adj[g] {
-            min_stage[h] = min_stage[h].max(stage[g] + 1);
-            in_degree[h] -= 1;
-            if in_degree[h] == 0 {
-                heap.push(Reverse((group_first[h], h)));
-            }
-        }
-    }
-
-    // Assemble classes sorted by (stage, first op) and remap edges.
     let mut order: Vec<usize> = (0..m).collect();
     order.sort_by_key(|&g| (stage[g], group_first[g]));
     let mut pos = vec![0usize; m];

@@ -201,7 +201,7 @@ impl SharedSchema {
         ops: &[RecordedOp],
         plan: &crate::analysis::plan::EvolutionPlan,
         _threads: Option<usize>,
-    ) -> Result<crate::ops::PlanApply> {
+    ) -> Result<crate::analysis::PlanCheck> {
         self.evolve(|s| s.apply_plan(ops, plan))
     }
 

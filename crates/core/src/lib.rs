@@ -111,7 +111,6 @@ pub use model::{DerivedType, Schema};
 pub use obs::{
     EvolveObs, EvolveTracer, MetricsRegistry, MetricsSnapshot, RecomputeScope, SpanData, SpanEvent,
 };
-pub use ops::PlanApply;
 
 /// Escape `s` for use inside a JSON string literal: `"` and `\`, and
 /// every character below U+0020 (`\n`, `\r` and `\t` by name, the rest

@@ -12,8 +12,8 @@
 //! The subsystem is organised as:
 //!
 //! * ten rules, each a plain function: L1–L4 inspect a [`Schema`], the
-//!   others a replayable trace of [`RecordedOp`]s (L10 and L11 read the
-//!   trace's one instance-impact analysis);
+//!   others a recorded trace of [`RecordedOp`]s, statically (L10 and L11
+//!   read the trace's one instance-impact analysis);
 //! * a structured [`Diagnostic`] carrying the rule id, severity, offending
 //!   [`TypeId`]/[`PropId`]s, the Table-2 axiom or §5 claim it derives from
 //!   ([`Reference`]), and an optional machine-applicable [`FixIt`];
@@ -355,13 +355,14 @@ pub fn lint_schema(schema: &Schema) -> Vec<Diagnostic> {
     sorted(out)
 }
 
-/// Lint an operation trace (replayed from `initial`) with the trace rules
-/// L5–L8, L10 and L11. The trace's instance-impact analysis is computed
-/// once and read by both L10 and L11.
+/// Lint a recorded operation trace from `initial` with the trace rules
+/// L5–L8, L10 and L11. No op is executed: every rule reads the symbolic
+/// shadow of the inputs or facts the analyzers derive from it. The
+/// trace's instance-impact analysis is computed once and read by both
+/// L10 and L11.
 pub fn lint_trace(initial: &Schema, ops: &[RecordedOp]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    trace::order_dependence_hazard(initial, ops, &mut out);
-    trace::churn_no_op(initial, ops, &mut out);
+    trace::trace_rules(initial, ops, &mut out);
     semantic::dead_op(initial, ops, &mut out);
     semantic::redundant_drop_ordering(initial, ops, &mut out);
     let impact = analysis::impact::analyze(initial, ops);

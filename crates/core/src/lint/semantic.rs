@@ -1,11 +1,12 @@
 //! The semantic trace rules L7, L8, L10 and L11.
 //!
-//! Unlike L5/L6 (which replay the trace), these rules consume facts from
-//! `core::analysis`: the trace optimizer's semantics-preserving rewrites
-//! (L7), the commutativity engine's pair certificates (L8), and the
-//! instance-impact analyzer's verdicts and obligations (L10/L11, which
-//! read the one analysis `lint_trace` computes). All are purely static —
-//! the trace is never executed.
+//! Where L5/L6 read the symbolic shadow's pre-states directly, these
+//! rules consume facts `core::analysis` derives from it: the trace
+//! optimizer's semantics-preserving rewrites (L7), the commutativity
+//! engine's pair certificates (L8), and the instance-impact analyzer's
+//! verdicts and obligations (L10/L11, which read the one analysis
+//! `lint_trace` computes). All are purely static — the trace is never
+//! executed.
 
 use super::{Diagnostic, FixIt, Location, Reference, RuleId, Severity};
 use crate::analysis::{self, ImpactAnalysis, ImpactLevel};

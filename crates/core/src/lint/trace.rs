@@ -1,18 +1,42 @@
-//! The replaying trace rules L5–L6.
+//! The trace rules L5–L6, read from the symbolic shadow.
 //!
-//! These rules analyse a replayable operation log ([`RecordedOp`]) rather
-//! than a single schema state. Replay is deterministic (identities are
-//! assigned in arena order), so the rules can reconstruct the exact schema
-//! before and after every operation.
+//! These rules analyse a recorded operation log ([`RecordedOp`]) rather
+//! than a single schema state. By §2 every question they ask is one about
+//! the designer inputs `P_e`/`N_e`, so they read each op's pre-state from
+//! the one forward pass the analyzers share ([`TracePass`]): nothing is
+//! executed, cloned or hashed.
 
 use std::collections::HashMap;
 
-use super::rules::{pn, tn};
 use super::{Diagnostic, Location, Reference, RuleId, Severity};
-use crate::error::SchemaError;
+use crate::analysis::contrast::op4_orders_diverge;
+use crate::analysis::footprint::{SymbolicState, TracePass};
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
 use crate::model::Schema;
+
+/// Run L5 and L6 over `ops` from `initial` in one pass.
+pub(super) fn trace_rules(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
+    let mut churn = Churn::default();
+    TracePass::run(initial, ops, |i, op, pre| {
+        order_dependence_hazard(ops, i, op, pre, out);
+        churn.step(ops, i, op, pre, out);
+    });
+}
+
+/// The name in type slot `t` of `state`, or the raw id.
+fn tn(state: &SymbolicState, t: TypeId) -> String {
+    state
+        .type_name(t.index())
+        .map_or_else(|| format!("{t}"), str::to_owned)
+}
+
+/// The name in property slot `p` of `state`, or the raw id.
+fn pn(state: &SymbolicState, p: PropId) -> String {
+    state
+        .prop_name(p.index())
+        .map_or_else(|| format!("{p}"), str::to_owned)
+}
 
 /// L5 — a drop-subtype sequence whose *Orion* semantics are
 /// order-dependent.
@@ -31,103 +55,58 @@ use crate::model::Schema;
 /// ```
 ///
 /// which makes the outcome depend on which drop runs first. This rule finds
-/// runs of consecutive `DropEssentialSupertype` operations and, for each
-/// adjacent pair, simulates OP4 in both orders from the schema state just
-/// before the pair; diverging fingerprints mean a migration script that is
+/// runs of consecutive `DropEssentialSupertype` operations and judges each
+/// adjacent pair with the contrast's OP4 evaluator
+/// ([`crate::analysis::contrast`]) on the `P_e` rows just before the pair:
+/// when both orders apply and their rows differ, the migration script is
 /// correct under the axiomatic model but order-sensitive on an Orion-style
-/// system. (The simulation mirrors `axiombase-orion`'s `reduced_op4` and is
-/// cross-validated against it in that crate's tests.)
-pub(super) fn order_dependence_hazard(
-    initial: &Schema,
+/// system. (On a recorded trace this is exactly what running OP4 through
+/// the engine's edge ops in both orders decides: the engine's relink adds
+/// `P_e(s)` to `t` and then drops `s`, leaving `P_e(t) = P_e(s)`, and none
+/// of its other guards can fire where both recorded drops applied.)
+fn order_dependence_hazard(
     ops: &[RecordedOp],
+    i: usize,
+    op: &RecordedOp,
+    pre: &SymbolicState,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut schema = initial.clone();
-    for (i, op) in ops.iter().enumerate() {
-        if let (
-            RecordedOp::DropEssentialSupertype { t: t1, s: s1 },
-            Some(RecordedOp::DropEssentialSupertype { t: t2, s: s2 }),
-        ) = (op, ops.get(i + 1))
-        {
-            let ab = orion_sim(&schema, &[(*t1, *s1), (*t2, *s2)]);
-            let ba = orion_sim(&schema, &[(*t2, *s2), (*t1, *s1)]);
-            if let (Some(fa), Some(fb)) = (ab, ba) {
-                if fa != fb {
-                    let mut types = vec![*t1, *s1, *t2, *s2];
-                    types.dedup();
-                    out.push(Diagnostic {
-                        rule: RuleId::OrderDependenceHazard,
-                        severity: Severity::Warning,
-                        location: Location::OpRange(i, i + 1),
-                        types,
-                        props: vec![],
-                        reference: Reference::Claim(
-                            "§5 (drop sequences are order-independent under the \
-                             axioms but order-dependent under Orion's OP4 relink)",
-                        ),
-                        message: format!(
-                            "ops {}-{} (drop {} from P_e({}); drop {} from P_e({})) \
-                             give different schemas under Orion OP4 semantics \
-                             depending on their order; the axiomatic result is \
-                             order-independent",
-                            i + 1,
-                            i + 2,
-                            tn(&schema, *s1),
-                            tn(&schema, *t1),
-                            tn(&schema, *s2),
-                            tn(&schema, *t2),
-                        ),
-                        fix: None,
-                    });
-                }
-            }
-        }
-        if op.apply(&mut schema).is_err() {
-            return; // Not a valid evolution path; nothing more to say.
-        }
+    let (
+        RecordedOp::DropEssentialSupertype { t: t1, s: s1 },
+        Some(RecordedOp::DropEssentialSupertype { t: t2, s: s2 }),
+    ) = (op, ops.get(i + 1))
+    else {
+        return;
+    };
+    if !op4_orders_diverge(pre, (*t1, *s1), (*t2, *s2)) {
+        return;
     }
-}
-
-/// Apply one Orion OP4 drop to `schema`. Returns `false` (leaving the
-/// schema in an unspecified but unused state) when the op is inapplicable —
-/// edge absent, last edge to the root, frozen subtype.
-fn orion_op4(schema: &mut Schema, t: TypeId, s: TypeId) -> bool {
-    if !schema.is_live(t) || !schema.is_live(s) {
-        return false;
-    }
-    let pe = schema.essential_supertypes(t).expect("live type").clone();
-    if !pe.contains(&s) {
-        return false;
-    }
-    if pe.len() == 1 {
-        if Some(s) == schema.root() {
-            return false; // OP4 REJECT: last edge to OBJECT.
-        }
-        let parents: Vec<TypeId> = schema
-            .essential_supertypes(s)
-            .expect("live type")
-            .iter()
-            .copied()
-            .collect();
-        for parent in parents {
-            match schema.add_essential_supertype(t, parent) {
-                Ok(()) | Err(SchemaError::DuplicateSupertype { .. }) => {}
-                Err(_) => return false,
-            }
-        }
-    }
-    schema.drop_essential_supertype(t, s).is_ok()
-}
-
-/// Run a sequence of OP4 drops from `base`; `None` if any is inapplicable.
-fn orion_sim(base: &Schema, drops: &[(TypeId, TypeId)]) -> Option<u64> {
-    let mut schema = base.clone();
-    for &(t, s) in drops {
-        if !orion_op4(&mut schema, t, s) {
-            return None;
-        }
-    }
-    Some(schema.fingerprint())
+    let mut types = vec![*t1, *s1, *t2, *s2];
+    types.dedup();
+    out.push(Diagnostic {
+        rule: RuleId::OrderDependenceHazard,
+        severity: Severity::Warning,
+        location: Location::OpRange(i, i + 1),
+        types,
+        props: vec![],
+        reference: Reference::Claim(
+            "§5 (drop sequences are order-independent under the \
+             axioms but order-dependent under Orion's OP4 relink)",
+        ),
+        message: format!(
+            "ops {}-{} (drop {} from P_e({}); drop {} from P_e({})) \
+             give different schemas under Orion OP4 semantics \
+             depending on their order; the axiomatic result is \
+             order-independent",
+            i + 1,
+            i + 2,
+            tn(pre, *s1),
+            tn(pre, *t1),
+            tn(pre, *s2),
+            tn(pre, *t2),
+        ),
+        fix: None,
+    });
 }
 
 /// L6 — churn: add-then-drop pairs with no intervening use, and drops of
@@ -146,36 +125,41 @@ fn orion_sim(base: &Schema, drops: &[(TypeId, TypeId)]) -> Option<u64> {
 /// Informational severity: histories are append-only, so there is nothing
 /// to fix in place, but generators and migration scripts that produce
 /// churn are worth tightening.
-pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Diagnostic>) {
-    let mut schema = initial.clone();
-    // Where each in-trace type/property was created, for pair detection.
-    let mut created_types: HashMap<TypeId, usize> = HashMap::new();
-    let mut created_props: HashMap<PropId, usize> = HashMap::new();
+///
+/// A created slot is the arena's next one in the op's pre-state, and a
+/// property drop leaves the schema unchanged exactly when the property
+/// has no live holder: it clears `p` from its holders' `N_e` and touches
+/// nothing else a schema's types carry.
+#[derive(Default)]
+struct Churn {
+    /// Where each in-trace type was created, for pair detection.
+    created_types: HashMap<TypeId, usize>,
+    /// Where each in-trace property was created.
+    created_props: HashMap<PropId, usize>,
+}
 
-    for (i, op) in ops.iter().enumerate() {
+impl Churn {
+    fn step(
+        &mut self,
+        ops: &[RecordedOp],
+        i: usize,
+        op: &RecordedOp,
+        pre: &SymbolicState,
+        out: &mut Vec<Diagnostic>,
+    ) {
         match op {
             // Staging a property is the intended workflow — never churn
-            // on its own. Capture the id for pair detection.
-            RecordedOp::AddProperty { name } => {
-                let p = schema.add_property(name.clone());
-                created_props.insert(p, i);
-                continue;
+            // on its own. Note the id for pair detection.
+            RecordedOp::AddProperty { .. } => {
+                self.created_props
+                    .insert(PropId::from_index(pre.prop_slots()), i);
             }
-            RecordedOp::AddType {
-                name,
-                supers,
-                props,
-            } => {
-                match schema.add_type(name.clone(), supers.iter().copied(), props.iter().copied()) {
-                    Ok(t) => {
-                        created_types.insert(t, i);
-                    }
-                    Err(_) => return,
-                }
-                continue;
+            RecordedOp::AddType { .. } => {
+                self.created_types
+                    .insert(TypeId::from_index(pre.type_slots()), i);
             }
             RecordedOp::DropType { t } => {
-                if let Some(&j) = created_types.get(t) {
+                if let Some(&j) = self.created_types.get(t) {
                     let uses = |o: &RecordedOp| {
                         !matches!(o, RecordedOp::DropType { .. }) && o.mentions_type(*t)
                     };
@@ -185,7 +169,7 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
                             format!(
                                 "type {} is added at op {} and dropped at op {} \
                                  with no intervening use",
-                                tn(&schema, *t),
+                                tn(pre, *t),
                                 j + 1,
                                 i + 1
                             ),
@@ -194,8 +178,8 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
                 }
             }
             RecordedOp::DropProperty { p } => {
-                let name = pn(&schema, *p);
-                if let Some(&j) = created_props.get(p) {
+                let name = pn(pre, *p);
+                if let Some(&j) = self.created_props.get(p) {
                     let uses = |o: &RecordedOp| {
                         !matches!(o, RecordedOp::DropProperty { .. }) && o.mentions_prop(*p)
                     };
@@ -209,17 +193,10 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
                                 i + 1
                             ),
                         ));
-                        if op.apply(&mut schema).is_err() {
-                            return;
-                        }
-                        continue; // Don't double-report as a plain no-op.
+                        return; // Don't double-report as a plain no-op.
                     }
                 }
-                let before = schema.fingerprint();
-                if op.apply(&mut schema).is_err() {
-                    return;
-                }
-                if schema.fingerprint() == before {
+                if pre.holders_of(p.index()).next().is_none() {
                     out.push(churn(
                         Location::Op(i),
                         format!(
@@ -229,12 +206,8 @@ pub(super) fn churn_no_op(initial: &Schema, ops: &[RecordedOp], out: &mut Vec<Di
                         ),
                     ));
                 }
-                continue;
             }
             _ => {}
-        }
-        if op.apply(&mut schema).is_err() {
-            return;
         }
     }
 }

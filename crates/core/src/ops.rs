@@ -25,7 +25,7 @@
 //! *before* mutating; a returned error implies the schema is unchanged. The
 //! failure-injection tests pin this with fingerprint comparisons.
 
-use crate::analysis::plan::{self, EvolutionPlan};
+use crate::analysis::plan::{self, EvolutionPlan, PlanCheck};
 use crate::bits::{ensure_arena_index, ArenaKind, PropSet, TypeSet};
 use crate::engine::{BatchState, ChangeKind};
 use crate::error::{Result, SchemaError};
@@ -528,7 +528,8 @@ impl Schema {
     /// whole trace, trace order) reorders nothing, so it is admitted on
     /// the O(n) structural obligation alone ([`plan::check_sequential`]);
     /// anything claiming structure goes through the independent
-    /// [`plan::check`].
+    /// [`plan::check`]. Success returns the admitted [`PlanCheck`]: every
+    /// one of its `ops` applied.
     ///
     /// The admitted plan runs as one [`Schema::evolve_batch`], joining an
     /// outer batch if there is one: classes in certified stage order, each
@@ -543,7 +544,7 @@ impl Schema {
     /// and recomputed (as in [`Schema::apply_trace`]); wrap in
     /// [`SharedSchema::apply_plan`](crate::SharedSchema::apply_plan) for
     /// all-or-nothing publication.
-    pub fn apply_plan(&mut self, ops: &[RecordedOp], plan: &EvolutionPlan) -> Result<PlanApply> {
+    pub fn apply_plan(&mut self, ops: &[RecordedOp], plan: &EvolutionPlan) -> Result<PlanCheck> {
         let cert = &plan.certificate;
         let verdict = match plan::check_sequential(ops.len(), cert) {
             Some(v) => v,
@@ -566,31 +567,12 @@ impl Schema {
             }
             Ok(())
         })?;
-        let applied = ops.len();
         if let Some(obs) = &self.obs {
             obs.registry().add(names::PLAN_APPLIES, 1);
-            obs.registry().add(names::PLAN_OPS, applied as u64);
+            obs.registry().add(names::PLAN_OPS, verdict.ops as u64);
         }
-        Ok(PlanApply {
-            applied,
-            stages: verdict.stages,
-            classes: verdict.classes,
-            max_parallelism: verdict.max_parallelism,
-        })
+        Ok(verdict)
     }
-}
-
-/// Outcome of [`Schema::apply_plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanApply {
-    /// Operations successfully applied.
-    pub applied: usize,
-    /// Stages in the certified plan.
-    pub stages: usize,
-    /// Classes in the certified plan.
-    pub classes: usize,
-    /// Widest stage of the plan.
-    pub max_parallelism: usize,
 }
 
 #[cfg(test)]
@@ -995,7 +977,7 @@ mod tests {
         assert_eq!(plan.stage_count(), 1, "{}", plan.to_text());
         assert_eq!(plan.max_parallelism(), 4);
         let done = s.apply_plan(&ops, &plan).unwrap();
-        assert_eq!(done.applied, 4);
+        assert_eq!(done.ops, 4);
         assert_eq!(done.classes, 4);
         assert_eq!(
             s.canonical_fingerprint(),
@@ -1063,7 +1045,7 @@ mod tests {
         );
         let mut fast = s.clone();
         let done = fast.apply_plan(&ops, &plan).unwrap();
-        assert_eq!(done.applied, ops.len());
+        assert_eq!(done.ops, ops.len());
         assert_eq!((done.stages, done.classes), (1, 1));
         assert_eq!(
             fast.canonical_fingerprint(),
@@ -1112,7 +1094,7 @@ mod tests {
         sequential.apply_trace(&ops).unwrap();
         let plan = plan_for(&s, &ops);
         let done = s.apply_plan(&ops, &plan).unwrap();
-        assert_eq!(done.applied, ops.len());
+        assert_eq!(done.ops, ops.len());
         assert_eq!(
             s.canonical_fingerprint(),
             sequential.canonical_fingerprint(),
@@ -1201,7 +1183,7 @@ mod tests {
         let plan = plan_for(&s, &ops);
         s.evolve_batch(|inner| {
             let done = inner.apply_plan(&ops, &plan)?;
-            assert_eq!(done.applied, 4);
+            assert_eq!(done.ops, 4);
             Ok(())
         })
         .unwrap();

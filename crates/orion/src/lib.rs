@@ -21,14 +21,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod contrast;
 pub mod invariants;
 pub mod model;
 mod ops;
 pub mod reduction;
 pub mod rules;
 
-pub use contrast::{contrast_drop_orders, ContrastPair, ContrastReport, DropSemantics};
 pub use invariants::{Invariant, InvariantViolation};
 pub use model::{ClassId, OrionError, OrionProp, OrionPropKind, OrionSchema, ResolvedProp};
 pub use reduction::{reduce, OrionOp, ReducedOrion, Reduction};

@@ -81,14 +81,17 @@ fn registry() -> Vec<GateSpec> {
                 "crates/core/src/analysis/mod.rs",
                 "crates/core/src/analysis/footprint.rs",
                 "crates/core/src/analysis/commute.rs",
+                "crates/core/src/analysis/contrast.rs",
                 "crates/core/src/analysis/optimize.rs",
                 "crates/core/src/analysis/plan.rs",
                 "crates/core/src/analysis/merge.rs",
                 "crates/core/src/analysis/impact.rs",
+                "crates/core/src/lint/trace.rs",
             ],
             exempt: &[],
             patterns: &[
                 concat!("RecordedOp", "::apply"),
+                concat!(".apply", "("),
                 concat!("apply", "_trace"),
                 concat!("re", "compute"),
             ],
@@ -441,6 +444,29 @@ mod tests {
             assert!(
                 g.roots.iter().any(|r| r.ends_with("analysis/impact.rs")),
                 "{gate} does not scan impact.rs"
+            );
+        }
+    }
+
+    #[test]
+    fn prover_purity_flags_an_op_applied_by_method() {
+        let all = registry();
+        let g = all.iter().find(|g| g.name == "prover-purity").unwrap();
+        let text = "// op.apply(&mut s) named in prose\n\
+                    op.apply(&mut s)?;\n\
+                    RecordedOp::apply(op, &mut s)?;\n\
+                    let pre = state.supertypes(t);\n";
+        let mut v = Vec::new();
+        scan_text(g, Path::new("analysis/contrast.rs"), text, &mut v);
+        assert_eq!(
+            v.iter().map(|v| v.line).collect::<Vec<_>>(),
+            [2, 3],
+            "{v:?}"
+        );
+        for file in ["lint/trace.rs", "analysis/contrast.rs"] {
+            assert!(
+                g.roots.iter().any(|r| r.ends_with(file)),
+                "{file} is not scanned"
             );
         }
     }

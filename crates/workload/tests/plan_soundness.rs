@@ -89,7 +89,7 @@ fn run(
         Some(evo) => {
             s.apply_plan(ops, evo)
                 .unwrap_or_else(|e| panic!("seed {seed} {tag}: certified plan rejected: {e}"))
-                .applied
+                .ops
         }
         None => s.apply_trace(ops).expect("recorded trace must replay"),
     };
